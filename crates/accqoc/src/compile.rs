@@ -1,21 +1,15 @@
-//! Pipeline configuration and the pre-redesign compiler shim.
+//! Pipeline configuration.
 //!
 //! The pipeline itself lives behind [`crate::Session`]; this module keeps
-//! the configuration bag ([`AccQocConfig`]), the warm-start gate
-//! ([`warm_start_allowed`]), and a thin deprecated [`AccQocCompiler`]
-//! wrapper so pre-redesign callers keep compiling for one release.
+//! the configuration bag ([`AccQocConfig`]) and the warm-start gate
+//! ([`warm_start_allowed`]).
 
-use accqoc_circuit::Circuit;
-use accqoc_grape::{GrapeOptions, LatencyResult, LatencySearch, Pulse};
-use accqoc_group::{GroupedCircuit, GroupingPolicy};
-use accqoc_hw::{GateDurations, Topology};
+use accqoc_grape::{GrapeOptions, LatencySearch};
+use accqoc_group::GroupingPolicy;
+use accqoc_hw::Topology;
 use accqoc_linalg::Mat;
 use accqoc_map::MappingOptions;
 
-use crate::cache::PulseCache;
-use crate::error::Result;
-use crate::model::ModelSet;
-use crate::session::{CoverageStats, ProgramCompilation, Session};
 use crate::similarity::SimilarityFn;
 
 /// Pipeline configuration.
@@ -77,157 +71,4 @@ impl AccQocConfig {
 /// in the phase-invariant trace overlap GRAPE optimizes.
 pub fn warm_start_allowed(parent: &Mat, child: &Mat, threshold: f64) -> bool {
     SimilarityFn::TraceOverlap.distance(parent, child) <= threshold
-}
-
-/// Pre-redesign compiler entry point, now a thin wrapper over
-/// [`Session`]. Unlike a session it does not own a cache: callers thread
-/// a mutable [`PulseCache`] through every call.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `accqoc::Session` (builder-constructed; owns the pulse cache)"
-)]
-pub struct AccQocCompiler {
-    session: Session,
-}
-
-#[allow(deprecated)]
-impl std::fmt::Debug for AccQocCompiler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AccQocCompiler")
-            .field("session", &self.session)
-            .finish()
-    }
-}
-
-#[allow(deprecated)]
-impl AccQocCompiler {
-    /// Creates a compiler with spin-chain models matching the policy
-    /// width.
-    ///
-    /// # Panics
-    ///
-    /// Panics on configurations [`Session::from_config`] rejects (the
-    /// pre-redesign constructor had no error path).
-    pub fn new(config: AccQocConfig) -> Self {
-        Self {
-            session: Session::from_config(config).expect("valid pre-redesign config"),
-        }
-    }
-
-    /// Creates a compiler with a custom model set.
-    pub fn with_models(config: AccQocConfig, models: ModelSet) -> Self {
-        let session = Session::builder()
-            .topology(config.topology.clone())
-            .policy(config.policy)
-            .mapping(config.mapping.clone())
-            .grape(config.grape.clone())
-            .search(config.search.clone())
-            .similarity(config.similarity)
-            .warm_threshold(config.warm_threshold)
-            .models(models)
-            .build()
-            .expect("valid pre-redesign config");
-        Self { session }
-    }
-
-    /// The underlying session.
-    pub fn session(&self) -> &Session {
-        &self.session
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &AccQocConfig {
-        self.session.config()
-    }
-
-    /// The model set.
-    pub fn models(&self) -> &ModelSet {
-        self.session.models()
-    }
-
-    /// Maps, decomposes, and groups a logical circuit; returns the
-    /// grouped circuit, the processed physical circuit, the crosstalk
-    /// metric, and the swap count.
-    pub fn front_end(&self, circuit: &Circuit) -> (GroupedCircuit, Circuit, usize, usize) {
-        let report = self.session.front_end(circuit);
-        (
-            report.grouped,
-            report.processed,
-            report.crosstalk,
-            report.swap_count,
-        )
-    }
-
-    /// Compiles one canonical unitary to a pulse.
-    ///
-    /// # Errors
-    ///
-    /// See [`Session::compile_unitary`].
-    pub fn compile_unitary(
-        &self,
-        target: &Mat,
-        n_qubits: usize,
-        warm: Option<&Pulse>,
-    ) -> Result<LatencyResult> {
-        self.session.compile_unitary(target, n_qubits, warm)
-    }
-
-    /// Compiles a whole program against an externally owned cache.
-    ///
-    /// # Errors
-    ///
-    /// Propagates group-compilation failures.
-    pub fn compile_program(
-        &self,
-        circuit: &Circuit,
-        cache: &mut PulseCache,
-    ) -> Result<ProgramCompilation> {
-        let fork = self.session.fork();
-        fork.set_cache(std::mem::take(cache));
-        let result = fork.compile_program(circuit);
-        *cache = fork.cache_snapshot();
-        result
-    }
-
-    /// Coverage of a program against an external cache.
-    pub fn coverage_of(&self, circuit: &Circuit, cache: &PulseCache) -> CoverageStats {
-        let fork = self.session.fork();
-        fork.set_cache(cache.clone());
-        fork.coverage_of(circuit)
-    }
-
-    /// Gate-based compilation latency of a processed physical circuit.
-    pub fn gate_based_latency(&self, processed: &Circuit) -> f64 {
-        self.session.gate_based_latency(processed)
-    }
-
-    /// The single-gate duration table.
-    pub fn gate_durations(&self) -> GateDurations {
-        self.session.gate_durations()
-    }
-}
-
-#[cfg(test)]
-#[allow(deprecated)]
-mod tests {
-    use super::*;
-    use accqoc_circuit::Gate;
-    use accqoc_hw::Topology;
-
-    #[test]
-    fn deprecated_shim_still_compiles_programs() {
-        let mut config = AccQocConfig::for_topology(Topology::linear(3));
-        config.grape.stop.max_iters = 200;
-        let compiler = AccQocCompiler::new(config);
-        let mut cache = PulseCache::new();
-        let circuit = Circuit::from_gates(3, [Gate::H(0), Gate::Cx(0, 1)]);
-        let result = compiler.compile_program(&circuit, &mut cache).unwrap();
-        assert!(result.overall_latency_ns > 0.0);
-        assert!(
-            !cache.is_empty(),
-            "shim writes back into the caller's cache"
-        );
-        let coverage = compiler.coverage_of(&circuit, &cache);
-        assert_eq!(coverage.covered, coverage.total);
-    }
 }

@@ -172,10 +172,6 @@ impl From<accqoc_store::StoreError> for Error {
     }
 }
 
-/// Pre-redesign name of [`Error`], kept for one release.
-#[deprecated(since = "0.1.0", note = "use `accqoc::Error`")]
-pub type AccQocError = Error;
-
 #[cfg(test)]
 mod tests {
     use super::*;

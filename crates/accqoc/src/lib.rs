@@ -77,12 +77,8 @@ mod verify;
 
 pub use baselines::{brute_force_qoc, BruteForceConfig, BruteForceResult};
 pub use cache::{CachedPulse, PulseCache};
-#[allow(deprecated)]
-pub use compile::AccQocCompiler;
 pub use compile::{warm_start_allowed, AccQocConfig};
 pub use concurrent_cache::{ConcurrentPulseCache, DEFAULT_CACHE_SHARDS};
-#[allow(deprecated)]
-pub use error::AccQocError;
 pub use error::{Error, Result};
 pub use library::{
     batch_plan, serve_grouped_subset, LibraryStats, NearestPulse, PulseLibrary, ServeOptions,

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use accqoc_circuit::{Circuit, UnitaryKey};
-use accqoc_grape::{find_minimal_latency, LatencySearch};
+use accqoc_grape::{find_minimal_latency, LatencySearch, Workspace};
 use accqoc_hw::ControlModel;
 use accqoc_linalg::Mat;
 
@@ -460,21 +460,22 @@ pub fn optimize_group(
     let mut opts = session.config().grape.clone();
     // Richer budget for the headline group.
     opts.stop.max_iters *= 2;
-    if let Some(e) = entry.as_ref().filter(|e| e.pulse.n_steps() > 0) {
-        // Resample the cached pulse onto the finer grid as the seed.
-        let doubled = e.pulse.resampled(e.pulse.n_steps() * 2);
-        opts.init = accqoc_grape::InitStrategy::Warm(doubled);
-    }
+    // Resample the cached pulse onto the finer grid as the seed.
+    let seed = entry
+        .as_ref()
+        .filter(|e| e.pulse.n_steps() > 0)
+        .map(|e| e.pulse.resampled(e.pulse.n_steps() * 2));
     let result = find_minimal_latency(
         &fine_model,
         target,
+        seed.as_ref(),
         &opts,
         &LatencySearch {
             min_steps: search.min_steps,
             max_steps: search.max_steps,
             initial_guess: entry.as_ref().map(|e| 2 * e.pulse.n_steps()),
-            ..LatencySearch::default()
         },
+        &mut Workspace::new(),
     )
     .map_err(|source| Error::CompileFailed { n_qubits, source })?;
 

@@ -18,9 +18,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use accqoc_circuit::{Circuit, CircuitDag, Gate, GateKind, UnitaryKey};
-use accqoc_grape::{
-    find_minimal_latency_seeded, LatencyResult, Pulse, Workspace as GrapeWorkspace,
-};
+use accqoc_grape::{find_minimal_latency, LatencyResult, Pulse, Workspace as GrapeWorkspace};
 use accqoc_group::{dedup_groups, divide_circuit, GroupedCircuit, GroupingPolicy};
 use accqoc_hw::{GateDurations, Topology};
 use accqoc_linalg::Mat;
@@ -1001,7 +999,7 @@ impl Session {
                 .max(floor.min(p.n_steps()))
                 .min(search.max_steps);
         }
-        find_minimal_latency_seeded(model, target, warm, &self.config.grape, &search, ws)
+        find_minimal_latency(model, target, warm, &self.config.grape, &search, ws)
             .map_err(|source| Error::CompileFailed { n_qubits, source })
     }
 

@@ -18,7 +18,7 @@
 //!    density-matrix simulator.
 //! 2. **Differential compile checks** ([`caches_equivalent`]): two pulse
 //!    caches produced by different engines (sequential `precompile`,
-//!    `precompile_parallel`, the pre-Session shim) are compared
+//!    `precompile_parallel`, per-program `compile_program`) are compared
 //!    *semantically* — the pulses may differ byte-wise, but the unitaries
 //!    they realize and the latencies they report must agree within
 //!    tolerance.

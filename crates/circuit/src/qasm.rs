@@ -360,6 +360,11 @@ fn eval_expr(src: &str) -> Result<f64, String> {
     if p.pos != p.chars.len() {
         return Err(format!("trailing input in expression {src:?}"));
     }
+    // An infinite or NaN angle has no gate semantics; downstream it
+    // would canonicalize to a 0-slice pulse that verifies as perfect.
+    if !v.is_finite() {
+        return Err(format!("non-finite value of expression {src:?}"));
+    }
     Ok(v)
 }
 
@@ -543,6 +548,7 @@ mod tests {
             ("qreg q[1];\nx q[5];", "out of range"),
             ("qreg q[1];\nrz(foo) q[0];", "unknown identifier"),
             ("qreg q[1];\nrz(1+) q[0];", "unexpected token"),
+            ("qreg q[1];\nrz(1e400) q[0];", "non-finite"),
             ("qreg q[1];\ncx q[0];", "expects 0 params / 2 operands"),
         ];
         for (src, needle) in cases {
@@ -615,5 +621,9 @@ mod tests {
         assert!((eval_expr("1 - 2 - 3").unwrap() + 4.0).abs() < 1e-15);
         assert!(eval_expr("").is_err());
         assert!(eval_expr("1 2").is_err());
+        for non_finite in ["1e400", "1/0", "0/0", "-1e400"] {
+            let e = eval_expr(non_finite).unwrap_err();
+            assert!(e.contains("non-finite"), "{non_finite}: {e}");
+        }
     }
 }

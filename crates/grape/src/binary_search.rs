@@ -16,7 +16,8 @@ use std::fmt;
 use accqoc_hw::ControlModel;
 use accqoc_linalg::Mat;
 
-use crate::grape::{solve_with, GrapeOptions, GrapeOutcome, GrapeProblem};
+use crate::grape::{solve_with, GrapeOptions, GrapeOutcome, GrapeProblem, InitStrategy};
+use crate::pulse::Pulse;
 use crate::workspace::Workspace;
 
 /// Search-space bounds for the latency binary search.
@@ -26,10 +27,6 @@ pub struct LatencySearch {
     pub min_steps: usize,
     /// Hard cap on the slice count (the "run time budget" guard of §IV-D).
     pub max_steps: usize,
-    /// Warm-start each probe from the best feasible pulse found so far
-    /// (resampled). Saves iterations without changing the feasibility
-    /// frontier.
-    pub warm_start_probes: bool,
     /// Probe this slice count first (e.g. the latency of a similar,
     /// already-compiled group). A good guess collapses the exponential
     /// growth phase: feasible ⇒ bisect straight down, infeasible ⇒ grow
@@ -43,19 +40,7 @@ impl Default for LatencySearch {
         Self {
             min_steps: 1,
             max_steps: 256,
-            warm_start_probes: true,
             initial_guess: None,
-        }
-    }
-}
-
-impl LatencySearch {
-    /// A search seeded by the model's analytic minimum-time estimate.
-    pub fn for_model(model: &ControlModel) -> Self {
-        let est = (model.min_time_estimate_ns() / model.dt_ns()).floor() as usize;
-        Self {
-            min_steps: (est.max(1) / 2 + 1).max(1),
-            ..Self::default()
         }
     }
 }
@@ -102,7 +87,20 @@ pub struct LatencyResult {
 }
 
 /// Finds the shortest pulse meeting the fidelity target via exponential
-/// growth + bisection over the slice count.
+/// growth + bisection over the slice count. Every GRAPE probe reuses the
+/// caller's [`Workspace`] (one per worker thread).
+///
+/// `seed` is the "warm start from a similar group" behind the paper's
+/// MST acceleration and the pulse library's serving path. It does two
+/// things: it becomes the [`InitStrategy::Warm`] initialization of every
+/// probe, and (when non-empty) its slice count becomes the search's
+/// initial guess — similar unitaries have similar minimal latencies, so
+/// the search brackets in fewer probes. `None` is a scratch compile.
+///
+/// Each probe first tries a warm start (from the best feasible pulse
+/// found so far, else the seed) on a third of the iteration budget (at
+/// least 40). A converged warm attempt settles the probe; otherwise a
+/// cold start on the full budget decides it.
 ///
 /// # Errors
 ///
@@ -112,13 +110,20 @@ pub struct LatencyResult {
 /// # Examples
 ///
 /// ```
-/// use accqoc_grape::{find_minimal_latency, GrapeOptions, LatencySearch};
+/// use accqoc_grape::{find_minimal_latency, GrapeOptions, LatencySearch, Workspace};
 /// use accqoc_hw::ControlModel;
 /// use accqoc_linalg::Mat;
 ///
 /// let model = ControlModel::spin_chain(1);
 /// let x = Mat::from_reals(&[0.0, 1.0, 1.0, 0.0]);
-/// let r = find_minimal_latency(&model, &x, &GrapeOptions::default(), &LatencySearch::default())?;
+/// let r = find_minimal_latency(
+///     &model,
+///     &x,
+///     None,
+///     &GrapeOptions::default(),
+///     &LatencySearch::default(),
+///     &mut Workspace::new(),
+/// )?;
 /// // A π-rotation at the amplitude cap takes 10 ns ⇒ 10 slices of 1 ns.
 /// assert_eq!(r.n_steps, 10);
 /// # Ok::<(), accqoc_grape::LatencyError>(())
@@ -126,68 +131,22 @@ pub struct LatencyResult {
 pub fn find_minimal_latency(
     model: &ControlModel,
     target: &Mat,
-    options: &GrapeOptions,
-    search: &LatencySearch,
-) -> Result<LatencyResult, LatencyError> {
-    find_minimal_latency_with(model, target, options, search, &mut Workspace::new())
-}
-
-/// [`find_minimal_latency_with`] seeded from an existing pulse: the
-/// canonical "warm start from a similar group" entry point behind the
-/// paper's MST acceleration and the pulse library's online serving path.
-///
-/// The seed does two things: it becomes the [`InitStrategy::Warm`]
-/// initialization of every probe, and (when non-empty) its slice count
-/// becomes the binary search's initial guess — similar unitaries have
-/// similar minimal latencies, so the search brackets in fewer probes.
-/// Passing `None` is exactly a scratch compile.
-///
-/// [`InitStrategy::Warm`]: crate::InitStrategy::Warm
-///
-/// # Errors
-///
-/// Returns [`LatencyError::Infeasible`] when even `search.max_steps`
-/// slices cannot reach the target.
-pub fn find_minimal_latency_seeded(
-    model: &ControlModel,
-    target: &Mat,
-    seed: Option<&crate::pulse::Pulse>,
+    seed: Option<&Pulse>,
     options: &GrapeOptions,
     search: &LatencySearch,
     ws: &mut Workspace,
 ) -> Result<LatencyResult, LatencyError> {
-    match seed {
-        None => find_minimal_latency_with(model, target, options, search, ws),
-        Some(pulse) => {
-            let mut options = options.clone();
-            options.init = crate::grape::InitStrategy::Warm(pulse.clone());
-            let mut search = search.clone();
-            if pulse.n_steps() > 0 {
-                search.initial_guess = Some(pulse.n_steps());
-            }
-            find_minimal_latency_with(model, target, &options, &search, ws)
+    let mut options = options.clone();
+    let mut search = search.clone();
+    if let Some(pulse) = seed {
+        options.init = InitStrategy::Warm(pulse.clone());
+        if pulse.n_steps() > 0 {
+            search.initial_guess = Some(pulse.n_steps());
         }
     }
-}
-
-/// [`find_minimal_latency`] with a caller-owned [`Workspace`]: every
-/// GRAPE probe reuses the same scratch buffers (the entry point the
-/// parallel pre-compilation engine drives once per worker thread).
-///
-/// # Errors
-///
-/// Returns [`LatencyError::Infeasible`] when even `search.max_steps`
-/// slices cannot reach the target.
-pub fn find_minimal_latency_with(
-    model: &ControlModel,
-    target: &Mat,
-    options: &GrapeOptions,
-    search: &LatencySearch,
-    ws: &mut Workspace,
-) -> Result<LatencyResult, LatencyError> {
     let mut probes: Vec<(usize, bool)> = Vec::new();
     let mut total_iterations = 0usize;
-    let mut warm_pulse: Option<crate::pulse::Pulse> = None;
+    let mut warm_pulse: Option<Pulse> = None;
 
     // The cold initialization used to establish the true feasibility
     // frontier: a caller-provided warm start is only a *hint*. Warm inits
@@ -195,23 +154,20 @@ pub fn find_minimal_latency_with(
     // start solves, and silently inflating the latency list would corrupt
     // every downstream latency number.
     let cold_init = match &options.init {
-        crate::grape::InitStrategy::Warm(_) => crate::grape::InitStrategy::default(),
+        InitStrategy::Warm(_) => InitStrategy::default(),
         other => other.clone(),
     };
 
-    let mut probe = |n: usize, warm: &Option<crate::pulse::Pulse>| -> GrapeOutcome {
+    let mut probe = |n: usize, warm: &Option<Pulse>| -> GrapeOutcome {
         // Warm attempt (reduced budget): converges in a fraction of the
         // cold cost when the seed is good; falls through otherwise.
-        let warm_init = if search.warm_start_probes {
-            warm.as_ref()
-                .map(|p| crate::grape::InitStrategy::Warm(p.clone()))
-                .or_else(|| match &options.init {
-                    w @ crate::grape::InitStrategy::Warm(_) => Some(w.clone()),
-                    _ => None,
-                })
-        } else {
-            None
-        };
+        let warm_init = warm
+            .as_ref()
+            .map(|p| InitStrategy::Warm(p.clone()))
+            .or_else(|| match &options.init {
+                w @ InitStrategy::Warm(_) => Some(w.clone()),
+                _ => None,
+            });
         if let Some(init) = warm_init {
             let mut opts = options.clone();
             opts.init = init;
@@ -378,17 +334,27 @@ mod tests {
     use super::*;
     use accqoc_circuit::{circuit_unitary, Circuit, Gate};
 
+    /// A scratch search with a throwaway workspace.
+    fn scratch(
+        model: &ControlModel,
+        target: &Mat,
+        search: &LatencySearch,
+    ) -> Result<LatencyResult, LatencyError> {
+        find_minimal_latency(
+            model,
+            target,
+            None,
+            &GrapeOptions::default(),
+            search,
+            &mut Workspace::new(),
+        )
+    }
+
     #[test]
     fn x_gate_min_latency_is_ten_ns() {
         let model = ControlModel::spin_chain(1);
         let x = Mat::from_reals(&[0.0, 1.0, 1.0, 0.0]);
-        let r = find_minimal_latency(
-            &model,
-            &x,
-            &GrapeOptions::default(),
-            &LatencySearch::default(),
-        )
-        .unwrap();
+        let r = scratch(&model, &x, &LatencySearch::default()).unwrap();
         // π/(Ω_max) = 10 ns exactly at the amplitude bound.
         assert_eq!(r.n_steps, 10, "probes: {:?}", r.probes);
         assert!((r.latency_ns - 10.0).abs() < 1e-12);
@@ -399,13 +365,7 @@ mod tests {
     #[test]
     fn identity_needs_zero_steps() {
         let model = ControlModel::spin_chain(1);
-        let r = find_minimal_latency(
-            &model,
-            &Mat::identity(2),
-            &GrapeOptions::default(),
-            &LatencySearch::default(),
-        )
-        .unwrap();
+        let r = scratch(&model, &Mat::identity(2), &LatencySearch::default()).unwrap();
         assert_eq!(r.n_steps, 0);
         assert_eq!(r.latency_ns, 0.0);
     }
@@ -417,13 +377,7 @@ mod tests {
             1,
             [Gate::Rx(0, std::f64::consts::PI / 2.0)],
         ));
-        let r = find_minimal_latency(
-            &model,
-            &rz,
-            &GrapeOptions::default(),
-            &LatencySearch::default(),
-        )
-        .unwrap();
+        let r = scratch(&model, &rz, &LatencySearch::default()).unwrap();
         assert!(
             r.n_steps <= 6,
             "π/2 rotation should need ≈5 steps, got {}",
@@ -436,10 +390,9 @@ mod tests {
     fn infeasible_when_cap_too_small() {
         let model = ControlModel::spin_chain(1);
         let x = Mat::from_reals(&[0.0, 1.0, 1.0, 0.0]);
-        let e = find_minimal_latency(
+        let e = scratch(
             &model,
             &x,
-            &GrapeOptions::default(),
             &LatencySearch {
                 min_steps: 1,
                 max_steps: 6,
@@ -470,7 +423,7 @@ mod tests {
         let mut ws = Workspace::new();
         let opts = GrapeOptions::default();
         let search = LatencySearch::default();
-        let r1 = find_minimal_latency_with(&model, &x, &opts, &search, &mut ws).unwrap();
+        let r1 = find_minimal_latency(&model, &x, None, &opts, &search, &mut ws).unwrap();
         let snapshot = (
             ws.step_us.len(),
             ws.fwd.len(),
@@ -478,7 +431,7 @@ mod tests {
             ws.eigs.len(),
             ws.amps.len(),
         );
-        let r2 = find_minimal_latency_with(&model, &x, &opts, &search, &mut ws).unwrap();
+        let r2 = find_minimal_latency(&model, &x, None, &opts, &search, &mut ws).unwrap();
         assert_eq!(
             snapshot,
             (
@@ -498,13 +451,7 @@ mod tests {
     fn probes_are_recorded_and_monotone_consistent() {
         let model = ControlModel::spin_chain(1);
         let x = Mat::from_reals(&[0.0, 1.0, 1.0, 0.0]);
-        let r = find_minimal_latency(
-            &model,
-            &x,
-            &GrapeOptions::default(),
-            &LatencySearch::default(),
-        )
-        .unwrap();
+        let r = scratch(&model, &x, &LatencySearch::default()).unwrap();
         // Every probe below the answer must be infeasible; at/above: mostly feasible.
         for &(n, ok) in &r.probes {
             if n < r.n_steps {

@@ -2,42 +2,33 @@
 //!
 //! Cost is the phase-invariant gate infidelity
 //! `1 − |Tr(U_target†·X_N)|²/d²`; the paper sets the convergence target to
-//! `1e-4` (§IV-D). Gradients come in two flavors:
-//!
-//! - [`GradientMethod::FirstOrder`] — the standard GRAPE approximation
-//!   `∂U_k/∂u ≈ −iΔt·H_j·U_k`, accurate to `O(Δt²)` and used by every
-//!   practical implementation;
-//! - [`GradientMethod::Exact`] — Fréchet-derivative gradients through the
-//!   augmented-block matrix exponential, used for verification and for
-//!   coarse time grids.
+//! `1e-4` (§IV-D). Gradients are exact for any slice width: each slice's
+//! Hamiltonian is diagonalized once, and the derivative of its propagator
+//! follows from the spectral (Daleckii–Krein) form — see
+//! [`cost_and_gradient_into`].
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use accqoc_hw::ControlModel;
-use accqoc_linalg::{eigh_into, expm_frechet, expm_i, Mat, C64, ZERO};
+use accqoc_linalg::{eigh_into, Mat, C64, ZERO};
 
-use crate::optimizer::{OptimizerKind, StopCriteria};
+use crate::optimizer::{minimize, StopCriteria};
 use crate::propagate::{backward_states_into, forward_states_into};
 use crate::pulse::Pulse;
 use crate::workspace::Workspace;
 
-/// How to compute GRAPE gradients.
+/// How [`cost_and_gradient_into`] computes GRAPE gradients. The solver
+/// has one method; the type names it at the call site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GradientMethod {
     /// Exact gradients through the spectral (Daleckii–Krein) form of the
     /// propagator derivative: one Hermitian eigendecomposition per slice.
-    /// Exact for any `Δt`, and the default — coarse 1 ns slices would
-    /// otherwise starve the quasi-Newton line search of descent.
+    /// Exact for any `Δt` — coarse 1 ns slices would starve the
+    /// quasi-Newton line search of descent under the first-order
+    /// approximation `∂U_k/∂u ≈ −iΔt·H_j·U_k`.
     #[default]
     Spectral,
-    /// First-order commutator-free approximation
-    /// `∂U_k/∂u ≈ −iΔt·H_j·U_k` — the textbook GRAPE gradient, accurate
-    /// only for `‖H‖Δt ≪ 1`.
-    FirstOrder,
-    /// Exact Fréchet derivatives through the augmented-block matrix
-    /// exponential (slowest; retained for cross-verification).
-    Exact,
 }
 
 /// Initial pulse guess.
@@ -67,34 +58,20 @@ impl Default for InitStrategy {
     }
 }
 
-/// GRAPE configuration.
+/// GRAPE configuration. The solver itself is fixed: spectral gradients
+/// and L-BFGS (the paper's BFGS choice, §IV-D).
 #[derive(Debug, Clone, Default)]
 pub struct GrapeOptions {
-    /// Optimizer selection (paper: BFGS → our L-BFGS default).
-    pub optimizer: OptimizerKind,
     /// Stopping criteria; `target_cost` is the fidelity target.
     pub stop: StopCriteria,
-    /// Gradient computation method.
-    pub gradient: GradientMethod,
     /// Initial guess.
     pub init: InitStrategy,
-    /// Weight of the pulse-smoothness penalty `λ·Σ(Δu)²` added to the
-    /// cost (0 disables). Small values (≈1e-3) trade a few extra slices
-    /// for hardware-friendlier envelopes — the "simpler shape" property
-    /// the paper attributes to QOC pulses (§II-E).
-    pub smoothness_weight: f64,
 }
 
 impl GrapeOptions {
     /// Returns a copy with a different initial guess.
     pub fn with_init(mut self, init: InitStrategy) -> Self {
         self.init = init;
-        self
-    }
-
-    /// Returns a copy with the given smoothness penalty weight.
-    pub fn with_smoothness(mut self, weight: f64) -> Self {
-        self.smoothness_weight = weight;
         self
     }
 
@@ -192,29 +169,21 @@ pub fn solve_with(problem: &GrapeProblem<'_>, ws: &mut Workspace) -> GrapeOutcom
     let x0 = initial_params(problem, n_ctrl, n_steps, dt);
 
     let mut evals = 0usize;
-    let smoothness = problem.options.smoothness_weight;
     let mut objective = |params: &[f64]| -> (f64, Vec<f64>) {
         evals += 1;
         // One gradient vector per evaluation: the optimizer's line-search
         // state owns its gradients, so this allocation is part of its
         // API. Everything below it reuses workspace buffers.
         let mut grad = Vec::with_capacity(n_ctrl * n_steps);
-        let mut cost = cost_and_gradient_into(
+        let cost = cost_and_gradient_into(
             model,
             problem.target,
             params,
             n_steps,
-            problem.options.gradient,
+            GradientMethod::Spectral,
             ws,
             &mut grad,
         );
-        if smoothness > 0.0 {
-            let (pc, pg) = crate::analysis::smoothness_penalty(params, n_ctrl, n_steps, smoothness);
-            cost += pc;
-            for (g, p) in grad.iter_mut().zip(&pg) {
-                *g += p;
-            }
-        }
         (cost, grad)
     };
 
@@ -226,25 +195,14 @@ pub fn solve_with(problem: &GrapeProblem<'_>, ws: &mut Workspace) -> GrapeOutcom
         }
     };
 
-    let optimizer = problem.options.optimizer.build();
-    let result = optimizer.minimize(&mut objective, Some(&project), x0, &problem.options.stop);
+    let result = minimize(&mut objective, &project, x0, &problem.options.stop);
 
-    let pulse = Pulse::from_params(&result.x, n_ctrl, n_steps, dt);
-    // With a penalty active, the optimizer's cost is regularized; report
-    // the raw gate infidelity (and judge convergence on it).
-    let (raw_infidelity, converged) = if smoothness > 0.0 {
-        let realized = crate::propagate::total_unitary(model, &pulse);
-        let inf = infidelity(problem.target, &realized);
-        (inf, inf <= problem.options.stop.target_cost)
-    } else {
-        (result.cost, result.converged)
-    };
     GrapeOutcome {
-        pulse,
-        infidelity: raw_infidelity,
+        pulse: Pulse::from_params(&result.x, n_ctrl, n_steps, dt),
+        infidelity: result.cost,
         iterations: result.iterations,
         fn_evals: evals,
-        converged,
+        converged: result.converged,
         history: result.history,
     }
 }
@@ -280,7 +238,6 @@ fn cost_and_gradient(
     target: &Mat,
     params: &[f64],
     n_steps: usize,
-    method: GradientMethod,
 ) -> (f64, Vec<f64>) {
     let mut grad = Vec::new();
     let cost = cost_and_gradient_into(
@@ -288,7 +245,7 @@ fn cost_and_gradient(
         target,
         params,
         n_steps,
-        method,
+        GradientMethod::Spectral,
         &mut Workspace::new(),
         &mut grad,
     );
@@ -299,16 +256,16 @@ fn cost_and_gradient(
 /// gradient into `grad` and reusing the workspace buffers.
 ///
 /// This is the innermost function of the entire serving stack — every
-/// optimizer iteration and every line-search probe lands here — and on
-/// the default spectral path it performs **zero heap allocations** once
-/// `ws` and `grad` have warmed to the problem size (asserted by a
-/// counting-allocator test). The dense products dispatch to the
+/// optimizer iteration and every line-search probe lands here — and it
+/// performs **zero heap allocations** once `ws` and `grad` have warmed
+/// to the problem size (asserted by a counting-allocator test). The dense products dispatch to the
 /// register-blocked kernel layer of `accqoc-linalg`; the `grape_kernels`
 /// bench harness tracks its per-call cost in `BENCH_grape.json`.
 ///
 /// `grad` is cleared and resized to `n_controls × n_steps` (channel-major
 /// like [`Pulse::to_params`]). Returns the phase-invariant infidelity
-/// `1 − |Tr(U_T†·X_N)|²/d²`.
+/// `1 − |Tr(U_T†·X_N)|²/d²`. `GradientMethod` has the single variant
+/// [`GradientMethod::Spectral`].
 ///
 /// # Panics
 ///
@@ -320,7 +277,7 @@ pub fn cost_and_gradient_into(
     target: &Mat,
     params: &[f64],
     n_steps: usize,
-    method: GradientMethod,
+    _method: GradientMethod,
     ws: &mut Workspace,
     grad: &mut Vec<f64>,
 ) -> f64 {
@@ -330,18 +287,14 @@ pub fn cost_and_gradient_into(
     let dt = model.dt_ns();
     ws.ensure(dim, n_ctrl, n_steps);
 
-    // Step propagators. For the spectral method the eigendecompositions
-    // double as the propagators; the other methods exponentiate directly.
+    // Step propagators: the eigendecompositions the gradient needs
+    // double as the propagators.
     for k in 0..n_steps {
         ws.load_amps(params, n_steps, k);
         model.hamiltonian_into(&ws.amps, &mut ws.h);
-        if method == GradientMethod::Spectral {
-            eigh_into(&ws.h, &mut ws.eigs[k], &mut ws.eig_ws)
-                .expect("control hamiltonians are hermitian");
-            spectral_propagator_into(&ws.eigs[k], dt, &mut ws.tmp, &mut ws.step_us[k]);
-        } else {
-            ws.step_us[k] = expm_i(&ws.h, dt).expect("hermitian hamiltonian exponentiates");
-        }
+        eigh_into(&ws.h, &mut ws.eigs[k], &mut ws.eig_ws)
+            .expect("control hamiltonians are hermitian");
+        spectral_propagator_into(&ws.eigs[k], dt, &mut ws.tmp, &mut ws.step_us[k]);
     }
     forward_states_into(ws, dim, n_steps);
     backward_states_into(ws, target, n_steps);
@@ -352,86 +305,38 @@ pub fn cost_and_gradient_into(
 
     grad.clear();
     grad.resize(n_ctrl * n_steps, 0.0);
-    match method {
-        GradientMethod::Spectral => {
-            for k in 0..n_steps {
-                let eig = &ws.eigs[k];
-                // M = X_{k−1} · B_k once per step; then, with
-                // dU = V·(W ∘ Ĥ_j)·V† and Ĥ_j = V†·H_j·V,
-                // ∂φ/∂u = Tr(dU·M)/d = Σ_{a,b} W[a,b]·Ĥ_j[a,b]·M̃[b,a]/d
-                // where M̃ = V†·M·V — no per-channel products needed.
-                // Both rotations go through the fused kernel; V_k depends
-                // on this slice's parameters, so Ĥ_j cannot be hoisted
-                // out of the evaluation — only its storage is (ws-owned).
-                ws.fwd[k].matmul_into(&ws.bwd[k + 1], &mut ws.m);
-                eig.vectors.rotate_into(&ws.m, &mut ws.tmp, &mut ws.mt);
-                krein_weights_into(&eig.values, dt, &mut ws.w);
-                for (j, ch) in model.channels().iter().enumerate() {
-                    eig.vectors
-                        .rotate_into(&ch.hamiltonian, &mut ws.tmp, &mut ws.hj_tilde);
-                    let mut dphi = ZERO;
-                    for a in 0..dim {
-                        for b in 0..dim {
-                            dphi += ws.w[(a, b)] * ws.hj_tilde[(a, b)] * ws.mt[(b, a)];
-                        }
-                    }
-                    let dphi = dphi / C64::real(d);
-                    grad[j * n_steps + k] = -2.0 * (phi.conj() * dphi).re;
+    for k in 0..n_steps {
+        let eig = &ws.eigs[k];
+        // M = X_{k−1} · B_k once per step; then, with
+        // dU = V·(W ∘ Ĥ_j)·V† and Ĥ_j = V†·H_j·V,
+        // ∂φ/∂u = Tr(dU·M)/d = Σ_{a,b} W[a,b]·Ĥ_j[a,b]·M̃[b,a]/d
+        // where M̃ = V†·M·V — no per-channel products needed.
+        // Both rotations go through the fused kernel; V_k depends
+        // on this slice's parameters, so Ĥ_j cannot be hoisted
+        // out of the evaluation — only its storage is (ws-owned).
+        ws.fwd[k].matmul_into(&ws.bwd[k + 1], &mut ws.m);
+        eig.vectors.rotate_into(&ws.m, &mut ws.tmp, &mut ws.mt);
+        krein_weights_into(&eig.values, dt, &mut ws.w);
+        for (j, ch) in model.channels().iter().enumerate() {
+            eig.vectors
+                .rotate_into(&ch.hamiltonian, &mut ws.tmp, &mut ws.hj_tilde);
+            let mut dphi = ZERO;
+            for a in 0..dim {
+                for b in 0..dim {
+                    dphi += ws.w[(a, b)] * ws.hj_tilde[(a, b)] * ws.mt[(b, a)];
                 }
             }
-        }
-        GradientMethod::FirstOrder => {
-            // ∂φ/∂u_{j,k} ≈ (−iΔt/d)·Tr(B_k·H_j·X_k).
-            for k in 0..n_steps {
-                // M = X_k · B_k so Tr(B_k H_j X_k) = Σ_{a,b} H_j[a,b]·M[b,a].
-                ws.fwd[k + 1].matmul_into(&ws.bwd[k + 1], &mut ws.m);
-                for (j, ch) in model.channels().iter().enumerate() {
-                    let tr = ch.hamiltonian.matmul_trace(&ws.m);
-                    let dphi = C64::imag(-dt / d) * tr;
-                    // d(1−|φ|²)/du = −2·Re(φ̄·∂φ/∂u).
-                    grad[j * n_steps + k] = -2.0 * (phi.conj() * dphi).re;
-                }
-            }
-        }
-        GradientMethod::Exact => {
-            for k in 0..n_steps {
-                ws.load_amps(params, n_steps, k);
-                model.hamiltonian_into(&ws.amps, &mut ws.h);
-                let a = ws.h.scale(C64::imag(-dt));
-                for (j, ch) in model.channels().iter().enumerate() {
-                    let e = ch.hamiltonian.scale(C64::imag(-dt));
-                    let (_, l) = expm_frechet(&a, &e).expect("finite hamiltonians");
-                    // ∂φ/∂u = Tr(B_k · L · X_{k−1})/d. One workspace
-                    // product plus a fused trace — the historical
-                    // `.matmul(..).matmul(..).trace()` chain allocated
-                    // two fresh matrices per control per slice.
-                    ws.bwd[k + 1].matmul_into(&l, &mut ws.m);
-                    let tr = ws.m.matmul_trace(&ws.fwd[k]);
-                    let dphi = tr / C64::real(d);
-                    grad[j * n_steps + k] = -2.0 * (phi.conj() * dphi).re;
-                }
-            }
+            let dphi = dphi / C64::real(d);
+            grad[j * n_steps + k] = -2.0 * (phi.conj() * dphi).re;
         }
     }
     cost
 }
 
-/// Propagator `V·diag(e^{−iλΔt})·V†` from an eigendecomposition.
-pub(crate) fn spectral_propagator(eig: &accqoc_linalg::EigH, dt: f64) -> Mat {
-    let mut scratch = Mat::zeros(0, 0);
-    let mut out = Mat::zeros(0, 0);
-    spectral_propagator_into(eig, dt, &mut scratch, &mut out);
-    out
-}
-
-/// [`spectral_propagator`] written into `out` via a caller-owned phase
-/// scratch (no allocation once the buffers are warm).
-pub(crate) fn spectral_propagator_into(
-    eig: &accqoc_linalg::EigH,
-    dt: f64,
-    scratch: &mut Mat,
-    out: &mut Mat,
-) {
+/// Propagator `V·diag(e^{−iλΔt})·V†` from an eigendecomposition, written
+/// into `out` via a caller-owned phase scratch (no allocation once the
+/// buffers are warm).
+fn spectral_propagator_into(eig: &accqoc_linalg::EigH, dt: f64, scratch: &mut Mat, out: &mut Mat) {
     let dim = eig.values.len();
     scratch.copy_from(&eig.vectors);
     for j in 0..dim {
@@ -446,15 +351,9 @@ pub(crate) fn spectral_propagator_into(
 /// Daleckii–Krein divided-difference weights for the derivative of
 /// `exp(−iΔt·H)` in the eigenbasis of `H`:
 /// `W[a,b] = (e^{−iΔtλ_a} − e^{−iΔtλ_b})/(λ_a − λ_b)`, with the confluent
-/// limit `−iΔt·e^{−iΔtλ_a}` on (near-)degenerate pairs.
-pub(crate) fn krein_weights(values: &[f64], dt: f64) -> Mat {
-    let mut out = Mat::zeros(0, 0);
-    krein_weights_into(values, dt, &mut out);
-    out
-}
-
-/// [`krein_weights`] written into `out`, reusing its storage.
-pub(crate) fn krein_weights_into(values: &[f64], dt: f64, out: &mut Mat) {
+/// limit `−iΔt·e^{−iΔtλ_a}` on (near-)degenerate pairs. Written into
+/// `out`, reusing its storage.
+fn krein_weights_into(values: &[f64], dt: f64, out: &mut Mat) {
     let dim = values.len();
     out.reshape_zeros(dim, dim);
     for a in 0..dim {
@@ -474,40 +373,10 @@ mod tests {
     use super::*;
     use crate::propagate::total_unitary;
     use accqoc_circuit::{circuit_unitary, Circuit, Gate};
+    use accqoc_linalg::expm_frechet;
 
     fn x_target() -> Mat {
         Mat::from_reals(&[0.0, 1.0, 1.0, 0.0])
-    }
-
-    #[test]
-    fn gradient_matches_finite_difference_first_order_regime() {
-        // On a fine grid the first-order gradient is accurate.
-        let model = ControlModel::spin_chain(1).with_dt(0.1);
-        let target = x_target();
-        let n_steps = 12;
-        let params: Vec<f64> = (0..2 * n_steps)
-            .map(|i| ((i * 37 % 19) as f64 / 19.0 - 0.5) * 0.8)
-            .collect();
-        let (c0, g) = cost_and_gradient(
-            &model,
-            &target,
-            &params,
-            n_steps,
-            GradientMethod::FirstOrder,
-        );
-        let h = 1e-6;
-        for i in [0, 5, n_steps, 2 * n_steps - 1] {
-            let mut p = params.clone();
-            p[i] += h;
-            let (c1, _) =
-                cost_and_gradient(&model, &target, &p, n_steps, GradientMethod::FirstOrder);
-            let fd = (c1 - c0) / h;
-            assert!(
-                (fd - g[i]).abs() < 1e-3 * (1.0 + fd.abs()),
-                "param {i}: fd {fd} vs analytic {}",
-                g[i]
-            );
-        }
     }
 
     #[test]
@@ -520,13 +389,12 @@ mod tests {
         let params: Vec<f64> = (0..n_params)
             .map(|i| ((i * 29 % 17) as f64 / 17.0 - 0.5) * 0.9)
             .collect();
-        let (c0, g) =
-            cost_and_gradient(&model, &target, &params, n_steps, GradientMethod::Spectral);
+        let (c0, g) = cost_and_gradient(&model, &target, &params, n_steps);
         let h = 1e-6;
         for i in (0..n_params).step_by(3) {
             let mut p = params.clone();
             p[i] += h;
-            let (c1, _) = cost_and_gradient(&model, &target, &p, n_steps, GradientMethod::Spectral);
+            let (c1, _) = cost_and_gradient(&model, &target, &p, n_steps);
             let fd = (c1 - c0) / h;
             assert!(
                 (fd - g[i]).abs() < 1e-5 * (1.0 + fd.abs()),
@@ -536,39 +404,48 @@ mod tests {
         }
     }
 
+    /// Reference `(cost, gradient)` through the Padé propagators and the
+    /// Fréchet derivatives of the augmented-block matrix exponential:
+    /// `∂φ/∂u_{j,k} = Tr(B_k · L_{j,k} · X_{k−1})/d` with `L_{j,k}` the
+    /// derivative of `exp(−iΔt·H_k)` along `−iΔt·H_j`. Independent of the
+    /// eigensolver the production path runs on.
+    fn frechet_cost_and_gradient(
+        model: &ControlModel,
+        target: &Mat,
+        params: &[f64],
+        n_steps: usize,
+    ) -> (f64, Vec<f64>) {
+        let d = model.dim() as f64;
+        let dt = model.dt_ns();
+        let pulse = Pulse::from_params(params, model.n_controls(), n_steps, dt);
+        let us = crate::propagate::step_unitaries(model, &pulse);
+        let fwd = crate::propagate::forward_states(&us, model.dim());
+        let bwd = crate::propagate::backward_states(&us, target);
+        let phi = bwd[n_steps].matmul_trace(&fwd[n_steps]) / C64::real(d);
+        let mut grad = vec![0.0; params.len()];
+        for k in 0..n_steps {
+            let a = model.hamiltonian(&pulse.step_amps(k)).scale(C64::imag(-dt));
+            for (j, ch) in model.channels().iter().enumerate() {
+                let e = ch.hamiltonian.scale(C64::imag(-dt));
+                let (_, l) = expm_frechet(&a, &e).expect("finite hamiltonians");
+                let dphi = bwd[k + 1].matmul(&l).matmul_trace(&fwd[k]) / C64::real(d);
+                grad[j * n_steps + k] = -2.0 * (phi.conj() * dphi).re;
+            }
+        }
+        ((1.0 - phi.norm_sqr()).max(0.0), grad)
+    }
+
     #[test]
     fn spectral_and_frechet_gradients_agree() {
         let model = ControlModel::spin_chain(1).with_dt(2.0);
         let target = x_target();
         let n_steps = 4;
         let params: Vec<f64> = (0..8).map(|i| (i as f64 / 8.0 - 0.4) * 0.9).collect();
-        let (c1, g1) =
-            cost_and_gradient(&model, &target, &params, n_steps, GradientMethod::Spectral);
-        let (c2, g2) = cost_and_gradient(&model, &target, &params, n_steps, GradientMethod::Exact);
+        let (c1, g1) = cost_and_gradient(&model, &target, &params, n_steps);
+        let (c2, g2) = frechet_cost_and_gradient(&model, &target, &params, n_steps);
         assert!((c1 - c2).abs() < 1e-10);
         for (a, b) in g1.iter().zip(&g2) {
             assert!((a - b).abs() < 1e-8, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn exact_gradient_matches_finite_difference_on_coarse_grid() {
-        let model = ControlModel::spin_chain(1).with_dt(2.0); // coarse slices
-        let target = x_target();
-        let n_steps = 4;
-        let params: Vec<f64> = (0..8).map(|i| (i as f64 / 8.0 - 0.4) * 0.9).collect();
-        let (c0, g) = cost_and_gradient(&model, &target, &params, n_steps, GradientMethod::Exact);
-        let h = 1e-7;
-        for i in 0..8 {
-            let mut p = params.clone();
-            p[i] += h;
-            let (c1, _) = cost_and_gradient(&model, &target, &p, n_steps, GradientMethod::Exact);
-            let fd = (c1 - c0) / h;
-            assert!(
-                (fd - g[i]).abs() < 1e-4 * (1.0 + fd.abs()),
-                "param {i}: fd {fd} vs exact {}",
-                g[i]
-            );
         }
     }
 

@@ -3,10 +3,10 @@
 //!
 //! Implements quantum optimal control over the piecewise-constant pulse
 //! model of the paper (§II-D): forward/backward propagation through
-//! `exp(−iΔt·H)` slices, analytic gradients (first-order and exact
-//! Fréchet), projected L-BFGS/Adam optimizers, the `1e-4` fidelity target,
-//! and the latency binary search of §IV-D. Warm starts from a similar
-//! group's pulse — the heart of AccQOC's MST acceleration — enter through
+//! `exp(−iΔt·H)` slices, exact spectral gradients, a projected L-BFGS
+//! optimizer (the paper's BFGS choice), the `1e-4` fidelity target, and
+//! the latency binary search of §IV-D. Warm starts from a similar group's
+//! pulse — the heart of AccQOC's MST acceleration — enter through
 //! [`InitStrategy::Warm`].
 //!
 //! # Example
@@ -29,30 +29,21 @@
 
 #![warn(missing_docs)]
 
-mod analysis;
 mod binary_search;
 mod grape;
 mod optimizer;
 mod propagate;
 mod pulse;
-mod state;
 mod workspace;
 
-pub use analysis::{max_slew_rate, mean_power, pulse_shape, total_variation, PulseShape};
-pub use binary_search::{
-    find_minimal_latency, find_minimal_latency_seeded, find_minimal_latency_with, LatencyError,
-    LatencyResult, LatencySearch,
-};
+pub use binary_search::{find_minimal_latency, LatencyError, LatencyResult, LatencySearch};
 pub use grape::{
     cost_and_gradient_into, infidelity, solve, solve_with, GradientMethod, GrapeOptions,
     GrapeOutcome, GrapeProblem, InitStrategy,
 };
-pub use optimizer::{Adam, Lbfgs, Momentum, OptimResult, Optimizer, OptimizerKind, StopCriteria};
+pub use optimizer::StopCriteria;
 pub use propagate::{
     backward_states, forward_states, realized_infidelity, step_unitaries, total_unitary,
 };
 pub use pulse::Pulse;
-pub use state::{
-    solve_state_transfer, state_infidelity, StateTransferOutcome, StateTransferProblem,
-};
 pub use workspace::Workspace;

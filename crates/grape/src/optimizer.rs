@@ -1,12 +1,14 @@
-//! Gradient-based optimizers for GRAPE.
+//! The GRAPE optimizer.
 //!
 //! The paper's GRAPE tool offers "ADAM, BFGS, L-BFGS-B, and SLSQP" and the
-//! authors "choose BFGS" (§IV-D). We provide Adam, momentum gradient
-//! descent, and L-BFGS with projected bounds (the `-B` part) — the
-//! limited-memory form is what any modern BFGS implementation runs on
-//! problems with hundreds of parameters.
+//! authors "choose BFGS" (§IV-D). We run L-BFGS with projected bounds (the
+//! `-B` part) — the limited-memory form is what any modern BFGS
+//! implementation runs on problems with hundreds of parameters.
 
-/// Stopping criteria shared by all optimizers.
+/// Curvature pairs `(s, y)` the L-BFGS history retains.
+const MEMORY: usize = 10;
+
+/// Stopping criteria of the optimizer.
 #[derive(Debug, Clone)]
 pub struct StopCriteria {
     /// Hard iteration cap.
@@ -75,7 +77,7 @@ impl StagnationGuard {
 
 /// Result of an optimization run.
 #[derive(Debug, Clone)]
-pub struct OptimResult {
+pub(crate) struct OptimResult {
     /// Best parameter vector found.
     pub x: Vec<f64>,
     /// Cost at `x`.
@@ -89,219 +91,12 @@ pub struct OptimResult {
 }
 
 /// Objective wrapper: returns `(cost, gradient)` at the given point.
-pub type Objective<'a> = dyn FnMut(&[f64]) -> (f64, Vec<f64>) + 'a;
-/// Optional projection onto the feasible box (amplitude bounds).
-pub type Projection<'a> = dyn Fn(&mut [f64]) + 'a;
-
-/// A first-order minimizer.
-pub trait Optimizer {
-    /// Minimizes `f` starting from `x0`, projecting iterates through
-    /// `project` when provided.
-    fn minimize(
-        &self,
-        f: &mut Objective<'_>,
-        project: Option<&Projection<'_>>,
-        x0: Vec<f64>,
-        stop: &StopCriteria,
-    ) -> OptimResult;
-
-    /// Short identifier for reports.
-    fn name(&self) -> &'static str;
-}
-
-/// Which optimizer to run (serializable configuration).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum OptimizerKind {
-    /// Adam with the given learning rate.
-    Adam {
-        /// Step size.
-        lr: f64,
-    },
-    /// L-BFGS with the given memory.
-    Lbfgs {
-        /// History length (pairs of (s, y) retained).
-        memory: usize,
-    },
-    /// Plain momentum gradient descent.
-    Momentum {
-        /// Step size.
-        lr: f64,
-        /// Momentum factor in `[0, 1)`.
-        beta: f64,
-    },
-}
-
-impl Default for OptimizerKind {
-    fn default() -> Self {
-        // The paper picks BFGS; L-BFGS(10) is its scalable realization.
-        OptimizerKind::Lbfgs { memory: 10 }
-    }
-}
-
-impl OptimizerKind {
-    /// Instantiates the optimizer.
-    pub fn build(self) -> Box<dyn Optimizer> {
-        match self {
-            OptimizerKind::Adam { lr } => Box::new(Adam { lr }),
-            OptimizerKind::Lbfgs { memory } => Box::new(Lbfgs { memory }),
-            OptimizerKind::Momentum { lr, beta } => Box::new(Momentum { lr, beta }),
-        }
-    }
-}
+pub(crate) type Objective<'a> = dyn FnMut(&[f64]) -> (f64, Vec<f64>) + 'a;
+/// Projection onto the feasible box (amplitude bounds).
+pub(crate) type Projection<'a> = dyn Fn(&mut [f64]) + 'a;
 
 fn inf_norm(v: &[f64]) -> f64 {
     v.iter().fold(0.0f64, |m, &x| m.max(x.abs()))
-}
-
-/// Adam (Kingma & Ba) with bound projection after each step.
-#[derive(Debug, Clone)]
-pub struct Adam {
-    /// Learning rate.
-    pub lr: f64,
-}
-
-impl Optimizer for Adam {
-    fn minimize(
-        &self,
-        f: &mut Objective<'_>,
-        project: Option<&Projection<'_>>,
-        mut x: Vec<f64>,
-        stop: &StopCriteria,
-    ) -> OptimResult {
-        let (beta1, beta2, eps) = (0.9, 0.999, 1e-8);
-        let n = x.len();
-        let mut m = vec![0.0; n];
-        let mut v = vec![0.0; n];
-        let mut history = Vec::new();
-        let (mut cost, mut grad) = f(&x);
-        let mut best_x = x.clone();
-        let mut best_cost = cost;
-        let mut guard = StagnationGuard::new(stop, cost);
-
-        for t in 1..=stop.max_iters {
-            if cost <= stop.target_cost || inf_norm(&grad) <= stop.grad_tol {
-                return OptimResult {
-                    x: best_x,
-                    cost: best_cost,
-                    iterations: t - 1,
-                    converged: best_cost <= stop.target_cost,
-                    history,
-                };
-            }
-            for i in 0..n {
-                m[i] = beta1 * m[i] + (1.0 - beta1) * grad[i];
-                v[i] = beta2 * v[i] + (1.0 - beta2) * grad[i] * grad[i];
-                let m_hat = m[i] / (1.0 - beta1.powi(t as i32));
-                let v_hat = v[i] / (1.0 - beta2.powi(t as i32));
-                x[i] -= self.lr * m_hat / (v_hat.sqrt() + eps);
-            }
-            if let Some(p) = project {
-                p(&mut x);
-            }
-            let (c, g) = f(&x);
-            cost = c;
-            grad = g;
-            history.push(cost);
-            if cost < best_cost {
-                best_cost = cost;
-                best_x = x.clone();
-            }
-            if guard.stalled(best_cost) {
-                return OptimResult {
-                    x: best_x,
-                    cost: best_cost,
-                    iterations: t,
-                    converged: best_cost <= stop.target_cost,
-                    history,
-                };
-            }
-        }
-        OptimResult {
-            x: best_x,
-            cost: best_cost,
-            iterations: stop.max_iters,
-            converged: best_cost <= stop.target_cost,
-            history,
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "adam"
-    }
-}
-
-/// Momentum gradient descent with bound projection.
-#[derive(Debug, Clone)]
-pub struct Momentum {
-    /// Learning rate.
-    pub lr: f64,
-    /// Momentum factor.
-    pub beta: f64,
-}
-
-impl Optimizer for Momentum {
-    fn minimize(
-        &self,
-        f: &mut Objective<'_>,
-        project: Option<&Projection<'_>>,
-        mut x: Vec<f64>,
-        stop: &StopCriteria,
-    ) -> OptimResult {
-        let n = x.len();
-        let mut vel = vec![0.0; n];
-        let mut history = Vec::new();
-        let (mut cost, mut grad) = f(&x);
-        let mut best_x = x.clone();
-        let mut best_cost = cost;
-        let mut guard = StagnationGuard::new(stop, cost);
-
-        for t in 1..=stop.max_iters {
-            if cost <= stop.target_cost || inf_norm(&grad) <= stop.grad_tol {
-                return OptimResult {
-                    x: best_x,
-                    cost: best_cost,
-                    iterations: t - 1,
-                    converged: best_cost <= stop.target_cost,
-                    history,
-                };
-            }
-            for i in 0..n {
-                vel[i] = self.beta * vel[i] - self.lr * grad[i];
-                x[i] += vel[i];
-            }
-            if let Some(p) = project {
-                p(&mut x);
-            }
-            let (c, g) = f(&x);
-            cost = c;
-            grad = g;
-            history.push(cost);
-            if cost < best_cost {
-                best_cost = cost;
-                best_x = x.clone();
-            }
-            if guard.stalled(best_cost) {
-                return OptimResult {
-                    x: best_x,
-                    cost: best_cost,
-                    iterations: t,
-                    converged: best_cost <= stop.target_cost,
-                    history,
-                };
-            }
-        }
-        OptimResult {
-            x: best_x,
-            cost: best_cost,
-            iterations: stop.max_iters,
-            converged: best_cost <= stop.target_cost,
-            history,
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "momentum"
-    }
 }
 
 /// L-BFGS with two-loop recursion and a strong-Wolfe line search,
@@ -311,169 +106,154 @@ impl Optimizer for Momentum {
 /// positive definite; pairs that still fail a relative curvature test
 /// (projection-clipped steps) are skipped, and the history is dropped
 /// entirely if it goes stale.
-#[derive(Debug, Clone)]
-pub struct Lbfgs {
-    /// Number of curvature pairs retained.
-    pub memory: usize,
-}
+pub(crate) fn minimize(
+    f: &mut Objective<'_>,
+    project: &Projection<'_>,
+    mut x: Vec<f64>,
+    stop: &StopCriteria,
+) -> OptimResult {
+    let mut s_hist: Vec<Vec<f64>> = Vec::new();
+    let mut y_hist: Vec<Vec<f64>> = Vec::new();
+    let mut rho_hist: Vec<f64> = Vec::new();
+    let mut history = Vec::new();
+    let mut stale_pairs = 0usize;
+    // Per-iteration buffers hoisted out of the loop: the two-loop
+    // recursion runs hundreds of times per solve.
+    let mut q: Vec<f64> = Vec::new();
+    let mut dir: Vec<f64> = Vec::new();
+    let mut alphas: Vec<f64> = Vec::new();
 
-impl Optimizer for Lbfgs {
-    fn minimize(
-        &self,
-        f: &mut Objective<'_>,
-        project: Option<&Projection<'_>>,
-        mut x: Vec<f64>,
-        stop: &StopCriteria,
-    ) -> OptimResult {
-        let mut s_hist: Vec<Vec<f64>> = Vec::new();
-        let mut y_hist: Vec<Vec<f64>> = Vec::new();
-        let mut rho_hist: Vec<f64> = Vec::new();
-        let mut history = Vec::new();
-        let mut stale_pairs = 0usize;
-        // Per-iteration buffers hoisted out of the loop: the two-loop
-        // recursion runs hundreds of times per solve.
-        let mut q: Vec<f64> = Vec::new();
-        let mut dir: Vec<f64> = Vec::new();
-        let mut alphas: Vec<f64> = Vec::new();
+    project(&mut x);
+    let (mut cost, mut grad) = f(&x);
+    let mut best_x = x.clone();
+    let mut best_cost = cost;
+    let mut guard = StagnationGuard::new(stop, cost);
 
-        if let Some(p) = project {
-            p(&mut x);
+    for t in 1..=stop.max_iters {
+        if cost <= stop.target_cost || inf_norm(&grad) <= stop.grad_tol {
+            return OptimResult {
+                x: best_x,
+                cost: best_cost,
+                iterations: t - 1,
+                converged: best_cost <= stop.target_cost,
+                history,
+            };
         }
-        let (mut cost, mut grad) = f(&x);
-        let mut best_x = x.clone();
-        let mut best_cost = cost;
-        let mut guard = StagnationGuard::new(stop, cost);
 
-        for t in 1..=stop.max_iters {
-            if cost <= stop.target_cost || inf_norm(&grad) <= stop.grad_tol {
-                return OptimResult {
-                    x: best_x,
-                    cost: best_cost,
-                    iterations: t - 1,
-                    converged: best_cost <= stop.target_cost,
-                    history,
-                };
+        // Two-loop recursion for the search direction d = −H·g.
+        q.clear();
+        q.extend_from_slice(&grad);
+        let m = s_hist.len();
+        alphas.clear();
+        alphas.resize(m, 0.0);
+        for i in (0..m).rev() {
+            let alpha = rho_hist[i] * dot(&s_hist[i], &q);
+            alphas[i] = alpha;
+            for (qk, yk) in q.iter_mut().zip(&y_hist[i]) {
+                *qk -= alpha * yk;
             }
-
-            // Two-loop recursion for the search direction d = −H·g.
-            q.clear();
-            q.extend_from_slice(&grad);
-            let m = s_hist.len();
-            alphas.clear();
-            alphas.resize(m, 0.0);
-            for i in (0..m).rev() {
-                let alpha = rho_hist[i] * dot(&s_hist[i], &q);
-                alphas[i] = alpha;
-                for (qk, yk) in q.iter_mut().zip(&y_hist[i]) {
-                    *qk -= alpha * yk;
-                }
-            }
-            // Initial Hessian scaling γ = sᵀy / yᵀy.
-            let gamma = if m > 0 {
-                let sy = dot(&s_hist[m - 1], &y_hist[m - 1]);
-                let yy = dot(&y_hist[m - 1], &y_hist[m - 1]);
-                if yy > 0.0 {
-                    sy / yy
-                } else {
-                    1.0
-                }
+        }
+        // Initial Hessian scaling γ = sᵀy / yᵀy.
+        let gamma = if m > 0 {
+            let sy = dot(&s_hist[m - 1], &y_hist[m - 1]);
+            let yy = dot(&y_hist[m - 1], &y_hist[m - 1]);
+            if yy > 0.0 {
+                sy / yy
             } else {
                 1.0
-            };
-            for qk in q.iter_mut() {
-                *qk *= gamma;
             }
-            for i in 0..m {
-                let beta = rho_hist[i] * dot(&y_hist[i], &q);
-                for (qk, sk) in q.iter_mut().zip(&s_hist[i]) {
-                    *qk += (alphas[i] - beta) * sk;
-                }
+        } else {
+            1.0
+        };
+        for qk in q.iter_mut() {
+            *qk *= gamma;
+        }
+        for i in 0..m {
+            let beta = rho_hist[i] * dot(&y_hist[i], &q);
+            for (qk, sk) in q.iter_mut().zip(&s_hist[i]) {
+                *qk += (alphas[i] - beta) * sk;
             }
-            dir.clear();
-            dir.extend(q.iter().map(|&v| -v));
-            // Ensure descent; fall back to steepest descent otherwise.
-            if dot(&dir, &grad) >= 0.0 {
-                for (d, g) in dir.iter_mut().zip(&grad) {
-                    *d = -g;
-                }
+        }
+        dir.clear();
+        dir.extend(q.iter().map(|&v| -v));
+        // Ensure descent; fall back to steepest descent otherwise.
+        if dot(&dir, &grad) >= 0.0 {
+            for (d, g) in dir.iter_mut().zip(&grad) {
+                *d = -g;
             }
+        }
 
-            let mut attempt = wolfe_line_search(f, project, &x, cost, &grad, &dir);
-            if attempt.is_none() && !s_hist.is_empty() {
-                // Quasi-Newton direction failed: restart from steepest descent.
+        let mut attempt = wolfe_line_search(f, project, &x, cost, &grad, &dir);
+        if attempt.is_none() && !s_hist.is_empty() {
+            // Quasi-Newton direction failed: restart from steepest descent.
+            s_hist.clear();
+            y_hist.clear();
+            rho_hist.clear();
+            stale_pairs = 0;
+            let sd: Vec<f64> = grad.iter().map(|&g| -g).collect();
+            attempt = wolfe_line_search(f, project, &x, cost, &grad, &sd);
+        }
+        let Some((new_x, new_cost, new_grad)) = attempt else {
+            // Stationary (up to the bounds) for our purposes.
+            return OptimResult {
+                x: best_x,
+                cost: best_cost,
+                iterations: t,
+                converged: best_cost <= stop.target_cost,
+                history,
+            };
+        };
+
+        // Update curvature history with a relative-scale test.
+        let s: Vec<f64> = new_x.iter().zip(&x).map(|(a, b)| a - b).collect();
+        let yv: Vec<f64> = new_grad.iter().zip(&grad).map(|(a, b)| a - b).collect();
+        let sy = dot(&s, &yv);
+        let scale = dot(&s, &s).sqrt() * dot(&yv, &yv).sqrt();
+        if sy > 1e-10 * scale.max(1e-300) {
+            s_hist.push(s);
+            y_hist.push(yv);
+            rho_hist.push(1.0 / sy);
+            stale_pairs = 0;
+            if s_hist.len() > MEMORY {
+                s_hist.remove(0);
+                y_hist.remove(0);
+                rho_hist.remove(0);
+            }
+        } else {
+            stale_pairs += 1;
+            if stale_pairs >= 3 {
+                // History no longer reflects local curvature; restart.
                 s_hist.clear();
                 y_hist.clear();
                 rho_hist.clear();
                 stale_pairs = 0;
-                let sd: Vec<f64> = grad.iter().map(|&g| -g).collect();
-                attempt = wolfe_line_search(f, project, &x, cost, &grad, &sd);
-            }
-            let Some((new_x, new_cost, new_grad)) = attempt else {
-                // Stationary (up to the bounds) for our purposes.
-                return OptimResult {
-                    x: best_x,
-                    cost: best_cost,
-                    iterations: t,
-                    converged: best_cost <= stop.target_cost,
-                    history,
-                };
-            };
-
-            // Update curvature history with a relative-scale test.
-            let s: Vec<f64> = new_x.iter().zip(&x).map(|(a, b)| a - b).collect();
-            let yv: Vec<f64> = new_grad.iter().zip(&grad).map(|(a, b)| a - b).collect();
-            let sy = dot(&s, &yv);
-            let scale = dot(&s, &s).sqrt() * dot(&yv, &yv).sqrt();
-            if sy > 1e-10 * scale.max(1e-300) {
-                s_hist.push(s);
-                y_hist.push(yv);
-                rho_hist.push(1.0 / sy);
-                stale_pairs = 0;
-                if s_hist.len() > self.memory {
-                    s_hist.remove(0);
-                    y_hist.remove(0);
-                    rho_hist.remove(0);
-                }
-            } else {
-                stale_pairs += 1;
-                if stale_pairs >= 3 {
-                    // History no longer reflects local curvature; restart.
-                    s_hist.clear();
-                    y_hist.clear();
-                    rho_hist.clear();
-                    stale_pairs = 0;
-                }
-            }
-
-            x = new_x;
-            cost = new_cost;
-            grad = new_grad;
-            history.push(cost);
-            if cost < best_cost {
-                best_cost = cost;
-                best_x = x.clone();
-            }
-            if guard.stalled(best_cost) {
-                return OptimResult {
-                    x: best_x,
-                    cost: best_cost,
-                    iterations: t,
-                    converged: best_cost <= stop.target_cost,
-                    history,
-                };
             }
         }
-        OptimResult {
-            x: best_x,
-            cost: best_cost,
-            iterations: stop.max_iters,
-            converged: best_cost <= stop.target_cost,
-            history,
+
+        x = new_x;
+        cost = new_cost;
+        grad = new_grad;
+        history.push(cost);
+        if cost < best_cost {
+            best_cost = cost;
+            best_x = x.clone();
+        }
+        if guard.stalled(best_cost) {
+            return OptimResult {
+                x: best_x,
+                cost: best_cost,
+                iterations: t,
+                converged: best_cost <= stop.target_cost,
+                history,
+            };
         }
     }
-
-    fn name(&self) -> &'static str {
-        "lbfgs"
+    OptimResult {
+        x: best_x,
+        cost: best_cost,
+        iterations: stop.max_iters,
+        converged: best_cost <= stop.target_cost,
+        history,
     }
 }
 
@@ -492,7 +272,7 @@ struct LsPoint {
 /// `(x⁺, cost⁺, grad⁺)` or `None` when no acceptable step exists.
 fn wolfe_line_search(
     f: &mut Objective<'_>,
-    project: Option<&Projection<'_>>,
+    project: &Projection<'_>,
     x: &[f64],
     cost0: f64,
     grad0: &[f64],
@@ -511,9 +291,7 @@ fn wolfe_line_search(
             .zip(dir)
             .map(|(&xi, &di)| xi + alpha * di)
             .collect();
-        if let Some(p) = project {
-            p(&mut trial);
-        }
+        project(&mut trial);
         let (c, g) = f(&trial);
         let dphi = dot(&g, dir);
         LsPoint {
@@ -636,8 +414,11 @@ mod tests {
         (cost, vec![g0, g1])
     }
 
+    /// The identity projection: an unbounded problem.
+    fn unbounded(_: &mut [f64]) {}
+
     #[test]
-    fn all_optimizers_solve_quadratic() {
+    fn solves_quadratic() {
         let stop = StopCriteria {
             max_iters: 2000,
             target_cost: 1e-10,
@@ -645,26 +426,16 @@ mod tests {
             patience: 0,
             min_rel_improvement: 0.0,
         };
-        for kind in [
-            OptimizerKind::Adam { lr: 0.1 },
-            OptimizerKind::Lbfgs { memory: 10 },
-            OptimizerKind::Momentum {
-                lr: 0.05,
-                beta: 0.9,
-            },
-        ] {
-            let mut f = quadratic(vec![1.0, 4.0, 0.5], vec![1.0, -2.0, 3.0]);
-            let opt = kind.build();
-            let r = opt.minimize(&mut f, None, vec![0.0; 3], &stop);
-            assert!(r.converged, "{} failed: cost {}", opt.name(), r.cost);
-            assert!((r.x[0] - 1.0).abs() < 1e-3, "{}", opt.name());
-            assert!((r.x[1] + 2.0).abs() < 1e-3, "{}", opt.name());
-            assert!((r.x[2] - 3.0).abs() < 1e-3, "{}", opt.name());
-        }
+        let mut f = quadratic(vec![1.0, 4.0, 0.5], vec![1.0, -2.0, 3.0]);
+        let r = minimize(&mut f, &unbounded, vec![0.0; 3], &stop);
+        assert!(r.converged, "cost {}", r.cost);
+        assert!((r.x[0] - 1.0).abs() < 1e-3);
+        assert!((r.x[1] + 2.0).abs() < 1e-3);
+        assert!((r.x[2] - 3.0).abs() < 1e-3);
     }
 
     #[test]
-    fn lbfgs_beats_adam_on_rosenbrock() {
+    fn solves_rosenbrock() {
         let stop = StopCriteria {
             max_iters: 500,
             target_cost: 1e-8,
@@ -672,14 +443,9 @@ mod tests {
             patience: 0,
             min_rel_improvement: 0.0,
         };
-        let lbfgs = Lbfgs { memory: 10 };
-        let r1 = lbfgs.minimize(&mut rosenbrock, None, vec![-1.2, 1.0], &stop);
-        assert!(r1.converged, "lbfgs cost {}", r1.cost);
-        let adam = Adam { lr: 0.01 };
-        let r2 = adam.minimize(&mut rosenbrock, None, vec![-1.2, 1.0], &stop);
-        // Adam typically needs far more iterations here.
-        assert!(r1.iterations < stop.max_iters);
-        assert!(r1.cost <= r2.cost + 1e-8);
+        let r = minimize(&mut rosenbrock, &unbounded, vec![-1.2, 1.0], &stop);
+        assert!(r.converged, "cost {}", r.cost);
+        assert!(r.iterations < stop.max_iters);
     }
 
     #[test]
@@ -696,16 +462,9 @@ mod tests {
                 *v = v.clamp(-1.0, 1.0);
             }
         };
-        for kind in [
-            OptimizerKind::Lbfgs { memory: 5 },
-            OptimizerKind::Adam { lr: 0.2 },
-        ] {
-            let mut f = quadratic(vec![1.0], vec![5.0]);
-            let r = kind
-                .build()
-                .minimize(&mut f, Some(&project), vec![0.0], &stop);
-            assert!((r.x[0] - 1.0).abs() < 1e-6, "{kind:?} got {}", r.x[0]);
-        }
+        let mut f = quadratic(vec![1.0], vec![5.0]);
+        let r = minimize(&mut f, &project, vec![0.0], &stop);
+        assert!((r.x[0] - 1.0).abs() < 1e-6, "got {}", r.x[0]);
     }
 
     #[test]
@@ -717,7 +476,7 @@ mod tests {
             ..StopCriteria::default()
         };
         let mut f = quadratic(vec![1.0], vec![0.0]);
-        let r = Lbfgs { memory: 5 }.minimize(&mut f, None, vec![0.1], &stop);
+        let r = minimize(&mut f, &unbounded, vec![0.1], &stop);
         assert_eq!(r.iterations, 0);
         assert!(r.converged);
     }
@@ -730,19 +489,10 @@ mod tests {
             grad_tol: 1e-14,
             ..StopCriteria::default()
         };
-        let r = Lbfgs { memory: 10 }.minimize(&mut rosenbrock, None, vec![-1.2, 1.0], &stop);
+        let r = minimize(&mut rosenbrock, &unbounded, vec![-1.2, 1.0], &stop);
         // Line search guarantees non-increasing cost.
         for w in r.history.windows(2) {
             assert!(w[1] <= w[0] + 1e-9);
         }
-    }
-
-    #[test]
-    fn default_kind_is_lbfgs() {
-        assert_eq!(
-            OptimizerKind::default(),
-            OptimizerKind::Lbfgs { memory: 10 }
-        );
-        assert_eq!(OptimizerKind::default().build().name(), "lbfgs");
     }
 }

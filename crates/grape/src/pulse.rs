@@ -194,11 +194,6 @@ impl Pulse {
             .flatten()
             .fold(0.0f64, |m, &v| m.max(v.abs()))
     }
-
-    /// Total pulse energy proxy: `Σ u² · dt`.
-    pub fn energy(&self) -> f64 {
-        self.amps.iter().flatten().map(|&v| v * v).sum::<f64>() * self.dt_ns
-    }
 }
 
 #[cfg(test)]
@@ -278,10 +273,9 @@ mod tests {
     }
 
     #[test]
-    fn energy_and_max_amp() {
+    fn max_amp_spans_channels() {
         let p = Pulse::from_amps(vec![vec![1.0, -2.0], vec![0.0, 0.5]], 2.0);
         assert!((p.max_abs_amp() - 2.0).abs() < 1e-12);
-        assert!((p.energy() - (1.0 + 4.0 + 0.25) * 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -10,10 +10,9 @@
 //! Workspaces are plain owned data: create one per thread (they are
 //! `Send` but deliberately not shared) and pass it to
 //! [`solve_with`](crate::solve_with) or
-//! [`find_minimal_latency_with`](crate::find_minimal_latency_with).
-//! The convenience wrappers [`solve`](crate::solve) and
-//! [`find_minimal_latency`](crate::find_minimal_latency) create a
-//! throwaway workspace internally and produce bit-identical results.
+//! [`find_minimal_latency`](crate::find_minimal_latency). The convenience
+//! wrapper [`solve`](crate::solve) creates a throwaway workspace
+//! internally and produces bit-identical results.
 
 use accqoc_linalg::{EigH, EighWorkspace, Mat};
 

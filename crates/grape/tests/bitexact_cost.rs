@@ -1,7 +1,7 @@
 //! Pins `cost_and_gradient_into` to the pre-kernel-dispatch bytes.
 //!
-//! The evaluator below re-implements the spectral and first-order cost
-//! paths on top of `accqoc_linalg::kernels::reference` — the preserved
+//! The evaluator below re-implements the spectral cost path on top of
+//! `accqoc_linalg::kernels::reference` — the preserved
 //! naive triple loops that predate the register-blocked kernel layer —
 //! and demands exact bit equality of the cost and every gradient entry.
 //! Together with the kernel-level property suite in `accqoc-linalg`,
@@ -10,7 +10,7 @@
 
 use accqoc_grape::{cost_and_gradient_into, GradientMethod, Workspace};
 use accqoc_hw::ControlModel;
-use accqoc_linalg::{eigh_into, expm_i, kernels, EigH, EighWorkspace, Mat, C64, ZERO};
+use accqoc_linalg::{eigh_into, kernels, EigH, EighWorkspace, Mat, C64, ZERO};
 
 /// Deterministic off-grid test amplitudes (channel-major).
 fn params_for(model: &ControlModel, n_steps: usize) -> Vec<f64> {
@@ -84,7 +84,6 @@ fn reference_cost_and_gradient(
     target: &Mat,
     params: &[f64],
     n_steps: usize,
-    method: GradientMethod,
 ) -> (f64, Vec<f64>) {
     let dim = model.dim();
     let d = dim as f64;
@@ -101,20 +100,13 @@ fn reference_cost_and_gradient(
             *a = params[j * n_steps + k];
         }
         model.hamiltonian_into(&amps, &mut h);
-        if method == GradientMethod::Spectral {
-            let mut eig = EigH {
-                values: Vec::new(),
-                vectors: Mat::zeros(0, 0),
-            };
-            eigh_into(&h, &mut eig, &mut eig_ws).expect("hermitian");
-            step_us.push(reference_propagator(&eig, dt));
-            eigs.push(eig);
-        } else {
-            // The solver's non-spectral propagators come from the Padé
-            // `expm_i`, whose products go through the (unblocked)
-            // allocating `Mat::matmul` — shared code on both sides.
-            step_us.push(expm_i(&h, dt).expect("hermitian"));
-        }
+        let mut eig = EigH {
+            values: Vec::new(),
+            vectors: Mat::zeros(0, 0),
+        };
+        eigh_into(&h, &mut eig, &mut eig_ws).expect("hermitian");
+        step_us.push(reference_propagator(&eig, dt));
+        eigs.push(eig);
     }
 
     let mut fwd = vec![Mat::identity(dim)];
@@ -135,43 +127,29 @@ fn reference_cost_and_gradient(
 
     let mut grad = vec![0.0; n_ctrl * n_steps];
     for k in 0..n_steps {
-        match method {
-            GradientMethod::Spectral => {
-                let eig = &eigs[k];
-                let m = reference_matmul(&fwd[k], &bwd[k + 1]);
-                let mt = reference_rotate(&eig.vectors, &m);
-                let w = reference_krein_weights(&eig.values, dt);
-                for (j, ch) in model.channels().iter().enumerate() {
-                    let hj_tilde = reference_rotate(&eig.vectors, &ch.hamiltonian);
-                    let mut dphi = ZERO;
-                    for a in 0..dim {
-                        for b in 0..dim {
-                            dphi += w[(a, b)] * hj_tilde[(a, b)] * mt[(b, a)];
-                        }
-                    }
-                    let dphi = dphi / C64::real(d);
-                    grad[j * n_steps + k] = -2.0 * (phi.conj() * dphi).re;
+        let eig = &eigs[k];
+        let m = reference_matmul(&fwd[k], &bwd[k + 1]);
+        let mt = reference_rotate(&eig.vectors, &m);
+        let w = reference_krein_weights(&eig.values, dt);
+        for (j, ch) in model.channels().iter().enumerate() {
+            let hj_tilde = reference_rotate(&eig.vectors, &ch.hamiltonian);
+            let mut dphi = ZERO;
+            for a in 0..dim {
+                for b in 0..dim {
+                    dphi += w[(a, b)] * hj_tilde[(a, b)] * mt[(b, a)];
                 }
             }
-            GradientMethod::FirstOrder => {
-                let m = reference_matmul(&fwd[k + 1], &bwd[k + 1]);
-                for (j, ch) in model.channels().iter().enumerate() {
-                    let tr = ch.hamiltonian.matmul_trace(&m);
-                    let dphi = C64::imag(-dt / d) * tr;
-                    grad[j * n_steps + k] = -2.0 * (phi.conj() * dphi).re;
-                }
-            }
-            GradientMethod::Exact => unreachable!("not exercised by this suite"),
+            let dphi = dphi / C64::real(d);
+            grad[j * n_steps + k] = -2.0 * (phi.conj() * dphi).re;
         }
     }
     (cost, grad)
 }
 
 /// One propagator per slice comes from `eigh_into` in both evaluators,
-/// so the spectral reference only differs in which dense kernels run —
-/// a perfect isolation of the dispatch layer. FirstOrder shares the
-/// propagators but exercises the trace-heavy gradient instead.
-fn assert_bit_identical(qubits: usize, n_steps: usize, method: GradientMethod) {
+/// so the reference only differs in which dense kernels run — a perfect
+/// isolation of the dispatch layer.
+fn assert_bit_identical(qubits: usize, n_steps: usize) {
     let model = ControlModel::spin_chain(qubits).with_dt(1.5);
     let dim = model.dim();
     let target = Mat::from_fn(dim, dim, |i, j| {
@@ -187,7 +165,13 @@ fn assert_bit_identical(qubits: usize, n_steps: usize, method: GradientMethod) {
     let mut ws = Workspace::new();
     let mut grad = Vec::new();
     let cost = cost_and_gradient_into(
-        &model, &target, &params, n_steps, method, &mut ws, &mut grad,
+        &model,
+        &target,
+        &params,
+        n_steps,
+        GradientMethod::Spectral,
+        &mut ws,
+        &mut grad,
     );
     // Second evaluation through the warm workspace: buffer reuse must not
     // move bits either.
@@ -197,24 +181,23 @@ fn assert_bit_identical(qubits: usize, n_steps: usize, method: GradientMethod) {
         &target,
         &params,
         n_steps,
-        method,
+        GradientMethod::Spectral,
         &mut ws,
         &mut grad_warm,
     );
     assert_eq!(cost.to_bits(), cost_warm.to_bits(), "warm reuse drifted");
     assert_eq!(bits(&grad), bits(&grad_warm), "warm reuse drifted");
 
-    let (ref_cost, ref_grad) =
-        reference_cost_and_gradient(&model, &target, &params, n_steps, method);
+    let (ref_cost, ref_grad) = reference_cost_and_gradient(&model, &target, &params, n_steps);
     assert_eq!(
         cost.to_bits(),
         ref_cost.to_bits(),
-        "{method:?} dim {dim}: cost {cost} vs reference {ref_cost}"
+        "dim {dim}: cost {cost} vs reference {ref_cost}"
     );
     assert_eq!(
         bits(&grad),
         bits(&ref_grad),
-        "{method:?} dim {dim}: gradient bytes drifted"
+        "dim {dim}: gradient bytes drifted"
     );
 }
 
@@ -222,14 +205,7 @@ fn assert_bit_identical(qubits: usize, n_steps: usize, method: GradientMethod) {
 fn spectral_cost_and_gradient_bit_identical_to_reference_kernels() {
     // dim 2 and 4 are all-remainder shapes for the 2×4 tile; dim 8 runs
     // the main tiled loops.
-    assert_bit_identical(1, 6, GradientMethod::Spectral);
-    assert_bit_identical(2, 4, GradientMethod::Spectral);
-    assert_bit_identical(3, 3, GradientMethod::Spectral);
-}
-
-#[test]
-fn first_order_cost_and_gradient_bit_identical_to_reference_kernels() {
-    assert_bit_identical(1, 6, GradientMethod::FirstOrder);
-    assert_bit_identical(2, 4, GradientMethod::FirstOrder);
-    assert_bit_identical(3, 3, GradientMethod::FirstOrder);
+    assert_bit_identical(1, 6);
+    assert_bit_identical(2, 4);
+    assert_bit_identical(3, 3);
 }

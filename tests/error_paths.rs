@@ -311,3 +311,22 @@ fn capacity_smaller_than_unique_groups_is_a_typed_early_error() {
     // tests/library_serve.rs for the capacity-0 case).
     assert!(small.serve_program(&tiny).is_ok());
 }
+
+#[test]
+fn non_finite_angle_is_a_qasm_error_before_serving() {
+    // `1e400` overflows to infinity; served, it would canonicalize to a
+    // 0-slice pulse that verification scores as perfect.
+    let session = Session::builder()
+        .topology(Topology::linear(2))
+        .build()
+        .unwrap();
+    let before = session.library().stats();
+    let served = accqoc_repro::circuit::parse_qasm("qreg q[2]; rz(1e400) q[0]; cx q[0],q[1];")
+        .map_err(Error::from)
+        .and_then(|program| session.serve_program(&program));
+    match served {
+        Err(Error::Qasm(e)) => assert_eq!(e.line, 1),
+        other => panic!("expected a QASM error, got {other:?}"),
+    }
+    assert_eq!(session.library().stats(), before);
+}

@@ -1,7 +1,7 @@
 //! The differential compile oracle: every compile engine in the
 //! workspace — sequential [`Session::precompile`], the parallel engine at
-//! a pinned and at the default partition plan, and the pre-Session
-//! [`AccQocCompiler`] shim — must produce *semantically* equivalent
+//! a pinned and at the default partition plan, and program-by-program
+//! [`Session::compile_program`] — must produce *semantically* equivalent
 //! pulses: same covered groups, same realized unitaries, same latencies
 //! within tolerance. Byte-equality of cache artifacts is checked
 //! elsewhere (`tests/parallel_determinism.rs`); this file checks the
@@ -9,11 +9,9 @@
 //! differ.
 //!
 //! [`Session::precompile`]: accqoc::Session::precompile
-//! [`AccQocCompiler`]: accqoc::AccQocCompiler
+//! [`Session::compile_program`]: accqoc::Session::compile_program
 
-use accqoc_repro::accqoc::{
-    caches_equivalent, AccQocConfig, ParallelOptions, PrecompileOrder, PulseCache,
-};
+use accqoc_repro::accqoc::{caches_equivalent, AccQocConfig, ParallelOptions, PrecompileOrder};
 use accqoc_repro::prelude::*;
 use accqoc_repro::workloads::golden_suite;
 
@@ -99,22 +97,29 @@ fn all_compile_engines_are_semantically_equivalent() {
         "default-plan parallel diverged: {report:?}"
     );
 
-    // Engine D: the pre-Session shim, compiling program by program into
-    // an externally owned cache (per-program MSTs instead of one global
+    // Engine D: one config-built session compiling program by program
+    // into its own growing cache (per-program MSTs instead of one global
     // MST — different chains, same physics).
-    #[allow(deprecated)]
-    let shim = {
+    let per_program = {
         let mut config = AccQocConfig::for_topology(Topology::linear(3));
         config.grape.stop.max_iters = 200;
-        accqoc_repro::accqoc::AccQocCompiler::new(config)
+        Session::from_config(config).expect("valid config")
     };
-    let mut shim_cache = PulseCache::new();
-    #[allow(deprecated)]
     for p in &progs {
-        shim.compile_program(p, &mut shim_cache).unwrap();
+        per_program.compile_program(p).unwrap();
     }
-    let report = caches_equivalent(seq.models(), &seq_cache, &shim_cache, 2e-3, 10.0).unwrap();
-    assert!(report.equivalent(), "pre-Session shim diverged: {report:?}");
+    let report = caches_equivalent(
+        seq.models(),
+        &seq_cache,
+        &per_program.cache_snapshot(),
+        2e-3,
+        10.0,
+    )
+    .unwrap();
+    assert!(
+        report.equivalent(),
+        "per-program compilation diverged: {report:?}"
+    );
 }
 
 #[test]
