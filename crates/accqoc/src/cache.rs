@@ -15,7 +15,7 @@ use accqoc_circuit::UnitaryKey;
 use accqoc_grape::Pulse;
 
 use crate::error::Result;
-use crate::json::{self, JsonError, JsonValue};
+use crate::json::{self, hex_decode, hex_encode, JsonError, JsonValue};
 
 /// A cached compilation result for one unique group.
 #[derive(Debug, Clone, PartialEq)]
@@ -108,19 +108,26 @@ impl PulseCache {
         self.entries.extend(other.entries);
     }
 
-    /// Serializes to pretty JSON (entries sorted by key — deterministic
-    /// for a given cache state).
-    pub fn to_json(&self) -> String {
+    /// The cache as a JSON value: `{"entries": [...]}`, entries sorted by
+    /// key (deterministic for a given cache state). The daemon embeds
+    /// this value in its frames directly.
+    pub fn to_json_value(&self) -> JsonValue {
         let mut entries: Vec<(&UnitaryKey, &CachedPulse)> = self.entries.iter().collect();
         entries.sort_by(|a, b| a.0.cmp(b.0));
         let entries = entries
             .into_iter()
             .map(|(key, entry)| entry_to_json_value(key, entry))
             .collect();
-        JsonValue::Object(vec![("entries".into(), JsonValue::Array(entries))]).to_pretty()
+        JsonValue::Object(vec![("entries".into(), JsonValue::Array(entries))])
     }
 
-    /// Deserializes from JSON produced by [`PulseCache::to_json`].
+    /// Serializes to pretty JSON ([`PulseCache::to_json_value`],
+    /// byte-deterministic for a given cache state).
+    pub fn to_json(&self) -> String {
+        self.to_json_value().to_pretty()
+    }
+
+    /// Rebuilds a cache from a [`PulseCache::to_json_value`] value.
     ///
     /// Unknown per-entry fields are ignored, so artifacts extended with
     /// canonical unitaries (see [`crate::Session::save_cache`]) load
@@ -128,9 +135,8 @@ impl PulseCache {
     ///
     /// # Errors
     ///
-    /// [`crate::Error::Json`] on malformed input.
-    pub fn from_json(text: &str) -> Result<Self> {
-        let doc = json::parse(text)?;
+    /// [`crate::Error::Json`] on a malformed value.
+    pub fn from_json_value(doc: &JsonValue) -> Result<Self> {
         let entries = doc
             .get("entries")
             .and_then(JsonValue::as_array)
@@ -141,6 +147,16 @@ impl PulseCache {
             cache.insert(key, entry);
         }
         Ok(cache)
+    }
+
+    /// Deserializes from JSON produced by [`PulseCache::to_json`] (see
+    /// [`PulseCache::from_json_value`]).
+    ///
+    /// # Errors
+    ///
+    /// [`crate::Error::Json`] on malformed input.
+    pub fn from_json(text: &str) -> Result<Self> {
+        Self::from_json_value(&json::parse(text)?)
     }
 
     /// Writes the cache to a file as JSON. The write is atomic
@@ -271,29 +287,6 @@ pub(crate) fn entry_from_json_value(entry: &JsonValue) -> Result<(UnitaryKey, Ca
             n_qubits,
         },
     ))
-}
-
-pub(crate) fn hex_encode(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
-    }
-    out
-}
-
-pub(crate) fn hex_decode(text: &str) -> Result<Vec<u8>> {
-    if !text.len().is_multiple_of(2) || !text.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return Err(malformed("key is not a hex string").into());
-    }
-    Ok(text
-        .as_bytes()
-        .chunks(2)
-        .map(|pair| {
-            let hi = (pair[0] as char).to_digit(16).expect("checked hex");
-            let lo = (pair[1] as char).to_digit(16).expect("checked hex");
-            (hi * 16 + lo) as u8
-        })
-        .collect())
 }
 
 #[cfg(test)]

@@ -1,13 +1,21 @@
-//! Minimal JSON reader/writer for pulse-cache persistence.
+//! Minimal JSON reader/writer: the pulse-cache persistence format and
+//! the daemon's wire codec.
 //!
 //! The build environment has no crates.io access, so the cache's on-disk
-//! format is produced by this self-contained module instead of serde.
-//! It supports exactly what [`crate::PulseCache`] needs: objects, arrays,
-//! strings, `f64` numbers (round-tripped exactly via Rust's shortest
-//! representation), booleans, and `null`. Object key order is preserved,
-//! which keeps the emitted cache byte-deterministic.
+//! format and every protocol frame are produced by this self-contained
+//! module instead of serde. It supports exactly what [`crate::PulseCache`]
+//! and the daemon protocol need: objects, arrays, strings, `f64` numbers
+//! (round-tripped exactly via Rust's shortest representation), booleans,
+//! and `null`. Object key order is preserved, which keeps the emitted
+//! cache and every frame byte-deterministic.
+//!
+//! Both directions are single-pass and linear in the document size:
+//! [`parse`] copies each unescaped string run with one `push_str` (the
+//! input is already a validated `&str`), and the writers format numbers
+//! straight into the output buffer. Group keys travel as lowercase hex
+//! ([`hex_encode`] / [`hex_decode`]).
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -221,15 +229,17 @@ fn push_indent(out: &mut String, levels: usize) {
 }
 
 fn write_number(out: &mut String, n: f64) {
+    // Writing into a `String` cannot fail, so the `fmt::Result`s below
+    // are always `Ok`.
     if n.is_finite() {
         if n.fract() == 0.0 && n.abs() < 9.0e15 && !(n == 0.0 && n.is_sign_negative()) {
             // Integral values (counts, whole-ns latencies) print without
             // the `.0`; parsing "18" yields bit-identical 18.0.
-            out.push_str(&format!("{}", n as i64));
+            let _ = write!(out, "{}", n as i64);
         } else {
             // `{:?}` is Rust's shortest representation that parses back
             // to exactly the same f64 — the cache round-trips rely on it.
-            out.push_str(&format!("{n:?}"));
+            let _ = write!(out, "{n:?}");
         }
     } else {
         // JSON has no Inf/NaN; the cache never stores them, but degrade
@@ -240,18 +250,82 @@ fn write_number(out: &mut String, n: f64) {
 
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    // Copy unescaped runs whole. Every byte that needs an escape is
+    // ASCII, so each run boundary is a char boundary of `s`.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
+}
+
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Lowercase hex spelling of `bytes` — how group keys travel in the
+/// cache artifact, the WAL, and every protocol frame.
+///
+/// # Examples
+///
+/// ```
+/// use accqoc::json::{hex_decode, hex_encode};
+///
+/// assert_eq!(hex_encode(&[0, 15, 255]), "000fff");
+/// assert_eq!(hex_decode("000fff").unwrap(), vec![0, 15, 255]);
+/// ```
+pub fn hex_encode(bytes: &[u8]) -> String {
+    let mut out = String::with_capacity(bytes.len() * 2);
+    for &b in bytes {
+        out.push(HEX_DIGITS[usize::from(b >> 4)] as char);
+        out.push(HEX_DIGITS[usize::from(b & 0xf)] as char);
+    }
+    out
+}
+
+/// Decodes [`hex_encode`] output (either letter case).
+///
+/// # Errors
+///
+/// [`JsonError`] when `text` has odd length or holds anything but ASCII
+/// hex digits — including multi-byte characters, which are rejected
+/// before any byte pair is read.
+pub fn hex_decode(text: &str) -> Result<Vec<u8>, JsonError> {
+    let bytes = text.as_bytes();
+    if let Some(offset) = bytes.iter().position(|b| !b.is_ascii_hexdigit()) {
+        return Err(JsonError {
+            message: "key is not a hex string".into(),
+            offset,
+        });
+    }
+    if !bytes.len().is_multiple_of(2) {
+        return Err(JsonError {
+            message: "key is an odd-length hex string".into(),
+            offset: bytes.len(),
+        });
+    }
+    let nibble = |b: u8| match b {
+        b'0'..=b'9' => b - b'0',
+        b'a'..=b'f' => b - b'a' + 10,
+        _ => b - b'A' + 10,
+    };
+    Ok(bytes
+        .chunks_exact(2)
+        .map(|pair| nibble(pair[0]) << 4 | nibble(pair[1]))
+        .collect())
 }
 
 /// Maximum container nesting the parser accepts (serde_json uses the
@@ -268,6 +342,7 @@ const MAX_DEPTH: usize = 128;
 /// 128 containers.
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut parser = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
@@ -282,6 +357,7 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -375,13 +451,22 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next `"` or `\` in one go. Both are
+            // ASCII, so the run ends on a char boundary of the (already
+            // validated) input and needs no UTF-8 check of its own.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                _ => {
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -409,14 +494,6 @@ impl Parser<'_> {
                         _ => return Err(self.error("invalid escape")),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -514,6 +591,77 @@ mod tests {
         let s = "line\nbreak \"quoted\" back\\slash \t end\u{1}";
         let text = JsonValue::String(s.into()).to_pretty();
         assert_eq!(parse(&text).unwrap().as_str().unwrap(), s);
+    }
+
+    #[test]
+    fn multibyte_runs_mixed_with_escapes_roundtrip() {
+        let s = "日本語 \"café\" back\\slash ü\n🦀 end\u{7}é";
+        let text = JsonValue::String(s.into()).to_compact();
+        assert_eq!(parse(&text).unwrap().as_str().unwrap(), s);
+        // `\uXXXX` escapes decode between multi-byte runs.
+        let doc = r#""ü\u00e9日\u0041\"\\🦀\/""#;
+        assert_eq!(parse(doc).unwrap().as_str().unwrap(), "üé日A\"\\🦀/");
+        // Keys go through the same string parser.
+        let doc = parse(r#"{"clé \u00e9": "värde"}"#).unwrap();
+        assert_eq!(doc.get("clé é").and_then(JsonValue::as_str), Some("värde"));
+    }
+
+    #[test]
+    fn raw_control_bytes_are_accepted_and_bad_strings_error() {
+        // Lenient on input: raw control bytes inside a string parse as-is
+        // (the writer always escapes them).
+        let raw = "\"tab\there\u{1}nul\u{0}\"";
+        assert_eq!(
+            parse(raw).unwrap().as_str().unwrap(),
+            "tab\there\u{1}nul\u{0}"
+        );
+        for bad in [
+            "\"open",
+            "\"open é",
+            "\"escape at end\\",
+            "\"bad \\q escape\"",
+            "\"short \\u00\"",
+            "\"not hex \\uzzzz\"",
+            "{\"k\": \"v}",
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?}");
+        }
+        let err = parse("[\"abc").unwrap_err();
+        assert_eq!(err.message, "unterminated string");
+        assert_eq!(err.offset, 5);
+    }
+
+    #[test]
+    fn long_string_parses_in_linear_time() {
+        // A 4 MiB hex string (a dim-4 key is 520 chars). Re-validating
+        // the rest of the input per character would scan ~8 TB here.
+        let body = "0123456789abcdef".repeat(1 << 18);
+        let doc = format!("{{\"key\": \"{body}\", \"n\": 1}}");
+        let start = std::time::Instant::now();
+        let parsed = parse(&doc).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(parsed.get("key").and_then(JsonValue::as_str), Some(&*body));
+        assert!(elapsed.as_secs_f64() < 5.0, "parse took {elapsed:?}");
+    }
+
+    #[test]
+    fn hex_codec_roundtrips_and_rejects_non_hex() {
+        let bytes: Vec<u8> = (0..=255).collect();
+        let text = hex_encode(&bytes);
+        assert_eq!(text.len(), 512);
+        assert_eq!(&text[..8], "00010203");
+        assert_eq!(&text[text.len() - 4..], "feff");
+        assert_eq!(hex_decode(&text).unwrap(), bytes);
+        assert_eq!(hex_decode("ABcd").unwrap(), vec![0xab, 0xcd]);
+        assert_eq!(hex_decode("").unwrap(), Vec::<u8>::new());
+        assert!(hex_decode("0").is_err(), "odd length");
+        assert!(hex_decode("zz").is_err(), "non-hex");
+        assert!(hex_decode("+1").is_err(), "sign is not a digit");
+        // Even byte length, but a multi-byte char straddles a pair
+        // boundary: rejected, not sliced.
+        let err = hex_decode("aé0").unwrap_err();
+        assert_eq!(err.offset, 1);
+        assert!(hex_decode("éé").is_err());
     }
 
     #[test]

@@ -23,10 +23,10 @@
 
 use accqoc_circuit::{Circuit, UnitaryKey};
 
-use crate::cache::{hex_decode, hex_encode, CachedPulse};
+use crate::cache::CachedPulse;
 use crate::compile::warm_start_allowed;
 use crate::error::Result;
-use crate::json::{self, JsonError, JsonValue};
+use crate::json::{self, hex_decode, hex_encode, JsonError, JsonValue};
 use crate::session::{CoverageStats, Session};
 
 /// Configuration of the online serving path.

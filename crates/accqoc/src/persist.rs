@@ -49,10 +49,9 @@ use accqoc_circuit::UnitaryKey;
 use accqoc_linalg::{Mat, C64};
 use accqoc_store::{read_optional_string, write_atomic, StoreError, WalWriter};
 
-use crate::cache::{entry_from_json_value, entry_to_json_value, hex_decode, hex_encode};
-use crate::cache::{CachedPulse, PulseCache};
+use crate::cache::{entry_from_json_value, entry_to_json_value, CachedPulse, PulseCache};
 use crate::error::Result;
-use crate::json::{self, JsonError, JsonValue};
+use crate::json::{self, hex_decode, hex_encode, JsonError, JsonValue};
 
 /// File name of the write-ahead log inside the persistence directory.
 pub const WAL_FILE: &str = "library.wal";

@@ -35,9 +35,9 @@ use accqoc_grape::total_unitary;
 use accqoc_linalg::{phase_invariant_fidelity, Mat};
 use accqoc_sim::output_state_fidelity;
 
-use crate::cache::{hex_decode, hex_encode, CachedPulse, PulseCache};
+use crate::cache::{CachedPulse, PulseCache};
 use crate::error::{Error, Result};
-use crate::json::{self, JsonError, JsonValue};
+use crate::json::{self, hex_decode, hex_encode, JsonError, JsonValue};
 use crate::model::ModelSet;
 use crate::session::{GroupReport, Session};
 
@@ -143,8 +143,9 @@ impl VerifyReport {
             .min_by(|a, b| a.fidelity.total_cmp(&b.fidelity))
     }
 
-    /// Serializes to pretty JSON (byte-deterministic for a given report).
-    pub fn to_json(&self) -> String {
+    /// The report as a JSON value (the daemon embeds it in its frames
+    /// directly).
+    pub fn to_json_value(&self) -> JsonValue {
         let opt = |v: Option<f64>| v.map(JsonValue::Number).unwrap_or(JsonValue::Null);
         let groups = self
             .groups
@@ -184,16 +185,20 @@ impl VerifyReport {
             ("passed".into(), JsonValue::Bool(self.passed)),
             ("groups".into(), JsonValue::Array(groups)),
         ])
-        .to_pretty()
     }
 
-    /// Deserializes a report produced by [`VerifyReport::to_json`].
+    /// Serializes to pretty JSON ([`VerifyReport::to_json_value`],
+    /// byte-deterministic for a given report).
+    pub fn to_json(&self) -> String {
+        self.to_json_value().to_pretty()
+    }
+
+    /// Rebuilds a report from a [`VerifyReport::to_json_value`] value.
     ///
     /// # Errors
     ///
-    /// [`Error::Json`] on malformed input.
-    pub fn from_json(text: &str) -> Result<Self> {
-        let doc = json::parse(text)?;
+    /// [`Error::Json`] on a malformed value.
+    pub fn from_json_value(doc: &JsonValue) -> Result<Self> {
         let num = |field: &str| -> Result<f64> {
             doc.get(field)
                 .and_then(JsonValue::as_f64)
@@ -260,6 +265,15 @@ impl VerifyReport {
             state_fidelity: opt_num("state_fidelity")?,
             passed,
         })
+    }
+
+    /// Deserializes a report produced by [`VerifyReport::to_json`].
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Json`] on malformed input.
+    pub fn from_json(text: &str) -> Result<Self> {
+        Self::from_json_value(&json::parse(text)?)
     }
 }
 

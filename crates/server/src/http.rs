@@ -31,7 +31,7 @@
 use accqoc::json::{self, JsonValue};
 
 use crate::protocol::{
-    Call, ErrorCode, Payload, WireError, DEFAULT_LIBRARY_LIMIT, MAX_LIBRARY_LIMIT,
+    keys_from_json, Call, ErrorCode, Payload, WireError, DEFAULT_LIBRARY_LIMIT, MAX_LIBRARY_LIMIT,
 };
 
 /// Response body rendering negotiated from the request path suffix.
@@ -323,21 +323,8 @@ pub fn route(request: &HttpRequest) -> Result<(Call, Format), WireError> {
                     WireError::new(ErrorCode::BadParams, "missing array param `keys`")
                 })?;
             Call::Pulses {
-                keys: keys
-                    .iter()
-                    .map(|k| {
-                        k.as_str()
-                            .ok_or_else(|| {
-                                WireError::new(ErrorCode::BadParams, "`keys` holds a non-string")
-                            })
-                            .and_then(|text| {
-                                crate::protocol::hex_decode(text).map_err(|e| {
-                                    WireError::new(ErrorCode::BadParams, format!("bad key: {e}"))
-                                })
-                            })
-                            .map(accqoc_circuit::UnitaryKey::from_bytes)
-                    })
-                    .collect::<Result<_, _>>()?,
+                keys: keys_from_json(keys, "keys")
+                    .map_err(|message| WireError::new(ErrorCode::BadParams, message))?,
             }
         }
         "/verify" => {

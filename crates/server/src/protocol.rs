@@ -22,7 +22,7 @@
 //! {"id": 1, "ok": false, "error": {"code": "busy", "message": "..."}}
 //! ```
 
-use accqoc::json::{self, JsonValue};
+use accqoc::json::{self, hex_decode, hex_encode, JsonValue};
 use accqoc::{LibraryStats, PulseCache, ServeReport, VerifyReport};
 use accqoc_circuit::UnitaryKey;
 
@@ -32,18 +32,27 @@ pub const DEFAULT_LIBRARY_LIMIT: usize = 50;
 /// is clamped, never honored (one page must stay a bounded frame).
 pub const MAX_LIBRARY_LIMIT: usize = 500;
 
-pub(crate) fn hex_encode(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
+/// Group keys as the hex-string array every frame spells them with.
+fn keys_to_json(keys: &[UnitaryKey]) -> JsonValue {
+    JsonValue::Array(
+        keys.iter()
+            .map(|k| JsonValue::String(hex_encode(k.as_bytes())))
+            .collect(),
+    )
 }
 
-pub(crate) fn hex_decode(text: &str) -> Result<Vec<u8>, String> {
-    if !text.len().is_multiple_of(2) {
-        return Err("odd-length hex string".into());
-    }
-    (0..text.len())
-        .step_by(2)
-        .map(|i| {
-            u8::from_str_radix(&text[i..i + 2], 16).map_err(|_| format!("bad hex at byte {i}"))
+/// Decodes a hex-string key array (`keys` of a `pulses` call, `missing`
+/// of a response). `field` names the array in the error message.
+pub(crate) fn keys_from_json(items: &[JsonValue], field: &str) -> Result<Vec<UnitaryKey>, String> {
+    items
+        .iter()
+        .map(|k| {
+            let text = k
+                .as_str()
+                .ok_or_else(|| format!("`{field}` holds a non-string"))?;
+            hex_decode(text)
+                .map(UnitaryKey::from_bytes)
+                .map_err(|e| format!("bad key: {e}"))
         })
         .collect()
 }
@@ -341,14 +350,9 @@ impl Request {
                 ("limit".into(), JsonValue::Number(*limit as f64)),
                 ("offset".into(), JsonValue::Number(*offset as f64)),
             ])),
-            Call::Pulses { keys } => Some(JsonValue::Object(vec![(
-                "keys".into(),
-                JsonValue::Array(
-                    keys.iter()
-                        .map(|k| JsonValue::String(hex_encode(k.as_bytes())))
-                        .collect(),
-                ),
-            )])),
+            Call::Pulses { keys } => {
+                Some(JsonValue::Object(vec![("keys".into(), keys_to_json(keys))]))
+            }
             Call::Stats | Call::Shutdown => None,
         };
         let mut fields = vec![
@@ -486,21 +490,8 @@ impl Request {
                         fail(ErrorCode::BadParams, "missing array param `keys`".into())
                     })?;
                 Call::Pulses {
-                    keys: keys
-                        .iter()
-                        .map(|k| {
-                            k.as_str()
-                                .ok_or_else(|| {
-                                    fail(ErrorCode::BadParams, "`keys` holds a non-string".into())
-                                })
-                                .and_then(|text| {
-                                    hex_decode(text).map_err(|e| {
-                                        fail(ErrorCode::BadParams, format!("bad key: {e}"))
-                                    })
-                                })
-                                .map(UnitaryKey::from_bytes)
-                        })
-                        .collect::<Result<_, _>>()?,
+                    keys: keys_from_json(keys, "keys")
+                        .map_err(|message| fail(ErrorCode::BadParams, message))?,
                 }
             }
             "shutdown" => Call::Shutdown,
@@ -777,20 +768,10 @@ impl Payload {
             } => {
                 let mut result = vec![("report".into(), report.to_json_value())];
                 if let Some(cache) = pulses {
-                    let cache_value = json::parse(&cache.to_json())
-                        .expect("pulse cache serializes to valid json");
-                    result.push(("pulses".into(), cache_value));
+                    result.push(("pulses".into(), cache.to_json_value()));
                 }
                 if !missing.is_empty() {
-                    result.push((
-                        "missing".into(),
-                        JsonValue::Array(
-                            missing
-                                .iter()
-                                .map(|k| JsonValue::String(hex_encode(k.as_bytes())))
-                                .collect(),
-                        ),
-                    ));
+                    result.push(("missing".into(), keys_to_json(missing)));
                 }
                 JsonValue::Object(result)
             }
@@ -805,9 +786,7 @@ impl Payload {
                     JsonValue::Number(s.total_iterations as f64),
                 ),
             ]),
-            Payload::Verify(report) => {
-                json::parse(&report.to_json()).expect("verify report serializes to valid json")
-            }
+            Payload::Verify(report) => report.to_json_value(),
             Payload::Stats(s) => JsonValue::Object(vec![
                 ("library".into(), s.library.to_json_value()),
                 ("server".into(), s.server.to_json_value()),
@@ -822,19 +801,8 @@ impl Payload {
             ]),
             Payload::Library(page) => page.to_json_value(),
             Payload::Pulses { pulses, missing } => JsonValue::Object(vec![
-                (
-                    "pulses".into(),
-                    json::parse(&pulses.to_json()).expect("pulse cache serializes to valid json"),
-                ),
-                (
-                    "missing".into(),
-                    JsonValue::Array(
-                        missing
-                            .iter()
-                            .map(|k| JsonValue::String(hex_encode(k.as_bytes())))
-                            .collect(),
-                    ),
-                ),
+                ("pulses".into(), pulses.to_json_value()),
+                ("missing".into(), keys_to_json(missing)),
             ]),
             Payload::Shutdown => JsonValue::Object(vec![]),
         }
@@ -860,24 +828,17 @@ impl Payload {
                     })?;
                 let pulses = match result.get("pulses") {
                     Some(value) => Some(
-                        PulseCache::from_json(&value.to_compact())
+                        PulseCache::from_json_value(value)
                             .map_err(|e| format!("bad pulses: {e}"))?,
                     ),
                     None => None,
                 };
                 let missing = match result.get("missing") {
                     None => Vec::new(),
-                    Some(value) => value
-                        .as_array()
-                        .ok_or("`missing` is not an array")?
-                        .iter()
-                        .map(|k| {
-                            k.as_str()
-                                .ok_or_else(|| "`missing` holds a non-string".to_string())
-                                .and_then(hex_decode)
-                                .map(UnitaryKey::from_bytes)
-                        })
-                        .collect::<Result<_, _>>()?,
+                    Some(value) => keys_from_json(
+                        value.as_array().ok_or("`missing` is not an array")?,
+                        "missing",
+                    )?,
                 };
                 Payload::Serve {
                     report,
@@ -891,7 +852,7 @@ impl Payload {
                 total_iterations: count(result, "total_iterations")?,
             }),
             "verify_program" => Payload::Verify(
-                VerifyReport::from_json(&result.to_compact())
+                VerifyReport::from_json_value(result)
                     .map_err(|e| format!("bad verify report: {e}"))?,
             ),
             "stats" => Payload::Stats(StatsSnapshot {
@@ -907,25 +868,19 @@ impl Payload {
             }),
             "library" => Payload::Library(LibraryPage::from_json_value(result)?),
             "pulses" => Payload::Pulses {
-                pulses: PulseCache::from_json(
-                    &result
+                pulses: PulseCache::from_json_value(
+                    result
                         .get("pulses")
-                        .ok_or("pulses result missing `pulses`")?
-                        .to_compact(),
+                        .ok_or("pulses result missing `pulses`")?,
                 )
                 .map_err(|e| format!("bad pulses: {e}"))?,
-                missing: result
-                    .get("missing")
-                    .and_then(JsonValue::as_array)
-                    .ok_or("pulses result missing `missing`")?
-                    .iter()
-                    .map(|k| {
-                        k.as_str()
-                            .ok_or_else(|| "`missing` holds a non-string".to_string())
-                            .and_then(hex_decode)
-                            .map(UnitaryKey::from_bytes)
-                    })
-                    .collect::<Result<_, _>>()?,
+                missing: keys_from_json(
+                    result
+                        .get("missing")
+                        .and_then(JsonValue::as_array)
+                        .ok_or("pulses result missing `missing`")?,
+                    "missing",
+                )?,
             },
             "shutdown" => Payload::Shutdown,
             other => return Err(format!("unknown response method `{other}`")),
@@ -1282,9 +1237,16 @@ mod tests {
     fn pulses_call_types_bad_keys() {
         let e = Request::decode(r#"{"id": 1, "method": "pulses"}"#).unwrap_err();
         assert_eq!(e.error.code, ErrorCode::BadParams);
-        let e = Request::decode(r#"{"id": 1, "method": "pulses", "params": {"keys": ["zz"]}}"#)
-            .unwrap_err();
-        assert_eq!(e.error.code, ErrorCode::BadParams);
+        // Non-hex, odd-length, and even-length keys holding a multi-byte
+        // character (which a byte-pair slicer would cut mid-char) are all
+        // typed errors, never panics.
+        for key in ["zz", "0", "aé0", "éé", "ab\\u00e9"] {
+            let line =
+                format!(r#"{{"id": 1, "method": "pulses", "params": {{"keys": ["{key}"]}}}}"#);
+            let e = Request::decode(&line).unwrap_err();
+            assert_eq!(e.error.code, ErrorCode::BadParams, "{line}");
+            assert!(e.error.message.starts_with("bad key"), "{e:?}");
+        }
     }
 
     #[test]
@@ -1309,12 +1271,186 @@ mod tests {
         assert_eq!(Response::decode(&r.encode()).unwrap(), r);
     }
 
+    /// A cache whose numbers exercise every branch of the number writer:
+    /// negative zero, integral values, huge and subnormal magnitudes.
+    fn edge_case_cache() -> PulseCache {
+        let mut cache = PulseCache::new();
+        cache.insert(
+            UnitaryKey::from_bytes((0..=255).collect()),
+            accqoc::CachedPulse {
+                pulse: accqoc_grape::Pulse::from_amps(
+                    vec![
+                        vec![-0.0, 3.0, 1e300, 5e-324],
+                        vec![0.1, -2.5e-7, -1.0, f64::MIN_POSITIVE],
+                    ],
+                    0.5,
+                ),
+                latency_ns: 2.0,
+                iterations: 300,
+                n_qubits: 1,
+            },
+        );
+        cache.insert(
+            UnitaryKey::from_bytes(vec![7, 7]),
+            accqoc::CachedPulse {
+                pulse: accqoc_grape::Pulse::zeros(2, 3, 1.0 / 3.0),
+                latency_ns: 1.0 / 3.0,
+                iterations: 0,
+                n_qubits: 2,
+            },
+        );
+        cache
+    }
+
+    fn verify_report(fidelity: f64) -> VerifyReport {
+        VerifyReport {
+            groups: vec![accqoc::GroupVerification {
+                key: UnitaryKey::from_bytes(vec![1, 2, 254]),
+                n_qubits: 2,
+                instances: 3,
+                fidelity,
+                latency_ns: -0.0,
+            }],
+            n_instances: 3,
+            min_group_fidelity: 0.999_999_999_999_9,
+            mean_group_fidelity: 1.0,
+            program_fidelity_bound: 5e-324,
+            exact_fidelity: None,
+            state_fidelity: None,
+            passed: true,
+        }
+    }
+
+    /// The value-based codec writes the same bytes, and decodes to the
+    /// same payload, as the text round trip it replaced:
+    /// `json::parse(&x.to_json())` on encode and
+    /// `X::from_json(&value.to_compact())` on decode.
     #[test]
-    fn hex_helpers_roundtrip() {
-        let bytes = vec![0u8, 1, 15, 16, 127, 128, 255];
-        assert_eq!(hex_decode(&hex_encode(&bytes)).unwrap(), bytes);
-        assert!(hex_decode("0").is_err(), "odd length");
-        assert!(hex_decode("zz").is_err(), "non-hex");
+    fn value_codec_matches_the_text_round_trip_byte_for_byte() {
+        let reparse = |text: String| json::parse(&text).expect("own output parses");
+        let old_missing = |keys: &[UnitaryKey]| {
+            JsonValue::Array(
+                keys.iter()
+                    .map(|k| {
+                        JsonValue::String(k.as_bytes().iter().map(|b| format!("{b:02x}")).collect())
+                    })
+                    .collect(),
+            )
+        };
+        let old_frame = |id: f64, method: &str, result: JsonValue| {
+            JsonValue::Object(vec![
+                ("id".into(), JsonValue::Number(id)),
+                ("ok".into(), JsonValue::Bool(true)),
+                ("method".into(), JsonValue::String(method.into())),
+                ("result".into(), result),
+            ])
+            .to_compact()
+        };
+        let old_decode = |line: &str| -> Result<Payload, String> {
+            let doc = json::parse(line).map_err(|e| e.to_string())?;
+            let method = doc.get("method").and_then(JsonValue::as_str).unwrap();
+            let result = doc.get("result").unwrap();
+            let old_keys = |value: &JsonValue| -> Vec<UnitaryKey> {
+                value
+                    .as_array()
+                    .unwrap()
+                    .iter()
+                    .map(|k| UnitaryKey::from_bytes(hex_decode(k.as_str().unwrap()).unwrap()))
+                    .collect()
+            };
+            let old_cache = |value: &JsonValue| {
+                PulseCache::from_json(&value.to_compact()).map_err(|e| format!("bad pulses: {e}"))
+            };
+            Ok(match method {
+                "serve_program" => Payload::Serve {
+                    report: ServeReport::from_json_value(result.get("report").unwrap())
+                        .map_err(|e| e.to_string())?,
+                    pulses: result.get("pulses").map(old_cache).transpose()?,
+                    missing: result.get("missing").map(old_keys).unwrap_or_default(),
+                },
+                "pulses" => Payload::Pulses {
+                    pulses: old_cache(result.get("pulses").unwrap())?,
+                    missing: old_keys(result.get("missing").unwrap()),
+                },
+                "verify_program" => Payload::Verify(
+                    VerifyReport::from_json(&result.to_compact())
+                        .map_err(|e| format!("bad verify report: {e}"))?,
+                ),
+                other => panic!("unexpected method {other}"),
+            })
+        };
+
+        let cache = edge_case_cache();
+        let missing = vec![
+            UnitaryKey::from_bytes(vec![0, 255, 16]),
+            UnitaryKey::from_bytes(vec![171]),
+        ];
+        let report = empty_serve_report();
+        let cases = [
+            (
+                Payload::Serve {
+                    report: report.clone(),
+                    pulses: Some(cache.clone()),
+                    missing: missing.clone(),
+                },
+                JsonValue::Object(vec![
+                    ("report".into(), report.to_json_value()),
+                    ("pulses".into(), reparse(cache.to_json())),
+                    ("missing".into(), old_missing(&missing)),
+                ]),
+            ),
+            (
+                Payload::Pulses {
+                    pulses: cache.clone(),
+                    missing: missing.clone(),
+                },
+                JsonValue::Object(vec![
+                    ("pulses".into(), reparse(cache.to_json())),
+                    ("missing".into(), old_missing(&missing)),
+                ]),
+            ),
+            (
+                Payload::Verify(verify_report(0.75)),
+                reparse(verify_report(0.75).to_json()),
+            ),
+            // A NaN fidelity renders as `null` either way (and then fails
+            // to decode either way).
+            (
+                Payload::Verify(verify_report(f64::NAN)),
+                reparse(verify_report(f64::NAN).to_json()),
+            ),
+        ];
+        for (payload, old_result) in cases {
+            let response = Response {
+                id: 12,
+                body: Ok(payload),
+            };
+            let line = response.encode();
+            let method = response.body.as_ref().unwrap().method();
+            assert_eq!(line, old_frame(12.0, method, old_result), "{method}");
+
+            let new = Response::decode(&line).map(|r| r.body.unwrap());
+            let old = old_decode(&line);
+            match (&new, &old) {
+                (Ok(new), Ok(old)) => {
+                    assert_eq!(new, old, "{method}");
+                    assert_eq!(new, response.body.as_ref().unwrap(), "{method}");
+                }
+                (Err(new), Err(old)) => assert_eq!(new, old, "{method}"),
+                _ => panic!("{method}: decoders disagree: {new:?} vs {old:?}"),
+            }
+        }
+        assert!(
+            Response::decode(
+                &Response {
+                    id: 1,
+                    body: Ok(Payload::Verify(verify_report(f64::NAN))),
+                }
+                .encode()
+            )
+            .is_err(),
+            "NaN renders as null, which is not a fidelity"
+        );
     }
 
     #[test]

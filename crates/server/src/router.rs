@@ -301,7 +301,7 @@ impl RouterHandler {
                         format!(
                             "shard {} answered without group {}",
                             self.owner_of(target.n_qubits),
-                            crate::protocol::hex_encode(target.key.as_bytes())
+                            accqoc::json::hex_encode(target.key.as_bytes())
                         ),
                     ))
                 }

@@ -46,14 +46,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
+use accqoc::json::hex_encode;
 use accqoc::{CachedPulse, PrecompileOrder, PulseCache, Session};
 use accqoc_circuit::{parse_qasm, UnitaryKey};
 
 use crate::http::{self, Format, HttpParse};
 use crate::inflight::InflightGroups;
 use crate::protocol::{
-    hex_encode, Call, ErrorCode, LibraryEntryInfo, LibraryPage, Payload, PrecompileSummary,
-    Request, Response, ServerCounters, StatsSnapshot,
+    Call, ErrorCode, LibraryEntryInfo, LibraryPage, Payload, PrecompileSummary, Request, Response,
+    ServerCounters, StatsSnapshot,
 };
 use crate::queue::{BoundedQueue, EnqueueError};
 

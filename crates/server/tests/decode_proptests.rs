@@ -1,0 +1,122 @@
+//! Never-panic properties for the daemon's decoders: arbitrary text —
+//! multi-byte characters, control bytes, JSON punctuation — and near-miss
+//! frames that embed it into otherwise valid requests must decode to
+//! `Ok` or a typed error, never a panic. Every decoder here runs on the
+//! event-loop thread, where a panic takes the whole daemon down.
+
+use accqoc::json;
+use accqoc_server::http::{self, HttpParse};
+use accqoc_server::protocol::{Request, Response};
+use accqoc_server::ErrorCode;
+use proptest::prelude::*;
+
+/// Characters the generator draws from: JSON punctuation and escapes,
+/// hex digits, whitespace and control bytes, and 2-, 3- and 4-byte
+/// UTF-8 characters.
+const ALPHABET: &[char] = &[
+    '{', '}', '[', ']', '"', ':', ',', '\\', '/', 'u', 'n', 't', 'r', 'e', 'f', 'l', 's', 'a', 'b',
+    'c', 'd', '0', '1', '9', '-', '+', '.', 'E', ' ', '\n', '\r', '\t', '\u{0}', '\u{1f}',
+    '\u{7f}', 'é', 'ü', 'ß', '日', '本', '€', '\u{fffd}', '🦀', '𝄞',
+];
+
+fn text(max_len: usize) -> impl Strategy<Value = String> {
+    collection::vec(0..ALPHABET.len(), 0..max_len)
+        .prop_map(|idx| idx.into_iter().map(|i| ALPHABET[i]).collect())
+}
+
+/// `text`, wrapped so it sits in a JSON string slot: half the time
+/// verbatim (possibly breaking the frame), half the time escaped the way
+/// a well-behaved client would.
+fn slot(max_len: usize) -> impl Strategy<Value = String> {
+    (text(max_len), 0u8..2).prop_map(|(s, escape)| {
+        if escape == 1 {
+            let quoted = json::JsonValue::String(s).to_compact();
+            quoted[1..quoted.len() - 1].to_string()
+        } else {
+            s
+        }
+    })
+}
+
+fn typed_request_error(line: &str) -> Result<(), String> {
+    match Request::decode(line) {
+        Ok(_) => Ok(()),
+        Err(e) => match e.error.code {
+            ErrorCode::MalformedJson | ErrorCode::BadParams | ErrorCode::UnknownMethod => Ok(()),
+            other => Err(format!(
+                "unexpected decode error class {other:?} for {line:?}"
+            )),
+        },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn json_parse_never_panics(s in text(64)) {
+        let _ = json::parse(&s);
+    }
+
+    #[test]
+    fn request_decode_never_panics(s in text(64), key in slot(12), method in 0usize..4) {
+        typed_request_error(&s)?;
+        let method = ["pulses", "serve_program", "library", "precompile"][method];
+        let frames = [
+            format!(r#"{{"method":"pulses","params":{{"keys":["{key}"]}}}}"#),
+            format!(r#"{{"id":1,"method":"{method}","params":{{"keys":["00","{key}"],"qasm":"{key}","programs":["{key}"],"only_qubits":[{key}]}}}}"#),
+            format!(r#"{{"id":{key},"method":"{key}"}}"#),
+            format!(r#"{{"id":2,"method":"library","params":{{"limit":{key},"offset":"{key}"}}}}"#),
+        ];
+        for frame in &frames {
+            typed_request_error(frame)?;
+        }
+    }
+
+    #[test]
+    fn response_decode_never_panics(s in text(64), key in slot(12), ok in 0u8..2) {
+        let _ = Response::decode(&s);
+        let ok = ["false", "true"][usize::from(ok)];
+        let frames = [
+            format!(r#"{{"id":1,"ok":true,"method":"pulses","result":{{"pulses":{{"entries":[]}},"missing":["{key}"]}}}}"#),
+            format!(r#"{{"id":1,"ok":true,"method":"pulses","result":{{"pulses":{{"entries":[{{"key":"{key}","latency_ns":1,"iterations":1,"n_qubits":1,"pulse":{{"dt_ns":1,"amps":[[0]]}}}}]}},"missing":[]}}}}"#),
+            format!(r#"{{"id":1,"ok":true,"method":"serve_program","result":{{"report":{{}},"missing":["{key}"]}}}}"#),
+            format!(r#"{{"id":1,"ok":true,"method":"verify_program","result":{{"groups":[{{"key":"{key}"}}],"passed":true}}}}"#),
+            format!(r#"{{"id":1,"ok":{ok},"method":"{key}","error":{{"code":"{key}","message":"{key}"}},"result":{{}}}}"#),
+        ];
+        for frame in &frames {
+            let _ = Response::decode(frame);
+        }
+    }
+
+    #[test]
+    fn http_parse_and_route_never_panic(s in text(48), key in slot(12)) {
+        let bodies = [
+            format!(r#"{{"keys":["{key}"]}}"#),
+            format!(r#"{{"qasm":"{key}","return_pulses":true}}"#),
+            format!(r#"{{"programs":["{key}"],"only_qubits":[{key}]}}"#),
+            s.clone(),
+        ];
+        let mut requests = vec![
+            format!("GET /library?limit={s}&offset={key} HTTP/1.1\r\nHost: {s}\r\n\r\n"),
+            format!("GET /{s} HTTP/1.1\r\n\r\n"),
+            s.clone(),
+        ];
+        for route in ["/pulses", "/serve", "/precompile", "/verify"] {
+            for body in &bodies {
+                requests.push(format!(
+                    "POST {route} HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+                    body.len()
+                ));
+            }
+        }
+        for request in &requests {
+            if let HttpParse::Request(parsed, consumed) =
+                http::parse_request(request.as_bytes(), 8 << 10, 64 << 10)
+            {
+                prop_assert!(consumed <= request.len());
+                let _ = http::route(&parsed);
+            }
+        }
+    }
+}

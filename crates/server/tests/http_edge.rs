@@ -377,3 +377,37 @@ fn library_pagination_pages_the_whole_library_without_overlap() {
     client.shutdown().expect("shutdown");
     handle.join().expect("server thread").expect("clean run");
 }
+
+#[test]
+fn non_ascii_pulse_keys_get_400_bad_params_and_the_connection_survives() {
+    let (addr, handle) = boot(ServerConfig::default());
+
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    // `aé0` is 4 bytes: even length, but `é` straddles a byte pair.
+    for key in ["aé0", "éé", "zz"] {
+        let body = format!("{{\"keys\": [\"{key}\"]}}");
+        let request = format!(
+            "POST /pulses HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        stream.write_all(request.as_bytes()).expect("write");
+        let (status, _, response) = read_response(&mut reader);
+        assert_eq!(status, 400, "{key}: {response}");
+        assert!(response.contains("\"bad_params\""), "{key}: {response}");
+    }
+
+    // Same connection, well-formed key: answered (as missing).
+    let body = "{\"keys\": [\"00ff\"]}";
+    let request = format!(
+        "POST /pulses HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    stream.write_all(request.as_bytes()).expect("write");
+    let (status, _, response) = read_response(&mut reader);
+    assert_eq!(status, 200, "{response}");
+    assert!(response.contains("\"missing\": [\"00ff\"]"), "{response}");
+
+    shutdown_over_http(addr);
+    handle.join().expect("server thread").expect("clean run");
+}

@@ -321,3 +321,31 @@ fn full_admission_queue_rejects_with_busy() {
     let counters = handle.join().expect("server thread").expect("clean run");
     assert!(counters.requests_rejected_busy >= 1);
 }
+
+#[test]
+fn non_ascii_pulse_keys_get_bad_params_and_daemon_keeps_serving() {
+    let (addr, handle) = boot(ServerConfig::default());
+
+    // `aé0` is 4 bytes: even length, but `é` straddles the second byte
+    // pair. Decoded on the event-loop thread, so a panic here would take
+    // the whole daemon down instead of answering.
+    for key in ["aé0", "éé", "0é", "zz"] {
+        let line = format!(r#"{{"id": 7, "method": "pulses", "params": {{"keys": ["{key}"]}}}}"#);
+        let response = raw_request(addr, &line);
+        assert_error_code(&response, "bad_params");
+        assert!(response.contains("\"id\": 7"), "{response}");
+    }
+
+    // A well-formed key on the same daemon still answers (as missing).
+    let response = raw_request(
+        addr,
+        r#"{"id": 8, "method": "pulses", "params": {"keys": ["00ff"]}}"#,
+    );
+    assert!(response.contains("\"ok\": true"), "{response}");
+    assert!(response.contains("\"missing\": [\"00ff\"]"), "{response}");
+
+    let mut client = Client::connect(addr).expect("daemon is still up");
+    assert!(client.stats().is_ok());
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server thread").expect("clean run");
+}
