@@ -41,6 +41,13 @@ pub enum Error {
     /// A group over zero qubits was submitted (no control model exists
     /// for it, and no pulse could realize it).
     EmptyGroup,
+    /// A caller-supplied target is not a finite `2^n × 2^n` unitary.
+    InvalidTarget {
+        /// Arity the target was submitted for.
+        n_qubits: usize,
+        /// What was wrong with it.
+        message: String,
+    },
     /// A required [`crate::SessionBuilder`] field was never set.
     Builder {
         /// Name of the missing field.
@@ -98,6 +105,9 @@ impl fmt::Display for Error {
                 write!(f, "group has {n_qubits} qubits but models stop at {max}")
             }
             Self::EmptyGroup => write!(f, "group spans zero qubits"),
+            Self::InvalidTarget { n_qubits, message } => {
+                write!(f, "the {n_qubits}-qubit target {message}")
+            }
             Self::Builder { field } => {
                 write!(f, "session builder is missing the required `{field}` field")
             }

@@ -13,12 +13,14 @@
 //!    minimizes the similarity distance between consecutive groups,
 //!    seeding each GRAPE run with its MST parent's pulse.
 //! 3. **Balanced parallel compilation** ([`partition_tree`],
-//!    [`compile_parallel_with`]) — split the MST into balanced connected
-//!    parts and compile them on a real [`std::thread::scope`] worker
-//!    pool, each worker with its own reusable GRAPE workspace, all
-//!    writing into a sharded [`ConcurrentPulseCache`]. The partition
-//!    plan is thread-count-invariant, so the persisted cache artifact is
-//!    byte-identical however many threads run it.
+//!    [`Session::precompile_parallel`]) — split the MST into balanced
+//!    connected parts and compile them on a real [`std::thread::scope`]
+//!    worker pool, each worker with its own reusable GRAPE workspace and
+//!    returning its pulses to the caller, which inserts them into the one
+//!    [`PulseLibrary`]. This is the same engine, at plan width 1 on one
+//!    thread, that runs [`Session::compile`] and [`Session::precompile`].
+//!    The partition plan is thread-count-invariant, so the persisted
+//!    cache artifact is byte-identical however many threads run it.
 //! 4. **Online serving** ([`PulseLibrary`],
 //!    [`Session::serve_program`]) — programs arriving *after* batch
 //!    precompile resolve each group against the live, fingerprint-indexed
@@ -60,7 +62,6 @@
 mod baselines;
 mod cache;
 mod compile;
-mod concurrent_cache;
 mod error;
 pub mod json;
 pub mod library;
@@ -78,24 +79,17 @@ mod verify;
 pub use baselines::{brute_force_qoc, BruteForceConfig, BruteForceResult};
 pub use cache::{CachedPulse, PulseCache};
 pub use compile::{warm_start_allowed, AccQocConfig};
-pub use concurrent_cache::{ConcurrentPulseCache, DEFAULT_CACHE_SHARDS};
 pub use error::{Error, Result};
 pub use library::{
-    batch_plan, serve_grouped_subset, LibraryStats, NearestPulse, PulseLibrary, ServeOptions,
-    ServeReport, ServedGroup, UnitaryFingerprint,
+    LibraryStats, NearestPulse, PulseLibrary, ServeOptions, ServeReport, ServedGroup,
+    UnitaryFingerprint,
 };
 pub use model::{ModelSet, MAX_MODEL_QUBITS};
 pub use mst::{mst_compile_order, scratch_order, CompileOrder, CompileStep, SimilarityGraph};
-pub use parallel::{
-    compile_parallel, compile_parallel_with, ParallelOptions, ParallelStats, WorkerTiming,
-    DEFAULT_PLAN_PARTS,
-};
+pub use parallel::{ParallelStats, WorkerTiming, DEFAULT_PLAN_PARTS};
 pub use partition::{partition_tree, TreePartition, WeightedTree};
 pub use persist::{PersistOptions, RecoveryReport, INDEX_FILE, SNAPSHOT_FILE, WAL_FILE};
-pub use precompile::{
-    collect_category, compile_programs_parallel, optimize_group, precompile, precompile_parallel,
-    precompile_parallel_with, precompile_subset, Category, PrecompileOrder, PrecompileReport,
-};
+pub use precompile::{collect_category, Category, PrecompileReport};
 pub use session::{
     CompileReport, CoverageStats, DecomposeReport, GroupCompilation, GroupReport, GroupTarget,
     LatencyReport, LookupReport, MapReport, ProgramCompilation, Session, SessionBuilder,
@@ -124,9 +118,8 @@ pub mod prelude {
     // binaries routinely return `Result<(), Box<dyn Error>>`, and a
     // glob-imported alias would shadow `std::result::Result`.
     pub use crate::{
-        CoverageStats, Error, LibraryStats, ModelSet, PrecompileOrder, ProgramCompilation,
-        PulseCache, ServeOptions, ServeReport, Session, SessionBuilder, SimilarityFn,
-        VerifyOptions, VerifyReport,
+        CoverageStats, Error, LibraryStats, ModelSet, ProgramCompilation, PulseCache, ServeOptions,
+        ServeReport, Session, SessionBuilder, SimilarityFn, VerifyOptions, VerifyReport,
     };
     pub use accqoc_circuit::{Circuit, Gate};
     pub use accqoc_grape::{GrapeOptions, LatencySearch};

@@ -8,19 +8,18 @@
 //! exactly the serve-heavy regime the ROADMAP targets. [`PulseLibrary`]
 //! unifies them:
 //!
-//! - **storage** — the sharded [`ConcurrentPulseCache`] keeps the pulses;
-//!   the library adds per-entry recency metadata and an optional capacity
-//!   bound with deterministic least-recently-used eviction;
+//! - **storage** — one [`PulseCache`] keeps the pulses, under the same
+//!   mutex as the per-entry recency metadata and the fingerprint index,
+//!   with an optional capacity bound and deterministic
+//!   least-recently-used eviction;
 //! - **retrieval** — every entry inserted with its canonical unitary is
 //!   fingerprinted ([`UnitaryFingerprint`]) into a bucketed index, so a
 //!   cache miss finds warm-start candidates in sublinear time and only
 //!   the top-k short list is re-scored with the exact [`SimilarityFn`];
-//! - **planning** — [`batch_plan`] is the one place the similarity graph
-//!   and MST compile order are built; the batch drivers
-//!   ([`Session::precompile`](crate::Session::precompile) and friends)
-//!   and the staged [`Session::compile`](crate::Session::compile) all
-//!   call it, so batch artifacts stay byte-identical to the
-//!   pre-refactor engine;
+//! - **batch writes** — the batch engine behind
+//!   [`Session::compile`](crate::Session::compile) and
+//!   [`Session::precompile`](crate::Session::precompile) compiles a whole
+//!   batch first and then inserts its entries here, in compile order;
 //! - **serving** — [`Session::serve_program`](crate::Session::serve_program)
 //!   drives the library online: hits are free, misses warm-start GRAPE
 //!   from the nearest cached neighbor and insert the result back, and
@@ -38,30 +37,13 @@ use accqoc_grape::Pulse;
 use accqoc_linalg::Mat;
 
 use crate::cache::{CachedPulse, PulseCache};
-use crate::concurrent_cache::ConcurrentPulseCache;
-use crate::mst::{mst_compile_order, CompileOrder, SimilarityGraph};
 use crate::persist::{Event, Journal};
 use crate::similarity::{SimilarityFn, SimilarityScratch};
 
 pub use fingerprint::UnitaryFingerprint;
-pub use serve::{serve_grouped_subset, ServeOptions, ServeReport, ServedGroup};
+pub use serve::{ServeOptions, ServeReport, ServedGroup};
 
 use fingerprint::FingerprintIndex;
-
-/// Builds the similarity graph over a batch of group unitaries and the
-/// MST-ordered compile sequence in one step — the single planning
-/// entry point shared by batch pre-compilation, the staged
-/// [`Session::compile`](crate::Session::compile), and the parallel batch
-/// drivers. One [`SimilarityScratch`] is threaded through the whole
-/// O(n²) build.
-pub fn batch_plan(
-    unitaries: Vec<Mat>,
-    similarity: SimilarityFn,
-) -> (SimilarityGraph, CompileOrder) {
-    let graph = SimilarityGraph::build(unitaries, similarity);
-    let order = mst_compile_order(&graph);
-    (graph, order)
-}
 
 /// Point-in-time counters of the library's serving behavior.
 ///
@@ -198,10 +180,11 @@ struct StatsCells {
     evictions: AtomicU64,
 }
 
-/// Index-side state kept under one mutex: the fingerprint index plus the
-/// recency metadata that drives eviction.
+/// Everything the library stores, under one mutex: the pulses, the
+/// fingerprint index, and the recency metadata that drives eviction.
 #[derive(Debug, Default)]
 struct LibraryState {
+    pulses: PulseCache,
     index: FingerprintIndex,
     /// Last-use stamp per stored key (indexed or not).
     recency: HashMap<UnitaryKey, u64>,
@@ -226,10 +209,12 @@ pub struct NearestPulse {
 /// The incremental pulse library: bounded, fingerprint-indexed storage
 /// for compiled group pulses, shared by the batch and online paths.
 ///
-/// Thread safety mirrors [`ConcurrentPulseCache`]: every method takes
-/// `&self`. Pulse reads take one shard read lock; index queries and
-/// recency updates serialize on one internal mutex (they are orders of
-/// magnitude cheaper than the GRAPE compiles they guard).
+/// Every method takes `&self`, and every read or write takes the one
+/// internal mutex, so a serving hit reads its entry and refreshes its
+/// recency under a single lock. Library operations are orders of
+/// magnitude cheaper than the GRAPE compiles they guard, and batch
+/// workers never touch the library: they hand their results back to the
+/// caller, which inserts them after the batch.
 ///
 /// # Capacity and eviction
 ///
@@ -241,7 +226,6 @@ pub struct NearestPulse {
 /// turns the library into a pure pass-through compiler.
 #[derive(Debug)]
 pub struct PulseLibrary {
-    pulses: ConcurrentPulseCache,
     state: Mutex<LibraryState>,
     capacity: Option<usize>,
     stats: StatsCells,
@@ -267,7 +251,6 @@ impl PulseLibrary {
     /// unbounded).
     pub fn with_capacity(capacity: Option<usize>) -> Self {
         Self {
-            pulses: ConcurrentPulseCache::new(),
             state: Mutex::new(LibraryState::default()),
             capacity,
             stats: StatsCells::default(),
@@ -297,19 +280,14 @@ impl PulseLibrary {
         self.capacity
     }
 
-    /// The underlying sharded pulse store.
-    pub fn pulses(&self) -> &ConcurrentPulseCache {
-        &self.pulses
-    }
-
     /// Number of stored entries.
     pub fn len(&self) -> usize {
-        self.pulses.len()
+        self.lock().pulses.len()
     }
 
     /// `true` when nothing is stored.
     pub fn is_empty(&self) -> bool {
-        self.pulses.is_empty()
+        self.lock().pulses.is_empty()
     }
 
     /// Number of fingerprint-indexed entries (≤ [`PulseLibrary::len`]:
@@ -320,17 +298,29 @@ impl PulseLibrary {
 
     /// `true` when the store covers `key`.
     pub fn contains(&self, key: &UnitaryKey) -> bool {
-        self.pulses.contains(key)
+        self.lock().pulses.contains(key)
     }
 
-    /// A copy of one entry, if covered. Does not touch recency — use
-    /// [`PulseLibrary::touch`] on the serving path.
+    /// A copy of one entry, if covered. Does not touch recency (the
+    /// serving path's hits do, under the same lock as the read).
     pub fn get(&self, key: &UnitaryKey) -> Option<CachedPulse> {
-        self.pulses.get(key)
+        self.lock().pulses.lookup(key).cloned()
     }
 
-    /// Refreshes `key`'s recency stamp (serving-path hits call this so
-    /// hot entries survive eviction).
+    /// A copy of one entry with its recency refreshed, under one lock:
+    /// the serving path's cache hit.
+    pub(crate) fn hit(&self, key: &UnitaryKey) -> Option<CachedPulse> {
+        let stamp = self.tick();
+        let mut state = self.lock();
+        let entry = state.pulses.lookup(key).cloned()?;
+        if let Some(slot) = state.recency.get_mut(key) {
+            *slot = stamp;
+        }
+        Some(entry)
+    }
+
+    /// Refreshes `key`'s recency stamp, so the entry survives the next
+    /// evictions (a no-op when `key` is not stored).
     pub fn touch(&self, key: &UnitaryKey) {
         let stamp = self.tick();
         let mut state = self.lock();
@@ -359,7 +349,7 @@ impl PulseLibrary {
             return;
         }
         let logged = self.journal.as_ref().map(|_| entry.clone());
-        self.pulses.insert(key.clone(), entry);
+        state.pulses.insert(key.clone(), entry);
         state.recency.insert(key.clone(), stamp);
         let evicted = self.evict_over_capacity(&mut state);
         if let Some(journal) = &self.journal {
@@ -386,7 +376,7 @@ impl PulseLibrary {
             return;
         }
         let logged = self.journal.as_ref().map(|_| entry.clone());
-        self.pulses.insert(key.clone(), entry);
+        state.pulses.insert(key.clone(), entry);
         state.index.insert(key.clone(), unitary, n_qubits);
         state.recency.insert(key.clone(), stamp);
         let evicted = self.evict_over_capacity(&mut state);
@@ -407,10 +397,10 @@ impl PulseLibrary {
     /// `key` is not stored). Batch drivers call this after a bulk merge,
     /// when the canonical unitaries are still at hand.
     pub fn index_unitary(&self, key: &UnitaryKey, unitary: &Mat, n_qubits: usize) {
-        if !self.pulses.contains(key) {
+        let mut state = self.lock();
+        if !state.pulses.contains(key) {
             return;
         }
-        let mut state = self.lock();
         state.index.insert(key.clone(), unitary, n_qubits);
         if let Some(journal) = &self.journal {
             journal.record(&Event::Index {
@@ -433,14 +423,14 @@ impl PulseLibrary {
     }
 
     /// Replaces the entire contents with `cache` in one step (index and
-    /// recency metadata are rebuilt un-indexed; concurrent readers of the
-    /// pulse store see the atomic [`ConcurrentPulseCache::replace`]).
+    /// recency metadata are rebuilt un-indexed; concurrent readers see
+    /// either the old contents or the new).
     pub fn replace(&self, cache: PulseCache) {
         let mut state = self.lock();
         state.index.clear();
         state.recency.clear();
         if self.capacity == Some(0) {
-            self.pulses.replace(PulseCache::new());
+            state.pulses = PulseCache::new();
             if let Some(journal) = &self.journal {
                 journal.record(&Event::Clear);
             }
@@ -458,7 +448,7 @@ impl PulseLibrary {
         for key in keys {
             state.recency.insert(key, stamp);
         }
-        self.pulses.replace(cache);
+        state.pulses = cache;
         let evicted = self.evict_over_capacity(&mut state);
         if let Some(journal) = &self.journal {
             journal.record(&Event::Replace {
@@ -476,16 +466,16 @@ impl PulseLibrary {
         let mut state = self.lock();
         state.index.clear();
         state.recency.clear();
-        self.pulses.clear();
+        state.pulses = PulseCache::new();
         if let Some(journal) = &self.journal {
             journal.record(&Event::Clear);
         }
     }
 
-    /// A plain, sorted-key snapshot of the stored pulses (see
-    /// [`ConcurrentPulseCache::snapshot`]).
+    /// A copy of the stored pulses (its JSON artifact is
+    /// byte-deterministic: [`PulseCache::to_json`] sorts by key).
     pub fn snapshot(&self) -> PulseCache {
-        self.pulses.snapshot()
+        self.lock().pulses.clone()
     }
 
     /// Evicts least-recently-used entries until the capacity bound
@@ -505,7 +495,7 @@ impl PulseLibrary {
             let Some(victim) = victim else { break };
             state.recency.remove(&victim);
             state.index.remove(&victim);
-            self.pulses.remove(&victim);
+            state.pulses.remove(&victim);
             self.stats.evictions.fetch_add(1, Ordering::Relaxed);
             evicted.push(victim);
         }
@@ -521,9 +511,8 @@ impl PulseLibrary {
         if !journal.due_for_snapshot() {
             return;
         }
-        let cache = self.pulses.snapshot();
         let unitaries = indexed_of(&state.index);
-        let _ = journal.snapshot(&cache, &unitaries);
+        let _ = journal.snapshot(&state.pulses, &unitaries);
     }
 
     /// Forces a durability snapshot: writes the artifact pair and
@@ -542,9 +531,8 @@ impl PulseLibrary {
         // mutation can append to the WAL between our snapshot copy and
         // the truncation (which would silently drop that record).
         let state = self.lock();
-        let cache = self.pulses.snapshot();
         let unitaries = indexed_of(&state.index);
-        let result = journal.snapshot(&cache, &unitaries);
+        let result = journal.snapshot(&state.pulses, &unitaries);
         drop(state);
         result.map_err(crate::error::Error::from)
     }
@@ -587,7 +575,12 @@ impl PulseLibrary {
         // Split the guard so the exact re-scoring borrows the index
         // entries and the scratch simultaneously — no per-candidate
         // unitary clones on the serving hot path.
-        let LibraryState { index, scratch, .. } = &mut *state;
+        let LibraryState {
+            pulses,
+            index,
+            scratch,
+            ..
+        } = &mut *state;
         let candidates = index.candidates(query, k);
         let mut best: Option<(UnitaryKey, f64)> = None;
         for (key, _) in candidates {
@@ -608,8 +601,7 @@ impl PulseLibrary {
         }
         let (key, distance) = best?;
         let neighbor = index.get(&key)?.unitary.clone();
-        drop(state);
-        let pulse = self.pulses.get(&key)?.pulse;
+        let pulse = pulses.lookup(&key)?.pulse.clone();
         Some(NearestPulse {
             key,
             distance,
@@ -680,20 +672,15 @@ impl Clone for PulseLibrary {
     /// would interleave inconsistently, so only the original session
     /// persists.
     fn clone(&self) -> Self {
-        // Pulses are cloned while the state lock is held so the copied
-        // recency/index metadata agrees with the copied pulse store even
-        // when other threads are serving concurrently (the lock-then-
-        // shard order matches every other multi-structure operation).
         let state = self.lock();
-        let pulses = self.pulses.clone();
         let cloned_state = LibraryState {
+            pulses: state.pulses.clone(),
             index: state.index.clone(),
             recency: state.recency.clone(),
             scratch: SimilarityScratch::new(),
         };
         drop(state);
         Self {
-            pulses,
             state: Mutex::new(cloned_state),
             capacity: self.capacity,
             stats: StatsCells::default(),

@@ -21,7 +21,7 @@
 //! working set; [`LibraryStats`](crate::LibraryStats) counts hits,
 //! misses, and the warm/scratch split.
 
-use accqoc_circuit::{Circuit, UnitaryKey};
+use accqoc_circuit::UnitaryKey;
 
 use crate::cache::CachedPulse;
 use crate::compile::warm_start_allowed;
@@ -273,74 +273,17 @@ impl ServeReport {
     }
 }
 
-/// Serves one program against the session's pulse library. See the
-/// module docs for the hit / warm-miss / scratch-miss resolution; this
-/// is the implementation behind [`Session::serve_program`].
+/// Serves the unique groups of a front-ended program whose width is in
+/// `only_qubits` (`None` = every group) against the session's pulse
+/// library: the implementation behind [`Session::serve_program`],
+/// [`Session::serve_grouped`] and [`Session::serve_grouped_subset`],
+/// whose docs state the contract. See the module docs for the hit /
+/// warm-miss / scratch-miss resolution.
 ///
 /// The program's latency is folded from the pulses resolved *during*
 /// this call, so a bounded library that evicts one of this program's own
 /// groups mid-serve still reports correct latencies.
-///
-/// # Errors
-///
-/// Propagates group-compilation failures ([`Error::CompileFailed`],
-/// [`Error::GroupTooWide`], [`Error::EmptyGroup`]).
-///
-/// [`Error::CompileFailed`]: crate::Error::CompileFailed
-/// [`Error::GroupTooWide`]: crate::Error::GroupTooWide
-/// [`Error::EmptyGroup`]: crate::Error::EmptyGroup
-pub fn serve_program(
-    session: &Session,
-    circuit: &Circuit,
-    options: &ServeOptions,
-) -> Result<ServeReport> {
-    serve_grouped(session, &session.front_end(circuit), options)
-}
-
-/// [`serve_program`] for callers that already ran the front end — the
-/// serving daemon runs it once to learn the group keys it must claim
-/// for in-flight coalescing, then serves from the same report instead
-/// of re-deriving decompose/map/group per request. This is the
-/// implementation behind [`Session::serve_grouped`].
-///
-/// # Errors
-///
-/// Same as [`serve_program`].
-///
-/// [`Session::serve_grouped`]: crate::Session::serve_grouped
-pub fn serve_grouped(
-    session: &Session,
-    grouped: &crate::session::GroupReport,
-    options: &ServeOptions,
-) -> Result<ServeReport> {
-    serve_grouped_subset(session, grouped, options, None)
-}
-
-/// [`serve_grouped`](crate::Session::serve_grouped) restricted to the
-/// unique groups whose width is in
-/// `only_qubits` — the shard-side entry point of the sharded serving
-/// tier. A worker that owns a subset of dimension classes serves *only*
-/// those groups, and because warm starts are strictly width-local (the
-/// fingerprint index never crosses a width boundary), the per-width
-/// serving state — hit/miss sequence, warm-start picks, hub rounds,
-/// compiled bytes — is identical to what a single process serving the
-/// whole program would produce. Summing the subset reports of a
-/// disjoint width partition therefore reconstructs the unsharded
-/// counters exactly.
-///
-/// Subset reports carry `overall_latency_ns` and
-/// `gate_based_latency_ns` of `0.0` (those are program-level numbers no
-/// single shard can see; the router folds the true overall latency from
-/// the merged per-group latencies), and their `coverage.total` counts
-/// only the owned instances, so coverage also sums exactly.
-///
-/// `only_qubits: None` serves everything — byte-identical to
-/// [`serve_grouped`](crate::Session::serve_grouped).
-///
-/// # Errors
-///
-/// Same as [`serve_program`](crate::Session::serve_program).
-pub fn serve_grouped_subset(
+pub(crate) fn serve_grouped_subset(
     session: &Session,
     grouped: &crate::session::GroupReport,
     options: &ServeOptions,
@@ -369,8 +312,7 @@ pub fn serve_grouped_subset(
         if !owned[i] {
             continue;
         }
-        if let Some(entry) = library.get(&target.key) {
-            library.touch(&target.key);
+        if let Some(entry) = library.hit(&target.key) {
             library.record_hit();
             per_unique[i] = entry.latency_ns;
             covered_unique[i] = true;
@@ -461,7 +403,7 @@ pub fn serve_grouped_subset(
         let i = missing.remove(pick);
         let target = &grouped.targets[i];
         let warm = pick_neighbor.as_ref();
-        let result = session.serve_compile(
+        let result = session.compile_anchored(
             &target.unitary,
             target.n_qubits,
             warm.map(|n| &n.pulse),
@@ -541,7 +483,7 @@ pub fn serve_grouped_subset(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use accqoc_circuit::{circuit_unitary, Gate};
+    use accqoc_circuit::{circuit_unitary, Circuit, Gate};
 
     fn sample_report() -> ServeReport {
         let key = |theta: f64| {

@@ -1,8 +1,11 @@
-//! Multi-threaded compilation over a balanced MST partition (paper §V-D).
+//! The batch compile engine (paper §V-C and §V-D): the one place a
+//! [`CompileOrder`] is compiled.
 //!
-//! The MST dependencies are "soft": a group can always be trained from
-//! scratch, so partitioning the tree into balanced connected parts lets
-//! independent workers compile concurrently. Each worker follows its
+//! The uncovered groups of a batch are ordered by the similarity MST,
+//! and each group's GRAPE run is warm-started from its tree parent's
+//! pulse. The MST dependencies are "soft": a group can always be trained
+//! from scratch, so partitioning the tree into balanced connected parts
+//! lets independent workers compile concurrently. Each worker follows its
 //! part's local MST sequence; edges cut by the partition degrade to
 //! scratch starts — exactly the trade the paper describes.
 //!
@@ -11,87 +14,41 @@
 //! The engine separates the **plan** from the **execution**:
 //!
 //! - The *plan* is the balanced partition of the weighted MST into
-//!   [`ParallelOptions::plan_parts`] connected parts, each with a local
+//!   connected parts (one per tree component at plan width 1, at least
+//!   [`DEFAULT_PLAN_PARTS`] on the parallel path), each with a local
 //!   compile sequence (global MST order restricted to the part, cut
 //!   parents degraded to scratch). The plan depends only on the inputs
-//!   and the part count — never on thread count or timing.
+//!   and the plan width — never on thread count or timing.
 //! - The *execution* runs the parts on a [`std::thread::scope`] worker
-//!   pool of [`ParallelOptions::threads`] OS threads. Parts are handed
-//!   out longest-processing-time-first from a shared atomic queue; each
-//!   worker owns a reusable GRAPE workspace and writes results into a
-//!   sharded [`ConcurrentPulseCache`], so workers never serialize on a
-//!   global cache lock.
+//!   pool. Parts are handed out longest-processing-time-first from a
+//!   shared atomic queue; each worker owns a pooled GRAPE workspace and
+//!   returns its compiled entries through `join`, so workers share no
+//!   pulse store at all.
 //!
-//! Because GRAPE is deterministic and the plan is thread-count-invariant,
-//! compiling with 1 thread and with 16 threads produces **byte-identical
-//! pulse-cache artifacts** (see [`ConcurrentPulseCache::snapshot`]); only
-//! the wall clock changes.
+//! Plan width 1 cuts no MST edge, so it walks the exact sequential
+//! warm-start chain; that is how [`Session::compile`] and
+//! [`Session::precompile`] run. [`Session::precompile_parallel`] runs the
+//! fixed default plan, so compiling with 1 thread and with 16 threads
+//! produces **byte-identical pulse-cache artifacts**; only the wall clock
+//! changes.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use accqoc_circuit::UnitaryKey;
-use accqoc_grape::Pulse;
-use accqoc_linalg::Mat;
-
-use crate::cache::{CachedPulse, PulseCache};
+use crate::cache::CachedPulse;
 use crate::compile::warm_start_allowed;
-use crate::concurrent_cache::ConcurrentPulseCache;
 use crate::error::{Error, Result};
-use crate::mst::CompileOrder;
+use crate::mst::{mst_compile_order, CompileOrder, SimilarityGraph};
 use crate::partition::{partition_tree, TreePartition, WeightedTree};
-use crate::session::Session;
+use crate::session::{GroupTarget, Session};
 
-/// Default plan width: how many connected parts the MST is split into
-/// when the caller does not pin one. Chosen above common core counts so
-/// the pool stays busy, while keeping the number of cut MST edges (and
-/// thus extra scratch starts) small.
+/// Plan width of [`Session::precompile_parallel`]: how many connected
+/// parts the MST is split into. Chosen above common core counts so the
+/// pool stays busy, while keeping the number of cut MST edges (and thus
+/// extra scratch starts) small. The plan — and therefore the compiled
+/// pulses — does not depend on the thread count.
 pub const DEFAULT_PLAN_PARTS: usize = 8;
-
-/// Configuration of a parallel compilation run.
-#[derive(Debug, Clone)]
-pub struct ParallelOptions {
-    /// OS threads in the worker pool (≥ 1). More threads than parts is
-    /// allowed; the surplus idles.
-    pub threads: usize,
-    /// Parts in the MST partition plan; `None` uses
-    /// [`DEFAULT_PLAN_PARTS`]. The plan — and therefore the compiled
-    /// pulses and the persisted cache artifact — depends on this value
-    /// but **not** on [`ParallelOptions::threads`]: change `plan_parts`
-    /// and the cut-edge set changes; change `threads` and only the wall
-    /// clock changes.
-    pub plan_parts: Option<usize>,
-}
-
-impl ParallelOptions {
-    /// A plan-stable configuration for `threads` workers: the default
-    /// plan width with the given pool size.
-    pub fn threads(threads: usize) -> Self {
-        Self {
-            threads,
-            plan_parts: None,
-        }
-    }
-
-    /// Pins the plan width (the paper's §V-D modeling uses one part per
-    /// worker: `ParallelOptions::threads(k).with_plan_parts(k)`).
-    pub fn with_plan_parts(mut self, parts: usize) -> Self {
-        self.plan_parts = Some(parts);
-        self
-    }
-}
-
-impl Default for ParallelOptions {
-    fn default() -> Self {
-        Self {
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
-            plan_parts: None,
-        }
-    }
-}
 
 /// Wall-clock accounting for one pool worker.
 #[derive(Debug, Clone)]
@@ -140,26 +97,6 @@ pub struct ParallelStats {
 }
 
 impl ParallelStats {
-    /// Wall-clock speedup proxy: the busiest worker's share of the total
-    /// busy time (`Σ worker wall / max worker wall`). 1.0 when a single
-    /// worker did everything.
-    pub fn worker_parallelism(&self) -> f64 {
-        let max = self
-            .worker_timings
-            .iter()
-            .map(|t| t.wall.as_secs_f64())
-            .fold(0.0, f64::max);
-        if max == 0.0 {
-            return 1.0;
-        }
-        let sum: f64 = self
-            .worker_timings
-            .iter()
-            .map(|t| t.wall.as_secs_f64())
-            .sum();
-        sum / max
-    }
-
     fn empty() -> Self {
         Self {
             iterations_per_part: vec![],
@@ -205,81 +142,56 @@ fn build_plans(order: &CompileOrder, parts: &[Vec<usize>]) -> (Vec<PartPlan>, us
     (plans, cut_edges)
 }
 
-/// Compiles the groups of a compile order with `n_workers` parallel
-/// workers over a balanced partition of the MST, one plan part per
-/// worker — the paper's §V-D setup. Results land in a fresh
-/// [`PulseCache`]; pass `keys` aligned with `unitaries`.
-///
-/// Because the plan width here *equals* the worker count, the compiled
-/// pulses depend on `n_workers` (more workers ⇒ more cut edges). Use
-/// [`compile_parallel_with`] with a fixed
-/// [`ParallelOptions::plan_parts`] when the artifact must be identical
-/// across thread counts — that is what [`Session::precompile_parallel`]
-/// does.
-///
-/// # Errors
-///
-/// [`Error::InvalidConfig`] when `n_workers == 0` or input lengths
-/// disagree; otherwise propagates the first compilation failure (other
-/// workers' completed work is discarded).
-pub fn compile_parallel(
-    session: &Session,
-    order: &CompileOrder,
-    unitaries: &[(Mat, usize)],
-    keys: &[UnitaryKey],
-    n_workers: usize,
-) -> Result<(PulseCache, ParallelStats)> {
-    if n_workers == 0 {
-        return Err(Error::InvalidConfig {
-            message: "need at least one worker".into(),
-        });
-    }
-    compile_parallel_with(
-        session,
-        order,
-        unitaries,
-        keys,
-        &ParallelOptions::threads(n_workers).with_plan_parts(n_workers),
-    )
+/// What [`compile_batch`] produced.
+#[derive(Debug)]
+pub(crate) struct Batch {
+    /// `(target index, compiled entry)` for every target, in
+    /// `order.steps` order.
+    pub(crate) entries: Vec<(usize, CachedPulse)>,
+    /// The similarity-MST compile order over the targets.
+    pub(crate) order: CompileOrder,
+    /// Plan and wall-clock accounting.
+    pub(crate) stats: ParallelStats,
 }
 
-/// Compiles the groups of a compile order on a worker pool over a
-/// balanced MST partition (see the module-level docs for the
-/// plan/execution split). Results land in a fresh [`PulseCache`]; pass
-/// `keys` aligned with `unitaries`.
+/// Compiles `targets` in similarity-MST order with warm starts, over a
+/// balanced partition of the MST into `plan_width` connected parts (at
+/// least one per tree component) run on a pool of `threads` workers
+/// (see the module docs for the plan/execution split). Nothing is
+/// written to the session library: the caller inserts the returned
+/// entries.
 ///
 /// # Errors
 ///
-/// [`Error::InvalidConfig`] when `options.threads == 0` or input lengths
-/// disagree; otherwise propagates the first compilation failure (other
-/// workers' completed work is discarded).
-pub fn compile_parallel_with(
+/// [`Error::InvalidConfig`] when `threads == 0`; otherwise the first
+/// compilation failure (the other workers' completed work is discarded).
+pub(crate) fn compile_batch(
     session: &Session,
-    order: &CompileOrder,
-    unitaries: &[(Mat, usize)],
-    keys: &[UnitaryKey],
-    options: &ParallelOptions,
-) -> Result<(PulseCache, ParallelStats)> {
-    if options.threads == 0 {
+    targets: &[GroupTarget],
+    plan_width: usize,
+    threads: usize,
+) -> Result<Batch> {
+    if threads == 0 {
         return Err(Error::InvalidConfig {
             message: "need at least one worker thread".into(),
         });
     }
-    if unitaries.len() != keys.len() {
-        return Err(Error::InvalidConfig {
-            message: format!("{} unitaries but {} keys", unitaries.len(), keys.len()),
+    let n = targets.len();
+    let order = mst_compile_order(&SimilarityGraph::build(
+        targets.iter().map(|t| t.unitary.clone()).collect(),
+        session.config().similarity,
+    ));
+    if n == 0 {
+        return Ok(Batch {
+            entries: vec![],
+            order,
+            stats: ParallelStats::empty(),
         });
     }
-    let n = unitaries.len();
-    if n == 0 {
-        return Ok((PulseCache::new(), ParallelStats::empty()));
-    }
 
-    let tree = WeightedTree::from_order(order, n);
-    let plan_parts = options.plan_parts.unwrap_or(DEFAULT_PLAN_PARTS).max(1);
-    let partition = partition_tree(&tree, plan_parts);
-    let parts = partition.parts();
-    let (plans, cut_edges) = build_plans(order, &parts);
+    let tree = WeightedTree::from_order(&order, n);
+    let partition = partition_tree(&tree, plan_width);
+    let (plans, cut_edges) = build_plans(&order, &partition.parts());
 
     // Longest-processing-time-first queue order (by estimated part
     // weight, deterministic index tie-break) so the heaviest part starts
@@ -289,67 +201,62 @@ pub fn compile_parallel_with(
     queue.sort_by(|&a, &b| loads[b].total_cmp(&loads[a]).then(a.cmp(&b)));
 
     struct PartOutcome {
+        part: usize,
         iterations: usize,
-        groups: usize,
+        entries: HashMap<usize, CachedPulse>,
     }
-    type WorkerResult = Result<(Vec<(usize, PartOutcome)>, Duration)>;
+    type WorkerResult = Result<(Vec<PartOutcome>, Duration)>;
 
     let next = AtomicUsize::new(0);
-    let shared = ConcurrentPulseCache::new();
-    let pool_size = options.threads.min(plans.len());
     let t0 = Instant::now();
     let worker_results: Vec<WorkerResult> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..pool_size)
+        let handles: Vec<_> = (0..threads.min(plans.len()))
             .map(|_| {
-                let next = &next;
-                let queue = &queue;
-                let plans = &plans;
-                let shared = &shared;
+                let (next, queue, plans) = (&next, &queue, &plans);
                 scope.spawn(move || -> WorkerResult {
                     // One pooled workspace per worker for the whole
                     // drain; returned warm for the next batch.
                     let mut ws = session.lease_workspace();
-                    let mut done: Vec<(usize, PartOutcome)> = Vec::new();
+                    let mut done = Vec::new();
                     let started = Instant::now();
-                    loop {
-                        let slot = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&part_idx) = queue.get(slot) else {
-                            break;
-                        };
-                        let mut pulses: HashMap<usize, Pulse> = HashMap::new();
+                    while let Some(&part) = queue.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let mut entries: HashMap<usize, CachedPulse> = HashMap::new();
                         let mut iterations = 0usize;
-                        for &(vertex, parent) in &plans[part_idx] {
-                            let (target, n_qubits) = &unitaries[vertex];
+                        for &(vertex, parent) in &plans[part] {
+                            let target = &targets[vertex];
                             let warm = parent
                                 .filter(|&p| {
                                     warm_start_allowed(
-                                        &unitaries[p].0,
-                                        target,
+                                        &targets[p].unitary,
+                                        &target.unitary,
                                         session.config().warm_threshold,
                                     )
                                 })
-                                .and_then(|p| pulses.get(&p));
-                            let r =
-                                session.compile_unitary_with(target, *n_qubits, warm, &mut ws)?;
+                                .and_then(|p| entries.get(&p))
+                                .map(|e| &e.pulse);
+                            let r = session.compile_anchored(
+                                &target.unitary,
+                                target.n_qubits,
+                                warm,
+                                0.0,
+                                &mut ws,
+                            )?;
                             iterations += r.total_iterations;
-                            shared.insert(
-                                keys[vertex].clone(),
+                            entries.insert(
+                                vertex,
                                 CachedPulse {
-                                    pulse: r.outcome.pulse.clone(),
+                                    pulse: r.outcome.pulse,
                                     latency_ns: r.latency_ns,
                                     iterations: r.total_iterations,
-                                    n_qubits: *n_qubits,
+                                    n_qubits: target.n_qubits,
                                 },
                             );
-                            pulses.insert(vertex, r.outcome.pulse);
                         }
-                        done.push((
-                            part_idx,
-                            PartOutcome {
-                                iterations,
-                                groups: plans[part_idx].len(),
-                            },
-                        ));
+                        done.push(PartOutcome {
+                            part,
+                            iterations,
+                            entries,
+                        });
                     }
                     Ok((done, started.elapsed()))
                 })
@@ -362,33 +269,44 @@ pub fn compile_parallel_with(
     });
     let wall = t0.elapsed();
 
+    let mut compiled: HashMap<usize, CachedPulse> = HashMap::with_capacity(n);
     let mut iterations_per_part = vec![0usize; plans.len()];
     let mut worker_timings = Vec::new();
     for (worker, result) in worker_results.into_iter().enumerate() {
         let (done, busy) = result?;
-        let mut groups = 0usize;
-        let mut iterations = 0usize;
-        for (part_idx, outcome) in &done {
-            iterations_per_part[*part_idx] = outcome.iterations;
-            groups += outcome.groups;
-            iterations += outcome.iterations;
+        let mut timing = WorkerTiming {
+            worker,
+            parts: done.len(),
+            groups: 0,
+            iterations: 0,
+            wall: busy,
+        };
+        for outcome in done {
+            iterations_per_part[outcome.part] = outcome.iterations;
+            timing.groups += outcome.entries.len();
+            timing.iterations += outcome.iterations;
+            compiled.extend(outcome.entries);
         }
-        if !done.is_empty() {
-            worker_timings.push(WorkerTiming {
-                worker,
-                parts: done.len(),
-                groups,
-                iterations,
-                wall: busy,
-            });
+        if timing.parts > 0 {
+            worker_timings.push(timing);
         }
     }
+    let entries = order
+        .steps
+        .iter()
+        .map(|step| {
+            let entry = compiled
+                .remove(&step.vertex)
+                .expect("every plan part compiled every vertex it holds");
+            (step.vertex, entry)
+        })
+        .collect();
     let total_iterations = iterations_per_part.iter().sum();
     let makespan_iterations = iterations_per_part.iter().copied().max().unwrap_or(0);
-
-    Ok((
-        shared.snapshot(),
-        ParallelStats {
+    Ok(Batch {
+        entries,
+        order,
+        stats: ParallelStats {
             iterations_per_part,
             total_iterations,
             makespan_iterations,
@@ -397,18 +315,16 @@ pub fn compile_parallel_with(
             worker_timings,
             wall,
         },
-    ))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mst::{mst_compile_order, SimilarityGraph};
-    use crate::similarity::SimilarityFn;
-    use accqoc_circuit::{circuit_unitary, Circuit, Gate};
+    use accqoc_circuit::{circuit_unitary, Circuit, Gate, UnitaryKey};
     use accqoc_hw::Topology;
 
-    fn setup() -> (Session, Vec<(Mat, usize)>, Vec<UnitaryKey>, CompileOrder) {
+    fn setup() -> (Session, Vec<GroupTarget>) {
         let mut grape = accqoc_grape::GrapeOptions::default();
         grape.stop.max_iters = 200;
         let session = Session::builder()
@@ -416,62 +332,50 @@ mod tests {
             .grape(grape)
             .build()
             .unwrap();
-        let unitaries: Vec<(Mat, usize)> = (1..=5)
+        let targets = (1..=5)
             .map(|k| {
-                let u = circuit_unitary(&Circuit::from_gates(
+                let unitary = circuit_unitary(&Circuit::from_gates(
                     1,
                     [Gate::Rz(0, 0.3 * k as f64), Gate::H(0)],
                 ));
-                (u, 1)
+                GroupTarget {
+                    key: UnitaryKey::canonical(&unitary, 1),
+                    unitary,
+                    n_qubits: 1,
+                }
             })
             .collect();
-        let keys: Vec<UnitaryKey> = unitaries
-            .iter()
-            .map(|(u, n)| UnitaryKey::canonical(u, *n))
-            .collect();
-        let graph = SimilarityGraph::build(
-            unitaries.iter().map(|(u, _)| u.clone()).collect(),
-            SimilarityFn::Frobenius,
-        );
-        let order = mst_compile_order(&graph);
-        (session, unitaries, keys, order)
+        (session, targets)
     }
 
     #[test]
-    fn parallel_compilation_fills_cache() {
-        let (session, unitaries, keys, order) = setup();
-        let (cache, stats) = compile_parallel(&session, &order, &unitaries, &keys, 2).unwrap();
-        assert_eq!(cache.len(), 5);
+    fn batch_compiles_every_target_in_order_steps_order() {
+        let (session, targets) = setup();
+        let batch = compile_batch(&session, &targets, 2, 2).unwrap();
+        let vertices: Vec<usize> = batch.entries.iter().map(|(v, _)| *v).collect();
+        let steps: Vec<usize> = batch.order.steps.iter().map(|s| s.vertex).collect();
+        assert_eq!(vertices, steps);
+        let stats = &batch.stats;
         assert_eq!(stats.iterations_per_part.len(), stats.partition.n_parts);
         assert!(stats.total_iterations > 0);
         assert!(stats.makespan_iterations <= stats.total_iterations);
         assert!(stats.wall > Duration::ZERO);
-        assert!(!stats.worker_timings.is_empty());
         let timed_groups: usize = stats.worker_timings.iter().map(|t| t.groups).sum();
         assert_eq!(timed_groups, 5);
-        for key in &keys {
-            assert!(cache.contains(key));
-        }
+        let billed: usize = batch.entries.iter().map(|(_, e)| e.iterations).sum();
+        assert_eq!(billed, stats.total_iterations);
     }
 
     #[test]
-    fn single_worker_equals_sequential_iteration_count() {
-        let (session, unitaries, keys, order) = setup();
-        let (_, one) = compile_parallel(&session, &order, &unitaries, &keys, 1).unwrap();
-        assert_eq!(one.partition.n_parts, 1);
+    fn plan_width_one_cuts_nothing_and_more_parts_reduce_makespan() {
+        let (session, targets) = setup();
+        let one = compile_batch(&session, &targets, 1, 1).unwrap().stats;
         assert_eq!(one.cut_edges, 0);
-        assert_eq!(one.makespan_iterations, one.total_iterations);
         assert_eq!(one.worker_timings.len(), 1);
-    }
-
-    #[test]
-    fn more_workers_reduce_makespan() {
-        let (session, unitaries, keys, order) = setup();
-        let (_, one) = compile_parallel(&session, &order, &unitaries, &keys, 1).unwrap();
-        let (_, three) = compile_parallel(&session, &order, &unitaries, &keys, 3).unwrap();
+        let three = compile_batch(&session, &targets, 3, 3).unwrap().stats;
         assert!(
             three.makespan_iterations <= one.makespan_iterations,
-            "3 workers {} vs 1 worker {}",
+            "3 parts {} vs 1 part {}",
             three.makespan_iterations,
             one.makespan_iterations
         );
@@ -479,58 +383,22 @@ mod tests {
 
     #[test]
     fn fixed_plan_is_thread_count_invariant() {
-        let (session, unitaries, keys, order) = setup();
-        let run = |threads: usize| {
-            let opts = ParallelOptions::threads(threads).with_plan_parts(3);
-            let (cache, stats) =
-                compile_parallel_with(&session, &order, &unitaries, &keys, &opts).unwrap();
-            (cache.to_json(), stats)
-        };
-        let (json1, stats1) = run(1);
-        let (json4, stats4) = run(4);
-        assert_eq!(json1, json4, "artifact must not depend on thread count");
-        assert_eq!(stats1.cut_edges, stats4.cut_edges);
-        assert_eq!(stats1.iterations_per_part, stats4.iterations_per_part);
+        let (session, targets) = setup();
+        let run = |threads: usize| compile_batch(&session, &targets, 3, threads).unwrap();
+        let (b1, b4) = (run(1), run(4));
+        assert_eq!(b1.entries, b4.entries, "entries must not depend on threads");
+        assert_eq!(b1.stats.cut_edges, b4.stats.cut_edges);
+        assert_eq!(b1.stats.iterations_per_part, b4.stats.iterations_per_part);
     }
 
     #[test]
-    fn total_iterations_bound_makespan() {
-        // The documented ParallelStats invariant: the makespan is the max
-        // of the per-part loads whose sum is the total, with cut MST
-        // edges degrading to scratch starts (never negative work).
-        let (session, unitaries, keys, order) = setup();
-        for workers in [1, 2, 4] {
-            let (_, stats) =
-                compile_parallel(&session, &order, &unitaries, &keys, workers).unwrap();
-            assert!(
-                stats.total_iterations >= stats.makespan_iterations,
-                "workers {workers}: total {} < makespan {}",
-                stats.total_iterations,
-                stats.makespan_iterations
-            );
-        }
-    }
-
-    #[test]
-    fn empty_input_is_fine() {
-        let (session, _, _, _) = setup();
-        let order = CompileOrder { steps: vec![] };
-        let (cache, stats) = compile_parallel(&session, &order, &[], &[], 4).unwrap();
-        assert!(cache.is_empty());
-        assert_eq!(stats.total_iterations, 0);
-        assert_eq!(stats.wall, Duration::ZERO);
-    }
-
-    #[test]
-    fn zero_workers_is_an_error() {
-        let (session, unitaries, keys, order) = setup();
-        let e = compile_parallel(&session, &order, &unitaries, &keys, 0).unwrap_err();
+    fn empty_input_is_fine_and_zero_threads_is_an_error() {
+        let (session, targets) = setup();
+        let batch = compile_batch(&session, &[], 1, 4).unwrap();
+        assert!(batch.entries.is_empty());
+        assert_eq!(batch.stats.total_iterations, 0);
+        assert_eq!(batch.stats.wall, Duration::ZERO);
+        let e = compile_batch(&session, &targets, 1, 0).unwrap_err();
         assert!(matches!(e, Error::InvalidConfig { .. }));
-        let opts = ParallelOptions {
-            threads: 0,
-            plan_parts: None,
-        };
-        let e2 = compile_parallel_with(&session, &order, &unitaries, &keys, &opts).unwrap_err();
-        assert!(matches!(e2, Error::InvalidConfig { .. }));
     }
 }

@@ -13,7 +13,6 @@
 //! the compiler did; [`Session::compile_program`] runs all six in order
 //! and folds the reports into one [`ProgramCompilation`].
 
-use std::collections::HashMap;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
@@ -25,15 +24,19 @@ use accqoc_linalg::Mat;
 use accqoc_map::{crosstalk_metric, map_circuit, MappingOptions};
 
 use crate::cache::{CachedPulse, PulseCache};
-use crate::compile::{warm_start_allowed, AccQocConfig};
-use crate::concurrent_cache::ConcurrentPulseCache;
+use crate::compile::AccQocConfig;
 use crate::error::{Error, Result};
-use crate::library::{self, PulseLibrary, ServeOptions, ServeReport};
+use crate::library::serve::serve_grouped_subset;
+use crate::library::{PulseLibrary, ServeOptions, ServeReport};
 use crate::model::ModelSet;
-use crate::parallel::ParallelStats;
+use crate::parallel::{compile_batch, ParallelStats, DEFAULT_PLAN_PARTS};
 use crate::persist::{PersistOptions, RecoveryReport};
-use crate::precompile::{self, PrecompileOrder, PrecompileReport};
+use crate::precompile::{self, PrecompileReport};
 use crate::similarity::SimilarityFn;
+
+/// Largest entry of `U†U − I` a caller-supplied target may show and
+/// still count as unitary.
+const UNITARY_TOLERANCE: f64 = 1e-8;
 
 // ---------------------------------------------------------------------------
 // Stage reports.
@@ -408,11 +411,9 @@ impl SessionBuilder {
 /// The AccQOC compiler session: owns configuration, device models, the
 /// single-gate duration table, and the pulse library.
 ///
-/// Pulse storage is the fingerprint-indexed [`PulseLibrary`] over a
-/// sharded [`ConcurrentPulseCache`], so every method takes `&self` and
-/// the session can be shared across threads (`Session` is `Sync`):
-/// concurrent lookups take only shard read locks and never serialize
-/// each other.
+/// Pulse storage is the fingerprint-indexed [`PulseLibrary`], so every
+/// method takes `&self` and the session can be shared across threads
+/// (`Session` is `Sync`).
 #[derive(Debug)]
 pub struct Session {
     config: AccQocConfig,
@@ -542,32 +543,23 @@ impl Session {
         &self.library
     }
 
-    /// The sharded concurrent cache under the library (for advanced
-    /// callers that want lock-granular access, e.g. contention tests or
-    /// custom persistence). Writes through this handle bypass the
-    /// library's recency/index bookkeeping.
-    pub fn shared_cache(&self) -> &ConcurrentPulseCache {
-        self.library.pulses()
-    }
-
     /// Number of cached unique groups.
     pub fn cache_len(&self) -> usize {
         self.library.len()
     }
 
-    /// A copy of the current pulse cache, merged from the shards in
-    /// sorted key order (deterministic regardless of how many threads
-    /// filled it).
+    /// A copy of the current pulse cache (its JSON artifact is
+    /// byte-deterministic, however many threads filled it).
     pub fn cache_snapshot(&self) -> PulseCache {
         self.library.snapshot()
     }
 
-    /// `true` when the cache covers `key` (one shard read lock).
+    /// `true` when the cache covers `key`.
     pub fn cache_contains(&self, key: &UnitaryKey) -> bool {
         self.library.contains(key)
     }
 
-    /// A copy of one cache entry, if covered (one shard read lock).
+    /// A copy of one cache entry, if covered.
     pub fn cached(&self, key: &UnitaryKey) -> Option<CachedPulse> {
         self.library.get(key)
     }
@@ -585,8 +577,8 @@ impl Session {
 
     /// Replaces the session cache in one atomic step — concurrent
     /// readers see either the old contents or the new, never the
-    /// in-between (see [`ConcurrentPulseCache::replace`]). The
-    /// fingerprint index is reset (the new entries carry no unitaries).
+    /// in-between. The fingerprint index is reset (the new entries carry
+    /// no unitaries).
     pub fn set_cache(&self, cache: PulseCache) {
         self.library.replace(cache);
     }
@@ -743,69 +735,36 @@ impl Session {
     }
 
     /// Stage 5: compiles the uncovered groups in similarity-MST order
-    /// with warm starts (§V-C), adding every pulse to the session cache.
+    /// with warm starts (§V-C) on the batch engine (one plan part, one
+    /// thread), then adds every pulse to the session cache in compile
+    /// order.
     ///
     /// # Errors
     ///
     /// [`Error::CompileFailed`] when a group has no feasible pulse within
     /// the latency cap; [`Error::GroupTooWide`] / [`Error::EmptyGroup`]
-    /// for groups outside the model set.
+    /// for groups outside the model set. A failure leaves the cache
+    /// untouched: no group of the batch is inserted, including the ones
+    /// compiled before the failing one.
     pub fn compile(&self, lookup: &LookupReport) -> Result<CompileReport> {
-        if lookup.uncovered.is_empty() {
-            return Ok(CompileReport {
-                compiled: vec![],
-                dynamic_iterations: 0,
-                scratch_starts: 0,
-                mst_weight: 0.0,
-            });
-        }
-        let (_, order) = library::batch_plan(
-            lookup.uncovered.iter().map(|t| t.unitary.clone()).collect(),
-            self.config.similarity,
-        );
-
-        let mut pulses: HashMap<usize, Pulse> = HashMap::new();
-        let mut compiled = Vec::with_capacity(order.steps.len());
-        let mut dynamic_iterations = 0usize;
-        let mut ws = self.lease_workspace();
-        for step in &order.steps {
-            let target = &lookup.uncovered[step.vertex];
-            let warm = step
-                .parent
-                .filter(|&p| {
-                    warm_start_allowed(
-                        &lookup.uncovered[p].unitary,
-                        &target.unitary,
-                        self.config.warm_threshold,
-                    )
-                })
-                .and_then(|p| pulses.get(&p));
-            let result =
-                self.compile_unitary_with(&target.unitary, target.n_qubits, warm, &mut ws)?;
-            dynamic_iterations += result.total_iterations;
-            pulses.insert(step.vertex, result.outcome.pulse.clone());
+        let batch = compile_batch(self, &lookup.uncovered, 1, 1)?;
+        let mut compiled = Vec::with_capacity(batch.entries.len());
+        for (i, entry) in batch.entries {
+            let target = &lookup.uncovered[i];
             compiled.push(GroupCompilation {
                 key: target.key.clone(),
-                latency_ns: result.latency_ns,
-                iterations: result.total_iterations,
+                latency_ns: entry.latency_ns,
+                iterations: entry.iterations,
                 covered: false,
             });
-            self.library.insert_indexed(
-                target.key.clone(),
-                &target.unitary,
-                CachedPulse {
-                    pulse: result.outcome.pulse,
-                    latency_ns: result.latency_ns,
-                    iterations: result.total_iterations,
-                    n_qubits: target.n_qubits,
-                },
-            );
+            self.library
+                .insert_indexed(target.key.clone(), &target.unitary, entry);
         }
         Ok(CompileReport {
             compiled,
-            dynamic_iterations,
-            scratch_starts: order.scratch_starts(),
-            mst_weight: order.total_weight(),
+            dynamic_iterations: batch.stats.total_iterations,
+            scratch_starts: batch.order.scratch_starts(),
+            mst_weight: batch.order.total_weight(),
         })
     }
 
@@ -884,6 +843,11 @@ impl Session {
                     required: grouped.targets.len(),
                 });
             }
+            // Refresh the covered groups first, so the compile stage's
+            // inserts evict other programs' entries, never this one's.
+            for target in &grouped.targets {
+                self.library.touch(&target.key);
+            }
         }
         let lookup = self.lookup(&grouped);
         let compiled = self.compile(&lookup)?;
@@ -943,8 +907,10 @@ impl Session {
     /// # Errors
     ///
     /// [`Error::GroupTooWide`] / [`Error::EmptyGroup`] for groups outside
-    /// the model set; [`Error::CompileFailed`] when no feasible pulse
-    /// exists within the latency cap.
+    /// the model set; [`Error::InvalidTarget`] when `target` has a
+    /// non-finite entry, is not `2^n × 2^n`, or is not unitary within
+    /// 1e-8 per entry of `U†U − I`; [`Error::CompileFailed`] when no
+    /// feasible pulse exists within the latency cap.
     pub fn compile_unitary(
         &self,
         target: &Mat,
@@ -968,17 +934,36 @@ impl Session {
         warm: Option<&Pulse>,
         ws: &mut GrapeWorkspace,
     ) -> Result<LatencyResult> {
+        self.models.for_qubits(n_qubits)?;
+        let dim = 1usize << n_qubits;
+        let message = if !target.is_finite() {
+            Some("has a non-finite entry".to_string())
+        } else if target.rows() != dim || target.cols() != dim {
+            Some(format!(
+                "is {}x{}, expected {dim}x{dim}",
+                target.rows(),
+                target.cols()
+            ))
+        } else if !target.is_unitary(UNITARY_TOLERANCE) {
+            Some(format!("is not unitary within {UNITARY_TOLERANCE:e}"))
+        } else {
+            None
+        };
+        if let Some(message) = message {
+            return Err(Error::InvalidTarget { n_qubits, message });
+        }
         // Anchor 0.0 = the plain batch search (no seed-anchored floor).
-        self.serve_compile(target, n_qubits, warm, 0.0, ws)
+        self.compile_anchored(target, n_qubits, warm, 0.0, ws)
     }
 
-    /// The serving-path compile: [`Session::compile_unitary_with`] plus
-    /// the seed-anchored search window of
-    /// [`ServeOptions::search_anchor`] — a warm seed raises the search
-    /// floor to `seed_steps × anchor`, pruning the deep-infeasible
+    /// The compile behind every batch and serving path, on targets the
+    /// front end produced (so unchecked):
+    /// [`Session::compile_unitary_with`] plus the seed-anchored search
+    /// window of [`ServeOptions::search_anchor`] — a warm seed raises the
+    /// search floor to `seed_steps × anchor`, pruning the deep-infeasible
     /// probes a cold search must pay for. Anchor `0.0` (or a scratch
     /// compile) is exactly the batch search.
-    pub(crate) fn serve_compile(
+    pub(crate) fn compile_anchored(
         &self,
         target: &Mat,
         n_qubits: usize,
@@ -1004,18 +989,32 @@ impl Session {
     }
 
     /// Static pre-compilation (§IV): profiles `programs`, compiles their
-    /// de-duplicated group category into the session cache, and reports
-    /// the category statistics.
+    /// de-duplicated group category into the session cache on the batch
+    /// engine (one plan part, one thread: the exact sequential MST
+    /// warm-start chain), and reports the category statistics.
     ///
     /// # Errors
     ///
-    /// Propagates group-compilation failures.
-    pub fn precompile(
-        &self,
-        programs: &[Circuit],
-        order: PrecompileOrder,
-    ) -> Result<PrecompileReport> {
-        precompile::precompile(self, programs, order)
+    /// Propagates group-compilation failures; a failure leaves the cache
+    /// untouched.
+    ///
+    /// # Examples
+    ///
+    /// ```no_run
+    /// use accqoc::Session;
+    /// use accqoc_hw::Topology;
+    /// use accqoc_workloads::{full_suite, profiling_split};
+    ///
+    /// let session = Session::builder().topology(Topology::melbourne()).build()?;
+    /// let suite = full_suite();
+    /// let (profile, _) = profiling_split(&suite, 42);
+    /// let programs: Vec<_> = profile.iter().map(|&i| suite[i].circuit.clone()).collect();
+    /// let report = session.precompile(&programs)?;
+    /// assert_eq!(report.n_unique_groups, session.cache_len());
+    /// # Ok::<(), accqoc::Error>(())
+    /// ```
+    pub fn precompile(&self, programs: &[Circuit]) -> Result<PrecompileReport> {
+        self.precompile_subset(programs, None)
     }
 
     /// [`Session::precompile`] restricted to the unique groups whose
@@ -1026,28 +1025,33 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Propagates group-compilation failures.
+    /// Propagates group-compilation failures; a failure leaves the cache
+    /// untouched.
     pub fn precompile_subset(
         &self,
         programs: &[Circuit],
-        order: PrecompileOrder,
         only_qubits: Option<&[usize]>,
     ) -> Result<PrecompileReport> {
-        precompile::precompile_subset(self, programs, order, only_qubits)
+        precompile::precompile(self, programs, only_qubits, 1, 1).map(|(report, _)| report)
     }
 
     /// Parallel variant of [`Session::precompile`]: compiles the missing
-    /// groups on a pool of `n_workers` OS threads over a balanced MST
+    /// groups on a pool of `threads` OS threads over a balanced MST
     /// partition (§V-D), each worker with its own GRAPE workspace, and
     /// returns real per-worker wall-clock timings in the stats.
     ///
-    /// The partition *plan* is fixed (independent of `n_workers`), so the
-    /// session cache — and any artifact saved from it — is byte-identical
-    /// whether this runs on 1 thread or 16.
+    /// The partition *plan* has a fixed width of [`DEFAULT_PLAN_PARTS`]
+    /// (independent of `threads`), so the session cache — and any
+    /// artifact saved from it — is byte-identical whether this runs on 1
+    /// thread or 16. Relative to [`Session::precompile`], the plan's cut
+    /// MST edges degrade a handful of warm starts to scratch starts, so
+    /// the two artifacts differ in exactly those groups; pools larger
+    /// than the plan width idle.
     ///
     /// # Errors
     ///
-    /// Propagates group-compilation failures.
+    /// [`Error::InvalidConfig`] when `threads == 0`; otherwise propagates
+    /// group-compilation failures, leaving the cache untouched.
     ///
     /// # Examples
     ///
@@ -1071,67 +1075,9 @@ impl Session {
     pub fn precompile_parallel(
         &self,
         programs: &[Circuit],
-        n_workers: usize,
-    ) -> Result<(PrecompileReport, ParallelStats)> {
-        precompile::precompile_parallel(self, programs, n_workers)
-    }
-
-    /// [`Session::precompile_parallel`] with explicit
-    /// [`ParallelOptions`](crate::ParallelOptions):
-    /// set `plan_parts` above [`crate::DEFAULT_PLAN_PARTS`] on machines
-    /// with more cores, or to `1` to reproduce the sequential
-    /// [`Session::precompile`] artifact bit-for-bit.
-    ///
-    /// # Errors
-    ///
-    /// Propagates group-compilation failures.
-    pub fn precompile_parallel_with(
-        &self,
-        programs: &[Circuit],
-        options: &crate::ParallelOptions,
-    ) -> Result<(PrecompileReport, ParallelStats)> {
-        precompile::precompile_parallel_with(self, programs, options)
-    }
-
-    /// Batch-compiles many programs on a worker pool: concurrent front
-    /// ends, one parallel MST compile of the union of uncovered groups,
-    /// then per-program latency folding from the warm cache. See
-    /// [`precompile::compile_programs_parallel`] for the report-semantics
-    /// differences from looping [`Session::compile_program`].
-    ///
-    /// # Errors
-    ///
-    /// [`Error::InvalidConfig`] when `threads == 0`; otherwise propagates
-    /// group-compilation failures.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use accqoc::Session;
-    /// use accqoc_circuit::{Circuit, Gate};
-    /// use accqoc_hw::Topology;
-    ///
-    /// let mut grape = accqoc_grape::GrapeOptions::default();
-    /// grape.stop.max_iters = 200;
-    /// let session = Session::builder()
-    ///     .topology(Topology::linear(2))
-    ///     .grape(grape)
-    ///     .build()?;
-    /// let programs = vec![
-    ///     Circuit::from_gates(2, [Gate::H(0)]),
-    ///     Circuit::from_gates(2, [Gate::H(0), Gate::T(0)]),
-    /// ];
-    /// let (compiled, _stats) = session.compile_programs_parallel(&programs, 2)?;
-    /// assert_eq!(compiled.len(), 2);
-    /// assert!(compiled.iter().all(|c| c.overall_latency_ns > 0.0));
-    /// # Ok::<(), accqoc::Error>(())
-    /// ```
-    pub fn compile_programs_parallel(
-        &self,
-        programs: &[Circuit],
         threads: usize,
-    ) -> Result<(Vec<ProgramCompilation>, ParallelStats)> {
-        precompile::compile_programs_parallel(self, programs, threads)
+    ) -> Result<(PrecompileReport, ParallelStats)> {
+        precompile::precompile(self, programs, None, DEFAULT_PLAN_PARTS, threads)
     }
 
     // -- online serving -----------------------------------------------------
@@ -1177,7 +1123,7 @@ impl Session {
     /// # Ok::<(), accqoc::Error>(())
     /// ```
     pub fn serve_program(&self, circuit: &Circuit) -> Result<ServeReport> {
-        library::serve::serve_program(self, circuit, &ServeOptions::default())
+        self.serve_program_with(circuit, &ServeOptions::default())
     }
 
     /// [`Session::serve_program`] with explicit [`ServeOptions`]
@@ -1191,7 +1137,7 @@ impl Session {
         circuit: &Circuit,
         options: &ServeOptions,
     ) -> Result<ServeReport> {
-        library::serve::serve_program(self, circuit, options)
+        self.serve_grouped(&self.front_end(circuit), options)
     }
 
     /// [`Session::serve_program`] for callers that already ran
@@ -1208,17 +1154,26 @@ impl Session {
         grouped: &GroupReport,
         options: &ServeOptions,
     ) -> Result<ServeReport> {
-        library::serve::serve_grouped(self, grouped, options)
+        serve_grouped_subset(self, grouped, options, None)
     }
 
     /// [`Session::serve_grouped`] restricted to the unique groups whose
     /// width is in `only_qubits` — what one shard of a sharded
-    /// deployment serves. Warm starts are width-local, so the owned
-    /// groups' pulses, counters, and per-group latencies are
-    /// byte-identical to a whole-program serve; see
-    /// [`serve_grouped_subset`](crate::library::serve_grouped_subset)
-    /// for the transparency contract (subset reports zero their
-    /// program-level latencies and count only owned instances).
+    /// deployment serves. Because warm starts are strictly width-local
+    /// (the fingerprint index never crosses a width boundary), the
+    /// per-width serving state — hit/miss sequence, warm-start picks,
+    /// hub rounds, compiled bytes — is identical to what a single
+    /// process serving the whole program would produce, and summing the
+    /// subset reports of a disjoint width partition reconstructs the
+    /// unsharded counters exactly.
+    ///
+    /// Subset reports carry `overall_latency_ns` and
+    /// `gate_based_latency_ns` of `0.0` (those are program-level numbers
+    /// no single shard can see; the router folds the true overall
+    /// latency from the merged per-group latencies), and their
+    /// `coverage.total` counts only the owned instances, so coverage also
+    /// sums exactly. `only_qubits: None` is [`Session::serve_grouped`]
+    /// exactly.
     ///
     /// # Errors
     ///
@@ -1229,7 +1184,7 @@ impl Session {
         options: &ServeOptions,
         only_qubits: Option<&[usize]>,
     ) -> Result<ServeReport> {
-        library::serve::serve_grouped_subset(self, grouped, options, only_qubits)
+        serve_grouped_subset(self, grouped, options, only_qubits)
     }
 
     /// Folds the program-level overall latency (Algorithm 3 DP) from

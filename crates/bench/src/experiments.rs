@@ -7,8 +7,8 @@
 use std::collections::HashMap;
 
 use accqoc::{
-    brute_force_qoc, collect_category, mst_compile_order, optimize_group, scratch_order,
-    BruteForceConfig, CompileOrder, Session, SimilarityFn, SimilarityGraph,
+    brute_force_qoc, collect_category, mst_compile_order, scratch_order, BruteForceConfig,
+    CompileOrder, Session, SimilarityFn, SimilarityGraph,
 };
 use accqoc_circuit::{Circuit, GateKind, UnitaryKey};
 use accqoc_grape::Pulse;
@@ -504,7 +504,9 @@ pub fn fig12_cells(ctx: &ExperimentContext, n_programs: usize) -> Vec<Fig12Cell>
         if let Some(key) = report.most_frequent.clone() {
             let (canonical, keys, _) = collect_category(&session, &circuits);
             if let Some(idx) = keys.iter().position(|k| *k == key) {
-                optimize_group(&session, &key, &canonical[idx].0, canonical[idx].1).ok();
+                session
+                    .optimize_group(&key, &canonical[idx].0, canonical[idx].1)
+                    .ok();
             }
         }
         for (p, (name, gate_ns, acc_ns)) in programs.iter().zip(before) {

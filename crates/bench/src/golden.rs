@@ -19,7 +19,7 @@
 use std::path::{Path, PathBuf};
 
 use accqoc::json::{self, JsonValue};
-use accqoc::{PrecompileOrder, Session, VerifyOptions};
+use accqoc::{Session, VerifyOptions};
 use accqoc_hw::Topology;
 use accqoc_workloads::{golden_suite, BenchProgram};
 
@@ -219,7 +219,7 @@ pub fn compute_corpus() -> GoldenCorpus {
     let session = golden_session();
     let circuits: Vec<_> = programs.iter().map(|p| p.circuit.clone()).collect();
     session
-        .precompile(&circuits, PrecompileOrder::Mst)
+        .precompile(&circuits)
         .expect("golden suite pre-compiles");
     let rows = programs.iter().map(|p| compute_row(&session, p)).collect();
     GoldenCorpus { rows }

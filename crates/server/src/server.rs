@@ -47,7 +47,7 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use accqoc::json::hex_encode;
-use accqoc::{CachedPulse, PrecompileOrder, PulseCache, Session};
+use accqoc::{CachedPulse, PulseCache, Session};
 use accqoc_circuit::{parse_qasm, UnitaryKey};
 
 use crate::http::{self, Format, HttpParse};
@@ -1007,8 +1007,7 @@ fn handle_call(
             if claim.waited() {
                 ctx.note_coalesced_wait();
             }
-            match session.precompile_subset(&circuits, PrecompileOrder::Mst, only_qubits.as_deref())
-            {
+            match session.precompile_subset(&circuits, only_qubits.as_deref()) {
                 Ok(report) => Response {
                     id,
                     body: Ok(Payload::Precompile(PrecompileSummary {

@@ -3,17 +3,21 @@
 //! total work and compile each part on its own worker.
 //!
 //! Run with: `cargo run --release --example parallel_workers`
+//!
+//! Exits with an error when the 1-thread and 4-thread runs persist
+//! different cache artifacts.
 
 use accqoc_repro::accqoc::{
-    collect_category, compile_parallel_with, mst_compile_order, partition_tree, ParallelOptions,
-    SimilarityGraph, WeightedTree,
+    collect_category, mst_compile_order, partition_tree, SimilarityGraph, WeightedTree,
 };
 use accqoc_repro::prelude::*;
 use accqoc_repro::workloads::{nct_circuit, NctSpec};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let session = Session::builder().topology(Topology::linear(5)).build()?;
+fn session() -> Result<Session, Error> {
+    Session::builder().topology(Topology::linear(5)).build()
+}
 
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A profiling set producing a few dozen unique groups.
     let programs: Vec<_> = (0..3)
         .map(|k| {
@@ -27,13 +31,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             })
         })
         .collect();
-    let (canonical, keys, _) = collect_category(&session, &programs);
+    let (canonical, _, _) = collect_category(&session()?, &programs);
     println!("category: {} unique groups", canonical.len());
 
     // SG → MST → weighted tree → balanced partition.
     let graph = SimilarityGraph::build(
         canonical.iter().map(|(u, _)| u.clone()).collect(),
-        session.config().similarity,
+        session()?.config().similarity,
     );
     let order = mst_compile_order(&graph);
     let tree = WeightedTree::from_order(&order, canonical.len());
@@ -47,17 +51,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Compile with 1 vs 4 pool threads over the SAME fixed plan: the
-    // pulses (and any saved cache artifact) are byte-identical, only the
-    // wall clock changes.
+    // Precompile on 1 vs 4 pool threads, each into a fresh session. The
+    // partition plan is fixed, so the pulses (and the saved cache
+    // artifact) must be byte-identical; only the wall clock changes.
     let mut artifacts = Vec::new();
     for threads in [1, 4] {
-        let opts = ParallelOptions::threads(threads);
-        let (cache, stats) = compile_parallel_with(&session, &order, &canonical, &keys, &opts)?;
+        let session = session()?;
+        let (report, stats) = session.precompile_parallel(&programs, threads)?;
         println!(
             "\n{threads} thread(s): {} groups compiled in {:.2?} (engine wall)",
-            cache.len(),
-            stats.wall
+            report.n_unique_groups, stats.wall
         );
         println!(
             "  iterations: total {}, makespan {} ({} MST edges cut)",
@@ -70,11 +73,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 t.worker, t.parts, t.groups, t.iterations, t.wall
             );
         }
-        artifacts.push(cache.to_json());
+        artifacts.push(session.cache_snapshot().to_json());
     }
-    println!(
-        "\nartifact byte-identical across thread counts: {}",
-        artifacts.windows(2).all(|w| w[0] == w[1])
-    );
+    if artifacts[0] != artifacts[1] {
+        return Err("1-thread and 4-thread precompile persisted different artifacts".into());
+    }
+    println!("\nartifact byte-identical across thread counts");
     Ok(())
 }

@@ -330,3 +330,59 @@ fn non_finite_angle_is_a_qasm_error_before_serving() {
     }
     assert_eq!(session.library().stats(), before);
 }
+
+/// A session whose latency search would accept any target it is handed:
+/// the boundary check, not GRAPE, must reject the malformed ones below.
+fn target_session() -> Session {
+    Session::builder()
+        .topology(Topology::linear(2))
+        .build()
+        .unwrap()
+}
+
+#[test]
+fn non_finite_target_is_a_typed_error() {
+    // Regression: a NaN target used to compile to `Ok` with latency 0.
+    let mut nan = Mat::identity(2);
+    nan[(0, 1)] = accqoc_repro::linalg::C64::real(f64::NAN);
+    let e = target_session().compile_unitary(&nan, 1, None).unwrap_err();
+    match &e {
+        Error::InvalidTarget { n_qubits, message } => {
+            assert_eq!(*n_qubits, 1);
+            assert!(message.contains("non-finite"), "{message}");
+        }
+        other => panic!("expected InvalidTarget, got {other:?}"),
+    }
+}
+
+#[test]
+fn non_unitary_target_is_a_typed_error() {
+    // Regression: `2·I` used to compile to `Ok` with latency 0.
+    let doubled = Mat::from_reals(&[2.0, 0.0, 0.0, 2.0]);
+    let e = target_session()
+        .compile_unitary(&doubled, 1, None)
+        .unwrap_err();
+    assert!(
+        matches!(e, Error::InvalidTarget { n_qubits: 1, .. }),
+        "{e:?}"
+    );
+    assert!(e.to_string().contains("not unitary"), "{e}");
+}
+
+#[test]
+fn mis_sized_target_is_a_typed_error_not_a_panic() {
+    // Regression: a 2×2 target submitted as a 2-qubit group used to
+    // panic on GRAPE's dimension assertion.
+    let x = Mat::from_reals(&[0.0, 1.0, 1.0, 0.0]);
+    let mut ws = accqoc_repro::grape::Workspace::new();
+    let e = target_session()
+        .compile_unitary_with(&x, 2, None, &mut ws)
+        .unwrap_err();
+    match &e {
+        Error::InvalidTarget { n_qubits, message } => {
+            assert_eq!(*n_qubits, 2);
+            assert!(message.contains("expected 4x4"), "{message}");
+        }
+        other => panic!("expected InvalidTarget, got {other:?}"),
+    }
+}

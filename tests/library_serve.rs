@@ -352,3 +352,32 @@ fn nearest_neighbor_is_exact_for_small_libraries() {
     assert_eq!(got.key, UnitaryKey::canonical(&us[brute.0], 1));
     assert!((got.distance - brute.1).abs() < 1e-12);
 }
+
+#[test]
+fn bounded_compile_program_keeps_its_own_covered_groups() {
+    // Regression: with capacity 2 holding H and T, compiling [H, X]
+    // inserted X's pulse, LRU-evicted the covered H entry, and then the
+    // latency stage failed with `UncoveredGroup` — although the program
+    // has only 2 unique groups. Covered groups are now refreshed before
+    // the compile stage inserts.
+    let mut grape = accqoc_repro::grape::GrapeOptions::default();
+    grape.stop.max_iters = 200;
+    let s = Session::builder()
+        .topology(Topology::linear(3))
+        .grape(grape)
+        .library_capacity(2)
+        .build()
+        .expect("valid session");
+    s.compile_program(&Circuit::from_gates(3, [Gate::H(0)]))
+        .expect("H compiles");
+    s.compile_program(&Circuit::from_gates(3, [Gate::T(0)]))
+        .expect("T compiles");
+    let both = s
+        .compile_program(&Circuit::from_gates(3, [Gate::H(0), Gate::X(2)]))
+        .expect("two groups fit a capacity of two");
+    assert_eq!(both.coverage.covered, 1, "H was covered");
+    assert_eq!(both.n_uncovered_unique, 1, "X was compiled");
+    assert!(both.overall_latency_ns > 0.0);
+    assert_eq!(s.cache_len(), 2);
+    assert_eq!(s.library().stats().evictions, 1, "T was the victim");
+}

@@ -1,8 +1,12 @@
-//! Concurrency guarantees of the parallel pre-compilation engine:
-//! thread-count-invariant cache artifacts and a contention smoke test
-//! for the sharded [`ConcurrentPulseCache`].
+//! Guarantees of the batch compile engine and the pulse store:
+//! thread-count-invariant cache artifacts, plan width 1 pinned to the
+//! sequential MST warm-start chain, and a contention smoke test for the
+//! [`PulseLibrary`] every compile writes into.
 
-use accqoc::{CachedPulse, ConcurrentPulseCache, Session};
+use accqoc::{
+    collect_category, mst_compile_order, warm_start_allowed, CachedPulse, PulseCache, PulseLibrary,
+    Session, SimilarityFn, SimilarityGraph,
+};
 use accqoc_circuit::{Circuit, Gate, UnitaryKey};
 use accqoc_grape::Pulse;
 use accqoc_hw::Topology;
@@ -67,135 +71,150 @@ fn one_and_four_thread_precompile_write_identical_artifacts() {
 
 #[test]
 fn plan_width_one_matches_sequential_precompile_bit_for_bit() {
-    use accqoc::{ParallelOptions, PrecompileOrder};
-    // One plan part ⇒ no cut MST edges ⇒ the engine walks the exact
-    // sequential warm-start chain, so the artifacts must be identical —
-    // this pins the parallel engine to the sequential reference.
-    let seq = session();
-    seq.precompile(&programs(), PrecompileOrder::Mst).unwrap();
-
-    let par = session();
-    let opts = ParallelOptions::threads(4).with_plan_parts(1);
-    let (_, stats) = par.precompile_parallel_with(&programs(), &opts).unwrap();
-    assert_eq!(
-        stats.cut_edges, 0,
-        "one part per MST component cuts nothing"
+    // `Session::precompile` runs the batch engine at plan width 1: no
+    // cut MST edges, so it must walk the exact sequential warm-start
+    // chain. The reference walks that chain by hand, one
+    // `compile_unitary` per MST step, warm-started from the gated parent.
+    let reference = session();
+    let (canonical, keys, _) = collect_category(&reference, &programs());
+    let graph = SimilarityGraph::build(
+        canonical.iter().map(|(u, _)| u.clone()).collect(),
+        reference.config().similarity,
     );
+    let mut expected = PulseCache::new();
+    let mut expected_iterations = 0usize;
+    for step in &mst_compile_order(&graph).steps {
+        let (target, n_qubits) = &canonical[step.vertex];
+        let warm = step
+            .parent
+            .filter(|&p| {
+                warm_start_allowed(&canonical[p].0, target, reference.config().warm_threshold)
+            })
+            .and_then(|p| expected.lookup(&keys[p]))
+            .map(|e| e.pulse.clone());
+        let r = reference
+            .compile_unitary(target, *n_qubits, warm.as_ref())
+            .unwrap();
+        expected_iterations += r.total_iterations;
+        expected.insert(
+            keys[step.vertex].clone(),
+            CachedPulse {
+                pulse: r.outcome.pulse,
+                latency_ns: r.latency_ns,
+                iterations: r.total_iterations,
+                n_qubits: *n_qubits,
+            },
+        );
+    }
 
+    let seq = session();
+    let report = seq.precompile(&programs()).unwrap();
+    assert_eq!(report.total_iterations, expected_iterations);
     assert_eq!(
         seq.cache_snapshot().to_json(),
-        par.cache_snapshot().to_json(),
-        "plan_parts = 1 must reproduce the sequential artifact"
+        expected.to_json(),
+        "plan width 1 must reproduce the sequential artifact"
     );
 }
 
-#[test]
-fn batch_compile_matches_sequential_latencies() {
-    let progs = programs();
+/// A 1-qubit diagonal unitary, distinct per `(writer, slot)`.
+fn diagonal(writer: usize, slot: usize) -> Mat {
+    let theta = 0.001 + writer as f64 + slot as f64 * 0.01;
+    Mat::from_fn(2, 2, |r, c| {
+        if r == c {
+            accqoc_linalg::C64::cis(if r == 0 { -theta } else { theta })
+        } else {
+            accqoc_linalg::C64::real(0.0)
+        }
+    })
+}
 
-    // Sequential reference.
-    let seq = session();
-    let seq_results: Vec<_> = progs
-        .iter()
-        .map(|p| seq.compile_program(p).unwrap())
-        .collect();
-
-    // Batch on a pool (own session, cold cache).
-    let par = session();
-    let (batch, stats) = par.compile_programs_parallel(&progs, 4).unwrap();
-    assert_eq!(batch.len(), progs.len());
-    assert!(stats.total_iterations > 0);
-
-    for (s, b) in seq_results.iter().zip(&batch) {
-        // Latencies agree wherever the fixed partition plan kept the warm
-        // starts; cut MST edges may move a group onto a different (still
-        // feasible-minimal) slice count, so allow a one-slice slack.
-        assert!(
-            (s.overall_latency_ns - b.overall_latency_ns).abs() <= 1.5,
-            "sequential {} vs batch {}",
-            s.overall_latency_ns,
-            b.overall_latency_ns
-        );
-        assert_eq!(s.gate_based_latency_ns, b.gate_based_latency_ns);
-        assert_eq!(s.swap_count, b.swap_count);
+fn entry(writer: usize, slot: usize) -> CachedPulse {
+    CachedPulse {
+        pulse: Pulse::zeros(2, 4, 1.0),
+        latency_ns: slot as f64,
+        iterations: writer,
+        n_qubits: 1,
     }
 }
 
 #[test]
-fn concurrent_cache_contention_smoke() {
-    let cache = ConcurrentPulseCache::with_shards(8);
+fn pulse_library_contention_smoke() {
+    let lib = PulseLibrary::new();
     let n_writers = 4;
     let n_readers = 4;
     let per_writer = 64;
 
-    // Pre-build distinct keys (one per (writer, slot) pair).
-    let keys: Vec<Vec<UnitaryKey>> = (0..n_writers)
-        .map(|w| {
-            (0..per_writer)
-                .map(|i| {
-                    let theta = 0.001 + w as f64 + i as f64 * 0.01;
-                    let u = Mat::from_fn(2, 2, |r, c| {
-                        if r == c {
-                            accqoc_linalg::C64::cis(if r == 0 { -theta } else { theta })
-                        } else {
-                            accqoc_linalg::C64::real(0.0)
-                        }
-                    });
-                    UnitaryKey::canonical(&u, 1)
-                })
-                .collect()
-        })
+    // Pre-build distinct unitaries and keys, one per (writer, slot).
+    let unitaries: Vec<Vec<Mat>> = (0..n_writers)
+        .map(|w| (0..per_writer).map(|i| diagonal(w, i)).collect())
         .collect();
+    let keys: Vec<Vec<UnitaryKey>> = unitaries
+        .iter()
+        .map(|us| us.iter().map(|u| UnitaryKey::canonical(u, 1)).collect())
+        .collect();
+    let all_keys: std::collections::HashSet<&UnitaryKey> = keys.iter().flatten().collect();
+    assert_eq!(all_keys.len(), n_writers * per_writer, "keys are distinct");
 
+    // Every thread starts at the barrier, so reads and writes overlap.
+    let start = std::sync::Barrier::new(n_writers + n_readers);
     std::thread::scope(|scope| {
         for w in 0..n_writers {
-            let cache = &cache;
-            let keys = &keys;
+            let (lib, keys, unitaries, start) = (&lib, &keys, &unitaries, &start);
             scope.spawn(move || {
+                start.wait();
                 for (i, key) in keys[w].iter().enumerate() {
-                    cache.insert(
-                        key.clone(),
-                        CachedPulse {
-                            pulse: Pulse::zeros(2, 4, 1.0),
-                            latency_ns: i as f64,
-                            iterations: w,
-                            n_qubits: 1,
-                        },
-                    );
+                    lib.insert_indexed(key.clone(), &unitaries[w][i], entry(w, i));
                 }
             });
         }
         for r in 0..n_readers {
-            let cache = &cache;
-            let keys = &keys;
+            let (lib, keys, unitaries, all_keys, start) =
+                (&lib, &keys, &unitaries, &all_keys, &start);
             scope.spawn(move || {
-                // Hammer lookups across every writer's key range while the
-                // writers are inserting; all observed states must be
-                // internally consistent.
-                for round in 0..200 {
+                start.wait();
+                // Hammer reads, recency updates and neighbor queries
+                // across every writer's key range while the writers are
+                // inserting; every observed state must be consistent.
+                for round in 0..50 {
                     let w = (r + round) % n_writers;
-                    for key in &keys[w] {
-                        if let Some(entry) = cache.get(key) {
-                            assert_eq!(entry.iterations, w, "entry belongs to writer {w}");
+                    for (i, key) in keys[w].iter().enumerate() {
+                        if let Some(e) = lib.get(key) {
+                            assert_eq!(e.iterations, w, "entry belongs to writer {w}");
+                            assert_eq!(e.latency_ns, i as f64);
                         }
+                        lib.touch(key);
                     }
-                    let len = cache.len();
-                    assert!(len <= n_writers * per_writer);
+                    let query = &unitaries[w][round % per_writer];
+                    if let Some(n) = lib.nearest(query, 1, 4, SimilarityFn::TraceOverlap) {
+                        assert!(all_keys.contains(&n.key), "neighbor is a written key");
+                        assert!(n.distance.is_finite());
+                    }
+                    assert!(lib.len() <= n_writers * per_writer);
                 }
             });
         }
     });
 
-    // All writes landed exactly once, and the snapshot agrees.
-    let expected: usize = keys.iter().map(|k| k.len()).sum();
-    assert_eq!(cache.len(), expected);
-    let snapshot = cache.snapshot();
-    assert_eq!(snapshot.len(), expected);
-    for per in &keys {
-        for key in per {
-            assert!(snapshot.lookup(key).is_some());
+    // Every write landed exactly once, indexed, with nothing evicted.
+    let expected = n_writers * per_writer;
+    assert_eq!(lib.len(), expected);
+    assert_eq!(lib.indexed_len(), expected);
+    assert_eq!(lib.stats().evictions, 0);
+    for (w, per) in keys.iter().enumerate() {
+        for (i, key) in per.iter().enumerate() {
+            assert_eq!(lib.get(key), Some(entry(w, i)));
         }
     }
-    // Snapshot serialization is deterministic.
-    assert_eq!(snapshot.to_json(), cache.snapshot().to_json());
+    // The artifact is deterministic: stable across snapshots, and equal
+    // to the one a single thread writing the same entries produces.
+    let json = lib.snapshot().to_json();
+    assert_eq!(json, lib.snapshot().to_json());
+    let sequential = PulseLibrary::new();
+    for (w, per) in keys.iter().enumerate() {
+        for (i, key) in per.iter().enumerate() {
+            sequential.insert_indexed(key.clone(), &unitaries[w][i], entry(w, i));
+        }
+    }
+    assert_eq!(json, sequential.snapshot().to_json());
 }

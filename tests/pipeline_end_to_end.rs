@@ -105,7 +105,7 @@ fn precompile_then_cover_unseen_program() {
         Circuit::from_gates(3, [Gate::H(0), Gate::Cx(0, 1), Gate::T(1)]),
         Circuit::from_gates(3, [Gate::Cx(1, 2), Gate::H(2), Gate::Cx(1, 2)]),
     ];
-    session.precompile(&profile, PrecompileOrder::Mst).unwrap();
+    session.precompile(&profile).unwrap();
     let pre_size = session.cache_len();
     assert!(pre_size >= 2);
 
