@@ -11,7 +11,7 @@
 pub mod context;
 pub mod experiments;
 pub mod golden;
-pub mod serve;
+pub mod scenario;
 pub mod table;
 
 pub use context::{fast_mode, ExperimentContext};

@@ -14,8 +14,8 @@
 //!
 //! # The bit-exactness contract (why the k-order is sacred)
 //!
-//! Several CI gates pin **byte-identical pulses** (golden corpus,
-//! `library_serve --check`, `server --check`, `restart --check`): any
+//! Several CI gates pin **byte-identical pulses** (golden corpus, every
+//! scenario of the `scenarios` serving harness): any
 //! change to the floating-point result of these kernels — even in the
 //! last ulp — re-times pulses across the entire serving stack and trips
 //! the gates. IEEE-754 arithmetic is deterministic, so the kernels stay

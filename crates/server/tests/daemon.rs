@@ -1,7 +1,8 @@
 //! End-to-end loopback tests of the serving daemon: served pulses are
 //! byte-identical to the in-process `Session::serve_program` path,
 //! concurrent requests for the same group coalesce into one GRAPE
-//! compile, and shutdown drains cleanly.
+//! compile, 256 simultaneous connections are all served, and shutdown
+//! drains cleanly.
 
 use std::sync::Arc;
 
@@ -291,6 +292,69 @@ fn refused_connections_count_as_rejected_not_accepted() {
         "the refused connection must not count as accepted"
     );
     assert_eq!(counters.connections_rejected, 1);
+}
+
+#[test]
+fn soak_256_simultaneous_connections_each_complete_stats_and_serve() {
+    // The event-loop transport must hold N connections open at once,
+    // past any thread-per-connection budget.
+    // Two barriers make the concurrency exact: no request goes out until
+    // every socket is connected, and no socket closes until every
+    // request is answered. Every thread reaches both barriers even when
+    // a call fails, so a failure is an assertion, not a hang.
+    const N: usize = 256;
+    let config = ServerConfig {
+        workers: 4,
+        // Room for every connection's request at once, plus the final
+        // shutdown client.
+        queue_capacity: N + 8,
+        max_connections: N + 8,
+        ..ServerConfig::default()
+    };
+    let (addr, handle) = boot(Arc::new(tiny_session()), config);
+    // One shared single-group program: the first serve compiles it, the
+    // others coalesce onto that compile or hit the library.
+    let program = Circuit::from_gates(2, [Gate::H(0), Gate::Cx(0, 1)]);
+    let all_connected = std::sync::Barrier::new(N);
+    let all_answered = std::sync::Barrier::new(N);
+    let outcomes: Vec<Result<Client, accqoc_server::ClientError>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..N)
+            .map(|_| {
+                scope.spawn(|| {
+                    let client = Client::connect(addr);
+                    all_connected.wait();
+                    let outcome = client.map_err(Into::into).and_then(|mut client| {
+                        client.stats()?;
+                        client.serve_program(&program, false)?;
+                        Ok(client)
+                    });
+                    all_answered.wait();
+                    outcome
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("connection thread"))
+            .collect()
+    });
+    for (i, outcome) in outcomes.into_iter().enumerate() {
+        assert!(outcome.is_ok(), "connection {i}: {outcome:?}");
+    }
+
+    let mut client = Client::connect(addr).expect("shutdown client connects");
+    client.shutdown().expect("shutdown");
+    let counters = handle.join().expect("server thread").expect("clean run");
+    assert_eq!(
+        counters.connections_accepted,
+        N as u64 + 1,
+        "N soak connections plus the shutdown client"
+    );
+    assert_eq!(counters.connections_rejected, 0, "refused below the cap");
+    assert_eq!(
+        counters.requests_rejected_busy, 0,
+        "rejected busy with a queue sized for the soak"
+    );
 }
 
 #[test]
