@@ -9,21 +9,34 @@
 //! the same median-of-K sampler, so the reported speedups compare like
 //! with like.
 //!
+//! A solver section then runs fixed GRAPE probes, one feasible and one
+//! infeasible slice count per target ([`PROBES`]: the X gate on
+//! `spin_chain(1)` at 10 and 9 slices, CNOT on `spin_chain(2)` at its
+//! minimal 19 and at 18), and records iterations, objective evaluations,
+//! evaluations per iteration and wall time. The counts are
+//! deterministic, so they catch a line-search regression without timing
+//! noise.
+//!
 //! Modes:
 //!
-//! - default: measure everything, print the table, write per-kernel rows
-//!   to `results/grape_kernels.csv` and the summary to
-//!   `BENCH_grape.json`. Honors `ACCQOC_FAST=1` (fewer samples).
+//! - default: measure everything, print the tables, write the kernel and
+//!   solver rows to `results/grape_kernels.csv` and `BENCH_grape.json`.
+//!   Honors `ACCQOC_FAST=1` (fewer samples).
 //! - `--check`: first prove bit-identity — every blocked kernel against
 //!   its reference over all dimensions 1–17 (covering every
 //!   non-multiple-of-tile remainder), exact on all bytes — then gate on
 //!   raw speed: the blocked dim-8 matmul must beat the naive loop by at
-//!   least [`CHECK_MIN_SPEEDUP`]× on median time. Exits non-zero on any
-//!   failure. The CI `grape-bench` gate.
+//!   least [`CHECK_MIN_SPEEDUP`]× on median time. Then gate the solver:
+//!   every probe must converge exactly when it is marked feasible and
+//!   spend at most [`CHECK_MAX_EVALS_PER_ITERATION`] objective
+//!   evaluations per iteration. Exits non-zero on any failure. The CI
+//!   `grape-bench` gate.
 
 use accqoc::json::JsonValue;
 use accqoc_bench::{fast_mode, print_table, write_csv};
-use accqoc_grape::{cost_and_gradient_into, GradientMethod, Workspace};
+use accqoc_grape::{
+    cost_and_gradient_into, solve, GradientMethod, GrapeOptions, GrapeProblem, Workspace,
+};
 use accqoc_hw::ControlModel;
 use accqoc_linalg::{expm_i_hermitian, kernels, Mat, C64};
 use criterion::{black_box, Sampler};
@@ -33,6 +46,68 @@ use criterion::{black_box, Sampler};
 /// measures well above this; a regression to memory accumulators or a
 /// lost slice hoist drops it hard.
 const CHECK_MIN_SPEEDUP: f64 = 1.2;
+
+/// Pinned CI threshold: objective evaluations per optimizer iteration
+/// on every solver probe. The projected line search measures 1.7–4.7
+/// here; measuring the slope along the raw direction, with a bisecting
+/// zoom, took 16.5 (X, 9 slices) and 16.9 (CNOT, 19 slices).
+const CHECK_MAX_EVALS_PER_ITERATION: f64 = 6.0;
+
+/// One fixed solver probe: a target on `spin_chain(qubits)` at a pinned
+/// slice count, from the default (seeded) initial guess.
+struct Probe {
+    target: &'static str,
+    unitary: fn() -> Mat,
+    qubits: usize,
+    n_steps: usize,
+    /// Whether the fidelity target is reachable at `n_steps`.
+    feasible: bool,
+}
+
+/// The solver probes: each target at its minimal slice count and one
+/// below it.
+const PROBES: [Probe; 4] = [
+    Probe {
+        target: "x",
+        unitary: x_gate,
+        qubits: 1,
+        n_steps: 10,
+        feasible: true,
+    },
+    Probe {
+        target: "x",
+        unitary: x_gate,
+        qubits: 1,
+        n_steps: 9,
+        feasible: false,
+    },
+    Probe {
+        target: "cnot",
+        unitary: cnot,
+        qubits: 2,
+        n_steps: 19,
+        feasible: true,
+    },
+    Probe {
+        target: "cnot",
+        unitary: cnot,
+        qubits: 2,
+        n_steps: 18,
+        feasible: false,
+    },
+];
+
+const SOLVER_HEADER: [&str; 9] = [
+    "probe",
+    "dim",
+    "slices",
+    "feasible",
+    "converged",
+    "iterations",
+    "fn_evals",
+    "evals_per_iteration",
+    "wall_ms",
+];
 
 /// Matrix dimensions swept by the measurement mode: 1–4 qubits.
 const DIMS: [usize; 4] = [2, 4, 8, 16];
@@ -87,6 +162,131 @@ impl Row {
         }
         JsonValue::Object(fields)
     }
+}
+
+/// One solver probe's outcome.
+struct SolverRow {
+    probe: &'static Probe,
+    dim: usize,
+    converged: bool,
+    iterations: usize,
+    fn_evals: usize,
+    wall_ms: f64,
+}
+
+impl SolverRow {
+    fn evals_per_iteration(&self) -> f64 {
+        self.fn_evals as f64 / self.iterations.max(1) as f64
+    }
+
+    fn name(&self) -> String {
+        format!("{}@{}", self.probe.target, self.probe.n_steps)
+    }
+
+    fn cells(&self) -> Vec<String> {
+        vec![
+            self.name(),
+            self.dim.to_string(),
+            self.probe.n_steps.to_string(),
+            self.probe.feasible.to_string(),
+            self.converged.to_string(),
+            self.iterations.to_string(),
+            self.fn_evals.to_string(),
+            format!("{:.2}", self.evals_per_iteration()),
+            format!("{:.2}", self.wall_ms),
+        ]
+    }
+
+    fn json(&self) -> JsonValue {
+        JsonValue::Object(vec![
+            ("probe".into(), JsonValue::String(self.name())),
+            ("dim".into(), JsonValue::Number(self.dim as f64)),
+            (
+                "slices".into(),
+                JsonValue::Number(self.probe.n_steps as f64),
+            ),
+            ("feasible".into(), JsonValue::Bool(self.probe.feasible)),
+            ("converged".into(), JsonValue::Bool(self.converged)),
+            (
+                "iterations".into(),
+                JsonValue::Number(self.iterations as f64),
+            ),
+            ("fn_evals".into(), JsonValue::Number(self.fn_evals as f64)),
+            (
+                "evals_per_iteration".into(),
+                JsonValue::Number(self.evals_per_iteration()),
+            ),
+            ("wall_ms".into(), JsonValue::Number(self.wall_ms)),
+        ])
+    }
+}
+
+fn x_gate() -> Mat {
+    Mat::from_reals(&[0.0, 1.0, 1.0, 0.0])
+}
+
+/// CNOT with the control on the first qubit.
+fn cnot() -> Mat {
+    Mat::from_reals(&[
+        1.0, 0.0, 0.0, 0.0, //
+        0.0, 1.0, 0.0, 0.0, //
+        0.0, 0.0, 0.0, 1.0, //
+        0.0, 0.0, 1.0, 0.0,
+    ])
+}
+
+/// Runs every solver probe once with the default GRAPE options.
+fn measure_solver() -> Vec<SolverRow> {
+    PROBES
+        .iter()
+        .map(|probe| {
+            let model = ControlModel::spin_chain(probe.qubits);
+            let target = (probe.unitary)();
+            let start = std::time::Instant::now();
+            let out = solve(&GrapeProblem {
+                model: &model,
+                target: &target,
+                n_steps: probe.n_steps,
+                options: GrapeOptions::default(),
+            });
+            SolverRow {
+                probe,
+                dim: model.dim(),
+                converged: out.converged,
+                iterations: out.iterations,
+                fn_evals: out.fn_evals,
+                wall_ms: start.elapsed().as_secs_f64() * 1e3,
+            }
+        })
+        .collect()
+}
+
+/// Solver gate failures: a probe whose verdict differs from its
+/// feasibility mark, or that spends too many evaluations per iteration.
+fn check_solver(rows: &[SolverRow]) -> usize {
+    let mut failures = 0usize;
+    for row in rows {
+        if row.converged != row.probe.feasible {
+            eprintln!(
+                "FAIL: solver probe {} converged = {}, expected {}",
+                row.name(),
+                row.converged,
+                row.probe.feasible
+            );
+            failures += 1;
+        }
+        if row.evals_per_iteration() > CHECK_MAX_EVALS_PER_ITERATION {
+            eprintln!(
+                "FAIL: solver probe {}: {} evaluations in {} iterations ({:.2} per iteration, gate {CHECK_MAX_EVALS_PER_ITERATION})",
+                row.name(),
+                row.fn_evals,
+                row.iterations,
+                row.evals_per_iteration()
+            );
+            failures += 1;
+        }
+    }
+    failures
 }
 
 /// Deterministic non-trivial complex test data (the same LCG the kernel
@@ -272,10 +472,35 @@ fn measure_all() -> Vec<Row> {
     rows
 }
 
-fn write_outputs(rows: &[Row]) {
+/// Prints both tables and writes them out. The CSV holds one table:
+/// kernel rows leave the solver columns as `-`, and solver rows (named
+/// `solver:<probe>`) leave the kernel timing columns as `-`.
+fn write_outputs(rows: &[Row], solver: &[SolverRow]) {
     let cells: Vec<Vec<String>> = rows.iter().map(Row::cells).collect();
     print_table(&HEADER, &cells);
-    write_csv("grape_kernels.csv", &HEADER, &cells).ok();
+    let solver_cells: Vec<Vec<String>> = solver.iter().map(SolverRow::cells).collect();
+    println!();
+    print_table(&SOLVER_HEADER, &solver_cells);
+
+    let header: Vec<&str> = HEADER
+        .iter()
+        .chain(SOLVER_HEADER[2..].iter())
+        .copied()
+        .collect();
+    let mut csv: Vec<Vec<String>> = cells
+        .into_iter()
+        .map(|mut row| {
+            row.resize(header.len(), "-".into());
+            row
+        })
+        .collect();
+    csv.extend(solver_cells.into_iter().map(|row| {
+        let mut line = vec![format!("solver:{}", row[0]), row[1].clone()];
+        line.resize(HEADER.len(), "-".into());
+        line.extend(row.into_iter().skip(2));
+        line
+    }));
+    write_csv("grape_kernels.csv", &header, &csv).ok();
     let json = JsonValue::Object(vec![
         (
             "workload".into(),
@@ -284,6 +509,10 @@ fn write_outputs(rows: &[Row]) {
         (
             "kernels".into(),
             JsonValue::Array(rows.iter().map(Row::json).collect()),
+        ),
+        (
+            "solver".into(),
+            JsonValue::Array(solver.iter().map(SolverRow::json).collect()),
         ),
     ]);
     std::fs::write("BENCH_grape.json", json.to_pretty() + "\n").ok();
@@ -367,7 +596,8 @@ fn main() {
         }
 
         let rows = measure_all();
-        write_outputs(&rows);
+        let solver = measure_solver();
+        write_outputs(&rows, &solver);
         let dim8 = rows
             .iter()
             .find(|r| r.kernel == "matmul" && r.dim == 8)
@@ -378,7 +608,7 @@ fn main() {
             dim8.blocked_ns,
             dim8.naive_ns.unwrap_or(f64::NAN),
         );
-        let mut failed = failures > 0;
+        let mut failed = failures > 0 || check_solver(&solver) > 0;
         if speedup < CHECK_MIN_SPEEDUP {
             eprintln!(
                 "FAIL: dim-8 matmul speedup {speedup:.2}x below pinned threshold {CHECK_MIN_SPEEDUP}x"
@@ -388,14 +618,19 @@ fn main() {
         if failed {
             std::process::exit(1);
         }
+        let worst = solver
+            .iter()
+            .map(SolverRow::evals_per_iteration)
+            .fold(0.0f64, f64::max);
         println!(
-            "\nOK: bit-identical over dims {}-{}, dim-8 matmul {speedup:.2}x >= {CHECK_MIN_SPEEDUP}x",
+            "\nOK: bit-identical over dims {}-{}, dim-8 matmul {speedup:.2}x >= {CHECK_MIN_SPEEDUP}x, \
+             solver probes at most {worst:.2} <= {CHECK_MAX_EVALS_PER_ITERATION} evaluations per iteration",
             CHECK_DIMS.start(),
             CHECK_DIMS.end()
         );
     } else {
         let rows = measure_all();
-        write_outputs(&rows);
+        write_outputs(&rows, &measure_solver());
         println!("\nwrote results/grape_kernels.csv and BENCH_grape.json");
     }
 }

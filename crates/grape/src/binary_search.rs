@@ -216,96 +216,96 @@ pub fn find_minimal_latency(
         });
     }
 
-    // Exponential growth until feasible.
+    // Exponential growth until feasible: yields the first feasible
+    // slice count and its outcome, or returns the infeasibility error.
     let mut lo = 0usize; // largest known-infeasible count
     let mut n = search.min_steps.max(1);
-    let mut feasible: Option<(usize, GrapeOutcome)> = None;
     let mut best_infidelity = zero.infidelity;
 
-    // Seeded start: probe the guess first (clamped into range).
-    if let Some(guess) = search.initial_guess {
-        let g = guess.clamp(1, search.max_steps);
-        let out = probe(g, &warm_pulse);
-        best_infidelity = best_infidelity.min(out.infidelity);
-        if out.converged {
-            warm_pulse = Some(out.pulse.clone());
-            feasible = Some((g, out));
-            // One probe at the growth start tells us which side of it the
-            // boundary lies on, cheaply narrowing the bisection range
-            // (without it a good guess costs a cascade of low-N probes).
-            let m = search.min_steps.min(g.saturating_sub(1));
-            if m == g.saturating_sub(1) && m >= 1 {
-                // The search floor sits right under the guess (the
-                // seed-anchored serving window): descend one slice at a
-                // time while the shorter probe keeps converging. Each
-                // converging probe is cheap (warm-started from the pulse
-                // one slice longer); the first failure is the tight lower
-                // bound. A near-identical seed costs exactly one extra
-                // probe, and a beatable seed walks to the true minimum
-                // without re-opening the bisection over the
-                // deep-infeasible region the floor exists to prune.
-                let mut h = g;
-                while h > 1 {
-                    let out_d = probe(h - 1, &warm_pulse);
-                    if !out_d.converged {
-                        lo = h - 1;
-                        break;
+    let (mut hi, mut best_out) = 'grow: {
+        // Seeded start: probe the guess first (clamped into range).
+        if let Some(guess) = search.initial_guess {
+            let g = guess.clamp(1, search.max_steps);
+            let out = probe(g, &warm_pulse);
+            best_infidelity = best_infidelity.min(out.infidelity);
+            if out.converged {
+                warm_pulse = Some(out.pulse.clone());
+                let mut feasible = (g, out);
+                // One probe at the growth start tells us which side of it the
+                // boundary lies on, cheaply narrowing the bisection range
+                // (without it a good guess costs a cascade of low-N probes).
+                let m = search.min_steps.min(g.saturating_sub(1));
+                if m == g.saturating_sub(1) && m >= 1 {
+                    // The search floor sits right under the guess (the
+                    // seed-anchored serving window): descend one slice at a
+                    // time while the shorter probe keeps converging. Each
+                    // converging probe is cheap (warm-started from the pulse
+                    // one slice longer); the first failure is the tight lower
+                    // bound. A near-identical seed costs exactly one extra
+                    // probe, and a beatable seed walks to the true minimum
+                    // without re-opening the bisection over the
+                    // deep-infeasible region the floor exists to prune.
+                    let mut h = g;
+                    while h > 1 {
+                        let out_d = probe(h - 1, &warm_pulse);
+                        if !out_d.converged {
+                            lo = h - 1;
+                            break;
+                        }
+                        warm_pulse = Some(out_d.pulse.clone());
+                        h -= 1;
+                        feasible = (h, out_d);
                     }
-                    warm_pulse = Some(out_d.pulse.clone());
-                    h -= 1;
-                    feasible = Some((h, out_d));
+                } else if m >= 1 {
+                    let out_m = probe(m, &warm_pulse);
+                    if out_m.converged {
+                        warm_pulse = Some(out_m.pulse.clone());
+                        feasible = (m, out_m);
+                    } else {
+                        lo = m;
+                    }
                 }
-            } else if m >= 1 {
-                let out_m = probe(m, &warm_pulse);
-                if out_m.converged {
-                    warm_pulse = Some(out_m.pulse.clone());
-                    feasible = Some((m, out_m));
-                } else {
-                    lo = m;
-                }
-            }
-        } else if g >= search.max_steps {
-            return Err(LatencyError::Infeasible {
-                max_steps: search.max_steps,
-                best_infidelity,
-            });
-        } else {
-            // A seeded guess is rarely off by much: try one slice longer
-            // before falling back to exponential growth — similar groups
-            // have similar minimal latencies, so the boundary usually
-            // sits adjacent to the seed and the +1 probe converges,
-            // collapsing the whole bracket in one step.
-            let out_up = probe(g + 1, &warm_pulse);
-            best_infidelity = best_infidelity.min(out_up.infidelity);
-            if out_up.converged {
-                warm_pulse = Some(out_up.pulse.clone());
-                feasible = Some((g + 1, out_up));
-                lo = g;
+                break 'grow feasible;
+            } else if g >= search.max_steps {
+                return Err(LatencyError::Infeasible {
+                    max_steps: search.max_steps,
+                    best_infidelity,
+                });
             } else {
+                // A seeded guess is rarely off by much: try one slice longer
+                // before falling back to exponential growth — similar groups
+                // have similar minimal latencies, so the boundary usually
+                // sits adjacent to the seed and the +1 probe converges,
+                // collapsing the whole bracket in one step.
+                let out_up = probe(g + 1, &warm_pulse);
+                best_infidelity = best_infidelity.min(out_up.infidelity);
+                if out_up.converged {
+                    warm_pulse = Some(out_up.pulse.clone());
+                    lo = g;
+                    break 'grow (g + 1, out_up);
+                }
                 lo = g + 1;
+                n = (g * 2).min(search.max_steps).max(1);
             }
-            n = (g * 2).min(search.max_steps).max(1);
         }
-    }
 
-    while feasible.is_none() {
-        let out = probe(n, &warm_pulse);
-        best_infidelity = best_infidelity.min(out.infidelity);
-        if out.converged {
-            warm_pulse = Some(out.pulse.clone());
-            feasible = Some((n, out));
-            break;
+        loop {
+            let out = probe(n, &warm_pulse);
+            best_infidelity = best_infidelity.min(out.infidelity);
+            if out.converged {
+                warm_pulse = Some(out.pulse.clone());
+                break (n, out);
+            }
+            lo = n;
+            if n >= search.max_steps {
+                return Err(LatencyError::Infeasible {
+                    max_steps: search.max_steps,
+                    best_infidelity,
+                });
+            }
+            n = (n * 2).min(search.max_steps);
         }
-        lo = n;
-        if n >= search.max_steps {
-            return Err(LatencyError::Infeasible {
-                max_steps: search.max_steps,
-                best_infidelity,
-            });
-        }
-        n = (n * 2).min(search.max_steps);
-    }
-    let (mut hi, mut best_out) = feasible.expect("loop establishes feasibility or errors");
+    };
 
     // Bisection on (lo, hi].
     while hi - lo > 1 {

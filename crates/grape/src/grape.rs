@@ -59,7 +59,7 @@ impl Default for InitStrategy {
 }
 
 /// GRAPE configuration. The solver itself is fixed: spectral gradients
-/// and L-BFGS (the paper's BFGS choice, §IV-D).
+/// and L-BFGS-B over the amplitude box (the paper's BFGS choice, §IV-D).
 #[derive(Debug, Clone, Default)]
 pub struct GrapeOptions {
     /// Stopping criteria; `target_cost` is the fidelity target.
@@ -187,15 +187,15 @@ pub fn solve_with(problem: &GrapeProblem<'_>, ws: &mut Workspace) -> GrapeOutcom
         (cost, grad)
     };
 
-    let bounds: Vec<f64> = model.channels().iter().map(|c| c.max_amp).collect();
-    let project = move |params: &mut [f64]| {
-        for (i, p) in params.iter_mut().enumerate() {
-            let b = bounds[i / n_steps];
-            *p = p.clamp(-b, b);
-        }
-    };
+    // Channel-major like the parameters: each channel's amplitude cap,
+    // repeated over its slices.
+    let bounds: Vec<f64> = model
+        .channels()
+        .iter()
+        .flat_map(|c| std::iter::repeat_n(c.max_amp, n_steps))
+        .collect();
 
-    let result = minimize(&mut objective, &project, x0, &problem.options.stop);
+    let result = minimize(&mut objective, &bounds, x0, &problem.options.stop);
 
     GrapeOutcome {
         pulse: Pulse::from_params(&result.x, n_ctrl, n_steps, dt),

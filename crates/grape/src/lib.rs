@@ -3,8 +3,9 @@
 //!
 //! Implements quantum optimal control over the piecewise-constant pulse
 //! model of the paper (§II-D): forward/backward propagation through
-//! `exp(−iΔt·H)` slices, exact spectral gradients, a projected L-BFGS
-//! optimizer (the paper's BFGS choice), the `1e-4` fidelity target, and
+//! `exp(−iΔt·H)` slices, exact spectral gradients, an L-BFGS-B optimizer
+//! over the amplitude box (the paper's BFGS choice), the `1e-4` fidelity
+//! target, and
 //! the latency binary search of §IV-D. Warm starts from a similar group's
 //! pulse — the heart of AccQOC's MST acceleration — enter through
 //! [`InitStrategy::Warm`].

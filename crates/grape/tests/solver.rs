@@ -1,6 +1,6 @@
 //! The GRAPE solver through its public entry points: initialization
-//! strategies and the latency search on the paper's default L-BFGS path
-//! (§IV-D).
+//! strategies, the latency search on the paper's default L-BFGS path
+//! (§IV-D), and the line search's evaluation cost per iteration.
 
 use accqoc_grape::{
     find_minimal_latency, solve, GrapeOptions, GrapeProblem, InitStrategy, LatencySearch, Workspace,
@@ -70,4 +70,32 @@ fn warm_start_across_different_step_counts() {
         "warm resample infidelity {}",
         warm.infidelity
     );
+}
+
+/// Evaluations per accepted iteration on the 1-qubit X-gate probes. The
+/// projected line search measured 4.25 (10 slices, feasible) and 4.67
+/// (9 slices, infeasible); measuring the slope along the raw direction
+/// took 16.5 per iteration at 9 slices.
+const MAX_EVALS_PER_ITERATION: f64 = 6.0;
+
+#[test]
+fn x_gate_probes_spend_few_evaluations_per_iteration() {
+    let model = ControlModel::spin_chain(1);
+    for (n_steps, feasible) in [(10, true), (9, false)] {
+        let out = solve(&GrapeProblem {
+            model: &model,
+            target: &x_target(),
+            n_steps,
+            options: GrapeOptions::default(),
+        });
+        assert_eq!(out.converged, feasible, "{n_steps} slices");
+        assert!(out.iterations > 0, "{n_steps} slices took no step");
+        let per_iteration = out.fn_evals as f64 / out.iterations as f64;
+        assert!(
+            per_iteration <= MAX_EVALS_PER_ITERATION,
+            "{n_steps} slices: {} evaluations in {} iterations",
+            out.fn_evals,
+            out.iterations
+        );
+    }
 }
