@@ -215,7 +215,7 @@ pub(crate) fn compile_batch(
                 let (next, queue, plans) = (&next, &queue, &plans);
                 scope.spawn(move || -> WorkerResult {
                     // One pooled workspace per worker for the whole
-                    // drain; returned warm for the next batch.
+                    // drain, from (and back to) the worker thread's pool.
                     let mut ws = session.lease_workspace();
                     let mut done = Vec::new();
                     let started = Instant::now();

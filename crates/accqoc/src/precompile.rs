@@ -14,7 +14,7 @@
 use std::collections::HashMap;
 
 use accqoc_circuit::{Circuit, UnitaryKey};
-use accqoc_grape::{find_minimal_latency, LatencySearch, Workspace};
+use accqoc_grape::{find_minimal_latency, LatencySearch};
 use accqoc_hw::ControlModel;
 use accqoc_linalg::Mat;
 
@@ -191,7 +191,7 @@ pub(crate) fn optimize_group(
             max_steps: search.max_steps,
             initial_guess: entry.as_ref().map(|e| 2 * e.pulse.n_steps()),
         },
-        &mut Workspace::new(),
+        &mut session.lease_workspace(),
     )
     .map_err(|source| Error::CompileFailed { n_qubits, source })?;
 

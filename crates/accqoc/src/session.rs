@@ -13,6 +13,7 @@
 //! the compiler did; [`Session::compile_program`] runs all six in order
 //! and folds the reports into one [`ProgramCompilation`].
 
+use std::cell::RefCell;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
@@ -399,7 +400,6 @@ impl SessionBuilder {
             durations: Arc::new(Mutex::new(None)),
             library,
             recovery,
-            ws_pool: Arc::new(Mutex::new(Vec::new())),
         })
     }
 }
@@ -413,7 +413,10 @@ impl SessionBuilder {
 ///
 /// Pulse storage is the fingerprint-indexed [`PulseLibrary`], so every
 /// method takes `&self` and the session can be shared across threads
-/// (`Session` is `Sync`).
+/// (`Session` is `Sync`). GRAPE solver scratch is not part of a session:
+/// compiles lease it from a pool owned by the calling thread, which every
+/// session and fork on that thread shares, so keeping many sessions
+/// alive does not keep many sets of solver buffers alive.
 #[derive(Debug)]
 pub struct Session {
     config: AccQocConfig,
@@ -423,24 +426,30 @@ pub struct Session {
     library: PulseLibrary,
     /// What build-time recovery found (`None` without persistence).
     recovery: Option<RecoveryReport>,
-    /// Pooled GRAPE workspaces, shared across forks. Serve and compile
-    /// paths lease one per request instead of allocating fresh solver
-    /// scratch, so a long-lived session reaches an allocation-free
-    /// steady state once the pool buffers have grown to the workload's
-    /// dimensions. The pool never exceeds the peak number of concurrent
-    /// leases (one per serving thread).
-    ws_pool: Arc<Mutex<Vec<GrapeWorkspace>>>,
+}
+
+thread_local! {
+    /// Idle GRAPE workspaces of this thread. Serve and compile paths
+    /// lease one per request (see [`Session::lease_workspace`]) instead of
+    /// allocating fresh solver scratch, so a long-lived thread reaches an
+    /// allocation-free steady state once the pooled buffers have grown to
+    /// the workload's dimensions. The pool belongs to the thread, not to
+    /// a session: every session and fork served on one thread shares it,
+    /// so solver scratch does not multiply with the number of sessions
+    /// kept alive, and it never holds more than the thread's peak number
+    /// of concurrent leases. It is freed when the thread exits.
+    static WORKSPACE_POOL: RefCell<Vec<GrapeWorkspace>> = const { RefCell::new(Vec::new()) };
 }
 
 /// RAII lease on a pooled [`GrapeWorkspace`]: pops a warmed workspace
-/// from the session pool (or creates an empty one when the pool is dry)
-/// and returns it on drop, buffers intact, for the next request.
-pub(crate) struct WorkspaceLease<'a> {
-    pool: &'a Mutex<Vec<GrapeWorkspace>>,
+/// from the current thread's pool (or creates an empty one when the pool
+/// is dry) and returns it on drop, buffers intact, to the pool of the
+/// thread that drops it.
+pub(crate) struct WorkspaceLease {
     ws: Option<GrapeWorkspace>,
 }
 
-impl std::ops::Deref for WorkspaceLease<'_> {
+impl std::ops::Deref for WorkspaceLease {
     type Target = GrapeWorkspace;
     fn deref(&self) -> &GrapeWorkspace {
         self.ws
@@ -449,7 +458,7 @@ impl std::ops::Deref for WorkspaceLease<'_> {
     }
 }
 
-impl std::ops::DerefMut for WorkspaceLease<'_> {
+impl std::ops::DerefMut for WorkspaceLease {
     fn deref_mut(&mut self) -> &mut GrapeWorkspace {
         self.ws
             .as_mut()
@@ -457,15 +466,20 @@ impl std::ops::DerefMut for WorkspaceLease<'_> {
     }
 }
 
-impl Drop for WorkspaceLease<'_> {
+impl Drop for WorkspaceLease {
     fn drop(&mut self) {
         if let Some(ws) = self.ws.take() {
-            // A poisoned pool only loses the recycle, never correctness.
-            if let Ok(mut pool) = self.pool.lock() {
-                pool.push(ws);
-            }
+            // During thread teardown the pool may already be gone; that
+            // only loses the recycle, never correctness.
+            let _ = WORKSPACE_POOL.try_with(|pool| pool.borrow_mut().push(ws));
         }
     }
+}
+
+/// Number of idle workspaces parked in the current thread's pool.
+#[cfg(test)]
+pub(crate) fn pooled_workspaces() -> usize {
+    WORKSPACE_POOL.with(|pool| pool.borrow().len())
 }
 
 impl Session {
@@ -504,7 +518,6 @@ impl Session {
             durations: Arc::new(Mutex::new(None)),
             library: PulseLibrary::new(),
             recovery: None,
-            ws_pool: Arc::new(Mutex::new(Vec::new())),
         })
     }
 
@@ -521,7 +534,6 @@ impl Session {
             durations: Arc::clone(&self.durations),
             library: self.library.clone(),
             recovery: None,
-            ws_pool: Arc::clone(&self.ws_pool),
         }
     }
 
@@ -864,26 +876,16 @@ impl Session {
         })
     }
 
-    /// Leases a GRAPE workspace from the session pool (creating an empty
-    /// one only when the pool is dry). The workspace returns to the pool
-    /// on drop with its grown buffers intact.
-    pub(crate) fn lease_workspace(&self) -> WorkspaceLease<'_> {
-        let ws = self
-            .ws_pool
-            .lock()
-            .map(|mut pool| pool.pop())
-            .unwrap_or_default()
+    /// Leases a GRAPE workspace from the calling thread's pool (creating
+    /// an empty one only when the pool is dry). The workspace returns to
+    /// the pool of the thread that drops the lease, grown buffers intact.
+    pub(crate) fn lease_workspace(&self) -> WorkspaceLease {
+        let ws = WORKSPACE_POOL
+            .try_with(|pool| pool.borrow_mut().pop())
+            .ok()
+            .flatten()
             .unwrap_or_default();
-        WorkspaceLease {
-            pool: &self.ws_pool,
-            ws: Some(ws),
-        }
-    }
-
-    /// Number of idle workspaces currently parked in the pool.
-    #[cfg(test)]
-    pub(crate) fn pooled_workspaces(&self) -> usize {
-        self.ws_pool.lock().map(|p| p.len()).unwrap_or(0)
+        WorkspaceLease { ws: Some(ws) }
     }
 
     // -- lower-level entry points -------------------------------------------
@@ -1380,29 +1382,61 @@ mod tests {
         assert!(matches!(e, Error::Builder { field: "topology" }));
     }
 
+    // The workspace pool is per thread, and libtest runs each test on a
+    // thread of its own, so every pool test starts from an empty pool
+    // and its counts are exact.
+
     #[test]
     fn workspace_pool_recycles_leases() {
         let session = tiny_session();
-        assert_eq!(session.pooled_workspaces(), 0);
+        assert_eq!(pooled_workspaces(), 0);
         {
             let _a = session.lease_workspace();
             let _b = session.lease_workspace();
-            assert_eq!(session.pooled_workspaces(), 0);
+            assert_eq!(pooled_workspaces(), 0);
         }
-        // Both leases returned; pool holds exactly the peak concurrency.
-        assert_eq!(session.pooled_workspaces(), 2);
+        // Both leases returned: the pool holds exactly the thread's peak
+        // concurrency, and a further lease reuses one of them.
+        assert_eq!(pooled_workspaces(), 2);
         drop(session.lease_workspace());
-        assert_eq!(session.pooled_workspaces(), 2);
+        assert_eq!(pooled_workspaces(), 2);
     }
 
     #[test]
     fn forks_share_one_workspace_pool() {
+        // Two independent sessions and a fork, all on this thread.
         let session = tiny_session();
+        let other = tiny_session();
         let fork = session.fork();
         drop(fork.lease_workspace());
-        assert_eq!(session.pooled_workspaces(), 1);
-        drop(session.lease_workspace());
-        assert_eq!(fork.pooled_workspaces(), 1);
+        assert_eq!(pooled_workspaces(), 1);
+        {
+            // The fork's returned workspace serves the original session;
+            // the second concurrent lease has to grow the pool.
+            let _a = session.lease_workspace();
+            assert_eq!(pooled_workspaces(), 0);
+            let _b = other.lease_workspace();
+            assert_eq!(pooled_workspaces(), 0);
+        }
+        assert_eq!(pooled_workspaces(), 2);
+        drop(other.lease_workspace());
+        drop(fork.lease_workspace());
+        assert_eq!(pooled_workspaces(), 2);
+    }
+
+    #[test]
+    fn lease_dropped_on_another_thread_returns_to_that_threads_pool() {
+        let session = tiny_session();
+        let lease = session.lease_workspace();
+        let remote = std::thread::spawn(move || {
+            assert_eq!(pooled_workspaces(), 0);
+            drop(lease);
+            pooled_workspaces()
+        })
+        .join()
+        .expect("remote thread");
+        assert_eq!(remote, 1);
+        assert_eq!(pooled_workspaces(), 0);
     }
 
     #[test]

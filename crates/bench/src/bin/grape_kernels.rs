@@ -3,7 +3,8 @@
 //!
 //! Times the register-blocked complex kernels of `accqoc-linalg` against
 //! the verbatim pre-blocking loops (kept as `kernels::reference`), plus
-//! the two compound operations the serving stack spends its time in —
+//! the compound operations the serving stack spends its time in — the
+//! Jacobi `eigh_into` (more than half of a GRAPE objective pass at dim 4),
 //! `expm_i_hermitian` and a full spectral `cost_and_gradient_into`
 //! pass — across dimensions 2/4/8/16. Both sides of each pair run under
 //! the same median-of-K sampler, so the reported speedups compare like
@@ -24,8 +25,10 @@
 //!   Honors `ACCQOC_FAST=1` (fewer samples).
 //! - `--check`: first prove bit-identity — every blocked kernel against
 //!   its reference over all dimensions 1–17 (covering every
-//!   non-multiple-of-tile remainder), exact on all bytes — then gate on
-//!   raw speed: the blocked dim-8 matmul must beat the naive loop by at
+//!   non-multiple-of-tile remainder), exact on all bytes — and prove
+//!   `eigh_into` accurate over the same dimensions: `V·diag(λ)·V†` within
+//!   [`CHECK_EIGH_RESIDUAL`]·scale of its input. Then gate on raw speed:
+//!   the blocked dim-8 matmul must beat the naive loop by at
 //!   least [`CHECK_MIN_SPEEDUP`]× on median time. Then gate the solver:
 //!   every probe must converge exactly when it is marked feasible and
 //!   spend at most [`CHECK_MAX_EVALS_PER_ITERATION`] objective
@@ -38,7 +41,7 @@ use accqoc_grape::{
     cost_and_gradient_into, solve, GradientMethod, GrapeOptions, GrapeProblem, Workspace,
 };
 use accqoc_hw::ControlModel;
-use accqoc_linalg::{expm_i_hermitian, kernels, Mat, C64};
+use accqoc_linalg::{eigh_into, expm_i_hermitian, kernels, EigH, EighWorkspace, Mat, C64};
 use criterion::{black_box, Sampler};
 
 /// Pinned CI threshold: blocked dim-8 matmul speedup over the naive
@@ -47,8 +50,14 @@ use criterion::{black_box, Sampler};
 /// lost slice hoist drops it hard.
 const CHECK_MIN_SPEEDUP: f64 = 1.2;
 
+/// Pinned CI threshold: largest entry of `V·diag(λ)·V† − A` allowed for
+/// `eigh_into` on the dims-1–17 sweep, relative to the solver's own
+/// scale `max(max|a_ij|, 1)`. Jacobi converges to an off-diagonal mass of
+/// `1e-14` on that scale, and the sweep measures at most 2.8e-15.
+const CHECK_EIGH_RESIDUAL: f64 = 1e-12;
+
 /// Pinned CI threshold: objective evaluations per optimizer iteration
-/// on every solver probe. The projected line search measures 1.7–4.7
+/// on every solver probe. The projected line search measures 1.6–4.3
 /// here; measuring the slope along the raw direction, with a bisecting
 /// zoom, took 16.5 (X, 9 slices) and 16.9 (CNOT, 19 slices).
 const CHECK_MAX_EVALS_PER_ITERATION: f64 = 6.0;
@@ -122,7 +131,7 @@ const COST_STEPS: usize = 8;
 const HEADER: [&str; 5] = ["kernel", "dim", "blocked_ns", "naive_ns", "speedup"];
 
 /// One (kernel, dim) measurement. `naive_ns` is `None` for compound
-/// operations that have no preserved naive twin (`expm_i`,
+/// operations that have no preserved naive twin (`eigh`, `expm_i`,
 /// `cost_and_gradient`).
 struct Row {
     kernel: &'static str,
@@ -404,6 +413,24 @@ fn measure_dim(n: usize) -> Vec<Row> {
     });
 
     let h = hermitian(n, 43 + n as u64);
+    let mut eig = EigH {
+        values: Vec::new(),
+        vectors: Mat::zeros(0, 0),
+    };
+    let mut eig_ws = EighWorkspace::new();
+    let eigh_ns = sampler()
+        .measure(|| {
+            eigh_into(black_box(&h), &mut eig, &mut eig_ws).expect("hermitian input");
+            black_box(eig.values[0])
+        })
+        .median_ns;
+    rows.push(Row {
+        kernel: "eigh",
+        dim: n,
+        blocked_ns: eigh_ns,
+        naive_ns: None,
+    });
+
     let expm_ns = sampler()
         .measure(|| black_box(expm_i_hermitian(&h, 0.25).expect("hermitian input")))
         .median_ns;
@@ -581,15 +608,48 @@ fn check_bit_identity() -> usize {
     failures
 }
 
+/// Eigensolver accuracy sweep: for every dim 1–17, the largest entry of
+/// `V·diag(λ)·V† − A` on a dense Hermitian `A` must stay within
+/// [`CHECK_EIGH_RESIDUAL`] of `max(max|a_ij|, 1)`.
+fn check_eigh() -> usize {
+    let mut failures = 0usize;
+    for n in CHECK_DIMS {
+        let h = hermitian(n, 47 + n as u64);
+        let mut eig = EigH {
+            values: Vec::new(),
+            vectors: Mat::zeros(0, 0),
+        };
+        if let Err(e) = eigh_into(&h, &mut eig, &mut EighWorkspace::new()) {
+            eprintln!("FAIL: eigh {n}x{n}: {e}");
+            failures += 1;
+            continue;
+        }
+        let mut scaled = eig.vectors.clone();
+        for i in 0..n {
+            for j in 0..n {
+                scaled[(i, j)] = scaled[(i, j)].scale(eig.values[j]);
+            }
+        }
+        let residual = scaled.matmul(&eig.vectors.dagger()).max_abs_diff(&h);
+        let bound = CHECK_EIGH_RESIDUAL * h.max_abs().max(1.0);
+        if residual > bound {
+            eprintln!("FAIL: eigh {n}x{n} reconstruction residual {residual:e} above {bound:e}");
+            failures += 1;
+        }
+    }
+    failures
+}
+
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
     println!("GRAPE kernel microbenchmarks — blocked vs naive reference\n");
 
     if check {
-        let failures = check_bit_identity();
+        let failures = check_bit_identity() + check_eigh();
         if failures == 0 {
             println!(
-                "bit-identity: all kernels match their reference over dims {}-{}",
+                "bit-identity: all kernels match their reference over dims {}-{}; \
+                 eigh reconstructs within {CHECK_EIGH_RESIDUAL:e}·scale",
                 CHECK_DIMS.start(),
                 CHECK_DIMS.end()
             );
@@ -623,7 +683,7 @@ fn main() {
             .map(SolverRow::evals_per_iteration)
             .fold(0.0f64, f64::max);
         println!(
-            "\nOK: bit-identical over dims {}-{}, dim-8 matmul {speedup:.2}x >= {CHECK_MIN_SPEEDUP}x, \
+            "\nOK: bit-identical and eigh-accurate over dims {}-{}, dim-8 matmul {speedup:.2}x >= {CHECK_MIN_SPEEDUP}x, \
              solver probes at most {worst:.2} <= {CHECK_MAX_EVALS_PER_ITERATION} evaluations per iteration",
             CHECK_DIMS.start(),
             CHECK_DIMS.end()

@@ -4,14 +4,15 @@
 //! `1 − |Tr(U_target†·X_N)|²/d²`; the paper sets the convergence target to
 //! `1e-4` (§IV-D). Gradients are exact for any slice width: each slice's
 //! Hamiltonian is diagonalized once, and the derivative of its propagator
-//! follows from the spectral (Daleckii–Krein) form — see
-//! [`cost_and_gradient_into`].
+//! follows from the spectral (Daleckii–Krein) form, contracted into one
+//! matrix `G` per slice so that every control channel's derivative is a
+//! single trace `Tr(H_j·G)/d` — see [`cost_and_gradient_into`].
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use accqoc_hw::ControlModel;
-use accqoc_linalg::{eigh_into, Mat, C64, ZERO};
+use accqoc_linalg::{eigh_into, Mat, C64};
 
 use crate::optimizer::{minimize, StopCriteria};
 use crate::propagate::{backward_states_into, forward_states_into};
@@ -262,6 +263,15 @@ fn cost_and_gradient(
 /// register-blocked kernel layer of `accqoc-linalg`; the `grape_kernels`
 /// bench harness tracks its per-call cost in `BENCH_grape.json`.
 ///
+/// Per slice `k` the pass performs one Hermitian eigensolve
+/// `H_k = V·diag(λ)·V†`, forms the phases `e^{−iΔtλ_a}` once (they give
+/// both the propagator `U_k = V·diag(e^{−iΔtλ})·V†` and the
+/// Daleckii–Krein weights `W`), and then, with `M = X_{k−1}·B_k` and
+/// `M̃ = V†·M·V`, one gradient matrix `G = V·Kᵀ·V†` where
+/// `Kᵀ[b,a] = W[a,b]·M̃[b,a]`. Channel `j`'s derivative is
+/// `∂φ/∂u_j = Tr(H_j·G)/d`: five dense products per slice, however many
+/// control channels there are.
+///
 /// `grad` is cleared and resized to `n_controls × n_steps` (channel-major
 /// like [`Pulse::to_params`]). Returns the phase-invariant infidelity
 /// `1 − |Tr(U_T†·X_N)|²/d²`. `GradientMethod` has the single variant
@@ -288,13 +298,25 @@ pub fn cost_and_gradient_into(
     ws.ensure(dim, n_ctrl, n_steps);
 
     // Step propagators: the eigendecompositions the gradient needs
-    // double as the propagators.
+    // double as the propagators, and the slice phases e^{−iΔtλ_a} are
+    // formed once here for both the propagator and the Krein weights.
     for k in 0..n_steps {
         ws.load_amps(params, n_steps, k);
         model.hamiltonian_into(&ws.amps, &mut ws.h);
-        eigh_into(&ws.h, &mut ws.eigs[k], &mut ws.eig_ws)
-            .expect("control hamiltonians are hermitian");
-        spectral_propagator_into(&ws.eigs[k], dt, &mut ws.tmp, &mut ws.step_us[k]);
+        let eig = &mut ws.eigs[k];
+        eigh_into(&ws.h, eig, &mut ws.eig_ws).expect("control hamiltonians are hermitian");
+        let phases = &mut ws.phases[k * dim..(k + 1) * dim];
+        for (p, &l) in phases.iter_mut().zip(&eig.values) {
+            *p = C64::cis(-dt * l);
+        }
+        // U_k = V·diag(phases)·V†.
+        ws.tmp.copy_from(&eig.vectors);
+        for row in ws.tmp.as_mut_slice().chunks_exact_mut(dim) {
+            for (z, &p) in row.iter_mut().zip(phases.iter()) {
+                *z *= p;
+            }
+        }
+        ws.tmp.matmul_dagger_into(&eig.vectors, &mut ws.step_us[k]);
     }
     forward_states_into(ws, dim, n_steps);
     backward_states_into(ws, target, n_steps);
@@ -307,64 +329,43 @@ pub fn cost_and_gradient_into(
     grad.resize(n_ctrl * n_steps, 0.0);
     for k in 0..n_steps {
         let eig = &ws.eigs[k];
-        // M = X_{k−1} · B_k once per step; then, with
-        // dU = V·(W ∘ Ĥ_j)·V† and Ĥ_j = V†·H_j·V,
-        // ∂φ/∂u = Tr(dU·M)/d = Σ_{a,b} W[a,b]·Ĥ_j[a,b]·M̃[b,a]/d
-        // where M̃ = V†·M·V — no per-channel products needed.
-        // Both rotations go through the fused kernel; V_k depends
-        // on this slice's parameters, so Ĥ_j cannot be hoisted
-        // out of the evaluation — only its storage is (ws-owned).
+        let phases = &ws.phases[k * dim..(k + 1) * dim];
+        // With M = X_{k−1}·B_k, M̃ = V†·M·V and the Daleckii–Krein
+        // weights W of the slice, ∂U_k/∂u_j = V·(W ∘ V†·H_j·V)·V†, so
+        //   ∂φ/∂u_j = Tr(∂U_k/∂u_j · M)/d
+        //           = Σ_{a,b} (V†·H_j·V)[a,b]·W[a,b]·M̃[b,a] / d
+        //           = Tr(H_j · G)/d,   G = V·Kᵀ·V†,  Kᵀ[b,a] = W[a,b]·M̃[b,a].
+        // G depends on the slice only, so each channel costs one trace
+        // instead of rotating H_j into the eigenbasis.
         ws.fwd[k].matmul_into(&ws.bwd[k + 1], &mut ws.m);
         eig.vectors.rotate_into(&ws.m, &mut ws.tmp, &mut ws.mt);
-        krein_weights_into(&eig.values, dt, &mut ws.w);
-        for (j, ch) in model.channels().iter().enumerate() {
-            eig.vectors
-                .rotate_into(&ch.hamiltonian, &mut ws.tmp, &mut ws.hj_tilde);
-            let mut dphi = ZERO;
-            for a in 0..dim {
-                for b in 0..dim {
-                    dphi += ws.w[(a, b)] * ws.hj_tilde[(a, b)] * ws.mt[(b, a)];
-                }
+        // Kᵀ in place of M̃.
+        let (values, kt) = (&eig.values, ws.mt.as_mut_slice());
+        for (b, row) in kt.chunks_exact_mut(dim).enumerate() {
+            for (a, z) in row.iter_mut().enumerate() {
+                *z = krein_weight(values[a], values[b], phases[a], phases[b], dt) * *z;
             }
-            let dphi = dphi / C64::real(d);
+        }
+        eig.vectors.matmul_into(&ws.mt, &mut ws.tmp);
+        ws.tmp.matmul_dagger_into(&eig.vectors, &mut ws.g);
+        for (j, ch) in model.channels().iter().enumerate() {
+            let dphi = ch.hamiltonian.matmul_trace(&ws.g) / C64::real(d);
             grad[j * n_steps + k] = -2.0 * (phi.conj() * dphi).re;
         }
     }
     cost
 }
 
-/// Propagator `V·diag(e^{−iλΔt})·V†` from an eigendecomposition, written
-/// into `out` via a caller-owned phase scratch (no allocation once the
-/// buffers are warm).
-fn spectral_propagator_into(eig: &accqoc_linalg::EigH, dt: f64, scratch: &mut Mat, out: &mut Mat) {
-    let dim = eig.values.len();
-    scratch.copy_from(&eig.vectors);
-    for j in 0..dim {
-        let phase = C64::cis(-dt * eig.values[j]);
-        for i in 0..dim {
-            scratch[(i, j)] *= phase;
-        }
-    }
-    scratch.matmul_dagger_into(&eig.vectors, out);
-}
-
-/// Daleckii–Krein divided-difference weights for the derivative of
-/// `exp(−iΔt·H)` in the eigenbasis of `H`:
-/// `W[a,b] = (e^{−iΔtλ_a} − e^{−iΔtλ_b})/(λ_a − λ_b)`, with the confluent
-/// limit `−iΔt·e^{−iΔtλ_a}` on (near-)degenerate pairs. Written into
-/// `out`, reusing its storage.
-fn krein_weights_into(values: &[f64], dt: f64, out: &mut Mat) {
-    let dim = values.len();
-    out.reshape_zeros(dim, dim);
-    for a in 0..dim {
-        for b in 0..dim {
-            let (la, lb) = (values[a], values[b]);
-            out[(a, b)] = if (la - lb).abs() < 1e-9 {
-                C64::imag(-dt) * C64::cis(-dt * la)
-            } else {
-                (C64::cis(-dt * la) - C64::cis(-dt * lb)) / C64::real(la - lb)
-            };
-        }
+/// Daleckii–Krein divided difference for the derivative of
+/// `exp(−iΔt·H)` in the eigenbasis of `H`: with `p = e^{−iΔtλ}`,
+/// `W[a,b] = (p_a − p_b)/(λ_a − λ_b)`, and the confluent limit
+/// `−iΔt·p_a` on (near-)degenerate pairs.
+#[inline]
+fn krein_weight(la: f64, lb: f64, pa: C64, pb: C64, dt: f64) -> C64 {
+    if (la - lb).abs() < 1e-9 {
+        C64::imag(-dt) * pa
+    } else {
+        (pa - pb) / C64::real(la - lb)
     }
 }
 

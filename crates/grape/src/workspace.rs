@@ -14,7 +14,7 @@
 //! wrapper [`solve`](crate::solve) creates a throwaway workspace
 //! internally and produces bit-identical results.
 
-use accqoc_linalg::{EigH, EighWorkspace, Mat};
+use accqoc_linalg::{EigH, EighWorkspace, Mat, C64, ZERO};
 
 /// Per-thread scratch space for GRAPE objective evaluations.
 ///
@@ -49,6 +49,10 @@ pub struct Workspace {
     /// Per-slice eigendecompositions (spectral gradients), reused by
     /// index across objective evaluations.
     pub(crate) eigs: Vec<EigH>,
+    /// Per-slice phases `e^{−iΔtλ_a}`, `dim` per slice (slice `k` at
+    /// `k·dim..(k+1)·dim`): formed once per evaluation, read by both the
+    /// step propagator and the Daleckii–Krein weights.
+    pub(crate) phases: Vec<C64>,
     /// Eigensolver scratch (Jacobi working copy + sort permutation).
     pub(crate) eig_ws: EighWorkspace,
     /// Per-slice control amplitudes.
@@ -57,14 +61,16 @@ pub struct Workspace {
     pub(crate) h: Mat,
     /// `X_{k−1}·B_k` product.
     pub(crate) m: Mat,
-    /// `V†·M·V` (the product rotated into the slice eigenbasis).
+    /// `M̃ = V†·M·V` (the product rotated into the slice eigenbasis),
+    /// then overwritten in place by `Kᵀ[b,a] = W[a,b]·M̃[b,a]` with the
+    /// slice's Daleckii–Krein weights `W`.
     pub(crate) mt: Mat,
     /// General matmul scratch.
     pub(crate) tmp: Mat,
-    /// `V†·H_j·V` control Hamiltonian in the slice eigenbasis.
-    pub(crate) hj_tilde: Mat,
-    /// Daleckii–Krein divided-difference weights.
-    pub(crate) w: Mat,
+    /// `G = V·Kᵀ·V†`, the slice's gradient matrix: channel `j`'s
+    /// derivative is `Tr(H_j·G)/d`, so no control Hamiltonian is rotated
+    /// into the eigenbasis.
+    pub(crate) g: Mat,
 }
 
 impl Workspace {
@@ -75,14 +81,14 @@ impl Workspace {
             fwd: Vec::new(),
             bwd: Vec::new(),
             eigs: Vec::new(),
+            phases: Vec::new(),
             eig_ws: EighWorkspace::new(),
             amps: Vec::new(),
             h: Mat::zeros(0, 0),
             m: Mat::zeros(0, 0),
             mt: Mat::zeros(0, 0),
             tmp: Mat::zeros(0, 0),
-            hj_tilde: Mat::zeros(0, 0),
-            w: Mat::zeros(0, 0),
+            g: Mat::zeros(0, 0),
         }
     }
 
@@ -100,6 +106,7 @@ impl Workspace {
         if self.bwd.len() < n_steps + 1 {
             self.bwd.resize_with(n_steps + 1, || Mat::zeros(dim, dim));
         }
+        self.phases.resize(n_steps * dim, ZERO);
         if self.eigs.len() < n_steps {
             self.eigs.resize_with(n_steps, || EigH {
                 values: Vec::new(),

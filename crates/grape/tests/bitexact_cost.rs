@@ -4,9 +4,13 @@
 //! `accqoc_linalg::kernels::reference` — the preserved
 //! naive triple loops that predate the register-blocked kernel layer —
 //! and demands exact bit equality of the cost and every gradient entry.
-//! Together with the kernel-level property suite in `accqoc-linalg`,
-//! this is the proof that kernel dispatch cannot move a single byte of
-//! any solver output (and therefore of any golden pulse).
+//! It mirrors the solver's operation sequence: the slice phases
+//! `e^{−iΔtλ_a}` formed once and shared by the propagator and the
+//! Daleckii–Krein weights, and each slice's gradient contracted through
+//! `G = V·Kᵀ·V†` as `∂φ/∂u_j = Tr(H_j·G)/d`. Together with the
+//! kernel-level property suite in `accqoc-linalg`, this is the proof
+//! that kernel dispatch cannot move a single byte of any solver output
+//! (and therefore of any golden pulse).
 
 use accqoc_grape::{cost_and_gradient_into, GradientMethod, Workspace};
 use accqoc_hw::ControlModel;
@@ -24,40 +28,37 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// `V·diag(e^{−iλΔt})·V†` through the naive reference kernels, mirroring
-/// `spectral_propagator_into` operation for operation.
-fn reference_propagator(eig: &EigH, dt: f64) -> Mat {
+/// The slice phases `e^{−iΔtλ_a}`, formed once per slice.
+fn reference_phases(eig: &EigH, dt: f64) -> Vec<C64> {
+    eig.values.iter().map(|&l| C64::cis(-dt * l)).collect()
+}
+
+/// `V·diag(phases)·V†` through the naive reference kernels.
+fn reference_propagator(eig: &EigH, phases: &[C64]) -> Mat {
     let dim = eig.values.len();
     let mut scratch = eig.vectors.clone();
     for j in 0..dim {
-        let phase = C64::cis(-dt * eig.values[j]);
         for i in 0..dim {
-            scratch[(i, j)] *= phase;
+            scratch[(i, j)] *= phases[j];
         }
     }
-    let mut out = vec![ZERO; dim * dim];
-    kernels::reference::matmul_dagger(
-        scratch.as_slice(),
-        eig.vectors.as_slice(),
-        &mut out,
-        dim,
-        dim,
-        dim,
-    );
-    Mat::from_fn(dim, dim, |i, j| out[i * dim + j])
+    reference_matmul_dagger(&scratch, &eig.vectors)
 }
 
-/// Daleckii–Krein weights, duplicated verbatim from the solver.
-fn reference_krein_weights(values: &[f64], dt: f64) -> Mat {
-    let dim = values.len();
-    Mat::from_fn(dim, dim, |a, b| {
-        let (la, lb) = (values[a], values[b]);
-        if (la - lb).abs() < 1e-9 {
-            C64::imag(-dt) * C64::cis(-dt * la)
-        } else {
-            (C64::cis(-dt * la) - C64::cis(-dt * lb)) / C64::real(la - lb)
-        }
-    })
+/// Daleckii–Krein weight `W[a,b]`, duplicated verbatim from the solver.
+fn reference_krein_weight(la: f64, lb: f64, pa: C64, pb: C64, dt: f64) -> C64 {
+    if (la - lb).abs() < 1e-9 {
+        C64::imag(-dt) * pa
+    } else {
+        (pa - pb) / C64::real(la - lb)
+    }
+}
+
+fn reference_matmul_dagger(a: &Mat, b: &Mat) -> Mat {
+    let (m, k, n) = (a.rows(), a.cols(), b.rows());
+    let mut out = vec![ZERO; m * n];
+    kernels::reference::matmul_dagger(a.as_slice(), b.as_slice(), &mut out, m, k, n);
+    Mat::from_fn(m, n, |i, j| out[i * n + j])
 }
 
 fn reference_matmul(a: &Mat, b: &Mat) -> Mat {
@@ -94,6 +95,7 @@ fn reference_cost_and_gradient(
     let mut h = Mat::zeros(0, 0);
     let mut amps = vec![0.0; n_ctrl];
     let mut eigs = Vec::with_capacity(n_steps);
+    let mut phases = Vec::with_capacity(n_steps);
     let mut step_us = Vec::with_capacity(n_steps);
     for k in 0..n_steps {
         for (j, a) in amps.iter_mut().enumerate() {
@@ -105,7 +107,9 @@ fn reference_cost_and_gradient(
             vectors: Mat::zeros(0, 0),
         };
         eigh_into(&h, &mut eig, &mut eig_ws).expect("hermitian");
-        step_us.push(reference_propagator(&eig, dt));
+        let p = reference_phases(&eig, dt);
+        step_us.push(reference_propagator(&eig, &p));
+        phases.push(p);
         eigs.push(eig);
     }
 
@@ -127,19 +131,17 @@ fn reference_cost_and_gradient(
 
     let mut grad = vec![0.0; n_ctrl * n_steps];
     for k in 0..n_steps {
-        let eig = &eigs[k];
+        let (eig, p) = (&eigs[k], &phases[k]);
         let m = reference_matmul(&fwd[k], &bwd[k + 1]);
         let mt = reference_rotate(&eig.vectors, &m);
-        let w = reference_krein_weights(&eig.values, dt);
+        let kt = Mat::from_fn(dim, dim, |b, a| {
+            let (la, lb) = (eig.values[a], eig.values[b]);
+            reference_krein_weight(la, lb, p[a], p[b], dt) * mt[(b, a)]
+        });
+        let g = reference_matmul_dagger(&reference_matmul(&eig.vectors, &kt), &eig.vectors);
         for (j, ch) in model.channels().iter().enumerate() {
-            let hj_tilde = reference_rotate(&eig.vectors, &ch.hamiltonian);
-            let mut dphi = ZERO;
-            for a in 0..dim {
-                for b in 0..dim {
-                    dphi += w[(a, b)] * hj_tilde[(a, b)] * mt[(b, a)];
-                }
-            }
-            let dphi = dphi / C64::real(d);
+            // Shared trace kernel, as for φ above.
+            let dphi = ch.hamiltonian.matmul_trace(&g) / C64::real(d);
             grad[j * n_steps + k] = -2.0 * (phi.conj() * dphi).re;
         }
     }

@@ -73,7 +73,7 @@ fn warm_start_across_different_step_counts() {
 }
 
 /// Evaluations per accepted iteration on the 1-qubit X-gate probes. The
-/// projected line search measured 4.25 (10 slices, feasible) and 4.67
+/// projected line search measures 4.25 (10 slices, feasible) and 3.66
 /// (9 slices, infeasible); measuring the slope along the raw direction
 /// took 16.5 per iteration at 9 slices.
 const MAX_EVALS_PER_ITERATION: f64 = 6.0;

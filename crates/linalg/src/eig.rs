@@ -1,11 +1,34 @@
 //! Eigendecomposition of complex Hermitian matrices via the cyclic Jacobi
 //! method.
 //!
-//! Hermitian eigensolves back three things in this workspace:
-//! spectral matrix functions ([`crate::sqrtm::sqrtm_psd`],
-//! [`funm_hermitian`]), the Uhlmann-fidelity similarity metric (`d₄` in the
-//! paper), and cross-checks of the Padé [`crate::expm`] on Hermitian input.
-//! Matrices are ≤ 32×32, where Jacobi is simple, robust, and plenty fast.
+//! Hermitian eigensolves back four things in this workspace: the GRAPE
+//! objective (one eigensolve per time slice per evaluation: the slice
+//! propagator `V·diag(e^{−iΔtλ})·V†` and the Daleckii–Krein gradient
+//! contraction `G = V·Kᵀ·V†` both come from it), spectral matrix
+//! functions ([`crate::sqrtm::sqrtm_psd`], [`funm_hermitian`]), the
+//! Uhlmann-fidelity similarity metric (`d₄` in the paper), and
+//! cross-checks of the Padé [`crate::expm`] on Hermitian input.
+//! Matrices are ≤ 32×32, where Jacobi is simple, robust, and fast.
+//!
+//! The GRAPE path makes [`eigh_into`] the hottest kernel of every
+//! compile, so the sweep is written for it:
+//!
+//! - each rotation works in place on the flat row-major buffers, and
+//!   mixes only the two pivot rows of the Hermitian working copy: its
+//!   columns are their conjugates, and the pivot block is set to its
+//!   closed-form diagonal;
+//! - the rotation is formed from `|a_pq|²` and the diagonal gap, with
+//!   two square roots and one division on its dependent chain and no
+//!   `hypot`, pivot modulus or pivot phase (a `hypot` form only where
+//!   `|a_pq|²` would underflow or overflow);
+//! - the entry checks — the matrix scale `max(max|a_ij|, 1)` and the
+//!   Hermitian-deviation test against `1e-9·scale` — compare squared
+//!   moduli and fall back to the exact `hypot` form only inside a
+//!   [`GUARD`] band around the threshold, so both decisions come out
+//!   exactly as the `hypot` forms would decide them.
+//!
+//! The eigenvalue sort is stable (see `sorted_into`), so degenerate
+//! spectra keep Jacobi's column order.
 
 use crate::complex::{C64, ZERO};
 use crate::mat::Mat;
@@ -22,6 +45,17 @@ pub struct EigH {
 
 /// Maximum number of Jacobi sweeps before giving up.
 const MAX_SWEEPS: usize = 60;
+
+/// Relative half-width of the band around a squared threshold inside
+/// which the squared-modulus entry checks defer to the exact `hypot`
+/// form. `re² + im²` is within a few ulps (~1e-15 relative) of `|z|²`
+/// and `hypot` within one ulp of `|z|`, so outside the band the two
+/// forms cannot disagree.
+const GUARD: f64 = 1e-12;
+
+/// Range of `|z|²` over which `√(re² + im²)` is as accurate as `hypot`:
+/// no underflow into subnormals below it, no overflow above it.
+const NORM_SQR_SAFE: std::ops::RangeInclusive<f64> = 1e-290..=1e290;
 
 /// Reusable scratch for [`eigh_into`]: the Jacobi working copy, the
 /// accumulated rotations, and the sort permutation.
@@ -110,8 +144,8 @@ pub fn eigh_into(a: &Mat, out: &mut EigH, ws: &mut EighWorkspace) -> Result<(), 
     if !a.is_finite() {
         return Err(LinalgError::NonFinite);
     }
-    let scale = a.max_abs().max(1.0);
-    if hermitian_deviation(a) > 1e-9 * scale {
+    let scale = entry_scale(a);
+    if !hermitian_within(a, 1e-9 * scale) {
         return Err(LinalgError::NotHermitian);
     }
     let n = a.rows();
@@ -122,19 +156,18 @@ pub fn eigh_into(a: &Mat, out: &mut EigH, ws: &mut EighWorkspace) -> Result<(), 
     let tol = 1e-14 * scale.max(ws.m.frobenius_norm());
 
     for _sweep in 0..MAX_SWEEPS {
-        let off = off_diagonal_norm(&ws.m);
-        if off <= tol {
+        if off_diagonal_norm(ws.m.as_slice(), n) <= tol {
             sorted_into(ws, out);
             return Ok(());
         }
+        let (m, v) = (ws.m.as_mut_slice(), ws.v.as_mut_slice());
         for p in 0..n {
             for q in (p + 1)..n {
-                rotate(&mut ws.m, &mut ws.v, p, q);
+                rotate(m, v, n, p, q);
             }
         }
     }
-    let off = off_diagonal_norm(&ws.m);
-    if off <= tol * 100.0 {
+    if off_diagonal_norm(ws.m.as_slice(), n) <= tol * 100.0 {
         sorted_into(ws, out);
         return Ok(());
     }
@@ -144,9 +177,55 @@ pub fn eigh_into(a: &Mat, out: &mut EigH, ws: &mut EighWorkspace) -> Result<(), 
     })
 }
 
-/// `max |A[i,j] − conj(A[j,i])|` — the same deviation
-/// [`Mat::is_hermitian`] measures, computed without materializing the
+/// `max(max_ij |A[i,j]|, 1)`, exactly as [`Mat::max_abs`] would give it,
+/// without a `hypot` per entry: the largest squared modulus proves the
+/// common case (every entry clearly below 1, so the scale is 1), and only
+/// a matrix with an entry modulus near or above 1 pays for the exact
+/// maximum.
+fn entry_scale(a: &Mat) -> f64 {
+    let max_sq = a
+        .as_slice()
+        .iter()
+        .map(|z| z.norm_sqr())
+        .fold(0.0, f64::max);
+    if max_sq < 1.0 - GUARD {
+        1.0
+    } else {
+        a.max_abs().max(1.0)
+    }
+}
+
+/// `max |A[i,j] − conj(A[j,i])| ≤ threshold` — the deviation
+/// [`Mat::is_hermitian`] measures, decided without materializing the
 /// dagger (that method allocates; the hot eigensolve path must not).
+///
+/// Compares the largest squared deviation with `threshold²`; inside the
+/// [`GUARD`] band, or when a square leaves the finite range, it decides
+/// on the exact `hypot` deviation instead. The pair `(i, j)` and
+/// `(j, i)` deviate by the same modulus, so one triangle is scanned.
+fn hermitian_within(a: &Mat, threshold: f64) -> bool {
+    let n = a.rows();
+    let s = a.as_slice();
+    let mut dev_sq = 0.0f64;
+    for i in 0..n {
+        for j in i..n {
+            dev_sq = dev_sq.max((s[i * n + j] - s[j * n + i].conj()).norm_sqr());
+        }
+    }
+    let thr_sq = threshold * threshold;
+    if thr_sq.is_finite() && dev_sq.is_finite() {
+        if dev_sq < thr_sq * (1.0 - GUARD) {
+            return true;
+        }
+        if dev_sq > thr_sq * (1.0 + GUARD) {
+            return false;
+        }
+    }
+    hermitian_deviation(a) <= threshold
+}
+
+/// `max |A[i,j] − conj(A[j,i])|` through `hypot`: the exact deviation
+/// [`hermitian_within`] falls back to inside its guard band.
 fn hermitian_deviation(a: &Mat) -> f64 {
     let n = a.rows();
     let mut dev = 0.0f64;
@@ -158,65 +237,91 @@ fn hermitian_deviation(a: &Mat) -> f64 {
     dev
 }
 
-fn off_diagonal_norm(m: &Mat) -> f64 {
-    let n = m.rows();
+/// Frobenius norm of the off-diagonal part of the row-major `n×n` `m`.
+fn off_diagonal_norm(m: &[C64], n: usize) -> f64 {
     let mut s = 0.0;
     for i in 0..n {
         for j in 0..n {
             if i != j {
-                s += m[(i, j)].norm_sqr();
+                s += m[i * n + j].norm_sqr();
             }
         }
     }
     s.sqrt()
 }
 
-/// One complex Jacobi rotation zeroing `m[(p, q)]`, accumulating into `v`.
-fn rotate(m: &mut Mat, v: &mut Mat, p: usize, q: usize) {
-    let apq = m[(p, q)];
-    let r = apq.abs();
-    if r < 1e-300 {
-        return;
-    }
-    let phase = apq.scale(1.0 / r); // e^{iφ}
-    let alpha = m[(p, p)].re;
-    let gamma = m[(q, q)].re;
-    let tau = (gamma - alpha) / (2.0 * r);
-    let t = if tau >= 0.0 {
-        1.0 / (tau + (1.0 + tau * tau).sqrt())
+/// One complex Jacobi rotation zeroing `m[p,q]` of the row-major `n×n`
+/// working copy, in place, accumulating into the row-major `n×n` `v`.
+///
+/// With `a_pq = r·e^{iφ}` and `d = a_qq − a_pp`, the rotation angle is
+/// `t = tan θ = sign(d)/(|τ| + √(1 + τ²))` for `τ = d/(2r)`. Multiplying
+/// through by `2r`, with `ρ = √(d² + 4r²)` and `w = |d| + ρ`:
+/// `u = t/r = 2·sign(d)/w` and `1 + t² = 2ρ/w`, so `c = cos θ = √(w/2ρ)`
+/// and the rotation's off-diagonal entry is `s·e^{iφ} = u·c·a_pq`.
+/// On the common path neither `r` nor the phase `e^{iφ}` is formed: the
+/// dependent chain is two square roots and one division (the other runs
+/// beside it).
+fn rotate(m: &mut [C64], v: &mut [C64], n: usize, p: usize, q: usize) {
+    debug_assert!(p < q && q < n);
+    let apq = m[p * n + q];
+    let d = m[q * n + q].re - m[p * n + p].re;
+    let r_sq = apq.norm_sqr();
+    let disc = d * d + 4.0 * r_sq;
+    let (u, c, r_sq) = if NORM_SQR_SAFE.contains(&r_sq) && disc <= *NORM_SQR_SAFE.end() {
+        let rho = disc.sqrt();
+        let w = d.abs() + rho;
+        let mag = 2.0 / w;
+        let c = (w / (2.0 * rho)).sqrt();
+        (if d >= 0.0 { mag } else { -mag }, c, r_sq)
     } else {
-        -1.0 / (-tau + (1.0 + tau * tau).sqrt())
+        // Extreme magnitudes, where the squares lose precision: the
+        // same angle through hypot.
+        let r = apq.abs();
+        if r < 1e-300 {
+            return;
+        }
+        let tau = d / (2.0 * r);
+        let t = if tau >= 0.0 {
+            1.0 / (tau + tau.hypot(1.0))
+        } else {
+            -1.0 / (-tau + tau.hypot(1.0))
+        };
+        (t / r, 1.0 / t.hypot(1.0), r * r)
     };
-    let c = 1.0 / (1.0 + t * t).sqrt();
-    let s = t * c;
+    // U[p,p] = c, U[p,q] = s·e^{iφ}, U[q,p] = −s·e^{−iφ}, U[q,q] = c.
+    let sp = apq.scale(u * c);
+    let spc = sp.conj();
 
-    let n = m.rows();
-    // Column update: A ← A·U with U[p,p]=c, U[p,q]=s·e^{iφ}, U[q,p]=−s·e^{−iφ}, U[q,q]=c.
-    for i in 0..n {
-        let aip = m[(i, p)];
-        let aiq = m[(i, q)];
-        m[(i, p)] = aip.scale(c) - aiq * phase.conj().scale(s);
-        m[(i, q)] = aip * phase.scale(s) + aiq.scale(c);
+    // A ← U†·A·U. Outside the (p, q) block only rows and columns p and
+    // q change; the rows mix as U† prescribes, and A stays Hermitian, so
+    // the columns are their conjugates. The block itself becomes
+    // diag(α − t·r, γ + t·r) with t·r = r²·u.
+    let shift = r_sq * u;
+    let alpha = m[p * n + p].re;
+    let gamma = m[q * n + q].re;
+    let (head, tail) = m.split_at_mut(q * n);
+    let row_p = &mut head[p * n..(p + 1) * n];
+    let row_q = &mut tail[..n];
+    for (apj, aqj) in row_p.iter_mut().zip(row_q.iter_mut()) {
+        let (x, y) = (*apj, *aqj);
+        *apj = x.scale(c) - y * sp;
+        *aqj = x * spc + y.scale(c);
     }
-    // Row update: A ← U†·A.
     for j in 0..n {
-        let apj = m[(p, j)];
-        let aqj = m[(q, j)];
-        m[(p, j)] = apj.scale(c) - aqj * phase.scale(s);
-        m[(q, j)] = apj * phase.conj().scale(s) + aqj.scale(c);
+        let (apj, aqj) = (m[p * n + j], m[q * n + j]);
+        m[j * n + p] = apj.conj();
+        m[j * n + q] = aqj.conj();
     }
-    // Numerically pin the eliminated element and hermiticity of the pair.
-    m[(p, q)] = ZERO;
-    m[(q, p)] = ZERO;
-    m[(p, p)] = C64::real(m[(p, p)].re);
-    m[(q, q)] = C64::real(m[(q, q)].re);
+    m[p * n + p] = C64::real(alpha - shift);
+    m[q * n + q] = C64::real(gamma + shift);
+    m[p * n + q] = ZERO;
+    m[q * n + p] = ZERO;
 
-    // Eigenvector accumulation: V ← V·U.
-    for i in 0..v.rows() {
-        let vip = v[(i, p)];
-        let viq = v[(i, q)];
-        v[(i, p)] = vip.scale(c) - viq * phase.conj().scale(s);
-        v[(i, q)] = vip * phase.scale(s) + viq.scale(c);
+    // Eigenvector accumulation V ← V·U.
+    for row in v.chunks_exact_mut(n) {
+        let (vip, viq) = (row[p], row[q]);
+        row[p] = vip.scale(c) - viq * spc;
+        row[q] = vip * sp + viq.scale(c);
     }
 }
 
@@ -318,6 +423,180 @@ mod tests {
     use super::*;
     use crate::complex::I;
     use crate::expm::expm_i;
+    use crate::qr::random_unitary;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// The cyclic Jacobi as it ran before the in-place rewrite: `Mat`
+    /// indexing, `hypot` for every modulus, and separate divisions for
+    /// the pivot phase and the rotation angle. Kept as the reference the
+    /// production solver is checked against.
+    mod reference {
+        use super::super::{EigH, MAX_SWEEPS};
+        use crate::complex::{C64, ZERO};
+        use crate::mat::Mat;
+        use crate::LinalgError;
+
+        pub fn eigh(a: &Mat) -> Result<EigH, LinalgError> {
+            if !a.is_square() {
+                return Err(LinalgError::NotSquare {
+                    rows: a.rows(),
+                    cols: a.cols(),
+                });
+            }
+            if !a.is_finite() {
+                return Err(LinalgError::NonFinite);
+            }
+            let scale = a.max_abs().max(1.0);
+            if super::super::hermitian_deviation(a) > 1e-9 * scale {
+                return Err(LinalgError::NotHermitian);
+            }
+            let n = a.rows();
+            let mut m = a.clone();
+            let mut v = Mat::identity(n);
+            let tol = 1e-14 * scale.max(m.frobenius_norm());
+            for _sweep in 0..MAX_SWEEPS {
+                if off_diagonal_norm(&m) <= tol {
+                    return Ok(sorted(&m, &v));
+                }
+                for p in 0..n {
+                    for q in (p + 1)..n {
+                        rotate(&mut m, &mut v, p, q);
+                    }
+                }
+            }
+            if off_diagonal_norm(&m) <= tol * 100.0 {
+                return Ok(sorted(&m, &v));
+            }
+            Err(LinalgError::NoConvergence {
+                what: "jacobi eigh",
+                iters: MAX_SWEEPS,
+            })
+        }
+
+        fn off_diagonal_norm(m: &Mat) -> f64 {
+            let n = m.rows();
+            let mut s = 0.0;
+            for i in 0..n {
+                for j in 0..n {
+                    if i != j {
+                        s += m[(i, j)].norm_sqr();
+                    }
+                }
+            }
+            s.sqrt()
+        }
+
+        fn rotate(m: &mut Mat, v: &mut Mat, p: usize, q: usize) {
+            let apq = m[(p, q)];
+            let r = apq.abs();
+            if r < 1e-300 {
+                return;
+            }
+            let phase = apq.scale(1.0 / r);
+            let alpha = m[(p, p)].re;
+            let gamma = m[(q, q)].re;
+            let tau = (gamma - alpha) / (2.0 * r);
+            let t = if tau >= 0.0 {
+                1.0 / (tau + (1.0 + tau * tau).sqrt())
+            } else {
+                -1.0 / (-tau + (1.0 + tau * tau).sqrt())
+            };
+            let c = 1.0 / (1.0 + t * t).sqrt();
+            let s = t * c;
+            let n = m.rows();
+            for i in 0..n {
+                let aip = m[(i, p)];
+                let aiq = m[(i, q)];
+                m[(i, p)] = aip.scale(c) - aiq * phase.conj().scale(s);
+                m[(i, q)] = aip * phase.scale(s) + aiq.scale(c);
+            }
+            for j in 0..n {
+                let apj = m[(p, j)];
+                let aqj = m[(q, j)];
+                m[(p, j)] = apj.scale(c) - aqj * phase.scale(s);
+                m[(q, j)] = apj * phase.conj().scale(s) + aqj.scale(c);
+            }
+            m[(p, q)] = ZERO;
+            m[(q, p)] = ZERO;
+            m[(p, p)] = C64::real(m[(p, p)].re);
+            m[(q, q)] = C64::real(m[(q, q)].re);
+            for i in 0..v.rows() {
+                let vip = v[(i, p)];
+                let viq = v[(i, q)];
+                v[(i, p)] = vip.scale(c) - viq * phase.conj().scale(s);
+                v[(i, q)] = vip * phase.scale(s) + viq.scale(c);
+            }
+        }
+
+        /// Stable ascending sort of the eigenpairs.
+        fn sorted(m: &Mat, v: &Mat) -> EigH {
+            let n = m.rows();
+            let mut idx: Vec<usize> = (0..n).collect();
+            idx.sort_by(|&a, &b| m[(a, a)].re.total_cmp(&m[(b, b)].re));
+            EigH {
+                values: idx.iter().map(|&i| m[(i, i)].re).collect(),
+                vectors: Mat::from_fn(n, n, |i, j| v[(i, idx[j])]),
+            }
+        }
+    }
+
+    /// The kinds of Hermitian input the property test draws.
+    #[derive(Debug, Clone, Copy)]
+    enum Kind {
+        /// `(G + G†)/2` with uniform complex entries.
+        Dense,
+        /// Real diagonal: Jacobi must return it without rotating.
+        Diagonal,
+        /// `Q·diag(λ)·Q†` with only two distinct eigenvalues.
+        Degenerate,
+        /// Diagonal plus off-diagonal entries already below the
+        /// convergence tolerance.
+        Reduced,
+    }
+
+    /// A random Hermitian `n×n` matrix of the given kind with entries of
+    /// modulus up to about `scale`, drawn from `seed`.
+    fn hermitian_case(n: usize, scale: f64, kind: Kind, seed: u64) -> Mat {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut uniform = move || rand::Rng::gen_range(&mut rng, -1.0..1.0);
+        match kind {
+            Kind::Dense => {
+                let g = Mat::from_fn(n, n, |_, _| C64::new(uniform(), uniform()));
+                (&g + &g.dagger()).scale_re(0.5 * scale)
+            }
+            Kind::Diagonal => Mat::diag(
+                &(0..n)
+                    .map(|_| C64::real(uniform() * scale))
+                    .collect::<Vec<_>>(),
+            ),
+            Kind::Degenerate => {
+                let levels = [uniform() * scale, uniform() * scale];
+                let q = random_unitary(n, &mut StdRng::seed_from_u64(seed ^ 0x5eed));
+                let d = Mat::diag(&(0..n).map(|i| C64::real(levels[i % 2])).collect::<Vec<_>>());
+                let h = q.matmul(&d).matmul(&q.dagger());
+                // Symmetrize away the rounding of the products.
+                (&h + &h.dagger()).scale_re(0.5)
+            }
+            Kind::Reduced => Mat::from_fn(n, n, |i, j| {
+                let z = C64::new(uniform(), uniform());
+                if i == j {
+                    C64::real(z.re * scale)
+                } else {
+                    // Below 1e-14 · max(scale, ‖A‖_F) / n per entry.
+                    let tiny = 1e-16 * scale.max(1.0);
+                    let (lo, hi) = (i.min(j), i.max(j));
+                    let w = C64::new(((lo * 7 + hi) % 5) as f64, ((lo + 3 * hi) % 4) as f64);
+                    if i < j {
+                        w.scale(tiny)
+                    } else {
+                        w.conj().scale(tiny)
+                    }
+                }
+            }),
+        }
+    }
 
     fn reconstruct(eig: &EigH) -> Mat {
         let n = eig.values.len();
@@ -458,5 +737,152 @@ mod tests {
             let b = expm_i(&h, t).unwrap();
             assert!(a.approx_eq(&b, 1e-9), "t={t}: diff {}", a.max_abs_diff(&b));
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn jacobi_matches_reference_reconstructs_and_sorts(
+            n in 1usize..9,
+            log_scale in -8.0f64..3.0,
+            kind in 0u8..4,
+            seed in 0u64..u64::MAX,
+        ) {
+            let kind = [Kind::Dense, Kind::Diagonal, Kind::Degenerate, Kind::Reduced]
+                [kind as usize];
+            let a = hermitian_case(n, 10f64.powf(log_scale), kind, seed);
+            // The solver's own scale: its tolerances are absolute below 1.
+            let tol = 1e-12 * a.max_abs().max(1.0);
+            let got = eigh(&a).map_err(|e| format!("{kind:?}: {e}"))?;
+            let want = reference::eigh(&a).map_err(|e| format!("reference {kind:?}: {e}"))?;
+            for (x, y) in got.values.iter().zip(&want.values) {
+                prop_assert!((x - y).abs() <= tol, "{kind:?} n={n}: eigenvalue {x} vs reference {y}");
+            }
+            for w in got.values.windows(2) {
+                prop_assert!(w[0] <= w[1], "{kind:?} n={n}: eigenvalues not ascending");
+            }
+            let rebuilt = reconstruct(&got);
+            prop_assert!(
+                rebuilt.max_abs_diff(&a) <= tol,
+                "{kind:?} n={n}: reconstruction residual {}",
+                rebuilt.max_abs_diff(&a)
+            );
+            let gram = got.vectors.dagger().matmul(&got.vectors);
+            prop_assert!(
+                gram.max_abs_diff(&Mat::identity(n)) <= tol,
+                "{kind:?} n={n}: V†V − I = {}",
+                gram.max_abs_diff(&Mat::identity(n))
+            );
+        }
+    }
+
+    #[test]
+    fn extreme_magnitudes_stay_accurate() {
+        // Entries whose squares leave the normal range, and a pivot of
+        // 1e-160 between equal diagonal entries (a 45° rotation built
+        // from a pivot modulus that `|a_pq|²` would lose to underflow).
+        let mut cases: Vec<Mat> = [1e-150, 1e150]
+            .iter()
+            .map(|&s| hermitian_case(4, 1.0, Kind::Dense, 7).scale_re(s))
+            .collect();
+        cases.push(Mat::from_flat(&[
+            C64::real(1.0),
+            C64::new(1e-160, 1e-160),
+            C64::real(0.5),
+            C64::new(1e-160, -1e-160),
+            C64::real(1.0),
+            ZERO,
+            C64::real(0.5),
+            ZERO,
+            C64::real(3.0),
+        ]));
+        for a in &cases {
+            let n = a.rows();
+            let tol = 1e-12 * a.max_abs().max(1.0);
+            let got = eigh(a).unwrap();
+            let want = reference::eigh(a).unwrap();
+            for (x, y) in got.values.iter().zip(&want.values) {
+                assert!((x - y).abs() <= tol, "eigenvalue {x} vs reference {y}");
+            }
+            assert!(reconstruct(&got).max_abs_diff(a) <= tol);
+            let gram = got.vectors.dagger().matmul(&got.vectors);
+            assert!(gram.max_abs_diff(&Mat::identity(n)) <= 1e-12, "V†V − I");
+        }
+    }
+
+    /// `x` moved by `k` units in the last place (`k` may be negative).
+    fn ulps(x: f64, k: i64) -> f64 {
+        f64::from_bits((x.to_bits() as i64 + k) as u64)
+    }
+
+    /// Angles at which the boundary tests place a complex modulus: dense
+    /// enough that `re² + im²` and `hypot(re, im)²` round to opposite
+    /// sides of the threshold in some cases (about one in a hundred).
+    fn angles() -> impl Iterator<Item = f64> {
+        (0..64).map(|a| a as f64 * 0.0245)
+    }
+
+    #[test]
+    fn hermitian_decision_matches_hypot_at_the_threshold() {
+        // A deviation of modulus a few ulps either side of 1e-9·scale,
+        // formed exactly: A[0,1] − conj(A[1,0]) = dev − 0. The
+        // squared-modulus test must decide exactly as the hypot test.
+        for (alpha, scale) in [(0.5, 1.0), (2.5, 2.5)] {
+            let threshold = 1e-9 * scale;
+            for k in -40i64..=40 {
+                let t = ulps(threshold, k);
+                for angle in angles() {
+                    let dev = C64::new(t * angle.cos(), t * angle.sin());
+                    let a = Mat::from_flat(&[C64::real(alpha), dev, ZERO, C64::real(-0.25)]);
+                    check_decision(&a);
+                }
+            }
+        }
+        // And clearly either side.
+        let just_under = Mat::from_flat(&[ZERO, C64::real(0.5), C64::new(0.5, 0.999e-9), ZERO]);
+        let just_over = Mat::from_flat(&[ZERO, C64::real(0.5), C64::new(0.5, 1.001e-9), ZERO]);
+        assert!(eigh(&just_under).is_ok());
+        assert!(matches!(eigh(&just_over), Err(LinalgError::NotHermitian)));
+        check_decision(&just_under);
+        check_decision(&just_over);
+    }
+
+    /// Asserts the fast scale and Hermitian decisions equal the `hypot`
+    /// forms bit for bit, and that both solvers agree on acceptance.
+    fn check_decision(a: &Mat) {
+        let scale = a.max_abs().max(1.0);
+        assert_eq!(entry_scale(a).to_bits(), scale.to_bits(), "scale of {a:?}");
+        let exact = hermitian_deviation(a) <= 1e-9 * scale;
+        assert_eq!(
+            hermitian_within(a, 1e-9 * scale),
+            exact,
+            "hermitian decision on {a:?}"
+        );
+        assert_eq!(
+            eigh(a).is_ok(),
+            reference::eigh(a).is_ok(),
+            "acceptance of {a:?}"
+        );
+    }
+
+    #[test]
+    fn scale_decision_matches_hypot_at_unit_modulus() {
+        // Entry moduli a few ulps either side of 1: `entry_scale` must
+        // return exactly `max(max_abs, 1)`.
+        for k in -40i64..=40 {
+            let r = ulps(1.0, k);
+            for angle in angles() {
+                let z = C64::new(r * angle.cos(), r * angle.sin());
+                let a = Mat::from_flat(&[C64::real(0.1), z, z.conj(), C64::real(-0.2)]);
+                check_decision(&a);
+            }
+        }
+        let under = Mat::from_flat(&[C64::real(1.0 - 1e-15), ZERO, ZERO, ZERO]);
+        let over = Mat::from_flat(&[C64::real(1.0 + 1e-15), ZERO, ZERO, ZERO]);
+        assert_eq!(entry_scale(&under), 1.0);
+        assert_eq!(entry_scale(&over), 1.0 + 1e-15);
+        check_decision(&under);
+        check_decision(&over);
     }
 }

@@ -371,7 +371,8 @@ impl Mat {
     /// Bit-identical to the unfused
     /// [`dagger_matmul_into`](Mat::dagger_matmul_into) +
     /// [`matmul_into`](Mat::matmul_into) sequence; the GRAPE gradient
-    /// rotates two matrices per slice per control through this call.
+    /// rotates each slice's `X_{k−1}·B_k` into the eigenbasis through
+    /// this call.
     ///
     /// # Panics
     ///
