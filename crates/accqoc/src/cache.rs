@@ -9,10 +9,10 @@
 //! artifact is byte-deterministic for a given cache state.
 
 use std::collections::HashMap;
-use std::path::Path;
 
 use accqoc_circuit::UnitaryKey;
 use accqoc_grape::Pulse;
+use accqoc_linalg::{Mat, C64};
 
 use crate::error::Result;
 use crate::json::{self, hex_decode, hex_encode, JsonError, JsonValue};
@@ -114,11 +114,7 @@ impl PulseCache {
     pub fn to_json_value(&self) -> JsonValue {
         let mut entries: Vec<(&UnitaryKey, &CachedPulse)> = self.entries.iter().collect();
         entries.sort_by(|a, b| a.0.cmp(b.0));
-        let entries = entries
-            .into_iter()
-            .map(|(key, entry)| entry_to_json_value(key, entry))
-            .collect();
-        JsonValue::Object(vec![("entries".into(), JsonValue::Array(entries))])
+        entries_to_json_value(entries.into_iter().map(|(key, entry)| (key, entry, None)))
     }
 
     /// Serializes to pretty JSON ([`PulseCache::to_json_value`],
@@ -129,21 +125,17 @@ impl PulseCache {
 
     /// Rebuilds a cache from a [`PulseCache::to_json_value`] value.
     ///
-    /// Unknown per-entry fields are ignored, so artifacts extended with
-    /// canonical unitaries (see [`crate::Session::save_cache`]) load
-    /// here too — they just drop the index metadata.
+    /// Entries that carry a canonical `unitary` (every
+    /// [`crate::Session::save_cache`] artifact and durable snapshot
+    /// writes one per fingerprint-indexed entry) load here too; the
+    /// unitary is checked and then dropped.
     ///
     /// # Errors
     ///
     /// [`crate::Error::Json`] on a malformed value.
     pub fn from_json_value(doc: &JsonValue) -> Result<Self> {
-        let entries = doc
-            .get("entries")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| malformed("missing `entries` array"))?;
         let mut cache = PulseCache::new();
-        for entry in entries {
-            let (key, entry) = entry_from_json_value(entry)?;
+        for (key, entry, _) in entries_from_json_value(doc)? {
             cache.insert(key, entry);
         }
         Ok(cache)
@@ -158,28 +150,6 @@ impl PulseCache {
     pub fn from_json(text: &str) -> Result<Self> {
         Self::from_json_value(&json::parse(text)?)
     }
-
-    /// Writes the cache to a file as JSON. The write is atomic
-    /// (temp-file + rename), so a crash mid-save never leaves a torn
-    /// artifact behind.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::Error::Store`] from file creation or writing.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        accqoc_store::write_atomic(path.as_ref(), self.to_json().as_bytes())?;
-        Ok(())
-    }
-
-    /// Loads a cache from a JSON file.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::Error::Io`] / [`crate::Error::Json`] on unreadable or malformed files.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self> {
-        let text = std::fs::read_to_string(path)?;
-        Self::from_json(&text)
-    }
 }
 
 fn malformed(message: &str) -> JsonError {
@@ -189,12 +159,42 @@ fn malformed(message: &str) -> JsonError {
     }
 }
 
-/// One cache entry as the canonical JSON object (`key`, `latency_ns`,
-/// `iterations`, `n_qubits`, `pulse`). Shared by the artifact writer,
-/// the extended indexed artifact, and the WAL record encoding, so every
-/// persisted representation of an entry is byte-for-byte the same.
-pub(crate) fn entry_to_json_value(key: &UnitaryKey, entry: &CachedPulse) -> JsonValue {
-    JsonValue::Object(vec![
+/// One library entry as it is stored on disk: key, pulse, and the
+/// canonical unitary when the entry is fingerprint-indexed.
+pub(crate) type StoredEntry = (UnitaryKey, CachedPulse, Option<Mat>);
+
+/// The artifact document `{"entries": [...]}` over entries the caller
+/// has sorted by key. With no unitary anywhere this is exactly
+/// [`PulseCache::to_json_value`].
+pub(crate) fn entries_to_json_value<'a>(
+    entries: impl Iterator<Item = (&'a UnitaryKey, &'a CachedPulse, Option<&'a Mat>)>,
+) -> JsonValue {
+    let entries = entries
+        .map(|(key, entry, unitary)| entry_to_json_value(key, entry, unitary))
+        .collect();
+    JsonValue::Object(vec![("entries".into(), JsonValue::Array(entries))])
+}
+
+/// Parses an [`entries_to_json_value`] document, in document order.
+pub(crate) fn entries_from_json_value(doc: &JsonValue) -> Result<Vec<StoredEntry>> {
+    doc.get("entries")
+        .and_then(JsonValue::as_array)
+        .ok_or_else(|| malformed("missing `entries` array"))?
+        .iter()
+        .map(entry_from_json_value)
+        .collect()
+}
+
+/// One entry as the canonical JSON object (`key`, `latency_ns`,
+/// `iterations`, `n_qubits`, `pulse`, and `unitary` when given). The
+/// cache artifact, the durable snapshot and the WAL insert record all
+/// write an entry through this one function.
+pub(crate) fn entry_to_json_value(
+    key: &UnitaryKey,
+    entry: &CachedPulse,
+    unitary: Option<&Mat>,
+) -> JsonValue {
+    let mut fields = vec![
         ("key".into(), JsonValue::String(hex_encode(key.as_bytes()))),
         ("latency_ns".into(), JsonValue::Number(entry.latency_ns)),
         (
@@ -225,13 +225,28 @@ pub(crate) fn entry_to_json_value(key: &UnitaryKey, entry: &CachedPulse) -> Json
                 ),
             ]),
         ),
-    ])
+    ];
+    if let Some(unitary) = unitary {
+        // Row-major `[re, im, re, im, ...]`: `2·d²` numbers.
+        let cells = unitary
+            .as_slice()
+            .iter()
+            .flat_map(|c| [JsonValue::Number(c.re), JsonValue::Number(c.im)])
+            .collect();
+        fields.push(("unitary".into(), JsonValue::Array(cells)));
+    }
+    JsonValue::Object(fields)
 }
 
-/// Parses one entry object produced by [`entry_to_json_value`]. Unknown
-/// fields (e.g. the optional `unitary` of indexed artifacts) are
-/// ignored.
-pub(crate) fn entry_from_json_value(entry: &JsonValue) -> Result<(UnitaryKey, CachedPulse)> {
+/// A finite number (`1e999` parses to infinity, which no entry field
+/// can hold).
+fn finite(value: &JsonValue) -> Option<f64> {
+    value.as_f64().filter(|x| x.is_finite())
+}
+
+/// Parses one [`entry_to_json_value`] object. Every number must be
+/// finite, and a `unitary` must be a unitary of the entry's width.
+pub(crate) fn entry_from_json_value(entry: &JsonValue) -> Result<StoredEntry> {
     let key_hex = entry
         .get("key")
         .and_then(JsonValue::as_str)
@@ -239,8 +254,8 @@ pub(crate) fn entry_from_json_value(entry: &JsonValue) -> Result<(UnitaryKey, Ca
     let key = UnitaryKey::from_bytes(hex_decode(key_hex)?);
     let latency_ns = entry
         .get("latency_ns")
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| malformed("entry missing `latency_ns`"))?;
+        .and_then(finite)
+        .ok_or_else(|| malformed("entry missing finite `latency_ns`"))?;
     let iterations = entry
         .get("iterations")
         .and_then(JsonValue::as_usize)
@@ -254,9 +269,9 @@ pub(crate) fn entry_from_json_value(entry: &JsonValue) -> Result<(UnitaryKey, Ca
         .ok_or_else(|| malformed("entry missing `pulse`"))?;
     let dt_ns = pulse
         .get("dt_ns")
-        .and_then(JsonValue::as_f64)
+        .and_then(finite)
         .filter(|&dt| dt > 0.0)
-        .ok_or_else(|| malformed("pulse missing positive `dt_ns`"))?;
+        .ok_or_else(|| malformed("pulse missing finite positive `dt_ns`"))?;
     let amps = pulse
         .get("amps")
         .and_then(JsonValue::as_array)
@@ -271,13 +286,17 @@ pub(crate) fn entry_from_json_value(entry: &JsonValue) -> Result<(UnitaryKey, Ca
             .ok_or_else(|| malformed("amp row is not an array"))?;
         rows.push(
             row.iter()
-                .map(|v| v.as_f64().ok_or_else(|| malformed("amp is not a number")))
+                .map(|v| finite(v).ok_or_else(|| malformed("amp is not a finite number")))
                 .collect::<std::result::Result<_, _>>()?,
         );
     }
     if rows.iter().any(|r| r.len() != rows[0].len()) {
         return Err(malformed("ragged amp rows").into());
     }
+    let unitary = match entry.get("unitary") {
+        Some(cells) => Some(unitary_from_json(cells, n_qubits)?),
+        None => None,
+    };
     Ok((
         key,
         CachedPulse {
@@ -286,7 +305,35 @@ pub(crate) fn entry_from_json_value(entry: &JsonValue) -> Result<(UnitaryKey, Ca
             iterations,
             n_qubits,
         },
+        unitary,
     ))
+}
+
+/// Decodes an entry's `unitary` cells into the `2^n_qubits`-square
+/// matrix they must form.
+fn unitary_from_json(value: &JsonValue, n_qubits: usize) -> Result<Mat> {
+    let cells = value
+        .as_array()
+        .ok_or_else(|| malformed("unitary is not an array"))?;
+    let d = u32::try_from(n_qubits)
+        .ok()
+        .and_then(|n| 1usize.checked_shl(n));
+    let len = d
+        .and_then(|d| d.checked_mul(d))
+        .and_then(|d2| d2.checked_mul(2));
+    if len != Some(cells.len()) {
+        return Err(malformed("unitary length does not match n_qubits").into());
+    }
+    let nums = cells
+        .iter()
+        .map(|v| finite(v).ok_or_else(|| malformed("unitary cell is not a finite number")))
+        .collect::<std::result::Result<Vec<f64>, _>>()?;
+    let flat: Vec<C64> = nums.chunks(2).map(|p| C64::new(p[0], p[1])).collect();
+    let unitary = Mat::from_flat(&flat);
+    if !unitary.is_unitary(1e-6) {
+        return Err(malformed("unitary is not unitary").into());
+    }
+    Ok(unitary)
 }
 
 #[cfg(test)]
@@ -359,19 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn file_roundtrip() {
-        let mut cache = PulseCache::new();
-        cache.insert(key_of(&[Gate::X(0)], 1), entry(1, 10.0));
-        let dir = std::env::temp_dir().join("accqoc_cache_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.json");
-        cache.save(&path).unwrap();
-        let restored = PulseCache::load(&path).unwrap();
-        assert_eq!(restored.len(), 1);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn merge_prefers_other() {
         let k = key_of(&[Gate::H(0)], 1);
         let mut a = PulseCache::new();
@@ -390,5 +424,23 @@ mod tests {
         ));
         assert!(PulseCache::from_json("{\"entries\": [{\"key\": \"zz\"}]}").is_err());
         assert!(PulseCache::from_json("{\"entries\": 3}").is_err());
+    }
+
+    #[test]
+    fn entry_unitary_round_trips_and_must_fit_its_width() {
+        let k = key_of(&[Gate::H(0)], 1);
+        let u = circuit_unitary(&Circuit::from_gates(1, [Gate::Rz(0, 0.3), Gate::H(0)]));
+        let value = entry_to_json_value(&k, &entry(1, 5.0), Some(&u));
+        let (_, _, round) = entry_from_json_value(&value).unwrap();
+        assert_eq!(round.expect("unitary kept").as_slice(), u.as_slice());
+        // Two qubits wide: a 2×2 unitary has the wrong length.
+        let wide = entry_to_json_value(&k, &entry(2, 5.0), Some(&u));
+        assert!(matches!(entry_from_json_value(&wide), Err(Error::Json(_))));
+        // The right length but not unitary.
+        let doubled = entry_to_json_value(&k, &entry(1, 5.0), Some(&u.scale_re(2.0)));
+        assert!(matches!(
+            entry_from_json_value(&doubled),
+            Err(Error::Json(_))
+        ));
     }
 }

@@ -88,7 +88,7 @@ pub use model::{ModelSet, MAX_MODEL_QUBITS};
 pub use mst::{mst_compile_order, scratch_order, CompileOrder, CompileStep, SimilarityGraph};
 pub use parallel::{ParallelStats, WorkerTiming, DEFAULT_PLAN_PARTS};
 pub use partition::{partition_tree, TreePartition, WeightedTree};
-pub use persist::{PersistOptions, RecoveryReport, INDEX_FILE, SNAPSHOT_FILE, WAL_FILE};
+pub use persist::{PersistOptions, RecoveryReport, SNAPSHOT_FILE, WAL_FILE};
 pub use precompile::{collect_category, Category, PrecompileReport};
 pub use session::{
     CompileReport, CoverageStats, DecomposeReport, GroupCompilation, GroupReport, GroupTarget,

@@ -125,12 +125,6 @@ impl FingerprintIndex {
         self.entries.get(key)
     }
 
-    /// Iterates over every indexed entry (unordered — persistence
-    /// callers sort by key for deterministic artifacts).
-    pub fn entries(&self) -> impl Iterator<Item = (&UnitaryKey, &IndexedUnitary)> {
-        self.entries.iter()
-    }
-
     /// Indexes (or re-indexes) a unitary under `key`.
     pub fn insert(&mut self, key: UnitaryKey, unitary: &Mat, n_qubits: usize) {
         let fingerprint = UnitaryFingerprint::of(unitary, n_qubits);
@@ -168,12 +162,6 @@ impl FingerprintIndex {
                 self.buckets.remove(bucket);
             }
         }
-    }
-
-    /// Removes every entry.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.buckets.clear();
     }
 
     /// Up to `k` candidate keys nearest to `query` in fingerprint

@@ -19,7 +19,8 @@
 //! - **batch writes** — the batch engine behind
 //!   [`Session::compile`](crate::Session::compile) and
 //!   [`Session::precompile`](crate::Session::precompile) compiles a whole
-//!   batch first and then inserts its entries here, in compile order;
+//!   batch first and then inserts its entries here, each with its
+//!   canonical unitary;
 //! - **serving** — [`Session::serve_program`](crate::Session::serve_program)
 //!   drives the library online: hits are free, misses warm-start GRAPE
 //!   from the nearest cached neighbor and insert the result back, and
@@ -192,6 +193,20 @@ struct LibraryState {
     scratch: SimilarityScratch,
 }
 
+impl LibraryState {
+    /// Every entry sorted by key, each with its canonical unitary when
+    /// the fingerprint index holds one, as the library artifact.
+    fn artifact(&self) -> String {
+        let mut entries: Vec<_> = self
+            .pulses
+            .iter()
+            .map(|(key, entry)| (key, entry, self.index.get(key).map(|i| &i.unitary)))
+            .collect();
+        entries.sort_by(|a, b| a.0.cmp(b.0));
+        crate::persist::library_json(entries.into_iter())
+    }
+}
+
 /// A warm-start neighbor found by [`PulseLibrary::nearest`].
 #[derive(Debug, Clone)]
 pub struct NearestPulse {
@@ -208,6 +223,12 @@ pub struct NearestPulse {
 
 /// The incremental pulse library: bounded, fingerprint-indexed storage
 /// for compiled group pulses, shared by the batch and online paths.
+///
+/// [`PulseLibrary::insert`] is the one write: an entry goes in with its
+/// canonical unitary (indexed) or without (exact hits only).
+/// [`PulseLibrary::merge`] is its un-indexed bulk form and
+/// [`PulseLibrary::touch`] only refreshes recency; with a journal
+/// attached, each insert and each eviction it causes is one WAL record.
 ///
 /// Every method takes `&self`, and every read or write takes the one
 /// internal mutex, so a serving hit reads its entry and refreshes its
@@ -266,15 +287,6 @@ impl PulseLibrary {
         self.journal = Some(journal);
     }
 
-    /// An unbounded library pre-seeded from a plain cache (entries are
-    /// stored but not fingerprint-indexed — a plain cache carries no
-    /// unitaries; see [`PulseLibrary::index_unitary`]).
-    pub fn from_cache(cache: PulseCache) -> Self {
-        let lib = Self::new();
-        lib.merge(cache);
-        lib
-    }
-
     /// The capacity bound (`None` = unbounded).
     pub fn capacity(&self) -> Option<usize> {
         self.capacity
@@ -291,7 +303,8 @@ impl PulseLibrary {
     }
 
     /// Number of fingerprint-indexed entries (≤ [`PulseLibrary::len`]:
-    /// entries merged from plain caches carry no unitary to index).
+    /// entries inserted without a unitary, as plain-cache merges are,
+    /// are not indexed).
     pub fn indexed_len(&self) -> usize {
         self.lock().index.len()
     }
@@ -339,36 +352,13 @@ impl PulseLibrary {
         self.clock.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Inserts an entry without fingerprint metadata (it is stored,
-    /// served on exact key hits, and evictable, but never returned as a
-    /// warm-start neighbor).
-    pub fn insert(&self, key: UnitaryKey, entry: CachedPulse) {
-        let stamp = self.tick();
-        let mut state = self.lock();
-        if self.capacity == Some(0) {
-            return;
-        }
-        let logged = self.journal.as_ref().map(|_| entry.clone());
-        state.pulses.insert(key.clone(), entry);
-        state.recency.insert(key.clone(), stamp);
-        let evicted = self.evict_over_capacity(&mut state);
-        if let Some(journal) = &self.journal {
-            journal.record(&Event::Insert {
-                key: &key,
-                entry: logged.as_ref().expect("cloned when journaling"),
-                unitary: None,
-            });
-            for victim in &evicted {
-                journal.record(&Event::Evict { key: victim });
-            }
-            self.maybe_snapshot(journal, &state);
-        }
-    }
-
-    /// Inserts an entry together with its canonical unitary, making it
-    /// retrievable as a warm-start neighbor. This is the path every
-    /// compile (batch or served) goes through.
-    pub fn insert_indexed(&self, key: UnitaryKey, unitary: &Mat, entry: CachedPulse) {
+    /// Stores `entry` under `key`: the library's one write. With the
+    /// canonical `unitary` the entry is also fingerprint-indexed, so it
+    /// is retrievable as a warm-start neighbor; every compile, batch or
+    /// served, inserts this way. Without one the entry is stored, served
+    /// on exact key hits and evictable, and any index entry `key`
+    /// already has stays in place.
+    pub fn insert(&self, key: UnitaryKey, entry: CachedPulse, unitary: Option<&Mat>) {
         let stamp = self.tick();
         let n_qubits = entry.n_qubits;
         let mut state = self.lock();
@@ -377,14 +367,16 @@ impl PulseLibrary {
         }
         let logged = self.journal.as_ref().map(|_| entry.clone());
         state.pulses.insert(key.clone(), entry);
-        state.index.insert(key.clone(), unitary, n_qubits);
+        if let Some(unitary) = unitary {
+            state.index.insert(key.clone(), unitary, n_qubits);
+        }
         state.recency.insert(key.clone(), stamp);
         let evicted = self.evict_over_capacity(&mut state);
         if let Some(journal) = &self.journal {
             journal.record(&Event::Insert {
                 key: &key,
                 entry: logged.as_ref().expect("cloned when journaling"),
-                unitary: Some(unitary),
+                unitary,
             });
             for victim in &evicted {
                 journal.record(&Event::Evict { key: victim });
@@ -393,82 +385,14 @@ impl PulseLibrary {
         }
     }
 
-    /// Adds fingerprint metadata for an already-stored entry (no-op when
-    /// `key` is not stored). Batch drivers call this after a bulk merge,
-    /// when the canonical unitaries are still at hand.
-    pub fn index_unitary(&self, key: &UnitaryKey, unitary: &Mat, n_qubits: usize) {
-        let mut state = self.lock();
-        if !state.pulses.contains(key) {
-            return;
-        }
-        state.index.insert(key.clone(), unitary, n_qubits);
-        if let Some(journal) = &self.journal {
-            journal.record(&Event::Index {
-                key,
-                n_qubits,
-                unitary,
-            });
-        }
-    }
-
-    /// Merges a plain cache (incoming entries win). Entries are stored
-    /// un-indexed; keys are processed in sorted order so capacity
-    /// eviction stays deterministic.
+    /// Merges a plain cache (incoming entries win): the un-indexed bulk
+    /// form of [`PulseLibrary::insert`], in sorted key order so
+    /// capacity eviction stays deterministic.
     pub fn merge(&self, cache: PulseCache) {
         let mut entries: Vec<(UnitaryKey, CachedPulse)> = cache.into_entries().collect();
         entries.sort_by(|a, b| a.0.cmp(&b.0));
         for (key, entry) in entries {
-            self.insert(key, entry);
-        }
-    }
-
-    /// Replaces the entire contents with `cache` in one step (index and
-    /// recency metadata are rebuilt un-indexed; concurrent readers see
-    /// either the old contents or the new).
-    pub fn replace(&self, cache: PulseCache) {
-        let mut state = self.lock();
-        state.index.clear();
-        state.recency.clear();
-        if self.capacity == Some(0) {
-            state.pulses = PulseCache::new();
-            if let Some(journal) = &self.journal {
-                journal.record(&Event::Clear);
-            }
-            return;
-        }
-        let logged = self.journal.as_ref().map(|_| {
-            let mut entries: Vec<(UnitaryKey, CachedPulse)> =
-                cache.iter().map(|(k, e)| (k.clone(), e.clone())).collect();
-            entries.sort_by(|a, b| a.0.cmp(&b.0));
-            entries
-        });
-        let mut keys: Vec<UnitaryKey> = cache.iter().map(|(k, _)| k.clone()).collect();
-        keys.sort();
-        let stamp = self.tick();
-        for key in keys {
-            state.recency.insert(key, stamp);
-        }
-        state.pulses = cache;
-        let evicted = self.evict_over_capacity(&mut state);
-        if let Some(journal) = &self.journal {
-            journal.record(&Event::Replace {
-                entries: logged.as_deref().expect("cloned when journaling"),
-            });
-            for victim in &evicted {
-                journal.record(&Event::Evict { key: victim });
-            }
-            self.maybe_snapshot(journal, &state);
-        }
-    }
-
-    /// Removes every entry and all metadata.
-    pub fn clear(&self) {
-        let mut state = self.lock();
-        state.index.clear();
-        state.recency.clear();
-        state.pulses = PulseCache::new();
-        if let Some(journal) = &self.journal {
-            journal.record(&Event::Clear);
+            self.insert(key, entry, None);
         }
     }
 
@@ -503,26 +427,25 @@ impl PulseLibrary {
     }
 
     /// Runs an auto-compaction snapshot when the journal says one is
-    /// due. Caller holds the state lock, so the snapshot pair is
-    /// consistent with the WAL prefix it replaces. Failures stay inside
+    /// due. Caller holds the state lock, so the snapshot is consistent
+    /// with the WAL prefix it replaces. Failures stay inside
     /// the journal (sticky) and resurface at the next explicit
     /// [`PulseLibrary::checkpoint`].
     fn maybe_snapshot(&self, journal: &Journal, state: &LibraryState) {
         if !journal.due_for_snapshot() {
             return;
         }
-        let unitaries = indexed_of(&state.index);
-        let _ = journal.snapshot(&state.pulses, &unitaries);
+        let _ = journal.snapshot(&state.artifact());
     }
 
-    /// Forces a durability snapshot: writes the artifact pair and
-    /// truncates the WAL. `Ok(())` and a no-op when no journal is
-    /// attached.
+    /// Forces a durability snapshot: writes the snapshot and truncates
+    /// the WAL. `Ok(())` and a no-op when no journal is attached.
     ///
     /// # Errors
     ///
-    /// [`crate::Error::Store`] when a snapshot write or the WAL
-    /// truncation fails; the previous on-disk pair stays recoverable.
+    /// [`crate::Error::Store`] when the snapshot write or the WAL
+    /// truncation fails; the previous snapshot and WAL on disk stay
+    /// recoverable.
     pub fn checkpoint(&self) -> crate::error::Result<()> {
         let Some(journal) = &self.journal else {
             return Ok(());
@@ -531,18 +454,15 @@ impl PulseLibrary {
         // mutation can append to the WAL between our snapshot copy and
         // the truncation (which would silently drop that record).
         let state = self.lock();
-        let unitaries = indexed_of(&state.index);
-        let result = journal.snapshot(&state.pulses, &unitaries);
+        let result = journal.snapshot(&state.artifact());
         drop(state);
         result.map_err(crate::error::Error::from)
     }
 
-    /// Every fingerprint-indexed entry's canonical unitary, sorted by
-    /// key — what the persistence tier writes to the index sidecar and
-    /// [`Session::save_cache`](crate::Session::save_cache) embeds in the
-    /// extended artifact.
-    pub fn indexed_unitaries(&self) -> Vec<(UnitaryKey, Mat, usize)> {
-        indexed_of(&self.lock().index)
+    /// The library artifact: what [`Session::save_cache`](crate::Session::save_cache)
+    /// writes and a durable snapshot holds.
+    pub(crate) fn artifact(&self) -> String {
+        self.lock().artifact()
     }
 
     /// The nearest indexed neighbor of `unitary`: fingerprint buckets
@@ -623,17 +543,6 @@ impl PulseLibrary {
         }
     }
 
-    /// Resets the serving counters (eviction counts included).
-    pub fn reset_stats(&self) {
-        self.stats.hits.store(0, Ordering::Relaxed);
-        self.stats.misses.store(0, Ordering::Relaxed);
-        self.stats.warm_compiles.store(0, Ordering::Relaxed);
-        self.stats.scratch_compiles.store(0, Ordering::Relaxed);
-        self.stats.warm_iterations.store(0, Ordering::Relaxed);
-        self.stats.scratch_iterations.store(0, Ordering::Relaxed);
-        self.stats.evictions.store(0, Ordering::Relaxed);
-    }
-
     pub(crate) fn record_hit(&self) {
         self.stats.hits.fetch_add(1, Ordering::Relaxed);
     }
@@ -652,17 +561,6 @@ impl PulseLibrary {
                 .fetch_add(iterations as u64, Ordering::Relaxed);
         }
     }
-}
-
-/// Sorted copy of the fingerprint index's canonical unitaries (the
-/// deterministic order every persisted artifact uses).
-fn indexed_of(index: &FingerprintIndex) -> Vec<(UnitaryKey, Mat, usize)> {
-    let mut out: Vec<(UnitaryKey, Mat, usize)> = index
-        .entries()
-        .map(|(key, entry)| (key.clone(), entry.unitary.clone(), entry.n_qubits))
-        .collect();
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out
 }
 
 impl Clone for PulseLibrary {
@@ -717,7 +615,7 @@ mod tests {
         let lib = PulseLibrary::new();
         for k in 1..=5 {
             let u = rz(0.4 * k as f64);
-            lib.insert_indexed(key_of(&u), &u, entry(k as f64));
+            lib.insert(key_of(&u), entry(k as f64), Some(&u));
         }
         let query = rz(0.83); // closest to rz(0.8), k = 2
         let hit = lib
@@ -735,7 +633,7 @@ mod tests {
             .nearest(&rz(0.5), 1, 4, SimilarityFn::TraceOverlap)
             .is_none());
         let u = rz(0.5);
-        lib.insert_indexed(key_of(&u), &u, entry(1.0));
+        lib.insert(key_of(&u), entry(1.0), Some(&u));
         assert!(lib
             .nearest(&Mat::identity(4), 2, 4, SimilarityFn::TraceOverlap)
             .is_none());
@@ -754,8 +652,10 @@ mod tests {
         assert!(lib
             .nearest(&rz(0.69), 1, 4, SimilarityFn::TraceOverlap)
             .is_none());
-        // Indexing after the fact makes it retrievable.
-        lib.index_unitary(&key_of(&u), &u, 1);
+        // Re-inserting with the unitary indexes it; a later un-indexed
+        // insert of the key leaves that index entry in place.
+        lib.insert(key_of(&u), entry(3.0), Some(&u));
+        lib.insert(key_of(&u), entry(4.0), None);
         assert_eq!(lib.indexed_len(), 1);
         assert!(lib
             .nearest(&rz(0.69), 1, 4, SimilarityFn::TraceOverlap)
@@ -766,11 +666,11 @@ mod tests {
     fn capacity_evicts_least_recently_used() {
         let lib = PulseLibrary::with_capacity(Some(2));
         let (a, b, c) = (rz(0.2), rz(0.9), rz(1.6));
-        lib.insert_indexed(key_of(&a), &a, entry(1.0));
-        lib.insert_indexed(key_of(&b), &b, entry(2.0));
+        lib.insert(key_of(&a), entry(1.0), Some(&a));
+        lib.insert(key_of(&b), entry(2.0), Some(&b));
         // Touch `a` so `b` is the LRU victim.
         lib.touch(&key_of(&a));
-        lib.insert_indexed(key_of(&c), &c, entry(3.0));
+        lib.insert(key_of(&c), entry(3.0), Some(&c));
         assert_eq!(lib.len(), 2);
         assert!(lib.contains(&key_of(&a)));
         assert!(!lib.contains(&key_of(&b)), "LRU entry must be evicted");
@@ -783,23 +683,18 @@ mod tests {
     fn capacity_zero_stores_nothing() {
         let lib = PulseLibrary::with_capacity(Some(0));
         let u = rz(0.3);
-        lib.insert_indexed(key_of(&u), &u, entry(1.0));
-        lib.insert(key_of(&rz(0.6)), entry(2.0));
+        lib.insert(key_of(&u), entry(1.0), Some(&u));
+        lib.insert(key_of(&rz(0.6)), entry(2.0), None);
         assert!(lib.is_empty());
         assert_eq!(lib.indexed_len(), 0);
         assert!(lib.nearest(&u, 1, 4, SimilarityFn::TraceOverlap).is_none());
-        // replace() honors capacity 0 too.
-        let mut cache = PulseCache::new();
-        cache.insert(key_of(&u), entry(1.0));
-        lib.replace(cache);
-        assert!(lib.is_empty());
     }
 
     #[test]
     fn clone_preserves_entries_and_resets_stats() {
         let lib = PulseLibrary::new();
         let u = rz(0.5);
-        lib.insert_indexed(key_of(&u), &u, entry(1.0));
+        lib.insert(key_of(&u), entry(1.0), Some(&u));
         lib.record_hit();
         lib.record_compile(true, 10);
         let cloned = lib.clone();

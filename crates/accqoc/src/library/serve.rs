@@ -412,15 +412,15 @@ pub(crate) fn serve_grouped_subset(
         )?;
         let warm_from = warm.map(|n| n.key.clone());
         library.record_compile(warm_from.is_some(), result.total_iterations);
-        library.insert_indexed(
+        library.insert(
             target.key.clone(),
-            &target.unitary,
             CachedPulse {
                 pulse: result.outcome.pulse,
                 latency_ns: result.latency_ns,
                 iterations: result.total_iterations,
                 n_qubits: target.n_qubits,
             },
+            Some(&target.unitary),
         );
         dynamic_iterations += result.total_iterations;
         per_unique[i] = result.latency_ns;

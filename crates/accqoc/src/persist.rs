@@ -4,32 +4,34 @@
 //! The paper's amortization argument (§V) only holds if the pulse
 //! library outlives the process that built it. This module makes the
 //! in-memory [`PulseLibrary`](crate::PulseLibrary) durable without
-//! changing its serving semantics:
+//! changing its serving semantics. On disk a library entry has one
+//! shape, `{key, latency_ns, iterations, n_qubits, pulse, unitary?}`
+//! (the `unitary` present when the entry is fingerprint-indexed), and a
+//! data directory holds two files:
 //!
-//! - **Write-ahead log** (`library.wal`): every mutation — insert,
-//!   fingerprint indexing, eviction, wholesale replace, clear — is
-//!   appended as a checksummed compact-JSON record via
-//!   [`accqoc_store::WalWriter`] and fsync'd before the call returns.
-//!   Records are written *after* the in-memory apply, under the library
-//!   state lock, so log order always equals apply order even with
-//!   concurrent writers.
-//! - **Snapshot compaction** (`snapshot.json` + `snapshot.index.json`):
-//!   periodically (every [`PersistOptions::snapshot_every`] inserts, on
-//!   explicit checkpoint, and on clean daemon shutdown) the full cache
-//!   is written as the ordinary deterministic [`PulseCache::to_json`]
-//!   artifact, the fingerprint index's canonical unitaries go to a
-//!   sidecar, and the WAL is truncated. Both files are written
-//!   atomically (temp + rename), and the WAL is only reset *after*
-//!   they land — a crash at any point leaves a recoverable pair.
-//!   Because every logged operation is a state *assignment*, replaying
-//!   a stale WAL suffix over a newer snapshot is idempotent, so no
-//!   generation counters are needed.
-//! - **Recovery** ([`open`]): load snapshot + sidecar if present,
-//!   replay the WAL suffix (tolerating a torn tail from a crash
-//!   mid-append; rejecting checksum corruption with a typed
-//!   [`Error::Store`](crate::Error::Store)), and hand back a cache that
-//!   is byte-identical to the pre-crash state plus the unitaries needed
-//!   to re-index every fingerprint bucket — so a restarted session
+//! - **Write-ahead log** (`library.wal`): every mutation is appended as
+//!   a checksummed compact-JSON record via [`accqoc_store::WalWriter`]
+//!   and fsync'd before the call returns. There are two record kinds:
+//!   `{"op":"insert","entry":…}` and `{"op":"evict","key":…}`. Records
+//!   are written *after* the in-memory apply, under the library state
+//!   lock, so log order always equals apply order even with concurrent
+//!   writers.
+//! - **Snapshot** (`snapshot.json`): periodically (every
+//!   [`PersistOptions::snapshot_every`] inserts, on explicit checkpoint,
+//!   and on clean daemon shutdown) the whole library is written as the
+//!   [`Session::save_cache`](crate::Session::save_cache) artifact, and
+//!   the WAL is truncated. The snapshot is written atomically (temp +
+//!   rename), and the WAL is only reset *after* it lands, so a crash at
+//!   any point leaves a recoverable directory. Because every logged
+//!   operation is a state *assignment*, replaying a stale WAL suffix
+//!   over a newer snapshot is idempotent, so no generation counters are
+//!   needed.
+//! - **Recovery** ([`open`]): load the snapshot if present, replay the
+//!   WAL suffix (tolerating a torn tail from a crash mid-append;
+//!   rejecting checksum corruption with a typed
+//!   [`Error::Store`](crate::Error::Store)), and hand back entries that
+//!   are byte-identical to the pre-crash state, each with the unitary
+//!   that re-indexes its fingerprint bucket, so a restarted session
 //!   warm-starts, it does not just exact-hit.
 //!
 //! Journal append failures after attach do not poison serving: the
@@ -42,35 +44,31 @@
 
 use std::collections::BTreeMap;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 
 use accqoc_circuit::UnitaryKey;
-use accqoc_linalg::{Mat, C64};
+use accqoc_linalg::Mat;
 use accqoc_store::{read_optional_string, write_atomic, StoreError, WalWriter};
 
-use crate::cache::{entry_from_json_value, entry_to_json_value, CachedPulse, PulseCache};
+use crate::cache::{
+    entries_from_json_value, entries_to_json_value, entry_from_json_value, entry_to_json_value,
+    CachedPulse, StoredEntry,
+};
 use crate::error::Result;
 use crate::json::{self, hex_decode, hex_encode, JsonError, JsonValue};
 
 /// File name of the write-ahead log inside the persistence directory.
 pub const WAL_FILE: &str = "library.wal";
 
-/// File name of the snapshot cache artifact (a plain
-/// [`PulseCache::to_json`] document, loadable on its own).
+/// File name of the snapshot: the
+/// [`Session::save_cache`](crate::Session::save_cache) artifact of the
+/// whole library, loadable on its own.
 pub const SNAPSHOT_FILE: &str = "snapshot.json";
-
-/// File name of the snapshot's fingerprint-index sidecar (canonical
-/// unitaries keyed like the cache, so recovery can re-index).
-pub const INDEX_FILE: &str = "snapshot.index.json";
 
 /// Auto-compaction default: snapshot once this many inserts accumulate
 /// in the WAL.
 const DEFAULT_SNAPSHOT_EVERY: usize = 128;
-
-/// Canonical unitaries ready for fingerprint re-indexing:
-/// `(key, unitary, n_qubits)` per indexed entry.
-pub(crate) type IndexedUnitaries = Vec<(UnitaryKey, Mat, usize)>;
 
 /// Where and how a session persists its pulse library.
 ///
@@ -84,7 +82,7 @@ pub(crate) type IndexedUnitaries = Vec<(UnitaryKey, Mat, usize)>;
 /// ```
 #[derive(Debug, Clone)]
 pub struct PersistOptions {
-    /// Directory holding the WAL and snapshot pair (created on open).
+    /// Directory holding the WAL and the snapshot (created on open).
     pub dir: PathBuf,
     /// Compact the WAL into a fresh snapshot after this many logged
     /// inserts. `0` disables auto-compaction — snapshots then happen
@@ -116,7 +114,7 @@ impl PersistOptions {
 /// [`Session::recovery_report`](crate::Session::recovery_report).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RecoveryReport {
-    /// Entries loaded from the snapshot artifact (0 on cold start).
+    /// Entries loaded from the snapshot (0 on cold start).
     pub snapshot_entries: usize,
     /// Complete WAL records replayed on top of the snapshot.
     pub wal_records: usize,
@@ -134,8 +132,8 @@ pub struct RecoveryReport {
 /// One loggable library mutation, borrowed from the caller so the hot
 /// path clones nothing unless a journal is attached.
 pub(crate) enum Event<'a> {
-    /// A pulse entered the cache (optionally with its canonical
-    /// unitary, when it was indexed in the same call).
+    /// A pulse entered the library, with its canonical unitary when the
+    /// insert indexed it.
     Insert {
         /// Canonical key of the group.
         key: &'a UnitaryKey,
@@ -144,49 +142,18 @@ pub(crate) enum Event<'a> {
         /// Canonical unitary when the insert also indexed.
         unitary: Option<&'a Mat>,
     },
-    /// An already-cached pulse gained its canonical unitary.
-    Index {
-        /// Canonical key of the group.
-        key: &'a UnitaryKey,
-        /// Width of the group.
-        n_qubits: usize,
-        /// The canonical unitary being indexed.
-        unitary: &'a Mat,
-    },
     /// The LRU policy dropped a pulse.
     Evict {
         /// Canonical key of the evicted group.
         key: &'a UnitaryKey,
     },
-    /// The whole cache was swapped (entries pre-sorted by key).
-    Replace {
-        /// The replacement entries, sorted by key.
-        entries: &'a [(UnitaryKey, CachedPulse)],
-    },
-    /// The whole cache was emptied.
-    Clear,
 }
 
 /// A decoded WAL record, owned (the replay path's counterpart of
 /// [`Event`]).
 enum WalOp {
-    Insert {
-        key: UnitaryKey,
-        entry: CachedPulse,
-        unitary: Option<Mat>,
-    },
-    Index {
-        key: UnitaryKey,
-        n_qubits: usize,
-        unitary: Mat,
-    },
-    Evict {
-        key: UnitaryKey,
-    },
-    Replace {
-        entries: Vec<(UnitaryKey, CachedPulse)>,
-    },
-    Clear,
+    Insert(StoredEntry),
+    Evict(UnitaryKey),
 }
 
 fn malformed(message: &str) -> JsonError {
@@ -196,90 +163,28 @@ fn malformed(message: &str) -> JsonError {
     }
 }
 
-/// Encodes a unitary as a flat `[re, im, re, im, ...]` JSON array in
-/// row-major order (`2·d²` numbers for a `d×d` matrix).
-fn unitary_to_json(u: &Mat) -> JsonValue {
-    let cells = u.as_slice();
-    let mut nums = Vec::with_capacity(cells.len() * 2);
-    for c in cells {
-        nums.push(JsonValue::Number(c.re));
-        nums.push(JsonValue::Number(c.im));
-    }
-    JsonValue::Array(nums)
-}
-
-/// Decodes [`unitary_to_json`] output, checking the length against the
-/// dimension implied by `n_qubits`.
-fn unitary_from_json(value: &JsonValue, n_qubits: usize) -> Result<Mat> {
-    let d = 1usize << n_qubits;
-    let nums = value
-        .as_array()
-        .ok_or_else(|| malformed("unitary is not an array"))?;
-    if nums.len() != 2 * d * d {
-        return Err(malformed("unitary length does not match n_qubits").into());
-    }
-    let mut flat = Vec::with_capacity(d * d);
-    for pair in nums.chunks(2) {
-        let re = pair[0]
-            .as_f64()
-            .ok_or_else(|| malformed("unitary cell is not a number"))?;
-        let im = pair[1]
-            .as_f64()
-            .ok_or_else(|| malformed("unitary cell is not a number"))?;
-        flat.push(C64::new(re, im));
-    }
-    Ok(Mat::from_flat(&flat))
-}
-
 /// Serializes an event to its compact-JSON WAL payload.
 fn encode_event(event: &Event<'_>) -> String {
-    let value = match event {
+    let fields = match event {
         Event::Insert {
             key,
             entry,
             unitary,
-        } => {
-            let mut fields = vec![
-                ("op".into(), JsonValue::String("insert".into())),
-                ("entry".into(), entry_to_json_value(key, entry)),
-            ];
-            if let Some(u) = unitary {
-                fields.push(("unitary".into(), unitary_to_json(u)));
-            }
-            JsonValue::Object(fields)
-        }
-        Event::Index {
-            key,
-            n_qubits,
-            unitary,
-        } => JsonValue::Object(vec![
-            ("op".into(), JsonValue::String("index".into())),
-            ("key".into(), JsonValue::String(hex_encode(key.as_bytes()))),
-            ("n_qubits".into(), JsonValue::Number(*n_qubits as f64)),
-            ("unitary".into(), unitary_to_json(unitary)),
-        ]),
-        Event::Evict { key } => JsonValue::Object(vec![
+        } => vec![
+            ("op".into(), JsonValue::String("insert".into())),
+            ("entry".into(), entry_to_json_value(key, entry, *unitary)),
+        ],
+        Event::Evict { key } => vec![
             ("op".into(), JsonValue::String("evict".into())),
             ("key".into(), JsonValue::String(hex_encode(key.as_bytes()))),
-        ]),
-        Event::Replace { entries } => JsonValue::Object(vec![
-            ("op".into(), JsonValue::String("replace".into())),
-            (
-                "entries".into(),
-                JsonValue::Array(
-                    entries
-                        .iter()
-                        .map(|(key, entry)| entry_to_json_value(key, entry))
-                        .collect(),
-                ),
-            ),
-        ]),
-        Event::Clear => JsonValue::Object(vec![("op".into(), JsonValue::String("clear".into()))]),
+        ],
     };
-    value.to_compact()
+    JsonValue::Object(fields).to_compact()
 }
 
-/// Parses one WAL payload back into an operation.
+/// Parses one WAL payload back into an operation. Record kinds other
+/// than `insert` and `evict` (including the `index`, `replace` and
+/// `clear` kinds of older data directories) are typed errors.
 fn decode_record(payload: &[u8]) -> Result<WalOp> {
     let text = std::str::from_utf8(payload).map_err(|_| malformed("payload is not UTF-8"))?;
     let value = json::parse(text)?;
@@ -292,165 +197,43 @@ fn decode_record(payload: &[u8]) -> Result<WalOp> {
             let entry = value
                 .get("entry")
                 .ok_or_else(|| malformed("insert record missing `entry`"))?;
-            let (key, entry) = entry_from_json_value(entry)?;
-            let unitary = match value.get("unitary") {
-                Some(u) => Some(unitary_from_json(u, entry.n_qubits)?),
-                None => None,
-            };
-            Ok(WalOp::Insert {
-                key,
-                entry,
-                unitary,
-            })
-        }
-        "index" => {
-            let key = value
-                .get("key")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| malformed("index record missing `key`"))?;
-            let key = UnitaryKey::from_bytes(hex_decode(key)?);
-            let n_qubits = value
-                .get("n_qubits")
-                .and_then(JsonValue::as_usize)
-                .ok_or_else(|| malformed("index record missing `n_qubits`"))?;
-            let unitary = value
-                .get("unitary")
-                .ok_or_else(|| malformed("index record missing `unitary`"))?;
-            let unitary = unitary_from_json(unitary, n_qubits)?;
-            Ok(WalOp::Index {
-                key,
-                n_qubits,
-                unitary,
-            })
+            Ok(WalOp::Insert(entry_from_json_value(entry)?))
         }
         "evict" => {
             let key = value
                 .get("key")
                 .and_then(JsonValue::as_str)
                 .ok_or_else(|| malformed("evict record missing `key`"))?;
-            Ok(WalOp::Evict {
-                key: UnitaryKey::from_bytes(hex_decode(key)?),
-            })
+            Ok(WalOp::Evict(UnitaryKey::from_bytes(hex_decode(key)?)))
         }
-        "replace" => {
-            let entries = value
-                .get("entries")
-                .and_then(JsonValue::as_array)
-                .ok_or_else(|| malformed("replace record missing `entries`"))?;
-            let entries = entries
-                .iter()
-                .map(entry_from_json_value)
-                .collect::<Result<Vec<_>>>()?;
-            Ok(WalOp::Replace { entries })
-        }
-        "clear" => Ok(WalOp::Clear),
         other => Err(malformed(&format!("unknown op `{other}`")).into()),
     }
 }
 
-/// Serializes the index sidecar: `{"entries": [{key, n_qubits,
-/// unitary}, ...]}` with entries pre-sorted by key by the caller.
-fn sidecar_json(unitaries: &[(UnitaryKey, Mat, usize)]) -> String {
-    JsonValue::Object(vec![(
-        "entries".into(),
-        JsonValue::Array(
-            unitaries
-                .iter()
-                .map(|(key, unitary, n_qubits)| {
-                    JsonValue::Object(vec![
-                        ("key".into(), JsonValue::String(hex_encode(key.as_bytes()))),
-                        ("n_qubits".into(), JsonValue::Number(*n_qubits as f64)),
-                        ("unitary".into(), unitary_to_json(unitary)),
-                    ])
-                })
-                .collect(),
-        ),
-    )])
-    .to_pretty()
-}
-
-/// Parses [`sidecar_json`] output.
-fn parse_sidecar(text: &str) -> Result<IndexedUnitaries> {
-    let value = json::parse(text)?;
-    let entries = value
-        .get("entries")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| malformed("index sidecar missing `entries`"))?;
-    let mut out = Vec::with_capacity(entries.len());
-    for entry in entries {
-        let key = entry
-            .get("key")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| malformed("sidecar entry missing `key`"))?;
-        let key = UnitaryKey::from_bytes(hex_decode(key)?);
-        let n_qubits = entry
-            .get("n_qubits")
-            .and_then(JsonValue::as_usize)
-            .ok_or_else(|| malformed("sidecar entry missing `n_qubits`"))?;
-        let unitary = entry
-            .get("unitary")
-            .ok_or_else(|| malformed("sidecar entry missing `unitary`"))?;
-        out.push((key, unitary_from_json(unitary, n_qubits)?, n_qubits));
-    }
-    Ok(out)
-}
-
-/// The extended user-facing cache artifact: the plain
-/// [`PulseCache::to_json`] document with an optional `unitary` field
-/// appended to every entry the fingerprint index holds, so
-/// [`Session::load_cache`](crate::Session::load_cache) can re-index.
-/// Still loadable by [`PulseCache::from_json`], which ignores the extra
-/// field.
-pub(crate) fn indexed_cache_json(
-    cache: &PulseCache,
-    unitaries: &[(UnitaryKey, Mat, usize)],
+/// The library artifact — the [`Session::save_cache`](crate::Session::save_cache)
+/// file and the durable snapshot — over entries the caller has sorted
+/// by key: the [`PulseCache::to_json`](crate::PulseCache::to_json)
+/// document with a `unitary` in every indexed entry. With no unitary it
+/// is exactly that document, and [`PulseCache::from_json`](crate::PulseCache::from_json)
+/// loads it either way.
+pub(crate) fn library_json<'a>(
+    entries: impl Iterator<Item = (&'a UnitaryKey, &'a CachedPulse, Option<&'a Mat>)>,
 ) -> String {
-    let by_key: std::collections::HashMap<&UnitaryKey, &Mat> =
-        unitaries.iter().map(|(k, u, _)| (k, u)).collect();
-    let mut entries: Vec<(&UnitaryKey, &CachedPulse)> = cache.iter().collect();
-    entries.sort_by(|a, b| a.0.cmp(b.0));
-    JsonValue::Object(vec![(
-        "entries".into(),
-        JsonValue::Array(
-            entries
-                .into_iter()
-                .map(|(key, entry)| {
-                    let mut object = entry_to_json_value(key, entry);
-                    if let Some(unitary) = by_key.get(key) {
-                        if let JsonValue::Object(fields) = &mut object {
-                            fields.push(("unitary".into(), unitary_to_json(unitary)));
-                        }
-                    }
-                    object
-                })
-                .collect(),
-        ),
-    )])
-    .to_pretty()
+    entries_to_json_value(entries).to_pretty()
 }
 
-/// Parses a cache artifact — plain or extended — returning the cache
-/// plus whatever canonical unitaries the entries carried.
-pub(crate) fn parse_indexed_cache(text: &str) -> Result<(PulseCache, IndexedUnitaries)> {
-    let value = json::parse(text)?;
-    let entries = value
-        .get("entries")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| malformed("cache artifact missing `entries`"))?;
-    let mut cache = PulseCache::new();
-    let mut unitaries = Vec::new();
-    for entry in entries {
-        let (key, cached) = entry_from_json_value(entry)?;
-        if let Some(u) = entry.get("unitary") {
-            unitaries.push((
-                key.clone(),
-                unitary_from_json(u, cached.n_qubits)?,
-                cached.n_qubits,
-            ));
-        }
-        cache.insert(key, cached);
-    }
-    Ok((cache, unitaries))
+/// A parsed library artifact, keyed (so in sorted-key order, the order
+/// every bulk load inserts in).
+pub(crate) type LibraryEntries = BTreeMap<UnitaryKey, (CachedPulse, Option<Mat>)>;
+
+/// Parses a [`library_json`] artifact (or a plain cache artifact, whose
+/// entries carry no unitary). For a key listed twice the later entry
+/// wins.
+pub(crate) fn parse_library_json(text: &str) -> Result<LibraryEntries> {
+    Ok(entries_from_json_value(&json::parse(text)?)?
+        .into_iter()
+        .map(|(key, entry, unitary)| (key, (entry, unitary)))
+        .collect())
 }
 
 /// The live half of the durable tier: owns the WAL writer and the
@@ -506,19 +289,15 @@ impl Journal {
             && inner.inserts_since_snapshot >= self.options.snapshot_every
     }
 
-    /// Writes the snapshot artifact pair atomically and truncates the
-    /// WAL. Clears the sticky error on success (the snapshot rewrote
-    /// everything the lost records described); on failure the previous
-    /// snapshot + WAL pair on disk stays recoverable.
-    pub(crate) fn snapshot(
-        &self,
-        cache: &PulseCache,
-        unitaries: &[(UnitaryKey, Mat, usize)],
-    ) -> std::result::Result<(), StoreError> {
-        let snapshot = cache.to_json();
-        let sidecar = sidecar_json(unitaries);
+    /// Writes `snapshot` (a [`library_json`] artifact) atomically and
+    /// truncates the WAL. Clears the sticky error on success (the
+    /// snapshot rewrote everything the lost records described); on
+    /// failure the previous snapshot + WAL on disk stay recoverable.
+    pub(crate) fn snapshot(&self, snapshot: &str) -> std::result::Result<(), StoreError> {
         let mut inner = self.lock();
-        match write_snapshot_pair(&self.options.dir, &snapshot, &sidecar, &mut inner.wal) {
+        let written = write_atomic(&self.options.dir.join(SNAPSHOT_FILE), snapshot.as_bytes())
+            .and_then(|()| inner.wal.reset());
+        match written {
             Ok(()) => {
                 inner.inserts_since_snapshot = 0;
                 inner.sticky = None;
@@ -543,98 +322,53 @@ impl Journal {
     }
 }
 
-fn write_snapshot_pair(
-    dir: &Path,
-    snapshot: &str,
-    sidecar: &str,
-    wal: &mut WalWriter,
-) -> std::result::Result<(), StoreError> {
-    write_atomic(&dir.join(SNAPSHOT_FILE), snapshot.as_bytes())?;
-    write_atomic(&dir.join(INDEX_FILE), sidecar.as_bytes())?;
-    wal.reset()
-}
-
-/// Recovery output: the state to seed a library with, plus the report.
+/// Recovery output: the entries to seed a library with, sorted by key,
+/// plus the report.
 pub(crate) struct Recovered {
-    pub cache: PulseCache,
-    pub unitaries: IndexedUnitaries,
+    pub entries: Vec<StoredEntry>,
     pub report: RecoveryReport,
 }
 
 /// Opens (or cold-starts) a persistence directory: loads the snapshot
-/// pair if present, replays the WAL suffix on top, and returns the
-/// journal ready for logging. A missing or empty directory is a cold
-/// start, not an error; a checksum-corrupted WAL record is
-/// [`Error::Store`](crate::Error::Store).
+/// if present, replays the WAL suffix on top, and returns the journal
+/// ready for logging. A missing or empty directory is a cold start, not
+/// an error; a checksum-corrupted WAL record is
+/// [`Error::Store`](crate::Error::Store), and an undecodable record or
+/// snapshot is [`Error::Json`](crate::Error::Json).
 pub(crate) fn open(options: &PersistOptions) -> Result<(Journal, Recovered)> {
     std::fs::create_dir_all(&options.dir)?;
-    let mut cache = match read_optional_string(&options.dir.join(SNAPSHOT_FILE))? {
-        Some(text) => PulseCache::from_json(&text)?,
-        None => PulseCache::new(),
+    let mut entries = match read_optional_string(&options.dir.join(SNAPSHOT_FILE))? {
+        Some(text) => parse_library_json(&text)?,
+        None => LibraryEntries::new(),
     };
-    let mut unitaries: BTreeMap<UnitaryKey, (Mat, usize)> = BTreeMap::new();
-    if let Some(text) = read_optional_string(&options.dir.join(INDEX_FILE))? {
-        for (key, unitary, n_qubits) in parse_sidecar(&text)? {
-            unitaries.insert(key, (unitary, n_qubits));
-        }
-    }
-    let snapshot_entries = cache.len();
+    let snapshot_entries = entries.len();
     let (wal, replay) = WalWriter::open(&options.dir.join(WAL_FILE))?;
-    let wal_records = replay.records.len();
     for record in &replay.records {
         match decode_record(record)? {
-            WalOp::Insert {
-                key,
-                entry,
-                unitary,
-            } => {
-                if let Some(u) = unitary {
-                    unitaries.insert(key.clone(), (u, entry.n_qubits));
-                }
-                cache.insert(key, entry);
+            WalOp::Insert((key, entry, unitary)) => {
+                // Mirrors the live library: an insert without a unitary
+                // leaves the key's fingerprint index entry in place.
+                let unitary = match unitary {
+                    Some(u) => Some(u),
+                    None => entries.remove(&key).and_then(|(_, u)| u),
+                };
+                entries.insert(key, (entry, unitary));
             }
-            WalOp::Index {
-                key,
-                n_qubits,
-                unitary,
-            } => {
-                // Mirrors the live `index_unitary`: indexing a key that
-                // is no longer cached is a no-op.
-                if cache.contains(&key) {
-                    unitaries.insert(key, (unitary, n_qubits));
-                }
-            }
-            WalOp::Evict { key } => {
-                cache.remove(&key);
-                unitaries.remove(&key);
-            }
-            WalOp::Replace { entries } => {
-                cache = PulseCache::new();
-                unitaries.clear();
-                for (key, entry) in entries {
-                    cache.insert(key, entry);
-                }
-            }
-            WalOp::Clear => {
-                cache = PulseCache::new();
-                unitaries.clear();
+            WalOp::Evict(key) => {
+                entries.remove(&key);
             }
         }
     }
-    // An insert can overwrite an entry whose unitary was indexed for a
-    // *different* pulse generation; the live library keeps the stale
-    // index entry too, so no pruning beyond cache membership is needed.
-    unitaries.retain(|key, _| cache.contains(key));
-    let unitaries: IndexedUnitaries = unitaries
+    let entries: Vec<StoredEntry> = entries
         .into_iter()
-        .map(|(key, (unitary, n_qubits))| (key, unitary, n_qubits))
+        .map(|(key, (entry, unitary))| (key, entry, unitary))
         .collect();
     let report = RecoveryReport {
         snapshot_entries,
-        wal_records,
+        wal_records: replay.records.len(),
         wal_truncated_bytes: replay.truncated_bytes,
-        entries: cache.len(),
-        indexed: unitaries.len(),
+        entries: entries.len(),
+        indexed: entries.iter().filter(|(_, _, u)| u.is_some()).count(),
     };
     let journal = Journal {
         options: options.clone(),
@@ -644,14 +378,7 @@ pub(crate) fn open(options: &PersistOptions) -> Result<(Journal, Recovered)> {
             sticky: None,
         }),
     };
-    Ok((
-        journal,
-        Recovered {
-            cache,
-            unitaries,
-            report,
-        },
-    ))
+    Ok((journal, Recovered { entries, report }))
 }
 
 #[cfg(test)]
@@ -672,25 +399,16 @@ mod tests {
         UnitaryKey::from_bytes(vec![tag; 4])
     }
 
-    #[test]
-    fn unitary_json_round_trips() {
-        let u = Mat::from_flat(&[
-            C64::new(0.6, 0.0),
-            C64::new(0.0, -0.8),
-            C64::new(0.0, -0.8),
-            C64::new(0.6, 0.0),
-        ]);
-        let round = unitary_from_json(&unitary_to_json(&u), 1).expect("decodes");
-        assert_eq!(round.as_slice(), u.as_slice());
-        // Dimension mismatch is typed, not a panic.
-        assert!(unitary_from_json(&unitary_to_json(&u), 2).is_err());
+    /// The snapshot artifact of `(key, entry, unitary)` triples (sorted
+    /// by the caller).
+    fn artifact(entries: &[StoredEntry]) -> String {
+        library_json(entries.iter().map(|(k, e, u)| (k, e, u.as_ref())))
     }
 
     #[test]
     fn every_event_round_trips_through_the_record_codec() {
         let u = Mat::identity(2);
         let e = entry(1, 40.0);
-        let pairs = vec![(key(1), entry(1, 40.0)), (key(2), entry(1, 50.0))];
         let events = [
             Event::Insert {
                 key: &key(1),
@@ -702,69 +420,61 @@ mod tests {
                 entry: &e,
                 unitary: None,
             },
-            Event::Index {
-                key: &key(1),
-                n_qubits: 1,
-                unitary: &u,
-            },
             Event::Evict { key: &key(9) },
-            Event::Replace { entries: &pairs },
-            Event::Clear,
         ];
         for event in &events {
             let payload = encode_event(event);
             let op = decode_record(payload.as_bytes()).expect("decodes");
             match (event, &op) {
-                (Event::Insert { unitary, .. }, WalOp::Insert { unitary: got, .. }) => {
-                    assert_eq!(unitary.is_some(), got.is_some());
+                (Event::Insert { unitary, .. }, WalOp::Insert((k, got, got_u))) => {
+                    assert_eq!(k, &key(1));
+                    assert_eq!(got, &e);
+                    assert_eq!(unitary.is_some(), got_u.is_some());
                 }
-                (Event::Index { .. }, WalOp::Index { n_qubits, .. }) => {
-                    assert_eq!(*n_qubits, 1);
-                }
-                (Event::Evict { .. }, WalOp::Evict { key }) => {
+                (Event::Evict { .. }, WalOp::Evict(key)) => {
                     assert_eq!(key.as_bytes(), &[9; 4]);
                 }
-                (Event::Replace { .. }, WalOp::Replace { entries }) => {
-                    assert_eq!(entries.len(), 2);
-                }
-                (Event::Clear, WalOp::Clear) => {}
                 _ => panic!("event decoded to the wrong op"),
             }
         }
     }
 
     #[test]
-    fn unknown_op_is_a_typed_error() {
+    fn unknown_and_retired_ops_are_typed_errors() {
         assert!(decode_record(br#"{"op":"defrag"}"#).is_err());
         assert!(decode_record(b"\xff\xfe").is_err());
+        // The record kinds of older data directories are not read.
+        for op in ["index", "replace", "clear"] {
+            let record = format!(r#"{{"op":"{op}","key":"01","entries":[]}}"#);
+            assert!(decode_record(record.as_bytes()).is_err(), "{op}");
+        }
     }
 
     #[test]
-    fn indexed_artifact_round_trips_and_stays_plain_loadable() {
-        let mut cache = PulseCache::new();
-        cache.insert(key(1), entry(1, 40.0));
-        cache.insert(key(2), entry(1, 50.0));
-        let unitaries = vec![(key(1), Mat::identity(2), 1)];
-        let text = indexed_cache_json(&cache, &unitaries);
-        let (round, round_unitaries) = parse_indexed_cache(&text).expect("parses");
+    fn library_artifact_round_trips_and_stays_plain_loadable() {
+        let entries = vec![
+            (key(1), entry(1, 40.0), Some(Mat::identity(2))),
+            (key(2), entry(1, 50.0), None),
+        ];
+        let text = artifact(&entries);
+        let round = parse_library_json(&text).expect("parses");
         assert_eq!(round.len(), 2);
-        assert_eq!(round_unitaries.len(), 1);
-        assert_eq!(round_unitaries[0].0, key(1));
-        // The plain loader ignores the `unitary` field.
-        let plain = PulseCache::from_json(&text).expect("plain loader accepts");
+        let indexed = round[&key(1)]
+            .1
+            .as_ref()
+            .expect("key 1 carries its unitary");
+        assert_eq!(indexed.as_slice(), Mat::identity(2).as_slice());
+        assert!(round[&key(2)].1.is_none());
+        // The plain loader drops the `unitary` field.
+        let plain = crate::PulseCache::from_json(&text).expect("plain loader accepts");
         assert_eq!(plain.len(), 2);
-        // Entries without unitaries produce the exact legacy document.
-        let legacy = indexed_cache_json(&cache, &[]);
-        assert_eq!(legacy, cache.to_json());
-    }
-
-    #[test]
-    fn sidecar_round_trips_sorted() {
-        let unitaries = vec![(key(1), Mat::identity(2), 1), (key(3), Mat::identity(4), 2)];
-        let parsed = parse_sidecar(&sidecar_json(&unitaries)).expect("parses");
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[1].2, 2);
-        assert_eq!(parsed[1].1.as_slice(), Mat::identity(4).as_slice());
+        // Entries without unitaries produce the exact plain document.
+        let bare: Vec<StoredEntry> = entries.into_iter().map(|(k, e, _)| (k, e, None)).collect();
+        let mut cache = crate::PulseCache::new();
+        for (k, e, _) in &bare {
+            cache.insert(k.clone(), e.clone());
+        }
+        assert_eq!(artifact(&bare), cache.to_json());
     }
 
     #[test]
@@ -786,11 +496,11 @@ mod tests {
             entry: &entry(1, 50.0),
             unitary: None,
         });
-        let mut cache = PulseCache::new();
-        cache.insert(key(1), entry(1, 40.0));
-        cache.insert(key(2), entry(1, 50.0));
         journal
-            .snapshot(&cache, &[(key(1), Mat::identity(2), 1)])
+            .snapshot(&artifact(&[
+                (key(1), entry(1, 40.0), Some(Mat::identity(2))),
+                (key(2), entry(1, 50.0), None),
+            ]))
             .expect("snapshot");
         journal.record(&Event::Insert {
             key: &key(3),
@@ -798,16 +508,24 @@ mod tests {
             unitary: None,
         });
         journal.record(&Event::Evict { key: &key(2) });
+        // An un-indexed re-insert keeps key 1's unitary, as live.
+        journal.record(&Event::Insert {
+            key: &key(1),
+            entry: &entry(1, 45.0),
+            unitary: None,
+        });
         drop(journal);
-        // Reopen: snapshot(2 entries) + WAL suffix(insert 3, evict 2).
+        // Reopen: snapshot (2 entries) + WAL suffix (insert 3, evict 2,
+        // re-insert 1).
         let (_journal, recovered) = open(&options).expect("recovers");
         assert_eq!(recovered.report.snapshot_entries, 2);
-        assert_eq!(recovered.report.wal_records, 2);
+        assert_eq!(recovered.report.wal_records, 3);
         assert_eq!(recovered.report.entries, 2);
         assert_eq!(recovered.report.indexed, 1);
-        assert!(recovered.cache.contains(&key(1)));
-        assert!(recovered.cache.contains(&key(3)));
-        assert!(!recovered.cache.contains(&key(2)));
+        let keys: Vec<&UnitaryKey> = recovered.entries.iter().map(|(k, _, _)| k).collect();
+        assert_eq!(keys, [&key(1), &key(3)]);
+        assert_eq!(recovered.entries[0].1.latency_ns, 45.0);
+        assert!(recovered.entries[0].2.is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -831,9 +549,9 @@ mod tests {
             unitary: None,
         });
         // A successful snapshot rewrites the full state and clears it.
-        let mut cache = PulseCache::new();
-        cache.insert(key(1), entry(1, 40.0));
-        journal.snapshot(&cache, &[]).expect("snapshot repairs");
+        journal
+            .snapshot(&artifact(&[(key(1), entry(1, 40.0), None)]))
+            .expect("snapshot repairs");
         assert!(journal.sticky_error().is_none());
         drop(journal);
         // Recovery sees the snapshot only: the dropped record left no
@@ -841,7 +559,7 @@ mod tests {
         let (_journal, recovered) = open(&options).expect("recovers");
         assert_eq!(recovered.report.snapshot_entries, 1);
         assert_eq!(recovered.report.wal_records, 0);
-        assert!(recovered.cache.contains(&key(1)));
+        assert_eq!(recovered.entries[0].0, key(1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

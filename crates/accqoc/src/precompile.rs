@@ -18,7 +18,7 @@ use accqoc_grape::{find_minimal_latency, LatencySearch};
 use accqoc_hw::ControlModel;
 use accqoc_linalg::Mat;
 
-use crate::cache::{CachedPulse, PulseCache};
+use crate::cache::CachedPulse;
 use crate::error::{Error, Result};
 use crate::parallel::{compile_batch, ParallelStats};
 use crate::session::{GroupTarget, Session};
@@ -41,11 +41,11 @@ pub struct PrecompileReport {
 /// Static pre-compilation over `programs`, restricted to the unique
 /// groups whose width is in `only_qubits` (`None` = every group): the
 /// groups the library does not yet hold are compiled on the batch engine
-/// at plan width `plan_width` on `threads` workers, merged into the
-/// session library, and fingerprint-indexed. The report counts owned
-/// groups only, so per-shard reports over a width partition sum to the
-/// whole-category numbers (group keys encode their width, hence never
-/// collide across shards).
+/// at plan width `plan_width` on `threads` workers and inserted into the
+/// session library with their canonical unitaries (fingerprint-indexed).
+/// The report counts owned groups only, so per-shard reports over a
+/// width partition sum to the whole-category numbers (group keys encode
+/// their width, hence never collide across shards).
 ///
 /// # Errors
 ///
@@ -74,18 +74,19 @@ pub(crate) fn precompile(
         })
         .collect();
     let batch = compile_batch(session, &missing, plan_width, threads)?;
-    let mut fresh = PulseCache::new();
-    for (i, entry) in batch.entries {
-        fresh.insert(missing[i].key.clone(), entry);
-    }
-    session.import_cache(fresh);
-    // A plain cache carries no unitaries: index the fresh entries while
-    // the canonical unitaries are at hand, so batch-precompiled pulses
-    // are retrievable as warm-start neighbors on the serving path.
-    for target in &missing {
+    // Inserted with their canonical unitaries, so batch-precompiled
+    // pulses are warm-start neighbors on the serving path; sorted-key
+    // order keeps capacity eviction deterministic.
+    let mut fresh: Vec<(&GroupTarget, CachedPulse)> = batch
+        .entries
+        .into_iter()
+        .map(|(i, entry)| (&missing[i], entry))
+        .collect();
+    fresh.sort_by(|a, b| a.0.key.cmp(&b.0.key));
+    for (target, entry) in fresh {
         session
             .library()
-            .index_unitary(&target.key, &target.unitary, target.n_qubits);
+            .insert(target.key.clone(), entry, Some(&target.unitary));
     }
 
     // The report covers owned groups only, so shard reports sum.
@@ -197,8 +198,7 @@ pub(crate) fn optimize_group(
 
     let new_latency = result.latency_ns;
     if new_latency < old {
-        let mut update = PulseCache::new();
-        update.insert(
+        session.library().insert(
             key.clone(),
             CachedPulse {
                 pulse: result.outcome.pulse,
@@ -206,8 +206,8 @@ pub(crate) fn optimize_group(
                 iterations: result.total_iterations,
                 n_qubits,
             },
+            None,
         );
-        session.import_cache(update);
     }
     Ok((old, new_latency.min(old)))
 }

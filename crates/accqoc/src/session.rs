@@ -379,17 +379,13 @@ impl SessionBuilder {
         let mut recovery = None;
         if let Some(options) = self.persistence {
             // Seed before attaching the journal so recovered state is
-            // not logged a second time. Sorted-key insertion keeps the
-            // post-restart LRU order deterministic (recency stamps are
-            // ephemeral and intentionally not persisted).
+            // not logged a second time. Recovery hands the entries back
+            // in sorted-key order, which keeps the post-restart LRU
+            // order deterministic (recency stamps are ephemeral and
+            // intentionally not persisted).
             let (journal, recovered) = crate::persist::open(&options)?;
-            let mut entries: Vec<_> = recovered.cache.into_entries().collect();
-            entries.sort_by(|a, b| a.0.cmp(&b.0));
-            for (key, entry) in entries {
-                library.insert(key, entry);
-            }
-            for (key, unitary, n_qubits) in &recovered.unitaries {
-                library.index_unitary(key, unitary, *n_qubits);
+            for (key, entry, unitary) in recovered.entries {
+                library.insert(key, entry, unitary.as_ref());
             }
             library.attach_journal(journal);
             recovery = Some(recovered.report);
@@ -579,57 +575,45 @@ impl Session {
     /// Merges entries into the session library (incoming entries win).
     /// A plain [`PulseCache`] carries no canonical unitaries, so entries
     /// imported this way serve exact key hits but are not
-    /// fingerprint-indexed; batch drivers index theirs via
-    /// [`PulseLibrary::index_unitary`], and [`Session::load_cache`]
-    /// re-indexes automatically when the artifact embeds unitaries
-    /// (every [`Session::save_cache`] artifact does).
+    /// fingerprint-indexed; [`Session::load_cache`] indexes every entry
+    /// whose artifact carries its unitary (every [`Session::save_cache`]
+    /// artifact does).
     pub fn import_cache(&self, other: PulseCache) {
         self.library.merge(other);
     }
 
-    /// Replaces the session cache in one atomic step — concurrent
-    /// readers see either the old contents or the new, never the
-    /// in-between. The fingerprint index is reset (the new entries carry
-    /// no unitaries).
-    pub fn set_cache(&self, cache: PulseCache) {
-        self.library.replace(cache);
-    }
-
-    /// Persists the cache as JSON, written atomically (temp + rename):
+    /// Persists the library as JSON, written atomically (temp + rename):
     /// entries sorted by key, each carrying its canonical unitary when
-    /// the fingerprint index holds one. The artifact is
-    /// byte-deterministic for a given library state, loads in full via
-    /// [`Session::load_cache`] (which re-indexes the embedded
-    /// unitaries), and stays readable by the plain [`PulseCache::load`]
-    /// (which ignores the index metadata).
+    /// the fingerprint index holds one. This is also the durable
+    /// snapshot's format. The artifact is byte-deterministic for a given
+    /// library state, loads in full via [`Session::load_cache`] (which
+    /// re-indexes the embedded unitaries), and stays readable by the
+    /// plain [`PulseCache::from_json`] (which drops them).
     ///
     /// # Errors
     ///
     /// [`Error::Store`] on filesystem failures.
     pub fn save_cache(&self, path: impl AsRef<Path>) -> Result<()> {
-        let cache = self.library.snapshot();
-        let unitaries = self.library.indexed_unitaries();
-        let json = crate::persist::indexed_cache_json(&cache, &unitaries);
-        accqoc_store::write_atomic(path.as_ref(), json.as_bytes())?;
+        accqoc_store::write_atomic(path.as_ref(), self.library.artifact().as_bytes())?;
         Ok(())
     }
 
-    /// Merges a JSON cache file into the session cache; returns how many
-    /// unique groups the file held. Entries carrying a canonical
+    /// Merges a JSON cache file into the session library; returns how
+    /// many unique groups the file held. Entries carrying a canonical
     /// unitary (every [`Session::save_cache`] artifact embeds them) are
-    /// fingerprint-indexed on load, so a freshly loaded library
+    /// inserted fingerprint-indexed, so a freshly loaded library
     /// warm-starts near-misses instead of only serving exact hits.
     ///
     /// # Errors
     ///
-    /// [`Error::Io`] / [`Error::Json`] on unreadable or malformed files.
+    /// [`Error::Io`] / [`Error::Json`] on unreadable or malformed files
+    /// (the library is left untouched).
     pub fn load_cache(&self, path: impl AsRef<Path>) -> Result<usize> {
         let text = std::fs::read_to_string(path)?;
-        let (loaded, unitaries) = crate::persist::parse_indexed_cache(&text)?;
-        let n = loaded.len();
-        self.import_cache(loaded);
-        for (key, unitary, n_qubits) in &unitaries {
-            self.library.index_unitary(key, unitary, *n_qubits);
+        let entries = crate::persist::parse_library_json(&text)?;
+        let n = entries.len();
+        for (key, (entry, unitary)) in entries {
+            self.library.insert(key, entry, unitary.as_ref());
         }
         Ok(n)
     }
@@ -641,16 +625,16 @@ impl Session {
         self.recovery.as_ref()
     }
 
-    /// Forces a durability snapshot: writes the snapshot artifact pair
-    /// under the persistence directory and truncates the write-ahead
-    /// log. A no-op `Ok(())` for non-durable sessions. The serving
-    /// daemon calls this on clean shutdown; long-lived embedders can
-    /// call it at natural barriers.
+    /// Forces a durability snapshot: writes the snapshot under the
+    /// persistence directory and truncates the write-ahead log. A no-op
+    /// `Ok(())` for non-durable sessions. The serving daemon calls this
+    /// on clean shutdown; long-lived embedders can call it at natural
+    /// barriers.
     ///
     /// # Errors
     ///
     /// [`Error::Store`] when a snapshot write or the log truncation
-    /// fails (the previous on-disk pair stays recoverable). This is
+    /// fails (the previous snapshot and WAL stay recoverable). This is
     /// also where background journal append failures resurface.
     pub fn checkpoint(&self) -> Result<()> {
         self.library.checkpoint()
@@ -770,7 +754,7 @@ impl Session {
                 covered: false,
             });
             self.library
-                .insert_indexed(target.key.clone(), &target.unitary, entry);
+                .insert(target.key.clone(), entry, Some(&target.unitary));
         }
         Ok(CompileReport {
             compiled,
@@ -1235,7 +1219,8 @@ impl Session {
     ///
     /// [`Error::UncoveredGroup`] when a group has no cached pulse
     /// (compile the program first); [`Error::InvalidConfig`] when a
-    /// cached pulse does not fit its control model.
+    /// cached pulse does not fit its control model; [`Error::Linalg`]
+    /// when a cached pulse does not propagate (a non-finite amplitude).
     ///
     /// # Examples
     ///

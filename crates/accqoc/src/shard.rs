@@ -43,10 +43,9 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use accqoc_circuit::UnitaryKey;
-use accqoc_linalg::Mat;
 use accqoc_store::{move_store_dir, shard_dir};
 
-use crate::cache::{CachedPulse, PulseCache};
+use crate::cache::StoredEntry;
 use crate::error::{Error, Result};
 use crate::library::UnitaryFingerprint;
 use crate::persist::{self, PersistOptions};
@@ -267,50 +266,34 @@ pub struct RebalanceReport {
     pub shards_retired: Vec<usize>,
 }
 
-/// One recovered shard store staged for rebalancing.
+/// One recovered shard store staged for rebalancing: its entries, in
+/// sorted-key order, each with its canonical unitary when indexed.
 struct ShardState {
     journal: persist::Journal,
-    entries: Vec<(UnitaryKey, CachedPulse)>,
-    unitaries: BTreeMap<UnitaryKey, (Mat, usize)>,
+    entries: Vec<StoredEntry>,
 }
 
 impl ShardState {
     fn open(dir: &Path) -> Result<Self> {
         let (journal, recovered) = persist::open(&PersistOptions::new(dir))?;
-        let mut entries: Vec<(UnitaryKey, CachedPulse)> = recovered.cache.into_entries().collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        let unitaries = recovered
-            .unitaries
-            .into_iter()
-            .map(|(key, unitary, n_qubits)| (key, (unitary, n_qubits)))
-            .collect();
         Ok(Self {
             journal,
-            entries,
-            unitaries,
+            entries: recovered.entries,
         })
     }
 
-    /// Snapshots `entries` (plus their indexed unitaries) as this
-    /// shard's new durable state — the same atomic snapshot-pair write a
-    /// checkpoint performs, so recovery semantics are identical.
-    fn write(&self, entries: &[(UnitaryKey, CachedPulse)]) -> Result<()> {
-        let mut cache = PulseCache::new();
-        for (key, entry) in entries {
-            cache.insert(key.clone(), entry.clone());
-        }
-        let mut unitaries: Vec<(UnitaryKey, Mat, usize)> = entries
-            .iter()
-            .filter_map(|(key, _)| {
-                self.unitaries
-                    .get(key)
-                    .map(|(unitary, n_qubits)| (key.clone(), unitary.clone(), *n_qubits))
-            })
-            .collect();
-        unitaries.sort_by(|a, b| a.0.cmp(&b.0));
-        self.journal
-            .snapshot(&cache, &unitaries)
-            .map_err(Error::Store)
+    /// Snapshots `entries` (unitaries included, so the store re-indexes
+    /// on recovery) as this shard's new durable state — the same atomic
+    /// snapshot write a checkpoint performs, so recovery semantics are
+    /// identical.
+    fn write(&self, entries: &[&StoredEntry]) -> Result<()> {
+        // Keyed: sorted, and a key a re-run finds on both sides of a
+        // move is written once (the incoming entry, listed later, wins).
+        let keyed: BTreeMap<&UnitaryKey, &StoredEntry> =
+            entries.iter().map(|&entry| (&entry.0, entry)).collect();
+        let artifact =
+            persist::library_json(keyed.into_values().map(|(k, e, u)| (k, e, u.as_ref())));
+        self.journal.snapshot(&artifact).map_err(Error::Store)
     }
 }
 
@@ -379,7 +362,7 @@ pub fn rebalance_with_vnodes(
     let mut entries_total = 0usize;
     let mut entries_moved = 0usize;
     for shard in 0..total_dirs {
-        for (slot, (_, entry)) in states[shard].entries.iter().enumerate() {
+        for (slot, (_, entry, _)) in states[shard].entries.iter().enumerate() {
             entries_total += 1;
             let owner = new_ring.route(ShardKey::dimension_class(entry.n_qubits));
             if owner != shard {
@@ -411,32 +394,20 @@ pub fn rebalance_with_vnodes(
         .collect();
 
     // Pass 1 — additions: every shard that gains entries is rewritten
-    // with its original membership *plus* the incoming entries. No
-    // source has been pruned yet, so a crash here only duplicates.
+    // with its original membership *plus* the incoming entries (their
+    // unitaries ride along, so the destination re-indexes). No source
+    // has been pruned yet, so a crash here only duplicates.
     for shard in 0..total_dirs {
         if !gained[shard] {
             continue;
         }
-        let mut with_incoming: Vec<(UnitaryKey, CachedPulse)> = states[shard].entries.clone();
+        let mut with_incoming: Vec<&StoredEntry> = states[shard].entries.iter().collect();
         with_incoming.extend(
             final_entries[shard]
                 .iter()
                 .filter(|&&(source, _)| source != shard)
-                .map(|&(source, slot)| states[source].entries[slot].clone()),
+                .map(|&(source, slot)| &states[source].entries[slot]),
         );
-        // Incoming unitaries ride along so the destination re-indexes.
-        let incoming_unitaries: Vec<(UnitaryKey, (Mat, usize))> = final_entries[shard]
-            .iter()
-            .filter(|&&(source, _)| source != shard)
-            .filter_map(|&(source, slot)| {
-                let key = &states[source].entries[slot].0;
-                states[source]
-                    .unitaries
-                    .get(key)
-                    .map(|u| (key.clone(), u.clone()))
-            })
-            .collect();
-        states[shard].unitaries.extend(incoming_unitaries);
         states[shard].write(&with_incoming)?;
     }
 
@@ -446,9 +417,9 @@ pub fn rebalance_with_vnodes(
         if !lost[shard] {
             continue;
         }
-        let membership: Vec<(UnitaryKey, CachedPulse)> = final_entries[shard]
+        let membership: Vec<&StoredEntry> = final_entries[shard]
             .iter()
-            .map(|&(source, slot)| states[source].entries[slot].clone())
+            .map(|&(source, slot)| &states[source].entries[slot])
             .collect();
         states[shard].write(&membership)?;
     }
@@ -509,7 +480,9 @@ pub fn rebalance_with_vnodes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::{CachedPulse, PulseCache};
     use accqoc_grape::Pulse;
+    use accqoc_linalg::Mat;
 
     fn routes(shards: usize) -> Vec<usize> {
         let ring = ShardRing::new(shards);
@@ -625,23 +598,27 @@ mod tests {
         for (shard, cache) in caches.iter().enumerate() {
             let (journal, _) = persist::open(&PersistOptions::new(shard_dir(base, shard)))
                 .expect("open shard store");
-            let indexed: Vec<(UnitaryKey, Mat, usize)> = {
-                let mut sorted: Vec<_> = cache
-                    .iter()
-                    .map(|(k, e)| (k.clone(), Mat::identity(1 << e.n_qubits), e.n_qubits))
-                    .collect();
-                sorted.sort_by(|a, b| a.0.cmp(&b.0));
-                sorted
-            };
-            journal.snapshot(cache, &indexed).expect("seed snapshot");
+            let mut entries: Vec<StoredEntry> = cache
+                .iter()
+                .map(|(k, e)| (k.clone(), e.clone(), Some(Mat::identity(1 << e.n_qubits))))
+                .collect();
+            entries.sort_by(|a, b| a.0.cmp(&b.0));
+            let artifact =
+                persist::library_json(entries.iter().map(|(k, e, u)| (k, e, u.as_ref())));
+            journal.snapshot(&artifact).expect("seed snapshot");
         }
         seeded
     }
 
+    /// A shard store's recovered entries and how many carry a unitary.
     fn recovered_entries(base: &Path, shard: usize) -> (PulseCache, usize) {
         let (_, recovered) = persist::open(&PersistOptions::new(shard_dir(base, shard)))
             .expect("reopen shard store");
-        (recovered.cache, recovered.unitaries.len())
+        let mut cache = PulseCache::new();
+        for (key, entry, _) in recovered.entries {
+            cache.insert(key, entry);
+        }
+        (cache, recovered.report.indexed)
     }
 
     fn test_base(name: &str) -> PathBuf {

@@ -338,7 +338,7 @@ fn verify_grouped(
         })?;
         let model = session.models().for_qubits(target.n_qubits)?;
         check_pulse_fits(&entry, model)?;
-        let u_pulse = total_unitary(model, &entry.pulse);
+        let u_pulse = total_unitary(model, &entry.pulse)?;
         let fidelity = phase_invariant_fidelity(&u_pulse, &target.unitary);
         realized.insert(target.key.clone(), u_pulse);
         groups.push(GroupVerification {
@@ -469,7 +469,8 @@ impl EquivalenceReport {
 ///
 /// [`Error::GroupTooWide`] / [`Error::EmptyGroup`] when an entry's arity
 /// has no model; [`Error::InvalidConfig`] when a pulse's channel count
-/// disagrees with its model.
+/// disagrees with its model; [`Error::Linalg`] when a pulse does not
+/// propagate.
 pub fn caches_equivalent(
     models: &ModelSet,
     a: &PulseCache,
@@ -495,8 +496,8 @@ pub fn caches_equivalent(
         let model = models.for_qubits(ea.n_qubits)?;
         check_pulse_fits(ea, model)?;
         check_pulse_fits(eb, model)?;
-        let ua = total_unitary(model, &ea.pulse);
-        let ub = total_unitary(model, &eb.pulse);
+        let ua = total_unitary(model, &ea.pulse)?;
+        let ub = total_unitary(model, &eb.pulse)?;
         let infidelity = 1.0 - phase_invariant_fidelity(&ua, &ub);
         let latency_delta_ns = (ea.latency_ns - eb.latency_ns).abs();
         max_inf = max_inf.max(infidelity);
@@ -597,7 +598,7 @@ mod tests {
                 },
             );
         }
-        session.set_cache(broken);
+        session.import_cache(broken);
         let report = session.verify_program(&circuit).unwrap();
         assert!(!report.passed, "zeroed pulses must not verify");
         assert!(report.min_group_fidelity < 0.999);

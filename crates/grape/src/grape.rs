@@ -419,7 +419,7 @@ mod tests {
         let d = model.dim() as f64;
         let dt = model.dt_ns();
         let pulse = Pulse::from_params(params, model.n_controls(), n_steps, dt);
-        let us = crate::propagate::step_unitaries(model, &pulse);
+        let us = crate::propagate::step_unitaries(model, &pulse).unwrap();
         let fwd = crate::propagate::forward_states(&us, model.dim());
         let bwd = crate::propagate::backward_states(&us, target);
         let phi = bwd[n_steps].matmul_trace(&fwd[n_steps]) / C64::real(d);
@@ -464,7 +464,7 @@ mod tests {
         assert!(out.converged, "infidelity {}", out.infidelity);
         assert!(out.infidelity <= 1e-4);
         // Realized unitary matches the pulse the solver reports.
-        let u = total_unitary(&model, &out.pulse);
+        let u = total_unitary(&model, &out.pulse).unwrap();
         assert!(infidelity(problem.target, &u) <= 1.1e-4);
         assert!(out.pulse.max_abs_amp() <= 1.0 + 1e-12, "bounds respected");
     }

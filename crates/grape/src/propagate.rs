@@ -7,27 +7,28 @@
 //! states `B_k = U_T†·U_N⋯U_{k+1}` — everything the gradient needs.
 
 use accqoc_hw::ControlModel;
-use accqoc_linalg::{expm_i, Mat};
+use accqoc_linalg::{expm_i, LinalgError, Mat};
 
 use crate::pulse::Pulse;
 
 /// Step propagators `U_1 … U_N` for a pulse on a control model.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the pulse channel count disagrees with the model.
-pub fn step_unitaries(model: &ControlModel, pulse: &Pulse) -> Vec<Mat> {
-    assert_eq!(
-        pulse.n_controls(),
-        model.n_controls(),
-        "pulse channels vs model controls"
-    );
+/// [`LinalgError::ShapeMismatch`] when the pulse channel count
+/// disagrees with the model; [`LinalgError::NonFinite`] when an
+/// amplitude or the time step makes a slice Hamiltonian non-finite.
+pub fn step_unitaries(model: &ControlModel, pulse: &Pulse) -> Result<Vec<Mat>, LinalgError> {
+    if pulse.n_controls() != model.n_controls() {
+        return Err(LinalgError::ShapeMismatch {
+            what: "pulse channels vs model controls",
+            expected: model.n_controls(),
+            got: pulse.n_controls(),
+        });
+    }
     let dt = pulse.dt_ns();
     (0..pulse.n_steps())
-        .map(|k| {
-            let h = model.hamiltonian(&pulse.step_amps(k));
-            expm_i(&h, dt).expect("hermitian hamiltonian exponentiates")
-        })
+        .map(|k| expm_i(&model.hamiltonian(&pulse.step_amps(k)), dt))
         .collect()
 }
 
@@ -77,13 +78,16 @@ pub(crate) fn backward_states_into(ws: &mut crate::Workspace, target: &Mat, n_st
 }
 
 /// Final unitary realized by a pulse (`X_N`).
-pub fn total_unitary(model: &ControlModel, pulse: &Pulse) -> Mat {
-    let us = step_unitaries(model, pulse);
+///
+/// # Errors
+///
+/// Same as [`step_unitaries`].
+pub fn total_unitary(model: &ControlModel, pulse: &Pulse) -> Result<Mat, LinalgError> {
     let mut x = Mat::identity(model.dim());
-    for u in &us {
+    for u in &step_unitaries(model, pulse)? {
         x = u.matmul(&x);
     }
-    x
+    Ok(x)
 }
 
 /// Phase-invariant infidelity between the unitary a pulse actually
@@ -93,12 +97,23 @@ pub fn total_unitary(model: &ControlModel, pulse: &Pulse) -> Mat {
 /// only as good as the unitary its propagation reproduces, and a healthy
 /// pulse sits at or below the paper's `1e-4` convergence target.
 ///
+/// # Errors
+///
+/// Same as [`step_unitaries`].
+///
 /// # Panics
 ///
-/// Panics if the pulse channel count disagrees with the model or the
-/// target dimension disagrees with the model's Hilbert space.
-pub fn realized_infidelity(model: &ControlModel, pulse: &Pulse, target: &Mat) -> f64 {
-    accqoc_linalg::phase_invariant_infidelity(&total_unitary(model, pulse), target)
+/// Panics if the target dimension disagrees with the model's Hilbert
+/// space.
+pub fn realized_infidelity(
+    model: &ControlModel,
+    pulse: &Pulse,
+    target: &Mat,
+) -> Result<f64, LinalgError> {
+    Ok(accqoc_linalg::phase_invariant_infidelity(
+        &total_unitary(model, pulse)?,
+        target,
+    ))
 }
 
 #[cfg(test)]
@@ -110,7 +125,7 @@ mod tests {
     fn zero_pulse_on_driftless_qubit_is_identity() {
         let model = ControlModel::spin_chain(1);
         let pulse = Pulse::zeros(model.n_controls(), 8, model.dt_ns());
-        let u = total_unitary(&model, &pulse);
+        let u = total_unitary(&model, &pulse).unwrap();
         assert!(u.approx_eq(&Mat::identity(2), 1e-12));
     }
 
@@ -123,10 +138,10 @@ mod tests {
         }
         let x = Mat::from_reals(&[0.0, 1.0, 1.0, 0.0]);
         // A full-drive π rotation realizes X…
-        assert!(realized_infidelity(&model, &pulse, &x) < 1e-10);
+        assert!(realized_infidelity(&model, &pulse, &x).unwrap() < 1e-10);
         // …and is maximally far from Z.
         let z = Mat::from_reals(&[1.0, 0.0, 0.0, -1.0]);
-        assert!(realized_infidelity(&model, &pulse, &z) > 0.99);
+        assert!(realized_infidelity(&model, &pulse, &z).unwrap() > 0.99);
     }
 
     #[test]
@@ -137,9 +152,25 @@ mod tests {
         for k in 0..10 {
             pulse.set(0, k, 1.0); // x channel
         }
-        let u = total_unitary(&model, &pulse);
+        let u = total_unitary(&model, &pulse).unwrap();
         let x = Mat::from_reals(&[0.0, 1.0, 1.0, 0.0]);
         assert!(phase_invariant_infidelity(&u, &x) < 1e-10);
+    }
+
+    #[test]
+    fn bad_pulses_are_typed_errors() {
+        let model = ControlModel::spin_chain(1);
+        let mut pulse = Pulse::zeros(model.n_controls(), 3, 1.0);
+        pulse.set(0, 1, f64::INFINITY);
+        assert_eq!(
+            total_unitary(&model, &pulse).unwrap_err(),
+            LinalgError::NonFinite
+        );
+        let wide = Pulse::zeros(model.n_controls() + 1, 3, 1.0);
+        assert!(matches!(
+            step_unitaries(&model, &wide),
+            Err(LinalgError::ShapeMismatch { .. })
+        ));
     }
 
     #[test]
@@ -151,7 +182,7 @@ mod tests {
             pulse.set(0, k, 0.3);
             pulse.set(3, k, -0.5);
         }
-        let us = step_unitaries(&model, &pulse);
+        let us = step_unitaries(&model, &pulse).unwrap();
         let target = Mat::identity(4);
         let fwd = forward_states(&us, model.dim());
         let bwd = backward_states(&us, &target);
@@ -168,10 +199,10 @@ mod tests {
         let mut pulse = Pulse::zeros(model.n_controls(), 5, 1.0);
         pulse.set(1, 2, 0.9);
         pulse.set(2, 4, -0.7);
-        for u in step_unitaries(&model, &pulse) {
+        for u in step_unitaries(&model, &pulse).unwrap() {
             assert!(u.is_unitary(1e-11));
         }
-        assert!(total_unitary(&model, &pulse).is_unitary(1e-10));
+        assert!(total_unitary(&model, &pulse).unwrap().is_unitary(1e-10));
     }
 
     #[test]
@@ -184,7 +215,7 @@ mod tests {
         let n_steps = 125; // 12.5 ns at dt = 0.1
         let model = model.with_dt(t_iswap / n_steps as f64);
         let pulse = Pulse::zeros(model.n_controls(), n_steps, model.dt_ns());
-        let u = total_unitary(&model, &pulse);
+        let u = total_unitary(&model, &pulse).unwrap();
         // |01⟩ = index 1 → −i·|10⟩ = index 2.
         assert!(u[(2, 1)].im < -0.99, "got {:?}", u[(2, 1)]);
         assert!(u[(1, 2)].im < -0.99);

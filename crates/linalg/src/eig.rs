@@ -153,12 +153,26 @@ pub fn eigh_into(a: &Mat, out: &mut EigH, ws: &mut EighWorkspace) -> Result<(), 
     ws.v.set_identity(n);
 
     // Absolute convergence threshold tied to the matrix scale.
-    let tol = 1e-14 * scale.max(ws.m.frobenius_norm());
+    let frobenius = ws.m.frobenius_norm();
+    let mut tol = 1e-14 * scale.max(frobenius);
+    // ‖A‖_F² overflows for entries of modulus ≳ 1e154, which would make
+    // the threshold infinite and pass the first convergence test before
+    // any rotation. Such a matrix is swept as A / max|a_ij| instead, and
+    // its eigenvalues are scaled back; every other input keeps this
+    // path bit for bit.
+    let mut unscale = None;
+    if !frobenius.is_finite() {
+        let max = a.max_abs();
+        for z in ws.m.as_mut_slice() {
+            *z = z.scale(1.0 / max);
+        }
+        tol = 1e-14 * ws.m.frobenius_norm().max(1.0);
+        unscale = Some(max);
+    }
 
     for _sweep in 0..MAX_SWEEPS {
         if off_diagonal_norm(ws.m.as_slice(), n) <= tol {
-            sorted_into(ws, out);
-            return Ok(());
+            return finish(ws, out, unscale);
         }
         let (m, v) = (ws.m.as_mut_slice(), ws.v.as_mut_slice());
         for p in 0..n {
@@ -168,13 +182,28 @@ pub fn eigh_into(a: &Mat, out: &mut EigH, ws: &mut EighWorkspace) -> Result<(), 
         }
     }
     if off_diagonal_norm(ws.m.as_slice(), n) <= tol * 100.0 {
-        sorted_into(ws, out);
-        return Ok(());
+        return finish(ws, out, unscale);
     }
     Err(LinalgError::NoConvergence {
         what: "jacobi eigh",
         iters: MAX_SWEEPS,
     })
+}
+
+/// Scales the eigenvalues of a rescaled sweep back by `unscale` (see
+/// [`eigh_into`]), then sorts the eigenpairs into `out`.
+fn finish(ws: &mut EighWorkspace, out: &mut EigH, unscale: Option<f64>) -> Result<(), LinalgError> {
+    if let Some(max) = unscale {
+        for i in 0..ws.m.rows() {
+            let value = ws.m[(i, i)].re * max;
+            if !value.is_finite() {
+                return Err(LinalgError::NonFinite);
+            }
+            ws.m[(i, i)] = C64::real(value);
+        }
+    }
+    sorted_into(ws, out);
+    Ok(())
 }
 
 /// `max(max_ij |A[i,j]|, 1)`, exactly as [`Mat::max_abs`] would give it,
@@ -809,6 +838,29 @@ mod tests {
             let gram = got.vectors.dagger().matmul(&got.vectors);
             assert!(gram.max_abs_diff(&Mat::identity(n)) <= 1e-12, "V†V − I");
         }
+    }
+
+    #[test]
+    fn overflowing_norms_are_swept_rescaled() {
+        // At 1e200 the squared Frobenius norm overflows: the sweep runs
+        // on A / max|a_ij| and scales the eigenvalues back.
+        let base = hermitian_case(4, 1.0, Kind::Dense, 7);
+        let a = base.scale_re(1e200);
+        let got = eigh(&a).unwrap();
+        let tol = 1e-12 * a.max_abs();
+        assert!(reconstruct(&got).max_abs_diff(&a) <= tol, "A = V·Λ·V†");
+        for (x, y) in got.values.iter().zip(&eigh(&base).unwrap().values) {
+            assert!(
+                (x - y * 1e200).abs() <= tol,
+                "eigenvalue {x} vs {}",
+                y * 1e200
+            );
+        }
+        let gram = got.vectors.dagger().matmul(&got.vectors);
+        assert!(gram.max_abs_diff(&Mat::identity(4)) <= 1e-12, "V†V − I");
+        // An eigenvalue past f64::MAX is an error, not an infinity.
+        let big = Mat::from_reals(&[1e308, 1e308, 1e308, 1e308]);
+        assert_eq!(eigh(&big).unwrap_err(), LinalgError::NonFinite);
     }
 
     /// `x` moved by `k` units in the last place (`k` may be negative).

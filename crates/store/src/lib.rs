@@ -10,10 +10,10 @@
 //!   (the signature of a crash mid-append) but rejects checksum
 //!   corruption of a complete frame with a typed [`StoreError::Corrupt`].
 //! - [`write_atomic`] — write-to-temp + atomic rename, shared by the
-//!   legacy `save_cache` path and the snapshot path so a crash mid-write
-//!   can never leave a torn artifact behind.
-//! - [`crc32`] — the IEEE CRC32 used for frame checksums, exposed so
-//!   higher layers can checksum sidecar artifacts the same way.
+//!   `save_cache` path and the snapshot path (which write the same
+//!   artifact) so a crash mid-write can never leave a torn artifact
+//!   behind.
+//! - [`crc32`] — the IEEE CRC32 used for frame checksums.
 //!
 //! The crate is std-only and knows nothing about pulses: records are
 //! opaque `Vec<u8>` payloads. The `accqoc::persist` module layers the
@@ -376,8 +376,8 @@ pub fn shard_dir(base: &Path, shard: usize) -> PathBuf {
     base.join(format!("shard-{shard}"))
 }
 
-/// Moves a whole store directory (WAL + snapshot pair + any sidecars)
-/// from `src` to `dst` wholesale. Prefers an atomic `rename`; when the
+/// Moves a whole store directory (the WAL, the snapshot, and any other
+/// file in it) from `src` to `dst` wholesale. Prefers an atomic `rename`; when the
 /// paths straddle filesystems it falls back to copy-then-remove, copying
 /// file by file and only deleting `src` after every byte landed. `dst`
 /// must not already exist (a half-merged store is worse than a typed

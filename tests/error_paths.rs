@@ -145,7 +145,11 @@ fn cache_errors_flow_through_the_unified_type() {
     let missing = std::env::temp_dir()
         .join("accqoc_error_paths")
         .join("nope.json");
-    let e = PulseCache::load(&missing).unwrap_err();
+    let loader = Session::builder()
+        .topology(Topology::linear(2))
+        .build()
+        .unwrap();
+    let e = loader.load_cache(&missing).unwrap_err();
     assert!(matches!(e, Error::Io(_)));
     assert!(
         e.source().is_some(),
@@ -201,16 +205,24 @@ fn truncated_cache_files_error_instead_of_loading_garbage() {
     let dir = std::env::temp_dir().join("accqoc_truncated_cache");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("cache.json");
+    let loader = || {
+        Session::builder()
+            .topology(Topology::linear(2))
+            .build()
+            .unwrap()
+    };
     for keep in [0, 1, full.len() / 4, full.len() / 2, full.len() - 2] {
         let mut truncated = full.clone();
         truncated.truncate(keep);
         std::fs::write(&path, &truncated).unwrap();
-        let e = PulseCache::load(&path).unwrap_err();
+        let fresh = loader();
+        let e = fresh.load_cache(&path).unwrap_err();
         assert!(matches!(e, Error::Json(_)), "{keep} bytes kept: {e}");
+        assert_eq!(fresh.cache_len(), 0, "a failed load stores nothing");
     }
     // The untruncated file still loads.
     std::fs::write(&path, &full).unwrap();
-    assert_eq!(PulseCache::load(&path).unwrap().len(), 1);
+    assert_eq!(loader().load_cache(&path).unwrap(), 1);
     std::fs::remove_file(&path).ok();
 }
 
@@ -385,4 +397,30 @@ fn mis_sized_target_is_a_typed_error_not_a_panic() {
         }
         other => panic!("expected InvalidTarget, got {other:?}"),
     }
+}
+
+#[test]
+fn non_finite_cached_amplitude_fails_verification_with_a_typed_error() {
+    // A library seeded with an infinite amplitude (nothing on the load
+    // paths admits one, but `SessionBuilder::cache` takes any cache):
+    // propagating it is a linear-algebra error, not a panic.
+    let program = Circuit::from_gates(2, [Gate::H(0)]);
+    let compiled = Session::builder()
+        .topology(Topology::linear(2))
+        .build()
+        .unwrap();
+    compiled.compile_program(&program).unwrap();
+    let mut poisoned = PulseCache::new();
+    for (key, entry) in compiled.cache_snapshot().iter() {
+        let mut entry = entry.clone();
+        entry.pulse.set(0, 0, f64::INFINITY);
+        poisoned.insert(key.clone(), entry);
+    }
+    let session = Session::builder()
+        .topology(Topology::linear(2))
+        .cache(poisoned)
+        .build()
+        .unwrap();
+    let e = session.verify_program(&program).unwrap_err();
+    assert!(matches!(e, Error::Linalg(_)), "{e}");
 }

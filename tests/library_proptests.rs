@@ -96,7 +96,7 @@ proptest! {
             let key = UnitaryKey::canonical(u, 1);
             oracle.retain(|(k, _)| *k != key);
             oracle.push((key.clone(), u.clone()));
-            lib.insert_indexed(key, u, entry(1));
+            lib.insert(key, entry(1), Some(u));
         }
         let got = lib
             .nearest(&query, 1, stored.len(), SimilarityFn::TraceOverlap)

@@ -248,7 +248,7 @@ fn eviction_under_repeated_insert_keeps_the_bound_and_the_hot_set() {
     };
     for k in 0..10 {
         let u = unitary(k);
-        lib.insert_indexed(key(k), &u, entry(k));
+        lib.insert(key(k), entry(k), Some(&u));
         assert!(lib.len() <= 3, "capacity bound violated at insert {k}");
     }
     assert_eq!(lib.len(), 3);
@@ -263,7 +263,7 @@ fn eviction_under_repeated_insert_keeps_the_bound_and_the_hot_set() {
     }
     // Re-inserting an existing key is an update, not growth.
     let u = unitary(8);
-    lib.insert_indexed(key(8), &u, entry(8));
+    lib.insert(key(8), entry(8), Some(&u));
     assert_eq!(lib.len(), 3);
     // The nearest query only sees live entries.
     let hit = lib
@@ -328,15 +328,15 @@ fn nearest_neighbor_is_exact_for_small_libraries() {
         .map(|&t| circuit_unitary(&Circuit::from_gates(1, [Gate::Rz(0, t), Gate::H(0)])))
         .collect();
     for u in &us {
-        lib.insert_indexed(
+        lib.insert(
             UnitaryKey::canonical(u, 1),
-            u,
             accqoc_repro::accqoc::CachedPulse {
                 pulse: Pulse::zeros(2, 4, 1.0),
                 latency_ns: 4.0,
                 iterations: 1,
                 n_qubits: 1,
             },
+            Some(u),
         );
     }
     let query = circuit_unitary(&Circuit::from_gates(1, [Gate::Rz(0, 1.1), Gate::H(0)]));

@@ -164,7 +164,7 @@ fn pulse_library_contention_smoke() {
             scope.spawn(move || {
                 start.wait();
                 for (i, key) in keys[w].iter().enumerate() {
-                    lib.insert_indexed(key.clone(), &unitaries[w][i], entry(w, i));
+                    lib.insert(key.clone(), entry(w, i), Some(&unitaries[w][i]));
                 }
             });
         }
@@ -213,7 +213,7 @@ fn pulse_library_contention_smoke() {
     let sequential = PulseLibrary::new();
     for (w, per) in keys.iter().enumerate() {
         for (i, key) in per.iter().enumerate() {
-            sequential.insert_indexed(key.clone(), &unitaries[w][i], entry(w, i));
+            sequential.insert(key.clone(), entry(w, i), Some(&unitaries[w][i]));
         }
     }
     assert_eq!(json, sequential.snapshot().to_json());

@@ -1,16 +1,18 @@
 //! Integration tests of the durable library tier: WAL + snapshot
-//! recovery, crash edge cases, and the warm-start re-indexing of
-//! persisted artifacts.
+//! recovery, crash edge cases, the entries the one decoder refuses,
+//! and the warm-start re-indexing of persisted artifacts.
 
 use std::path::{Path, PathBuf};
 
 use accqoc_repro::accqoc::{
-    caches_equivalent, CachedPulse, Error, PersistOptions, Session, SimilarityFn, WAL_FILE,
+    caches_equivalent, CachedPulse, Error, PersistOptions, PulseCache, Session, SimilarityFn,
+    SNAPSHOT_FILE, WAL_FILE,
 };
 use accqoc_repro::circuit::{circuit_unitary, Circuit, Gate, UnitaryKey};
 use accqoc_repro::grape::Pulse;
 use accqoc_repro::hw::Topology;
 use accqoc_repro::linalg::Mat;
+use accqoc_repro::store::WalWriter;
 use proptest::prelude::*;
 
 /// A scratch directory unique to this test (process id + tag).
@@ -66,7 +68,7 @@ fn restart_recovers_byte_identical_and_reindexed() {
     for k in 1..=4 {
         let u = rz(0.4 * k as f64);
         live.library()
-            .insert_indexed(UnitaryKey::canonical(&u, 1), &u, entry(1, k as f64));
+            .insert(UnitaryKey::canonical(&u, 1), entry(1, k as f64), Some(&u));
     }
     let pre_crash = live.cache_snapshot();
     let pre_indexed = live.library().indexed_len();
@@ -107,7 +109,7 @@ fn torn_wal_tail_is_discarded_cleanly() {
     for k in 1..=3 {
         let u = rz(0.5 * k as f64);
         live.library()
-            .insert_indexed(UnitaryKey::canonical(&u, 1), &u, entry(1, k as f64));
+            .insert(UnitaryKey::canonical(&u, 1), entry(1, k as f64), Some(&u));
     }
     drop(live);
     // Crash mid-append: chop a few bytes off the last record.
@@ -136,7 +138,7 @@ fn corrupt_wal_record_is_a_typed_store_error() {
     let live = durable_session(&dir, 0);
     let u = rz(0.7);
     live.library()
-        .insert_indexed(UnitaryKey::canonical(&u, 1), &u, entry(1, 2.0));
+        .insert(UnitaryKey::canonical(&u, 1), entry(1, 2.0), Some(&u));
     drop(live);
     // Flip one payload byte of the (complete) record: the length still
     // matches, the checksum no longer does.
@@ -174,8 +176,8 @@ fn snapshot_plus_wal_replay_equals_pure_wal_replay() {
         let u = rz(0.3 * k as f64);
         let key = UnitaryKey::canonical(&u, 1);
         a.library()
-            .insert_indexed(key.clone(), &u, entry(1, k as f64));
-        b.library().insert_indexed(key, &u, entry(1, k as f64));
+            .insert(key.clone(), entry(1, k as f64), Some(&u));
+        b.library().insert(key, entry(1, k as f64), Some(&u));
         if k == 5 {
             b.checkpoint().expect("explicit mid-sequence checkpoint");
         }
@@ -224,7 +226,7 @@ fn save_cache_artifacts_reindex_on_load() {
         let u = rz(0.6 * k as f64);
         source
             .library()
-            .insert_indexed(UnitaryKey::canonical(&u, 1), &u, entry(1, k as f64));
+            .insert(UnitaryKey::canonical(&u, 1), entry(1, k as f64), Some(&u));
     }
     source.save_cache(&path).expect("save");
 
@@ -280,70 +282,267 @@ fn served_programs_survive_restart_without_recompiles() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `session`'s library artifact, written to `path` and read back: every
+/// entry with its canonical unitary when indexed, so two equal
+/// artifacts hold the same entries and index the same keys.
+fn artifact(session: &Session, path: &Path) -> String {
+    session.save_cache(path).expect("save");
+    std::fs::read_to_string(path).expect("read artifact")
+}
+
+#[test]
+fn checkpoint_leaves_one_snapshot_that_is_the_save_cache_artifact() {
+    let dir = scratch_dir("checkpoint");
+    let live = durable_session(&dir, 0);
+    for k in 1..=3 {
+        let u = rz(0.5 * k as f64);
+        live.library()
+            .insert(UnitaryKey::canonical(&u, 1), entry(1, k as f64), Some(&u));
+    }
+    let mut plain = PulseCache::new();
+    plain.insert(UnitaryKey::canonical(&rz(2.5), 1), entry(1, 9.0));
+    live.import_cache(plain);
+    live.checkpoint().expect("checkpoint");
+
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .expect("data dir")
+        .map(|f| {
+            f.expect("dir entry")
+                .file_name()
+                .into_string()
+                .expect("utf-8")
+        })
+        .collect();
+    files.sort();
+    assert_eq!(files, [WAL_FILE, SNAPSHOT_FILE]);
+    let snapshot = dir.join(SNAPSHOT_FILE);
+    let text = std::fs::read_to_string(&snapshot).expect("snapshot");
+    // The snapshot is byte for byte the `save_cache` artifact...
+    let saved = dir.with_extension("json");
+    assert_eq!(artifact(&live, &saved), text);
+    // ...which the plain loader reads without the unitaries...
+    let cache = PulseCache::from_json(&text).expect("plain load");
+    assert_eq!(cache.to_json(), live.cache_snapshot().to_json());
+    // ...and `load_cache` reads with them.
+    let fresh = Session::builder()
+        .topology(Topology::linear(3))
+        .build()
+        .expect("session");
+    assert_eq!(fresh.load_cache(&snapshot).expect("load"), 4);
+    assert_eq!(fresh.library().indexed_len(), 3);
+    assert_eq!(live.library().indexed_len(), 3);
+    let _ = std::fs::remove_file(&saved);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One entry object as JSON text, with each number spelled as given
+/// (`unitary` is empty or a `, "unitary": [...]` field).
+fn entry_text(latency_ns: &str, amp: &str, n_qubits: &str, unitary: &str) -> String {
+    format!(
+        r#"{{"key": "0a0b", "latency_ns": {latency_ns}, "iterations": 3, "n_qubits": {n_qubits}, "pulse": {{"dt_ns": 1, "amps": [[{amp}, 0], [0, 0]]}}{unitary}}}"#
+    )
+}
+
+const IDENTITY: &str = r#", "unitary": [1, 0, 0, 0, 0, 0, 1, 0]"#;
+
+/// Entries no library can hold: infinite numbers (`1e999` parses to
+/// infinity) and a width whose unitary dimension overflows.
+fn unrepresentable_entries() -> Vec<String> {
+    vec![
+        entry_text("1e999", "0.5", "1", ""),
+        entry_text("4", "1e999", "1", ""),
+        entry_text(
+            "4",
+            "0.5",
+            "1",
+            r#", "unitary": [1e999, 0, 0, 0, 0, 0, 1, 0]"#,
+        ),
+        entry_text("4", "0.5", "64", IDENTITY),
+    ]
+}
+
+#[test]
+fn load_cache_rejects_non_finite_numbers_and_over_wide_unitaries() {
+    let dir = scratch_dir("bad-artifact");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let path = dir.join("library.json");
+    let loader = || {
+        Session::builder()
+            .topology(Topology::linear(3))
+            .build()
+            .expect("session")
+    };
+    for bad in unrepresentable_entries() {
+        std::fs::write(&path, format!(r#"{{"entries": [{bad}]}}"#)).expect("write");
+        let session = loader();
+        match session.load_cache(&path) {
+            Err(Error::Json(_)) => {}
+            other => panic!("{bad}: expected Error::Json, got {other:?}"),
+        }
+        assert_eq!(session.cache_len(), 0, "{bad}: nothing loaded");
+    }
+    // The same entry spelled finitely, one qubit wide, loads indexed.
+    std::fs::write(
+        &path,
+        format!(
+            r#"{{"entries": [{}]}}"#,
+            entry_text("4", "0.5", "1", IDENTITY)
+        ),
+    )
+    .expect("write");
+    let session = loader();
+    assert_eq!(session.load_cache(&path).expect("valid entry loads"), 1);
+    assert_eq!(session.library().indexed_len(), 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn snapshot_with_unrepresentable_entries_fails_recovery() {
+    for (i, bad) in unrepresentable_entries().into_iter().enumerate() {
+        let dir = scratch_dir(&format!("bad-snapshot-{i}"));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        std::fs::write(
+            dir.join(SNAPSHOT_FILE),
+            format!(r#"{{"entries": [{bad}]}}"#),
+        )
+        .expect("write snapshot");
+        let err = Session::builder()
+            .topology(Topology::linear(3))
+            .persistence(&dir)
+            .build()
+            .expect_err("an unrepresentable snapshot entry must not recover");
+        assert!(matches!(err, Error::Json(_)), "{bad}: {err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn wal_record_with_unrepresentable_entry_fails_recovery() {
+    for (i, bad) in unrepresentable_entries().into_iter().enumerate() {
+        let dir = scratch_dir(&format!("bad-wal-{i}"));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        // A well-framed record (the checksum holds), so the entry
+        // decoder is what must refuse it.
+        let (mut wal, _) = WalWriter::open(&dir.join(WAL_FILE)).expect("open wal");
+        wal.append(format!(r#"{{"op":"insert","entry":{bad}}}"#).as_bytes())
+            .expect("append");
+        drop(wal);
+        let err = Session::builder()
+            .topology(Topology::linear(3))
+            .persistence(&dir)
+            .build()
+            .expect_err("an unrepresentable WAL entry must not recover");
+        assert!(matches!(err, Error::Json(_)), "{bad}: {err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn retired_wal_record_kinds_fail_recovery_with_a_typed_error() {
+    for (i, record) in [
+        r#"{"op":"index","key":"0a0b","n_qubits":1,"unitary":[1,0,0,0,0,0,1,0]}"#,
+        r#"{"op":"replace","entries":[]}"#,
+        r#"{"op":"clear"}"#,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let dir = scratch_dir(&format!("retired-{i}"));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let (mut wal, _) = WalWriter::open(&dir.join(WAL_FILE)).expect("open wal");
+        wal.append(record.as_bytes()).expect("append");
+        drop(wal);
+        let err = Session::builder()
+            .topology(Topology::linear(3))
+            .persistence(&dir)
+            .build()
+            .expect_err("older record kinds are not read");
+        assert!(matches!(err, Error::Json(_)), "{record}: {err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// One random library mutation for the round-trip property test.
 #[derive(Debug, Clone)]
 enum Op {
+    /// A compile's insert: indexed.
     Insert(u8),
+    /// A plain-cache import: stored un-indexed (an index entry the key
+    /// already has stays).
+    Import(u8),
     Touch(u8),
-    Clear,
+    /// Snapshot and truncate the WAL, so recovery reads a snapshot plus
+    /// a WAL suffix.
+    Checkpoint,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     // Weighted pick (compat proptest has no `prop_oneof`): mostly
-    // inserts, some touches, the occasional full clear.
+    // inserts, some imports and touches, the occasional checkpoint.
     (0..12u8, 1..24u8).prop_map(|(kind, tag)| match kind {
-        0..=7 => Op::Insert(tag),
+        0..=5 => Op::Insert(tag),
+        6..=7 => Op::Import(tag),
         8..=10 => Op::Touch(tag),
-        _ => Op::Clear,
+        _ => Op::Checkpoint,
     })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Any insert/touch/clear sequence against a capacity-bounded
-    /// durable library (evictions included) recovers byte-identically.
+    /// Any insert/import/touch/checkpoint sequence against a
+    /// capacity-bounded durable library (evictions included) recovers
+    /// byte-identically, with the same keys indexed.
     #[test]
     fn random_mutation_sequences_round_trip_through_recovery(
         ops in proptest::collection::vec(op_strategy(), 1..30),
         seq in 0u32..1_000_000,
     ) {
         let dir = scratch_dir(&format!("prop-{seq}"));
-        let live = Session::builder()
-            .topology(Topology::linear(3))
-            .library_capacity(4)
-            .persistence_with(PersistOptions::new(&dir).snapshot_every(0))
-            .build()
-            .expect("durable session");
+        let build = || {
+            Session::builder()
+                .topology(Topology::linear(3))
+                .library_capacity(4)
+                .persistence_with(PersistOptions::new(&dir).snapshot_every(0))
+                .build()
+                .expect("durable session")
+        };
+        let live = build();
         for op in &ops {
             match op {
                 Op::Insert(tag) => {
                     let u = rz(0.1 * *tag as f64);
-                    live.library().insert_indexed(
+                    live.library().insert(
                         UnitaryKey::canonical(&u, 1),
-                        &u,
                         entry(1, *tag as f64),
+                        Some(&u),
                     );
+                }
+                Op::Import(tag) => {
+                    let mut plain = PulseCache::new();
+                    plain.insert(
+                        UnitaryKey::canonical(&rz(0.1 * *tag as f64), 1),
+                        entry(1, 100.0 + *tag as f64),
+                    );
+                    live.import_cache(plain);
                 }
                 Op::Touch(tag) => {
                     let u = rz(0.1 * *tag as f64);
                     live.library().touch(&UnitaryKey::canonical(&u, 1));
                 }
-                Op::Clear => live.library().clear(),
+                Op::Checkpoint => live.checkpoint().expect("checkpoint"),
             }
         }
+        let path = dir.with_extension("json");
         let reference = live.cache_snapshot().to_json();
-        let indexed = live.library().indexed_len();
+        let indexed = artifact(&live, &path);
         drop(live);
 
-        let recovered = Session::builder()
-            .topology(Topology::linear(3))
-            .library_capacity(4)
-            .persistence_with(PersistOptions::new(&dir).snapshot_every(0))
-            .build()
-            .expect("recovery");
+        let recovered = build();
         prop_assert_eq!(recovered.cache_snapshot().to_json(), reference);
-        prop_assert_eq!(recovered.library().indexed_len(), indexed);
+        // The same keys indexed, with bit-identical unitaries.
+        prop_assert_eq!(artifact(&recovered, &path), indexed);
+        let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -63,7 +63,7 @@ fn cached_pulses_realize_their_unitaries() {
             .models()
             .for_qubits(*n_qubits)
             .expect("model exists");
-        let realized = total_unitary(model, &entry.pulse);
+        let realized = total_unitary(model, &entry.pulse).expect("finite pulse propagates");
         let inf = infidelity(target, &realized);
         assert!(
             inf <= 1.2e-4,
