@@ -13,7 +13,7 @@
 //! the exact [`SimilarityFn`](crate::SimilarityFn) is evaluated on the
 //! short candidate list only.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use accqoc_circuit::UnitaryKey;
 use accqoc_linalg::{diag_abs_profile, row_peak_profile, trace_moments_abs, Mat};
@@ -103,15 +103,18 @@ pub(crate) struct IndexedUnitary {
 /// The bucketed fingerprint index.
 ///
 /// Buckets are keyed by `(n_qubits, quantized |Tr(U)|/d)`. A candidate
-/// query starts at the query's own bucket and widens symmetrically until
-/// at least `k` live candidates are gathered or the whole dimension's
-/// bucket range is exhausted — so for `k ≥` the number of same-dimension
-/// entries the search degenerates to an exact scan, which is what makes
-/// the top-k guarantee of the property tests hold for small libraries.
+/// query visits the occupied buckets of its dimension in increasing
+/// distance from its own bucket until at least `k` live candidates are
+/// gathered or the dimension's buckets are exhausted — so for `k ≥` the
+/// number of same-dimension entries the search degenerates to an exact
+/// scan, which is what makes the top-k guarantee of the property tests
+/// hold for small libraries. The buckets are ordered, so the walk steps
+/// between occupied buckets however far apart they are (a matrix with a
+/// huge entry lands at a bucket coordinate near `i64::MAX`).
 #[derive(Debug, Default, Clone)]
 pub(crate) struct FingerprintIndex {
     entries: HashMap<UnitaryKey, IndexedUnitary>,
-    buckets: HashMap<(usize, i64), Vec<UnitaryKey>>,
+    buckets: BTreeMap<(usize, i64), Vec<UnitaryKey>>,
 }
 
 impl FingerprintIndex {
@@ -167,45 +170,47 @@ impl FingerprintIndex {
     /// Up to `k` candidate keys nearest to `query` in fingerprint
     /// distance, best first (deterministic: distance, then key order).
     ///
-    /// The bucket walk widens until `k` candidates are gathered or every
-    /// bucket of the query's dimension has been visited, so the result
-    /// is exhaustive whenever `k` covers the dimension's population.
+    /// The walk visits occupied buckets in increasing bucket distance
+    /// from the query's, and stops after the last bucket at the distance
+    /// where `k` candidates are first gathered (or after every bucket of
+    /// the query's dimension), so the result is exhaustive whenever `k`
+    /// covers the dimension's population.
     pub fn candidates(&self, query: &UnitaryFingerprint, k: usize) -> Vec<(UnitaryKey, f64)> {
-        if k == 0 || self.entries.is_empty() {
+        if k == 0 {
             return Vec::new();
         }
+        let width = query.n_qubits();
         let center = query.bucket();
-        let span = self
+        let mut below = self
             .buckets
-            .keys()
-            .filter(|(n, _)| *n == query.n_qubits())
-            .map(|(_, b)| (center - b).abs())
-            .max();
-        let Some(span) = span else {
-            return Vec::new();
-        };
+            .range((width, i64::MIN)..(width, center))
+            .rev()
+            .peekable();
+        let mut above = self
+            .buckets
+            .range((width, center)..=(width, i64::MAX))
+            .peekable();
         let mut gathered: Vec<(UnitaryKey, f64)> = Vec::new();
-        let mut radius = 0i64;
-        while radius <= span {
-            // At radius 0 the two walk arms coincide — visit the center
-            // bucket exactly once.
-            let arms: &[i64] = if radius == 0 {
-                &[center]
-            } else {
-                &[center - radius, center + radius]
+        let mut reached: Option<u64> = None;
+        loop {
+            let up = above.peek().map(|((_, b), _)| center.abs_diff(*b));
+            let down = below.peek().map(|((_, b), _)| center.abs_diff(*b));
+            let (distance, keys) = match (up, down) {
+                (Some(u), Some(d)) if d < u => (d, below.next()),
+                (Some(u), _) => (u, above.next()),
+                (None, Some(d)) => (d, below.next()),
+                (None, None) => break,
             };
-            for &bucket in arms {
-                if let Some(list) = self.buckets.get(&(query.n_qubits(), bucket)) {
-                    for key in list {
-                        let entry = &self.entries[key];
-                        gathered.push((key.clone(), query.distance(&entry.fingerprint)));
-                    }
-                }
-            }
-            if gathered.len() >= k {
+            if reached.is_some_and(|r| distance > r) {
                 break;
             }
-            radius += 1;
+            for key in keys.map(|(_, keys)| keys).into_iter().flatten() {
+                let entry = &self.entries[key];
+                gathered.push((key.clone(), query.distance(&entry.fingerprint)));
+            }
+            if reached.is_none() && gathered.len() >= k {
+                reached = Some(distance);
+            }
         }
         gathered.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
         gathered.truncate(k);
@@ -217,6 +222,9 @@ impl FingerprintIndex {
 mod tests {
     use super::*;
     use accqoc_circuit::{circuit_unitary, Circuit, Gate};
+    use accqoc_linalg::{random_unitary, C64};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn rz(theta: f64) -> Mat {
         circuit_unitary(&Circuit::from_gates(1, [Gate::Rz(0, theta)]))
@@ -241,6 +249,91 @@ mod tests {
         assert_eq!(index.candidates(&query, 100).len(), 6);
         // Zero k is empty.
         assert!(index.candidates(&query, 0).is_empty());
+    }
+
+    /// The walk `candidates` replaced: one bucket coordinate at a time,
+    /// symmetrically, out to the farthest occupied bucket of the query's
+    /// dimension (which need not end when that bucket is near
+    /// `i64::MAX`).
+    fn stepping_walk(
+        index: &FingerprintIndex,
+        query: &UnitaryFingerprint,
+        k: usize,
+    ) -> Vec<(UnitaryKey, f64)> {
+        if k == 0 || index.entries.is_empty() {
+            return Vec::new();
+        }
+        let center = query.bucket();
+        let span = index
+            .buckets
+            .keys()
+            .filter(|(n, _)| *n == query.n_qubits())
+            .map(|(_, b)| (center - b).abs())
+            .max();
+        let Some(span) = span else {
+            return Vec::new();
+        };
+        let mut gathered: Vec<(UnitaryKey, f64)> = Vec::new();
+        let mut radius = 0i64;
+        while radius <= span {
+            let arms: &[i64] = if radius == 0 {
+                &[center]
+            } else {
+                &[center - radius, center + radius]
+            };
+            for &bucket in arms {
+                if let Some(list) = index.buckets.get(&(query.n_qubits(), bucket)) {
+                    for key in list {
+                        let entry = &index.entries[key];
+                        gathered.push((key.clone(), query.distance(&entry.fingerprint)));
+                    }
+                }
+            }
+            if gathered.len() >= k {
+                break;
+            }
+            radius += 1;
+        }
+        gathered.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+        gathered.truncate(k);
+        gathered
+    }
+
+    /// A random unitary of `n_qubits`, scaled up to 20× so that its
+    /// leading feature spreads over ~160 buckets instead of 9.
+    fn spread(rng: &mut StdRng, n_qubits: usize) -> Mat {
+        let u = random_unitary(1 << n_qubits, rng);
+        if rng.gen_range(0.0..1.0) < 0.5 {
+            u
+        } else {
+            u.scale(C64::real(rng.gen_range(0.05..20.0)))
+        }
+    }
+
+    #[test]
+    fn occupied_bucket_walk_matches_the_stepping_walk() {
+        for seed in 0..40u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut index = FingerprintIndex::default();
+            for _ in 0..rng.gen_range(0..30usize) {
+                let n = rng.gen_range(1..3usize);
+                let u = spread(&mut rng, n);
+                index.insert(key_of(&u, n), &u, n);
+            }
+            for _ in 0..10 {
+                let n = rng.gen_range(1..3usize);
+                let query = UnitaryFingerprint::of(&spread(&mut rng, n), n);
+                let k = rng.gen_range(0..12usize);
+                let got = index.candidates(&query, k);
+                let want = stepping_walk(&index, &query, k);
+                let bits = |v: &[(UnitaryKey, f64)]| -> Vec<(UnitaryKey, u64)> {
+                    v.iter()
+                        .map(|(key, d)| (key.clone(), d.to_bits()))
+                        .collect()
+                };
+                assert_eq!(bits(&got), bits(&want), "seed {seed}, k {k}");
+            }
+        }
     }
 
     #[test]

@@ -627,6 +627,23 @@ mod tests {
     }
 
     #[test]
+    fn nearest_returns_after_an_entry_with_a_huge_cell() {
+        // A 1e300 diagonal cell puts the entry's fingerprint bucket at
+        // i64::MAX, so a walk that steps one bucket at a time toward it
+        // does not end. With fewer same-width entries than k the walk
+        // visits every occupied bucket.
+        let lib = PulseLibrary::new();
+        let mut huge = Mat::identity(2);
+        huge[(0, 0)] = accqoc_linalg::C64::new(1e300, 0.0);
+        lib.insert(key_of(&huge), entry(1.0), Some(&huge));
+        let u = rz(0.5);
+        lib.insert(key_of(&u), entry(2.0), Some(&u));
+        assert!(lib
+            .nearest(&Mat::identity(2), 1, 4, SimilarityFn::TraceOverlap)
+            .is_some());
+    }
+
+    #[test]
     fn nearest_on_empty_or_cross_dimension_is_none() {
         let lib = PulseLibrary::new();
         assert!(lib

@@ -10,6 +10,10 @@
 //! the same median-of-K sampler, so the reported speedups compare like
 //! with like.
 //!
+//! Every kernel row is the best of [`KERNEL_RUNS`] runs of the whole
+//! sweep, with the runs' spread `(worst − best)/best` beside it: one run
+//! on a shared VM reads the same binary up to ~50 % apart.
+//!
 //! A solver section then runs fixed GRAPE probes, one feasible and one
 //! infeasible slice count per target ([`PROBES`]: the X gate on
 //! `spin_chain(1)` at 10 and 9 slices, CNOT on `spin_chain(2)` at its
@@ -18,10 +22,18 @@
 //! deterministic, so they catch a line-search regression without timing
 //! noise.
 //!
+//! A search section runs fixed latency searches ([`SEARCHES`]: X and
+//! CNOT from scratch, then seeded with the scratch pulse resampled to a
+//! feasible or an infeasible guess) and records their probe lists and
+//! total iterations, which must equal the values pinned from the
+//! one-solve-at-a-time search: the two-lane search is bit-identical to
+//! it by construction, and this is where that is checked end to end.
+//!
 //! Modes:
 //!
 //! - default: measure everything, print the tables, write the kernel and
-//!   solver rows to `results/grape_kernels.csv` and `BENCH_grape.json`.
+//!   solver rows to `results/grape_kernels.csv` and `BENCH_grape.json`
+//!   (the search rows to `BENCH_grape.json` only).
 //!   Honors `ACCQOC_FAST=1` (fewer samples).
 //! - `--check`: first prove bit-identity — every blocked kernel against
 //!   its reference over all dimensions 1–17 (covering every
@@ -32,13 +44,15 @@
 //!   least [`CHECK_MIN_SPEEDUP`]× on median time. Then gate the solver:
 //!   every probe must converge exactly when it is marked feasible and
 //!   spend at most [`CHECK_MAX_EVALS_PER_ITERATION`] objective
-//!   evaluations per iteration. Exits non-zero on any failure. The CI
-//!   `grape-bench` gate.
+//!   evaluations per iteration. Then gate the searches: every probe list
+//!   and iteration total must match its pin. Exits non-zero on any
+//!   failure. The CI `grape-bench` gate.
 
 use accqoc::json::JsonValue;
 use accqoc_bench::{fast_mode, print_table, write_csv};
 use accqoc_grape::{
-    cost_and_gradient_into, solve, GradientMethod, GrapeOptions, GrapeProblem, Workspace,
+    cost_and_gradient_into, find_minimal_latency, solve, GradientMethod, GrapeOptions,
+    GrapeProblem, LatencySearch, Workspace,
 };
 use accqoc_hw::ControlModel;
 use accqoc_linalg::{eigh_into, expm_i_hermitian, kernels, EigH, EighWorkspace, Mat, C64};
@@ -106,6 +120,100 @@ const PROBES: [Probe; 4] = [
     },
 ];
 
+/// One fixed latency search and its pinned outcome.
+struct SearchCase {
+    name: &'static str,
+    unitary: fn() -> Mat,
+    qubits: usize,
+    /// `None`: a scratch search. `Some(n)`: seeded with this target's
+    /// scratch pulse resampled to `n` slices.
+    seed_slices: Option<usize>,
+    /// Pinned `(n_steps, converged)` probe list.
+    probes: &'static [(usize, bool)],
+    /// Pinned optimizer iterations over all probes.
+    total_iterations: usize,
+}
+
+/// The searches, with the probe lists and iteration totals of the
+/// one-solve-at-a-time search (default GRAPE options and search bounds).
+/// The X seed at 12 slices is feasible (the search checks the floor, then
+/// bisects); the CNOT seed at 16 is not (the +1 probe fails too, and
+/// growth takes over).
+const SEARCHES: [SearchCase; 4] = [
+    SearchCase {
+        name: "x",
+        unitary: x_gate,
+        qubits: 1,
+        seed_slices: None,
+        probes: &[
+            (0, false),
+            (1, false),
+            (2, false),
+            (4, false),
+            (8, false),
+            (16, true),
+            (12, true),
+            (10, true),
+            (9, false),
+        ],
+        total_iterations: 130,
+    },
+    SearchCase {
+        name: "x",
+        unitary: x_gate,
+        qubits: 1,
+        seed_slices: Some(12),
+        probes: &[
+            (0, false),
+            (12, true),
+            (1, false),
+            (6, false),
+            (9, false),
+            (10, true),
+        ],
+        total_iterations: 102,
+    },
+    SearchCase {
+        name: "cnot",
+        unitary: cnot,
+        qubits: 2,
+        seed_slices: None,
+        probes: &[
+            (0, false),
+            (1, false),
+            (2, false),
+            (4, false),
+            (8, false),
+            (16, false),
+            (32, true),
+            (24, true),
+            (20, true),
+            (18, false),
+            (19, true),
+        ],
+        total_iterations: 793,
+    },
+    SearchCase {
+        name: "cnot",
+        unitary: cnot,
+        qubits: 2,
+        seed_slices: Some(16),
+        probes: &[
+            (0, false),
+            (16, false),
+            (17, false),
+            (32, true),
+            (24, true),
+            (20, true),
+            (18, false),
+            (19, true),
+        ],
+        total_iterations: 915,
+    },
+];
+
+const SEARCH_HEADER: [&str; 5] = ["search", "probes", "total_iterations", "pinned", "wall_ms"];
+
 const SOLVER_HEADER: [&str; 9] = [
     "probe",
     "dim",
@@ -128,7 +236,18 @@ const CHECK_DIMS: std::ops::RangeInclusive<usize> = 1..=17;
 /// GRAPE slices of the cost-and-gradient pass.
 const COST_STEPS: usize = 8;
 
-const HEADER: [&str; 5] = ["kernel", "dim", "blocked_ns", "naive_ns", "speedup"];
+const HEADER: [&str; 7] = [
+    "kernel",
+    "dim",
+    "blocked_ns",
+    "blocked_spread",
+    "naive_ns",
+    "naive_spread",
+    "speedup",
+];
+
+/// Runs of the kernel sweep; each kernel row keeps its best.
+const KERNEL_RUNS: usize = 5;
 
 /// One (kernel, dim) measurement. `naive_ns` is `None` for compound
 /// operations that have no preserved naive twin (`eigh`, `expm_i`,
@@ -140,31 +259,69 @@ struct Row {
     naive_ns: Option<f64>,
 }
 
-impl Row {
+/// A kernel row over [`KERNEL_RUNS`] runs: the best time of each side,
+/// and the spread `(worst − best)/best` of the runs.
+struct BestRow {
+    best: Row,
+    blocked_spread: f64,
+    naive_spread: Option<f64>,
+}
+
+impl BestRow {
+    /// Folds the same row of every run (`runs` is non-empty).
+    fn of(runs: &[&Row]) -> Self {
+        let spread = |times: &[f64]| {
+            let best = times.iter().copied().fold(f64::INFINITY, f64::min);
+            let worst = times.iter().copied().fold(0.0f64, f64::max);
+            (best, (worst - best) / best)
+        };
+        let blocked: Vec<f64> = runs.iter().map(|r| r.blocked_ns).collect();
+        let naive: Option<Vec<f64>> = runs.iter().map(|r| r.naive_ns).collect();
+        let (blocked_ns, blocked_spread) = spread(&blocked);
+        let naive = naive.map(|n| spread(&n));
+        Self {
+            best: Row {
+                kernel: runs[0].kernel,
+                dim: runs[0].dim,
+                blocked_ns,
+                naive_ns: naive.map(|(best, _)| best),
+            },
+            blocked_spread,
+            naive_spread: naive.map(|(_, spread)| spread),
+        }
+    }
+
     fn speedup(&self) -> Option<f64> {
-        self.naive_ns.map(|n| n / self.blocked_ns)
+        self.best.naive_ns.map(|n| n / self.best.blocked_ns)
     }
 
     fn cells(&self) -> Vec<String> {
+        let dash = || "-".to_string();
         vec![
-            self.kernel.to_string(),
-            self.dim.to_string(),
-            format!("{:.1}", self.blocked_ns),
-            self.naive_ns
-                .map_or_else(|| "-".into(), |n| format!("{n:.1}")),
-            self.speedup()
-                .map_or_else(|| "-".into(), |s| format!("{s:.2}")),
+            self.best.kernel.to_string(),
+            self.best.dim.to_string(),
+            format!("{:.1}", self.best.blocked_ns),
+            format!("{:.2}", self.blocked_spread),
+            self.best.naive_ns.map_or_else(dash, |n| format!("{n:.1}")),
+            self.naive_spread.map_or_else(dash, |s| format!("{s:.2}")),
+            self.speedup().map_or_else(dash, |s| format!("{s:.2}")),
         ]
     }
 
     fn json(&self) -> JsonValue {
         let mut fields = vec![
-            ("kernel".into(), JsonValue::String(self.kernel.into())),
-            ("dim".into(), JsonValue::Number(self.dim as f64)),
-            ("blocked_ns".into(), JsonValue::Number(self.blocked_ns)),
+            ("kernel".into(), JsonValue::String(self.best.kernel.into())),
+            ("dim".into(), JsonValue::Number(self.best.dim as f64)),
+            ("runs".into(), JsonValue::Number(KERNEL_RUNS as f64)),
+            ("blocked_ns".into(), JsonValue::Number(self.best.blocked_ns)),
+            (
+                "blocked_spread".into(),
+                JsonValue::Number(self.blocked_spread),
+            ),
         ];
-        if let Some(naive) = self.naive_ns {
+        if let (Some(naive), Some(spread)) = (self.best.naive_ns, self.naive_spread) {
             fields.push(("naive_ns".into(), JsonValue::Number(naive)));
+            fields.push(("naive_spread".into(), JsonValue::Number(spread)));
         }
         if let Some(s) = self.speedup() {
             fields.push(("speedup".into(), JsonValue::Number(s)));
@@ -230,6 +387,65 @@ impl SolverRow {
     }
 }
 
+/// One latency search's outcome.
+struct SearchRow {
+    case: &'static SearchCase,
+    probes: Vec<(usize, bool)>,
+    total_iterations: usize,
+    wall_ms: f64,
+}
+
+impl SearchRow {
+    fn name(&self) -> String {
+        match self.case.seed_slices {
+            None => format!("{}:scratch", self.case.name),
+            Some(n) => format!("{}:seed@{n}", self.case.name),
+        }
+    }
+
+    fn pinned(&self) -> bool {
+        self.probes == self.case.probes && self.total_iterations == self.case.total_iterations
+    }
+
+    fn probe_list(&self) -> String {
+        self.probes
+            .iter()
+            .map(|&(n, ok)| format!("{n}{}", if ok { "+" } else { "-" }))
+            .collect::<Vec<_>>()
+            .join(" ")
+    }
+
+    fn cells(&self) -> Vec<String> {
+        vec![
+            self.name(),
+            self.probe_list(),
+            self.total_iterations.to_string(),
+            self.pinned().to_string(),
+            format!("{:.2}", self.wall_ms),
+        ]
+    }
+
+    fn json(&self) -> JsonValue {
+        let probes = self
+            .probes
+            .iter()
+            .map(|&(n, ok)| {
+                JsonValue::Array(vec![JsonValue::Number(n as f64), JsonValue::Bool(ok)])
+            })
+            .collect();
+        JsonValue::Object(vec![
+            ("search".into(), JsonValue::String(self.name())),
+            ("probes".into(), JsonValue::Array(probes)),
+            (
+                "total_iterations".into(),
+                JsonValue::Number(self.total_iterations as f64),
+            ),
+            ("pinned".into(), JsonValue::Bool(self.pinned())),
+            ("wall_ms".into(), JsonValue::Number(self.wall_ms)),
+        ])
+    }
+}
+
 fn x_gate() -> Mat {
     Mat::from_reals(&[0.0, 1.0, 1.0, 0.0])
 }
@@ -268,6 +484,73 @@ fn measure_solver() -> Vec<SolverRow> {
             }
         })
         .collect()
+}
+
+/// Runs every latency search once with the default options and bounds;
+/// a seeded search reuses its target's scratch pulse (the scratch case
+/// comes first in [`SEARCHES`]).
+fn measure_searches() -> Vec<SearchRow> {
+    let mut scratch_pulses: Vec<(&str, accqoc_grape::Pulse)> = Vec::new();
+    SEARCHES
+        .iter()
+        .map(|case| {
+            let model = ControlModel::spin_chain(case.qubits);
+            let target = (case.unitary)();
+            let seed = case.seed_slices.map(|n| {
+                let (_, pulse) = scratch_pulses
+                    .iter()
+                    .find(|(name, _)| *name == case.name)
+                    .expect("the scratch search runs first");
+                pulse.resampled(n)
+            });
+            let start = std::time::Instant::now();
+            let result = find_minimal_latency(
+                &model,
+                &target,
+                seed.as_ref(),
+                &GrapeOptions::default(),
+                &LatencySearch::default(),
+                &mut Workspace::new(),
+            );
+            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+            let (probes, total_iterations) = match result {
+                Ok(r) => {
+                    if case.seed_slices.is_none() {
+                        scratch_pulses.push((case.name, r.outcome.pulse));
+                    }
+                    (r.probes, r.total_iterations)
+                }
+                Err(e) => {
+                    eprintln!("search {}: {e}", case.name);
+                    (Vec::new(), 0)
+                }
+            };
+            SearchRow {
+                case,
+                probes,
+                total_iterations,
+                wall_ms,
+            }
+        })
+        .collect()
+}
+
+/// Search gate failures: a search whose probe list or iteration total
+/// differs from its pin.
+fn check_searches(rows: &[SearchRow]) -> usize {
+    let mut failures = 0usize;
+    for row in rows.iter().filter(|r| !r.pinned()) {
+        eprintln!(
+            "FAIL: search {}: probes [{}] in {} iterations, pinned {:?} in {}",
+            row.name(),
+            row.probe_list(),
+            row.total_iterations,
+            row.case.probes,
+            row.case.total_iterations
+        );
+        failures += 1;
+    }
+    failures
 }
 
 /// Solver gate failures: a probe whose verdict differs from its
@@ -488,7 +771,7 @@ fn measure_cost_grad(qubits: usize) -> Row {
     }
 }
 
-fn measure_all() -> Vec<Row> {
+fn measure_once() -> Vec<Row> {
     let mut rows = Vec::new();
     for &n in &DIMS {
         rows.extend(measure_dim(n));
@@ -499,15 +782,26 @@ fn measure_all() -> Vec<Row> {
     rows
 }
 
+/// The kernel sweep [`KERNEL_RUNS`] times, each row the best of its runs.
+fn measure_all() -> Vec<BestRow> {
+    let runs: Vec<Vec<Row>> = (0..KERNEL_RUNS).map(|_| measure_once()).collect();
+    (0..runs[0].len())
+        .map(|i| BestRow::of(&runs.iter().map(|run| &run[i]).collect::<Vec<_>>()))
+        .collect()
+}
+
 /// Prints both tables and writes them out. The CSV holds one table:
 /// kernel rows leave the solver columns as `-`, and solver rows (named
 /// `solver:<probe>`) leave the kernel timing columns as `-`.
-fn write_outputs(rows: &[Row], solver: &[SolverRow]) {
-    let cells: Vec<Vec<String>> = rows.iter().map(Row::cells).collect();
+fn write_outputs(rows: &[BestRow], solver: &[SolverRow], searches: &[SearchRow]) {
+    let cells: Vec<Vec<String>> = rows.iter().map(BestRow::cells).collect();
     print_table(&HEADER, &cells);
     let solver_cells: Vec<Vec<String>> = solver.iter().map(SolverRow::cells).collect();
     println!();
     print_table(&SOLVER_HEADER, &solver_cells);
+    let search_cells: Vec<Vec<String>> = searches.iter().map(SearchRow::cells).collect();
+    println!();
+    print_table(&SEARCH_HEADER, &search_cells);
 
     let header: Vec<&str> = HEADER
         .iter()
@@ -535,11 +829,15 @@ fn write_outputs(rows: &[Row], solver: &[SolverRow]) {
         ),
         (
             "kernels".into(),
-            JsonValue::Array(rows.iter().map(Row::json).collect()),
+            JsonValue::Array(rows.iter().map(BestRow::json).collect()),
         ),
         (
             "solver".into(),
             JsonValue::Array(solver.iter().map(SolverRow::json).collect()),
+        ),
+        (
+            "search".into(),
+            JsonValue::Array(searches.iter().map(SearchRow::json).collect()),
         ),
     ]);
     std::fs::write("BENCH_grape.json", json.to_pretty() + "\n").ok();
@@ -657,18 +955,19 @@ fn main() {
 
         let rows = measure_all();
         let solver = measure_solver();
-        write_outputs(&rows, &solver);
+        let searches = measure_searches();
+        write_outputs(&rows, &solver, &searches);
         let dim8 = rows
             .iter()
-            .find(|r| r.kernel == "matmul" && r.dim == 8)
+            .find(|r| r.best.kernel == "matmul" && r.best.dim == 8)
             .expect("dim-8 matmul row");
         let speedup = dim8.speedup().expect("matmul has a naive twin");
         println!(
             "\ndim-8 matmul: blocked {:.1} ns vs naive {:.1} ns ({speedup:.2}x, gate {CHECK_MIN_SPEEDUP}x)",
-            dim8.blocked_ns,
-            dim8.naive_ns.unwrap_or(f64::NAN),
+            dim8.best.blocked_ns,
+            dim8.best.naive_ns.unwrap_or(f64::NAN),
         );
-        let mut failed = failures > 0 || check_solver(&solver) > 0;
+        let mut failed = failures > 0 || check_solver(&solver) > 0 || check_searches(&searches) > 0;
         if speedup < CHECK_MIN_SPEEDUP {
             eprintln!(
                 "FAIL: dim-8 matmul speedup {speedup:.2}x below pinned threshold {CHECK_MIN_SPEEDUP}x"
@@ -684,13 +983,15 @@ fn main() {
             .fold(0.0f64, f64::max);
         println!(
             "\nOK: bit-identical and eigh-accurate over dims {}-{}, dim-8 matmul {speedup:.2}x >= {CHECK_MIN_SPEEDUP}x, \
-             solver probes at most {worst:.2} <= {CHECK_MAX_EVALS_PER_ITERATION} evaluations per iteration",
+             solver probes at most {worst:.2} <= {CHECK_MAX_EVALS_PER_ITERATION} evaluations per iteration, \
+             {} latency searches on their pinned probes",
             CHECK_DIMS.start(),
-            CHECK_DIMS.end()
+            CHECK_DIMS.end(),
+            searches.len()
         );
     } else {
         let rows = measure_all();
-        write_outputs(&rows, &measure_solver());
+        write_outputs(&rows, &measure_solver(), &measure_searches());
         println!("\nwrote results/grape_kernels.csv and BENCH_grape.json");
     }
 }

@@ -6,6 +6,8 @@
 //! Qubits but same operations are also treated as duplicate" (§IV-C).
 //! [`UnitaryKey`] implements exactly that equivalence.
 
+use std::sync::Arc;
+
 use accqoc_linalg::{global_phase_canonical, quantized_bytes, Mat};
 
 /// Quantization resolution for key bytes. Unitaries closer than ~half this
@@ -16,6 +18,10 @@ pub const KEY_EPS: f64 = 1e-6;
 
 /// A hashable identity for a unitary, canonical up to global phase (and
 /// optionally qubit permutation).
+///
+/// The bytes are shared: a clone is a reference-count bump, so the copies
+/// the pulse library and the serve reports keep of one key cost one
+/// allocation between them.
 ///
 /// # Examples
 ///
@@ -28,12 +34,12 @@ pub const KEY_EPS: f64 = 1e-6;
 /// assert_eq!(UnitaryKey::from_unitary(&u), UnitaryKey::from_unitary(&phased));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct UnitaryKey(Vec<u8>);
+pub struct UnitaryKey(Arc<[u8]>);
 
 impl UnitaryKey {
     /// Key identifying the unitary up to global phase only.
     pub fn from_unitary(u: &Mat) -> Self {
-        Self(quantized_bytes(&global_phase_canonical(u), KEY_EPS))
+        Self(quantized_bytes(&global_phase_canonical(u), KEY_EPS).into())
     }
 
     /// Key identifying the unitary up to global phase *and* relabeling of
@@ -59,7 +65,7 @@ impl UnitaryKey {
             }
         }
         let (bytes, perm) = best.expect("at least the identity permutation exists");
-        (Self(bytes), perm)
+        (Self(bytes.into()), perm)
     }
 
     /// Canonical key up to phase and qubit permutation (discarding the
@@ -77,7 +83,7 @@ impl UnitaryKey {
     /// (pulse-cache persistence). The bytes are trusted — a corrupted
     /// byte string simply never matches any live key.
     pub fn from_bytes(bytes: Vec<u8>) -> Self {
-        Self(bytes)
+        Self(bytes.into())
     }
 }
 

@@ -9,14 +9,35 @@
 //!
 //! We search over the slice count `N`: first grow an upper bound until a
 //! feasible pulse is found, then bisect down to the smallest feasible `N`.
+//!
+//! # Two lanes
+//!
+//! The search is a small state machine, [`Search`]: `next()` names the
+//! next GRAPE solve (slice count, warm or cold init, iteration budget)
+//! and `record()` takes its outcome. Most solves fail, and a failed
+//! solve changes nothing a later solve reads: the warm-start pulse moves
+//! only when a solve converges. So the solve the search runs after a
+//! failure is known before the failure is, and [`find_minimal_latency`]
+//! runs the search on two lanes, the calling thread and one helper
+//! thread inside a [`std::thread::scope`]. Each lane takes the next solve
+//! of the chain "every solve so far fails", and outcomes are committed
+//! strictly in chain order. When a committed solve converges, every
+//! solve after it is cancelled and its outcome dropped unread. A
+//! committed solve therefore ran on exactly the inputs a one-at-a-time
+//! search would have given it, and the result is bit-identical to that
+//! search's, whichever lane ran which solve.
 
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use accqoc_hw::ControlModel;
 use accqoc_linalg::Mat;
 
-use crate::grape::{solve_with, GrapeOptions, GrapeOutcome, GrapeProblem, InitStrategy};
+use crate::grape::{solve_cancellable, GrapeOptions, GrapeOutcome, GrapeProblem, InitStrategy};
+use crate::optimizer::StopCriteria;
 use crate::pulse::Pulse;
 use crate::workspace::Workspace;
 
@@ -55,6 +76,15 @@ pub enum LatencyError {
         /// Best infidelity observed at the cap.
         best_infidelity: f64,
     },
+    /// The initialization cannot start a solve on the model: a warm-start
+    /// pulse (the seed, or an [`InitStrategy::Warm`] init) with another
+    /// channel count than the model's or a non-finite amplitude, or an
+    /// [`InitStrategy::Random`] init with a non-finite scale. Checked
+    /// before any solve runs.
+    InvalidInit {
+        /// What is wrong with it.
+        reason: String,
+    },
 }
 
 impl fmt::Display for LatencyError {
@@ -64,6 +94,7 @@ impl fmt::Display for LatencyError {
                 f,
                 "no pulse up to {max_steps} steps met the fidelity target (best infidelity {best_infidelity:.2e})"
             ),
+            Self::InvalidInit { reason } => write!(f, "invalid initial pulse: {reason}"),
         }
     }
 }
@@ -87,8 +118,7 @@ pub struct LatencyResult {
 }
 
 /// Finds the shortest pulse meeting the fidelity target via exponential
-/// growth + bisection over the slice count. Every GRAPE probe reuses the
-/// caller's [`Workspace`] (one per worker thread).
+/// growth + bisection over the slice count.
 ///
 /// `seed` is the "warm start from a similar group" behind the paper's
 /// MST acceleration and the pulse library's serving path. It does two
@@ -102,10 +132,31 @@ pub struct LatencyResult {
 /// least 40). A converged warm attempt settles the probe; otherwise a
 /// cold start on the full budget decides it.
 ///
+/// # Threads
+///
+/// The search runs on two lanes: this thread, solving on the caller's
+/// [`Workspace`], and one helper thread spawned for the duration of the
+/// call, solving on a workspace of its own. While one lane runs a solve,
+/// the other runs the solve that comes next if that one fails; a failed
+/// solve changes nothing a later solve reads, so that solve is known in
+/// advance. Outcomes are committed in search order, and the solves after
+/// a converged one are cancelled and never read. The result does not
+/// depend on which lane ran which solve: it is bit for bit the result of
+/// running the solves one at a time. If the helper thread cannot be
+/// spawned, this thread runs every solve itself.
+///
+/// # Panics
+///
+/// Panics if the target dimension disagrees with the model. A panic on
+/// either lane stops the other at its next optimizer iteration and is
+/// re-raised on this thread.
+///
 /// # Errors
 ///
-/// Returns [`LatencyError::Infeasible`] when even `search.max_steps`
-/// slices cannot reach the target.
+/// Returns [`LatencyError::InvalidInit`] when the warm-start pulse has a
+/// channel count other than the model's or a non-finite amplitude (or a
+/// random init has a non-finite scale), and [`LatencyError::Infeasible`]
+/// when even `search.max_steps` slices cannot reach the target.
 ///
 /// # Examples
 ///
@@ -136,210 +187,532 @@ pub fn find_minimal_latency(
     search: &LatencySearch,
     ws: &mut Workspace,
 ) -> Result<LatencyResult, LatencyError> {
-    let mut options = options.clone();
-    let mut search = search.clone();
-    if let Some(pulse) = seed {
-        options.init = InitStrategy::Warm(pulse.clone());
-        if pulse.n_steps() > 0 {
-            search.initial_guess = Some(pulse.n_steps());
-        }
-    }
-    let mut probes: Vec<(usize, bool)> = Vec::new();
-    let mut total_iterations = 0usize;
-    let mut warm_pulse: Option<Pulse> = None;
-
-    // The cold initialization used to establish the true feasibility
-    // frontier: a caller-provided warm start is only a *hint*. Warm inits
-    // inherited from other unitaries can fail at slice counts a fresh
-    // start solves, and silently inflating the latency list would corrupt
-    // every downstream latency number.
-    let cold_init = match &options.init {
-        InitStrategy::Warm(_) => InitStrategy::default(),
-        other => other.clone(),
-    };
-
-    let mut probe = |n: usize, warm: &Option<Pulse>| -> GrapeOutcome {
-        // Warm attempt (reduced budget): converges in a fraction of the
-        // cold cost when the seed is good; falls through otherwise.
-        let warm_init = warm
-            .as_ref()
-            .map(|p| InitStrategy::Warm(p.clone()))
-            .or_else(|| match &options.init {
-                w @ InitStrategy::Warm(_) => Some(w.clone()),
-                _ => None,
-            });
-        if let Some(init) = warm_init {
-            let mut opts = options.clone();
-            opts.init = init;
-            opts.stop.max_iters = (opts.stop.max_iters / 3).max(40);
-            let out = solve_with(
-                &GrapeProblem {
-                    model,
-                    target,
-                    n_steps: n,
-                    options: opts,
-                },
-                ws,
-            );
-            total_iterations += out.iterations;
-            if out.converged {
-                probes.push((n, true));
-                return out;
-            }
-        }
-        // Cold attempt (full budget) decides feasibility.
-        let mut opts = options.clone();
-        opts.init = cold_init.clone();
-        let out = solve_with(
-            &GrapeProblem {
-                model,
-                target,
-                n_steps: n,
-                options: opts,
-            },
-            ws,
-        );
-        total_iterations += out.iterations;
-        probes.push((n, out.converged));
-        out
-    };
-
-    // Special case: the identity-class target may already be feasible at 0.
-    let zero = probe(0, &warm_pulse);
-    if zero.converged {
-        return Ok(LatencyResult {
-            outcome: zero,
-            n_steps: 0,
-            latency_ns: 0.0,
-            total_iterations,
-            probes,
-        });
-    }
-
-    // Exponential growth until feasible: yields the first feasible
-    // slice count and its outcome, or returns the infeasibility error.
-    let mut lo = 0usize; // largest known-infeasible count
-    let mut n = search.min_steps.max(1);
-    let mut best_infidelity = zero.infidelity;
-
-    let (mut hi, mut best_out) = 'grow: {
-        // Seeded start: probe the guess first (clamped into range).
-        if let Some(guess) = search.initial_guess {
-            let g = guess.clamp(1, search.max_steps);
-            let out = probe(g, &warm_pulse);
-            best_infidelity = best_infidelity.min(out.infidelity);
-            if out.converged {
-                warm_pulse = Some(out.pulse.clone());
-                let mut feasible = (g, out);
-                // One probe at the growth start tells us which side of it the
-                // boundary lies on, cheaply narrowing the bisection range
-                // (without it a good guess costs a cascade of low-N probes).
-                let m = search.min_steps.min(g.saturating_sub(1));
-                if m == g.saturating_sub(1) && m >= 1 {
-                    // The search floor sits right under the guess (the
-                    // seed-anchored serving window): descend one slice at a
-                    // time while the shorter probe keeps converging. Each
-                    // converging probe is cheap (warm-started from the pulse
-                    // one slice longer); the first failure is the tight lower
-                    // bound. A near-identical seed costs exactly one extra
-                    // probe, and a beatable seed walks to the true minimum
-                    // without re-opening the bisection over the
-                    // deep-infeasible region the floor exists to prune.
-                    let mut h = g;
-                    while h > 1 {
-                        let out_d = probe(h - 1, &warm_pulse);
-                        if !out_d.converged {
-                            lo = h - 1;
-                            break;
-                        }
-                        warm_pulse = Some(out_d.pulse.clone());
-                        h -= 1;
-                        feasible = (h, out_d);
-                    }
-                } else if m >= 1 {
-                    let out_m = probe(m, &warm_pulse);
-                    if out_m.converged {
-                        warm_pulse = Some(out_m.pulse.clone());
-                        feasible = (m, out_m);
-                    } else {
-                        lo = m;
-                    }
-                }
-                break 'grow feasible;
-            } else if g >= search.max_steps {
-                return Err(LatencyError::Infeasible {
-                    max_steps: search.max_steps,
-                    best_infidelity,
-                });
-            } else {
-                // A seeded guess is rarely off by much: try one slice longer
-                // before falling back to exponential growth — similar groups
-                // have similar minimal latencies, so the boundary usually
-                // sits adjacent to the seed and the +1 probe converges,
-                // collapsing the whole bracket in one step.
-                let out_up = probe(g + 1, &warm_pulse);
-                best_infidelity = best_infidelity.min(out_up.infidelity);
-                if out_up.converged {
-                    warm_pulse = Some(out_up.pulse.clone());
-                    lo = g;
-                    break 'grow (g + 1, out_up);
-                }
-                lo = g + 1;
-                n = (g * 2).min(search.max_steps).max(1);
-            }
-        }
-
-        loop {
-            let out = probe(n, &warm_pulse);
-            best_infidelity = best_infidelity.min(out.infidelity);
-            if out.converged {
-                warm_pulse = Some(out.pulse.clone());
-                break (n, out);
-            }
-            lo = n;
-            if n >= search.max_steps {
-                return Err(LatencyError::Infeasible {
-                    max_steps: search.max_steps,
-                    best_infidelity,
-                });
-            }
-            n = (n * 2).min(search.max_steps);
-        }
-    };
-
-    // Bisection on (lo, hi].
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        let out = probe(mid, &warm_pulse);
-        if out.converged {
-            hi = mid;
-            warm_pulse = Some(out.pulse.clone());
-            best_out = out;
-        } else {
-            lo = mid;
-        }
-    }
-
-    Ok(LatencyResult {
-        latency_ns: hi as f64 * model.dt_ns(),
-        n_steps: hi,
-        outcome: best_out,
-        total_iterations,
-        probes,
+    let search = Search::new(model, seed, options, search)?;
+    run_on_two_lanes(search, ws, &|n_steps, options, ws, cancel| {
+        let problem = GrapeProblem {
+            model,
+            target,
+            n_steps,
+            options,
+        };
+        solve_cancellable(&problem, ws, Some(cancel))
     })
+}
+
+/// One solve of the search: slice count, options, the lane's workspace,
+/// and the lane's cancellation flag.
+type Solver<'s> =
+    dyn Fn(usize, GrapeOptions, &mut Workspace, &AtomicBool) -> GrapeOutcome + Sync + 's;
+
+/// Runs `search` to its end on two lanes: this thread on `ws`, and a
+/// helper thread on a workspace of its own.
+fn run_on_two_lanes(
+    search: Search<'_>,
+    ws: &mut Workspace,
+    solve: &Solver<'_>,
+) -> Result<LatencyResult, LatencyError> {
+    let lanes = Lanes::new(search);
+    std::thread::scope(|scope| {
+        let helper = std::thread::Builder::new()
+            .name(HELPER_NAME.into())
+            .spawn_scoped(scope, || lanes.run(1, &mut Workspace::new(), solve));
+        lanes.run(0, ws, solve);
+        if let Ok(helper) = helper {
+            if let Err(panic) = helper.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
+    // Either lane may have allocated the result. Copy it on this thread,
+    // so the pulse a caller keeps (the library keeps every one) does not
+    // pin memory the helper thread's allocator could otherwise return.
+    let result = lanes.finish()?;
+    Ok(result.clone())
+}
+
+/// Name of the helper lane's thread.
+const HELPER_NAME: &str = "latency-search";
+
+/// The probe of the search that the pending solve belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Site {
+    /// `N = 0`: the identity class needs no pulse.
+    Zero,
+    /// The seeded guess.
+    Guess,
+    /// One slice longer than an infeasible guess.
+    Up,
+    /// Exponential growth until a slice count converges.
+    Grow,
+    /// The anchored descent: one slice below the shortest feasible count,
+    /// while the search floor sits right under the guess.
+    Descend,
+    /// One probe at the search floor below a feasible guess.
+    Floor,
+    /// Bisection on `(lo, hi]`.
+    Bisect,
+    /// Done: the shortest feasible slice count is known.
+    Found,
+    /// Done: nothing up to `max_steps` converged.
+    Infeasible,
+}
+
+/// The latency search as an explicit state: [`Search::next`] names the
+/// next solve, [`Search::record`] takes its outcome, and the two-lane
+/// driver of [`find_minimal_latency`] runs what `next` names.
+#[derive(Debug, Clone)]
+struct Search<'a> {
+    stop: &'a StopCriteria,
+    /// The caller's warm start: the seed, or an [`InitStrategy::Warm`]
+    /// init in the options.
+    hint: Option<&'a Pulse>,
+    /// The cold initialization that decides feasibility. A caller's warm
+    /// start is only a *hint*: warm inits inherited from other unitaries
+    /// can fail at slice counts a fresh start solves, and silently
+    /// inflating the latency list would corrupt every downstream latency
+    /// number.
+    cold_init: InitStrategy,
+    min_steps: usize,
+    max_steps: usize,
+    guess: Option<usize>,
+    dt: f64,
+    site: Site,
+    /// Slice count of the pending probe.
+    n: usize,
+    /// Whether the pending solve is the probe's warm attempt; a failed
+    /// warm attempt is followed by the cold solve at the same `n`.
+    warm: bool,
+    /// Largest slice count known to be infeasible.
+    lo: usize,
+    /// Shortest feasible slice count so far, with its outcome.
+    best: Option<(usize, GrapeOutcome)>,
+    best_infidelity: f64,
+    total_iterations: usize,
+    probes: Vec<(usize, bool)>,
+}
+
+impl<'a> Search<'a> {
+    /// The search before its first solve, after checking both
+    /// initializations it will use.
+    fn new(
+        model: &ControlModel,
+        seed: Option<&'a Pulse>,
+        options: &'a GrapeOptions,
+        search: &LatencySearch,
+    ) -> Result<Self, LatencyError> {
+        let hint = seed.or(match &options.init {
+            InitStrategy::Warm(pulse) => Some(pulse),
+            _ => None,
+        });
+        let cold_init = match hint {
+            Some(_) => InitStrategy::default(),
+            None => options.init.clone(),
+        };
+        let reason = match (hint, &cold_init) {
+            (Some(pulse), _) if pulse.n_controls() != model.n_controls() => Some(format!(
+                "{} control channels, the model has {}",
+                pulse.n_controls(),
+                model.n_controls()
+            )),
+            (Some(pulse), _)
+                if !(0..pulse.n_controls())
+                    .all(|c| pulse.channel(c).iter().all(|a| a.is_finite())) =>
+            {
+                Some("non-finite warm-start amplitude".to_string())
+            }
+            (_, InitStrategy::Random { scale, .. }) if !scale.is_finite() => {
+                Some(format!("random init scale {scale}"))
+            }
+            _ => None,
+        };
+        if let Some(reason) = reason {
+            return Err(LatencyError::InvalidInit { reason });
+        }
+        let mut state = Self {
+            stop: &options.stop,
+            hint,
+            cold_init,
+            min_steps: search.min_steps,
+            max_steps: search.max_steps,
+            guess: seed
+                .map(Pulse::n_steps)
+                .filter(|&n| n > 0)
+                .or(search.initial_guess),
+            dt: model.dt_ns(),
+            site: Site::Zero,
+            n: 0,
+            warm: false,
+            lo: 0,
+            best: None,
+            best_infidelity: f64::INFINITY,
+            total_iterations: 0,
+            probes: Vec::new(),
+        };
+        state.probe(Site::Zero, 0);
+        Ok(state)
+    }
+
+    /// Starts the probe at `n` for `site`: its warm attempt when there is
+    /// a warm start, else its cold solve.
+    fn probe(&mut self, site: Site, n: usize) {
+        self.site = site;
+        self.n = n;
+        self.warm = self.warm_start().is_some();
+    }
+
+    /// The warm start of the next probe: the best feasible pulse so far,
+    /// else the caller's.
+    fn warm_start(&self) -> Option<&Pulse> {
+        self.best.as_ref().map(|(_, out)| &out.pulse).or(self.hint)
+    }
+
+    fn done(&self) -> bool {
+        matches!(self.site, Site::Found | Site::Infeasible)
+    }
+
+    /// The next solve, as its slice count and options; `None` once the
+    /// search is done.
+    fn next(&self) -> Option<(usize, GrapeOptions)> {
+        if self.done() {
+            return None;
+        }
+        let mut options = GrapeOptions {
+            stop: self.stop.clone(),
+            init: self.cold_init.clone(),
+        };
+        if let (true, Some(pulse)) = (self.warm, self.warm_start()) {
+            // The warm attempt runs on a reduced budget: it converges in a
+            // fraction of the cold cost when the start is good, and the
+            // cold solve decides otherwise.
+            options.init = InitStrategy::Warm(pulse.clone());
+            options.stop.max_iters = (options.stop.max_iters / 3).max(40);
+        }
+        Some((self.n, options))
+    }
+
+    /// Takes the outcome of the solve [`Search::next`] named.
+    fn record(&mut self, out: GrapeOutcome) {
+        self.total_iterations += out.iterations;
+        if out.converged {
+            self.probes.push((self.n, true));
+            self.converged(out);
+        } else {
+            if !self.warm {
+                self.probes.push((self.n, false));
+                self.best_infidelity = match self.site {
+                    Site::Zero => out.infidelity,
+                    _ => self.best_infidelity.min(out.infidelity),
+                };
+            }
+            self.fail();
+        }
+    }
+
+    /// Moves past a failed solve. It reads nothing of the outcome, which
+    /// is what makes speculation exact: the lanes call it to learn the
+    /// solve that follows an assumed failure.
+    fn fail(&mut self) {
+        if self.warm {
+            // The cold solve at the same slice count decides the probe.
+            self.warm = false;
+            return;
+        }
+        let n = self.n;
+        match self.site {
+            Site::Zero => match self.guess {
+                Some(guess) => self.probe(Site::Guess, guess.clamp(1, self.max_steps)),
+                None => self.probe(Site::Grow, self.min_steps.max(1)),
+            },
+            Site::Guess if n >= self.max_steps => self.site = Site::Infeasible,
+            // A seeded guess is rarely off by much: try one slice longer
+            // before falling back to exponential growth — similar groups
+            // have similar minimal latencies, so the boundary usually sits
+            // adjacent to the seed and the +1 probe converges, collapsing
+            // the whole bracket in one step.
+            Site::Guess => self.probe(Site::Up, n + 1),
+            Site::Up => {
+                self.lo = n;
+                self.probe(Site::Grow, ((n - 1) * 2).min(self.max_steps).max(1));
+            }
+            Site::Grow => {
+                self.lo = n;
+                if n >= self.max_steps {
+                    self.site = Site::Infeasible;
+                } else {
+                    self.probe(Site::Grow, (n * 2).min(self.max_steps));
+                }
+            }
+            Site::Descend | Site::Floor | Site::Bisect => {
+                self.lo = n;
+                self.bisect();
+            }
+            Site::Found | Site::Infeasible => {}
+        }
+    }
+
+    /// Moves past a converged solve, whose pulse becomes the warm start.
+    fn converged(&mut self, out: GrapeOutcome) {
+        let n = self.n;
+        self.best = Some((n, out));
+        match self.site {
+            Site::Guess => {
+                // One probe at the growth start tells us which side of it
+                // the boundary lies on, cheaply narrowing the bisection
+                // range (without it a good guess costs a cascade of low-N
+                // probes).
+                let m = self.min_steps.min(n - 1);
+                if m == n - 1 && m >= 1 {
+                    // The search floor sits right under the guess (the
+                    // seed-anchored serving window): descend one slice at
+                    // a time while the shorter probe keeps converging.
+                    // Each converging probe is cheap (warm-started from the
+                    // pulse one slice longer); the first failure is the
+                    // tight lower bound. A near-identical seed costs
+                    // exactly one extra probe, and a beatable seed walks
+                    // to the true minimum without re-opening the bisection
+                    // over the deep-infeasible region the floor exists to
+                    // prune.
+                    self.probe(Site::Descend, m);
+                } else if m >= 1 {
+                    self.probe(Site::Floor, m);
+                } else {
+                    self.bisect();
+                }
+            }
+            Site::Descend if n > 1 => self.probe(Site::Descend, n - 1),
+            Site::Up => {
+                self.lo = n - 1;
+                self.bisect();
+            }
+            _ => self.bisect(),
+        }
+    }
+
+    /// Bisects `(lo, hi]`, `hi` the shortest feasible count, or finishes
+    /// once the bracket is one slice wide.
+    fn bisect(&mut self) {
+        let hi = self.best.as_ref().map_or(self.lo, |(n, _)| *n);
+        if hi - self.lo > 1 {
+            self.probe(Site::Bisect, self.lo + (hi - self.lo) / 2);
+        } else {
+            self.site = Site::Found;
+        }
+    }
+
+    /// The search's result; call once [`Search::next`] is `None`.
+    fn finish(self) -> Result<LatencyResult, LatencyError> {
+        debug_assert!(self.done(), "finish before the search is done");
+        match (self.site, self.best) {
+            (Site::Found, Some((n_steps, outcome))) => Ok(LatencyResult {
+                outcome,
+                n_steps,
+                latency_ns: n_steps as f64 * self.dt,
+                total_iterations: self.total_iterations,
+                probes: self.probes,
+            }),
+            _ => Err(LatencyError::Infeasible {
+                max_steps: self.max_steps,
+                best_infidelity: self.best_infidelity,
+            }),
+        }
+    }
+}
+
+/// What the two lanes share, under the [`Lanes`] lock.
+struct Chain<'a> {
+    /// The search with every outcome up to `head` recorded in order.
+    committed: Search<'a>,
+    /// `committed` moved past an assumed failure of every solve handed
+    /// out: its `next()` is the next solve to hand out.
+    frontier: Search<'a>,
+    /// Chain position of the first solve not committed yet. Running
+    /// solves at lower positions were cancelled.
+    head: usize,
+    /// Outcomes of the solves at positions `head..`, in order; `None`
+    /// while one still runs.
+    ready: VecDeque<Option<GrapeOutcome>>,
+    /// Set when a lane unwinds, so the other one stops instead of
+    /// waiting for it.
+    aborted: bool,
+}
+
+impl Chain<'_> {
+    /// Hands out the next solve of the failure chain: its position, slice
+    /// count and options. `None` when the chain ends before the search
+    /// does (a lane then waits for a commit).
+    fn take(&mut self) -> Option<(usize, usize, GrapeOptions)> {
+        let (n_steps, options) = self.frontier.next()?;
+        self.frontier.fail();
+        self.ready.push_back(None);
+        Some((self.head + self.ready.len() - 1, n_steps, options))
+    }
+
+    /// Files the outcome of the solve at `pos` and commits every outcome
+    /// now in order. Returns whether a commit converged: every solve
+    /// after it assumed it fails, so those are cancelled and dropped.
+    fn deposit(&mut self, pos: usize, out: GrapeOutcome) -> bool {
+        let Some(slot) = pos
+            .checked_sub(self.head)
+            .and_then(|i| self.ready.get_mut(i))
+        else {
+            return false; // cancelled: dropped unread
+        };
+        *slot = Some(out);
+        let mut converged = false;
+        while let Some(out) = self.ready.front_mut().and_then(Option::take) {
+            self.ready.pop_front();
+            self.head += 1;
+            if out.converged {
+                self.head += self.ready.len();
+                self.ready.clear();
+                converged = true;
+            }
+            self.committed.record(out);
+        }
+        if converged {
+            self.frontier = self.committed.clone();
+        }
+        converged
+    }
+}
+
+/// The two-lane driver: the shared chain, a wake-up for an idle lane,
+/// and each lane's cancellation flag.
+struct Lanes<'a> {
+    chain: Mutex<Chain<'a>>,
+    wake: Condvar,
+    cancel: [AtomicBool; 2],
+}
+
+impl<'a> Lanes<'a> {
+    fn new(search: Search<'a>) -> Self {
+        Self {
+            chain: Mutex::new(Chain {
+                frontier: search.clone(),
+                committed: search,
+                head: 0,
+                ready: VecDeque::new(),
+                aborted: false,
+            }),
+            wake: Condvar::new(),
+            cancel: [AtomicBool::new(false), AtomicBool::new(false)],
+        }
+    }
+
+    /// The chain, also after a lane panicked while holding it: the panic
+    /// is re-raised on the caller, and until then the other lane reads
+    /// only `aborted` before it leaves.
+    fn lock(&self) -> MutexGuard<'_, Chain<'a>> {
+        self.chain.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Stops every lane's running solve at its next iteration and wakes
+    /// an idle lane. The flags publish no data (which outcomes count is
+    /// decided under the lock), so they are `Relaxed`.
+    fn cancel_all(&self) {
+        for flag in &self.cancel {
+            flag.store(true, Ordering::Relaxed);
+        }
+        self.wake.notify_all();
+    }
+
+    /// One lane: take the next solve of the chain, run it on `ws`, file
+    /// its outcome, until the search is done.
+    fn run(&self, lane: usize, ws: &mut Workspace, solve: &Solver<'_>) {
+        let _abort = AbortOnUnwind(self);
+        let mut finished = None;
+        let mut chain = self.lock();
+        loop {
+            if let Some((pos, out)) = finished.take() {
+                if chain.deposit(pos, out) {
+                    self.cancel[1 - lane].store(true, Ordering::Relaxed);
+                }
+                self.wake.notify_all();
+            }
+            if chain.aborted || chain.committed.done() {
+                self.cancel_all();
+                return;
+            }
+            let Some((pos, n_steps, options)) = chain.take() else {
+                chain = self
+                    .wake
+                    .wait(chain)
+                    .unwrap_or_else(PoisonError::into_inner);
+                continue;
+            };
+            self.cancel[lane].store(false, Ordering::Relaxed);
+            drop(chain);
+            finished = Some((pos, solve(n_steps, options, ws, &self.cancel[lane])));
+            chain = self.lock();
+        }
+    }
+
+    fn finish(self) -> Result<LatencyResult, LatencyError> {
+        let chain = self
+            .chain
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        chain.committed.finish()
+    }
+}
+
+/// Marks the chain aborted when a lane unwinds, so the other lane stops
+/// instead of waiting forever for an outcome that will not come.
+struct AbortOnUnwind<'l, 'a>(&'l Lanes<'a>);
+
+impl Drop for AbortOnUnwind<'_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock().aborted = true;
+            self.0.cancel_all();
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grape::solve_with;
     use accqoc_circuit::{circuit_unitary, Circuit, Gate};
+    use accqoc_linalg::random_unitary;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
-    /// A scratch search with a throwaway workspace.
-    fn scratch(
+    type Searched = Result<LatencyResult, LatencyError>;
+
+    /// The sequential driver over the same search state: one solve at a
+    /// time on one workspace, in chain order. The two-lane driver must
+    /// match it bit for bit. Also returns the iterations of every solve
+    /// it ran.
+    fn reference(
         model: &ControlModel,
         target: &Mat,
+        seed: Option<&Pulse>,
+        options: &GrapeOptions,
         search: &LatencySearch,
-    ) -> Result<LatencyResult, LatencyError> {
+    ) -> (Searched, Vec<usize>) {
+        let mut state = match Search::new(model, seed, options, search) {
+            Ok(state) => state,
+            Err(e) => return (Err(e), Vec::new()),
+        };
+        let mut ws = Workspace::new();
+        let mut solves = Vec::new();
+        while let Some((n_steps, options)) = state.next() {
+            let problem = GrapeProblem {
+                model,
+                target,
+                n_steps,
+                options,
+            };
+            let out = solve_with(&problem, &mut ws);
+            solves.push(out.iterations);
+            state.record(out);
+        }
+        (state.finish(), solves)
+    }
+
+    /// A scratch search with a throwaway workspace.
+    fn scratch(model: &ControlModel, target: &Mat, search: &LatencySearch) -> Searched {
         find_minimal_latency(
             model,
             target,
@@ -350,11 +723,232 @@ mod tests {
         )
     }
 
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Asserts two search results are the same bit for bit.
+    fn assert_identical(got: &Searched, want: &Searched, what: &str) {
+        let (got, want) = match (got, want) {
+            (Ok(got), Ok(want)) => (got, want),
+            (Err(got), Err(want)) => {
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "{what}: error");
+                return;
+            }
+            _ => panic!("{what}: {got:?} vs {want:?}"),
+        };
+        assert_eq!(got.probes, want.probes, "{what}: probes");
+        assert_eq!(
+            got.total_iterations, want.total_iterations,
+            "{what}: iterations"
+        );
+        assert_eq!(got.n_steps, want.n_steps, "{what}: n_steps");
+        assert_eq!(
+            got.latency_ns.to_bits(),
+            want.latency_ns.to_bits(),
+            "{what}: latency"
+        );
+        let (g, w) = (&got.outcome, &want.outcome);
+        assert_eq!(
+            (
+                g.pulse.n_controls(),
+                g.pulse.n_steps(),
+                g.pulse.dt_ns().to_bits()
+            ),
+            (
+                w.pulse.n_controls(),
+                w.pulse.n_steps(),
+                w.pulse.dt_ns().to_bits()
+            ),
+            "{what}: pulse shape"
+        );
+        assert_eq!(
+            bits(&g.pulse.to_params()),
+            bits(&w.pulse.to_params()),
+            "{what}: pulse"
+        );
+        assert_eq!(
+            g.infidelity.to_bits(),
+            w.infidelity.to_bits(),
+            "{what}: infidelity"
+        );
+        assert_eq!(bits(&g.history), bits(&w.history), "{what}: history");
+        assert_eq!(
+            (g.iterations, g.fn_evals, g.converged),
+            (w.iterations, w.fn_evals, w.converged),
+            "{what}: counts"
+        );
+    }
+
+    /// Runs one search on two lanes and on the reference driver, asserts
+    /// them identical, and that the iterations add up to the solves the
+    /// reference ran. Returns the two-lane result.
+    fn check(
+        model: &ControlModel,
+        target: &Mat,
+        seed: Option<&Pulse>,
+        options: &GrapeOptions,
+        search: &LatencySearch,
+        what: &str,
+    ) -> Searched {
+        let got = find_minimal_latency(model, target, seed, options, search, &mut Workspace::new());
+        let (want, solves) = reference(model, target, seed, options, search);
+        assert_identical(&got, &want, what);
+        if let Ok(r) = &got {
+            assert_eq!(r.total_iterations, solves.iter().sum::<usize>(), "{what}");
+        }
+        got
+    }
+
+    /// The serving path's search window for a target on `model`: the
+    /// floor `compile_anchored` derives from the model, raised to
+    /// `anchor × seed slices` for a seeded search.
+    fn window(model: &ControlModel, seed: Option<&Pulse>, anchor: f64) -> LatencySearch {
+        let mut search = LatencySearch {
+            min_steps: ((model.min_time_estimate_ns() / model.dt_ns()) as usize / 2).max(1),
+            ..LatencySearch::default()
+        };
+        if let Some(p) = seed.filter(|p| anchor > 0.0 && p.n_steps() > 0) {
+            let floor = ((p.n_steps() as f64) * anchor).floor() as usize;
+            search.min_steps = search.min_steps.max(floor.min(p.n_steps()));
+        }
+        search
+    }
+
+    /// Checks a scratch search of every target, then a search of each
+    /// seeded with the previous target's pulse at anchors 0 and 1.
+    fn check_targets(model: &ControlModel, targets: &[Mat], options: &GrapeOptions, what: &str) {
+        let mut seed: Option<Pulse> = None;
+        for (i, target) in targets.iter().enumerate() {
+            let scratch = check(
+                model,
+                target,
+                None,
+                options,
+                &window(model, None, 0.0),
+                &format!("{what} {i} scratch"),
+            );
+            for anchor in [0.0, 1.0] {
+                let search = window(model, seed.as_ref(), anchor);
+                let what = format!("{what} {i} anchor {anchor}");
+                check(model, target, seed.as_ref(), options, &search, &what).ok();
+            }
+            seed = scratch.ok().map(|r| r.outcome.pulse);
+        }
+    }
+
+    #[test]
+    fn two_lanes_match_the_sequential_search_on_random_unitaries() {
+        for (qubits, count) in [(1, 4), (2, 3)] {
+            let model = ControlModel::spin_chain(qubits);
+            let mut rng = StdRng::seed_from_u64(20 + qubits as u64);
+            let targets: Vec<Mat> = (0..count)
+                .map(|_| random_unitary(model.dim(), &mut rng))
+                .collect();
+            check_targets(
+                &model,
+                &targets,
+                &GrapeOptions::default(),
+                &format!("dim {}", model.dim()),
+            );
+        }
+    }
+
+    #[test]
+    fn two_lanes_match_the_sequential_search_on_golden_groups() {
+        let session = accqoc::Session::builder()
+            .topology(accqoc_hw::Topology::linear(5))
+            .build()
+            .expect("golden session config is valid");
+        let mut groups: Vec<accqoc::GroupTarget> = Vec::new();
+        for program in accqoc_workloads::golden_suite() {
+            for target in session.front_end(&program.circuit).targets {
+                if !groups.iter().any(|g| g.key == target.key) {
+                    groups.push(target);
+                }
+            }
+        }
+        // The golden corpus's GRAPE budget.
+        let options = GrapeOptions::default().with_max_iters(200);
+        for qubits in [1, 2] {
+            let model = session.models().for_qubits(qubits).expect("golden widths");
+            let targets: Vec<Mat> = groups
+                .iter()
+                .filter(|g| g.n_qubits == qubits)
+                .map(|g| g.unitary.clone())
+                .collect();
+            check_targets(model, &targets, &options, &format!("golden {qubits}q"));
+        }
+    }
+
+    fn x_gate() -> Mat {
+        Mat::from_reals(&[0.0, 1.0, 1.0, 0.0])
+    }
+
+    fn cnot() -> Mat {
+        Mat::from_reals(&[
+            1.0, 0.0, 0.0, 0.0, //
+            0.0, 1.0, 0.0, 0.0, //
+            0.0, 0.0, 0.0, 1.0, //
+            0.0, 0.0, 1.0, 0.0,
+        ])
+    }
+
+    /// A scratch search of `target`, then one seeded with its pulse
+    /// resampled to `guess` slices, both checked against the reference;
+    /// returns their `(probes, total_iterations)`.
+    fn scratch_then_seeded(
+        qubits: usize,
+        target: &Mat,
+        guess: usize,
+    ) -> [(Vec<(usize, bool)>, usize); 2] {
+        let model = ControlModel::spin_chain(qubits);
+        let (options, search) = (GrapeOptions::default(), LatencySearch::default());
+        let scratch = check(&model, target, None, &options, &search, "scratch").unwrap();
+        let seed = scratch.outcome.pulse.resampled(guess);
+        let seeded = check(&model, target, Some(&seed), &options, &search, "seeded").unwrap();
+        [scratch, seeded].map(|r| (r.probes, r.total_iterations))
+    }
+
+    #[test]
+    fn searches_reproduce_the_pinned_probe_lists() {
+        // Pinned from the one-solve-at-a-time search this driver replaced
+        // (the `grape_kernels --check` gate pins the same four). The X
+        // seed at 12 slices is feasible; the CNOT seed at 16 fails its
+        // guess and its +1 probe, and growth takes over.
+        let [scratch, seeded] = scratch_then_seeded(1, &x_gate(), 12);
+        let probes = [(0, false), (1, false), (2, false), (4, false), (8, false)];
+        let tail = [(16, true), (12, true), (10, true), (9, false)];
+        assert_eq!(scratch, ([&probes[..], &tail[..]].concat(), 130));
+        let probes = [
+            (0, false),
+            (12, true),
+            (1, false),
+            (6, false),
+            (9, false),
+            (10, true),
+        ];
+        assert_eq!(seeded, (probes.to_vec(), 102));
+
+        let [scratch, seeded] = scratch_then_seeded(2, &cnot(), 16);
+        let probes = [
+            (0, false),
+            (1, false),
+            (2, false),
+            (4, false),
+            (8, false),
+            (16, false),
+        ];
+        let tail = [(32, true), (24, true), (20, true), (18, false), (19, true)];
+        assert_eq!(scratch, ([&probes[..], &tail[..]].concat(), 793));
+        let probes = [(0, false), (16, false), (17, false)];
+        assert_eq!(seeded, ([&probes[..], &tail[..]].concat(), 915));
+    }
+
     #[test]
     fn x_gate_min_latency_is_ten_ns() {
         let model = ControlModel::spin_chain(1);
-        let x = Mat::from_reals(&[0.0, 1.0, 1.0, 0.0]);
-        let r = scratch(&model, &x, &LatencySearch::default()).unwrap();
+        let r = scratch(&model, &x_gate(), &LatencySearch::default()).unwrap();
         // π/(Ω_max) = 10 ns exactly at the amplitude bound.
         assert_eq!(r.n_steps, 10, "probes: {:?}", r.probes);
         assert!((r.latency_ns - 10.0).abs() < 1e-12);
@@ -389,69 +983,189 @@ mod tests {
     #[test]
     fn infeasible_when_cap_too_small() {
         let model = ControlModel::spin_chain(1);
-        let x = Mat::from_reals(&[0.0, 1.0, 1.0, 0.0]);
-        let e = scratch(
+        let search = LatencySearch {
+            min_steps: 1,
+            max_steps: 6,
+            ..LatencySearch::default()
+        };
+        let e = check(
             &model,
-            &x,
-            &LatencySearch {
-                min_steps: 1,
-                max_steps: 6,
-                ..LatencySearch::default()
-            },
+            &x_gate(),
+            None,
+            &GrapeOptions::default(),
+            &search,
+            "capped",
         )
         .unwrap_err();
-        match e {
-            LatencyError::Infeasible {
-                max_steps,
-                best_infidelity,
-            } => {
-                assert_eq!(max_steps, 6);
-                assert!(best_infidelity > 1e-4);
-            }
+        let LatencyError::Infeasible {
+            max_steps,
+            best_infidelity,
+        } = e
+        else {
+            panic!("expected Infeasible, got {e:?}");
+        };
+        assert_eq!(max_steps, 6);
+        assert!(best_infidelity > 1e-4);
+    }
+
+    #[test]
+    fn bad_inits_are_typed_errors_before_any_solve() {
+        let model = ControlModel::spin_chain(1);
+        let options = GrapeOptions::default();
+        let search = LatencySearch::default();
+        let mut nan = Pulse::zeros(model.n_controls(), 10, model.dt_ns());
+        nan.set(0, 3, f64::NAN);
+        let mut inf = nan.clone();
+        inf.set(0, 3, f64::INFINITY);
+        let wide = Pulse::zeros(model.n_controls() + 1, 10, model.dt_ns());
+        for seed in [&nan, &inf, &wide] {
+            let e = find_minimal_latency(
+                &model,
+                &x_gate(),
+                Some(seed),
+                &options,
+                &search,
+                &mut Workspace::new(),
+            )
+            .unwrap_err();
+            assert!(matches!(e, LatencyError::InvalidInit { .. }), "{e:?}");
+            // The same pulse as a warm init in the options.
+            let warm = options.clone().with_init(InitStrategy::Warm(seed.clone()));
+            let e = find_minimal_latency(
+                &model,
+                &x_gate(),
+                None,
+                &warm,
+                &search,
+                &mut Workspace::new(),
+            )
+            .unwrap_err();
+            assert!(matches!(e, LatencyError::InvalidInit { .. }), "{e:?}");
+        }
+        // A random init with a NaN scale would feed NaN amplitudes to
+        // the first eigensolve; as the seed's cold init it is not used.
+        let nan_scale = options.clone().with_init(InitStrategy::Random {
+            scale: f64::NAN,
+            seed: 1,
+        });
+        let e = find_minimal_latency(
+            &model,
+            &x_gate(),
+            None,
+            &nan_scale,
+            &search,
+            &mut Workspace::new(),
+        )
+        .unwrap_err();
+        assert!(matches!(e, LatencyError::InvalidInit { .. }), "{e:?}");
+        let seed = Pulse::zeros(model.n_controls(), 10, model.dt_ns());
+        let seeded = find_minimal_latency(
+            &model,
+            &x_gate(),
+            Some(&seed),
+            &nan_scale,
+            &search,
+            &mut Workspace::new(),
+        );
+        assert_eq!(seeded.map(|r| r.n_steps), Ok(10));
+    }
+
+    /// A solve that runs until its lane is cancelled (10 s at most) and
+    /// then reports a failure.
+    fn until_cancelled(cancel: &AtomicBool) -> GrapeOutcome {
+        let start = std::time::Instant::now();
+        while !cancel.load(Ordering::Relaxed) && start.elapsed().as_secs() < 10 {
+            std::thread::yield_now();
+        }
+        GrapeOutcome {
+            pulse: Pulse::zeros(1, 0, 1.0),
+            infidelity: 1.0,
+            iterations: 0,
+            fn_evals: 0,
+            converged: false,
+            history: Vec::new(),
         }
     }
 
     #[test]
-    fn workspace_reaches_capacity_fixed_point_across_searches() {
-        // The serve path runs thousands of latency searches against one
-        // leased workspace; after the first search has warmed the buffers
-        // a repeat search must not grow any of them (the documented
-        // workspace-capacity invariant behind the allocation-free steady
-        // state) — and must reproduce the identical pulse.
+    fn a_panic_on_either_lane_reaches_the_caller_and_stops_the_other() {
         let model = ControlModel::spin_chain(1);
-        let x = Mat::from_reals(&[0.0, 1.0, 1.0, 0.0]);
+        let options = GrapeOptions::default();
+        for helper_panics in [true, false] {
+            let search = Search::new(&model, None, &options, &LatencySearch::default()).unwrap();
+            let start = std::time::Instant::now();
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_on_two_lanes(search, &mut Workspace::new(), &|_, _, _, cancel| {
+                    let on_helper = std::thread::current().name() == Some(HELPER_NAME);
+                    if on_helper == helper_panics {
+                        panic!("solve failed, helper lane: {on_helper}");
+                    }
+                    until_cancelled(cancel)
+                })
+            }));
+            let payload = caught.expect_err("the lane's panic must reach the caller");
+            let message = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            assert_eq!(
+                message,
+                format!("solve failed, helper lane: {helper_panics}")
+            );
+            // The other lane was cancelled, not left to its 10 s budget.
+            assert!(start.elapsed().as_secs() < 5, "{:?}", start.elapsed());
+        }
+    }
+
+    #[test]
+    fn callers_workspace_reaches_capacity_fixed_point_across_searches() {
+        // The serve path runs thousands of latency searches against one
+        // leased workspace. Which solves run on the caller's workspace
+        // depends on the lanes' timing, so warm it to the search's longest
+        // probe first; from then on a repeat search must not grow any of
+        // its buffers (the workspace-capacity invariant behind the
+        // allocation-free steady state), and must reproduce the result
+        // bit for bit.
+        let model = ControlModel::spin_chain(1);
+        let x = x_gate();
         let mut ws = Workspace::new();
         let opts = GrapeOptions::default();
         let search = LatencySearch::default();
-        let r1 = find_minimal_latency(&model, &x, None, &opts, &search, &mut ws).unwrap();
-        let snapshot = (
-            ws.step_us.len(),
-            ws.fwd.len(),
-            ws.bwd.len(),
-            ws.eigs.len(),
-            ws.amps.len(),
-        );
-        let r2 = find_minimal_latency(&model, &x, None, &opts, &search, &mut ws).unwrap();
-        assert_eq!(
-            snapshot,
+        let r1 = find_minimal_latency(&model, &x, None, &opts, &search, &mut ws);
+        let longest = r1
+            .as_ref()
+            .unwrap()
+            .probes
+            .iter()
+            .map(|&(n, _)| n)
+            .max()
+            .unwrap();
+        let problem = GrapeProblem {
+            model: &model,
+            target: &x,
+            n_steps: longest,
+            options: opts.clone(),
+        };
+        solve_with(&problem, &mut ws);
+        let sizes = |ws: &Workspace| {
             (
                 ws.step_us.len(),
                 ws.fwd.len(),
                 ws.bwd.len(),
                 ws.eigs.len(),
                 ws.amps.len(),
-            ),
-            "repeat search grew workspace buffers"
-        );
-        assert_eq!(r1.n_steps, r2.n_steps);
-        assert_eq!(r1.outcome.pulse, r2.outcome.pulse, "ws reuse moved bits");
+            )
+        };
+        let snapshot = sizes(&ws);
+        let r2 = find_minimal_latency(&model, &x, None, &opts, &search, &mut ws);
+        assert_eq!(snapshot, sizes(&ws), "repeat search grew workspace buffers");
+        assert_identical(&r2, &r1, "ws reuse moved bits");
     }
 
     #[test]
     fn probes_are_recorded_and_monotone_consistent() {
         let model = ControlModel::spin_chain(1);
-        let x = Mat::from_reals(&[0.0, 1.0, 1.0, 0.0]);
-        let r = scratch(&model, &x, &LatencySearch::default()).unwrap();
+        let r = scratch(&model, &x_gate(), &LatencySearch::default()).unwrap();
         // Every probe below the answer must be infeasible; at/above: mostly feasible.
         for &(n, ok) in &r.probes {
             if n < r.n_steps {

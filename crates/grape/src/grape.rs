@@ -8,6 +8,8 @@
 //! matrix `G` per slice so that every control channel's derivative is a
 //! single trace `Tr(H_j·G)/d` — see [`cost_and_gradient_into`].
 
+use std::sync::atomic::AtomicBool;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -145,6 +147,17 @@ pub fn solve(problem: &GrapeProblem<'_>) -> GrapeOutcome {
 ///
 /// Panics if the target dimension disagrees with the model.
 pub fn solve_with(problem: &GrapeProblem<'_>, ws: &mut Workspace) -> GrapeOutcome {
+    solve_cancellable(problem, ws, None)
+}
+
+/// [`solve_with`] that stops at the next optimizer iteration once
+/// `cancel` is set. The latency search cancels its speculative solves
+/// this way and never reads what a cancelled solve returns.
+pub(crate) fn solve_cancellable(
+    problem: &GrapeProblem<'_>,
+    ws: &mut Workspace,
+    cancel: Option<&AtomicBool>,
+) -> GrapeOutcome {
     let model = problem.model;
     let dim = model.dim();
     assert_eq!(problem.target.rows(), dim, "target dimension vs model");
@@ -196,7 +209,7 @@ pub fn solve_with(problem: &GrapeProblem<'_>, ws: &mut Workspace) -> GrapeOutcom
         .flat_map(|c| std::iter::repeat_n(c.max_amp, n_steps))
         .collect();
 
-    let result = minimize(&mut objective, &bounds, x0, &problem.options.stop);
+    let result = minimize(&mut objective, &bounds, x0, &problem.options.stop, cancel);
 
     GrapeOutcome {
         pulse: Pulse::from_params(&result.x, n_ctrl, n_steps, dt),

@@ -382,6 +382,32 @@ fn non_unitary_target_is_a_typed_error() {
 }
 
 #[test]
+fn bad_warm_seeds_are_typed_errors_not_panics() {
+    // Regression: a seed with a NaN amplitude panicked inside GRAPE
+    // ("control hamiltonians are hermitian"), and one with the wrong
+    // channel count on the warm-start channel assertion.
+    use accqoc_repro::grape::{LatencyError, Pulse};
+    let x = Mat::from_reals(&[0.0, 1.0, 1.0, 0.0]);
+    let session = target_session();
+    let channels = session.models().for_qubits(1).unwrap().n_controls();
+    let mut nan = Pulse::zeros(channels, 10, 1.0);
+    nan.set(0, 4, f64::NAN);
+    let wide = Pulse::zeros(channels + 1, 10, 1.0);
+    for seed in [&nan, &wide] {
+        let e = session.compile_unitary(&x, 1, Some(seed)).unwrap_err();
+        match &e {
+            Error::CompileFailed {
+                n_qubits: 1,
+                source: LatencyError::InvalidInit { .. },
+            } => {}
+            other => panic!("expected CompileFailed(InvalidInit), got {other:?}"),
+        }
+        assert!(e.to_string().contains("invalid initial pulse"), "{e}");
+    }
+    assert_eq!(session.cache_len(), 0);
+}
+
+#[test]
 fn mis_sized_target_is_a_typed_error_not_a_panic() {
     // Regression: a 2×2 target submitted as a 2-qubit group used to
     // panic on GRAPE's dimension assertion.
