@@ -41,7 +41,8 @@
 //!   `eigh_into` accurate over the same dimensions: `V·diag(λ)·V†` within
 //!   [`CHECK_EIGH_RESIDUAL`]·scale of its input. Then gate on raw speed:
 //!   the blocked dim-8 matmul must beat the naive loop by at
-//!   least [`CHECK_MIN_SPEEDUP`]× on median time. Then gate the solver:
+//!   least [`CHECK_MIN_SPEEDUP`]×, comparing each side's best of five
+//!   sweeps (a sweep times a kernel by its median). Then gate the solver:
 //!   every probe must converge exactly when it is marked feasible and
 //!   spend at most [`CHECK_MAX_EVALS_PER_ITERATION`] objective
 //!   evaluations per iteration. Then gate the searches: every probe list
@@ -488,7 +489,8 @@ fn measure_solver() -> Vec<SolverRow> {
 
 /// Runs every latency search once with the default options and bounds;
 /// a seeded search reuses its target's scratch pulse (the scratch case
-/// comes first in [`SEARCHES`]).
+/// comes first in [`SEARCHES`]). A search that fails, or a seeded one
+/// whose scratch search failed, gets an empty row, which fails its pin.
 fn measure_searches() -> Vec<SearchRow> {
     let mut scratch_pulses: Vec<(&str, accqoc_grape::Pulse)> = Vec::new();
     SEARCHES
@@ -496,13 +498,20 @@ fn measure_searches() -> Vec<SearchRow> {
         .map(|case| {
             let model = ControlModel::spin_chain(case.qubits);
             let target = (case.unitary)();
-            let seed = case.seed_slices.map(|n| {
-                let (_, pulse) = scratch_pulses
-                    .iter()
-                    .find(|(name, _)| *name == case.name)
-                    .expect("the scratch search runs first");
-                pulse.resampled(n)
-            });
+            let scratch_pulse = scratch_pulses.iter().find(|(name, _)| *name == case.name);
+            let seed = match (case.seed_slices, scratch_pulse) {
+                (None, _) => None,
+                (Some(n), Some((_, pulse))) => Some(pulse.resampled(n)),
+                (Some(_), None) => {
+                    eprintln!("search {}: no scratch pulse to seed from", case.name);
+                    return SearchRow {
+                        case,
+                        probes: Vec::new(),
+                        total_iterations: 0,
+                        wall_ms: 0.0,
+                    };
+                }
+            };
             let start = std::time::Instant::now();
             let result = find_minimal_latency(
                 &model,

@@ -18,7 +18,7 @@
 //! solve changes nothing a later solve reads: the warm-start pulse moves
 //! only when a solve converges. So the solve the search runs after a
 //! failure is known before the failure is, and [`find_minimal_latency`]
-//! runs the search on two lanes, the calling thread and one helper
+//! runs the search on up to two lanes, the calling thread and one helper
 //! thread inside a [`std::thread::scope`]. Each lane takes the next solve
 //! of the chain "every solve so far fails", and outcomes are committed
 //! strictly in chain order. When a committed solve converges, every
@@ -26,12 +26,21 @@
 //! committed solve therefore ran on exactly the inputs a one-at-a-time
 //! search would have given it, and the result is bit-identical to that
 //! search's, whichever lane ran which solve.
+//!
+//! The helper only runs on a core no other solver lane holds: the
+//! process counts its running lanes (the thread of every running search,
+//! and every helper). A search spawns its helper only while that count
+//! is below [`std::thread::available_parallelism`], and a helper leaves
+//! its search, between two solves, once the count is above it. The
+//! caller then runs the same lane driver alone, so several threads
+//! searching at once do not add helpers on top of a full machine.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use accqoc_hw::ControlModel;
 use accqoc_linalg::Mat;
@@ -134,16 +143,26 @@ pub struct LatencyResult {
 ///
 /// # Threads
 ///
-/// The search runs on two lanes: this thread, solving on the caller's
-/// [`Workspace`], and one helper thread spawned for the duration of the
-/// call, solving on a workspace of its own. While one lane runs a solve,
-/// the other runs the solve that comes next if that one fails; a failed
-/// solve changes nothing a later solve reads, so that solve is known in
-/// advance. Outcomes are committed in search order, and the solves after
-/// a converged one are cancelled and never read. The result does not
-/// depend on which lane ran which solve: it is bit for bit the result of
-/// running the solves one at a time. If the helper thread cannot be
-/// spawned, this thread runs every solve itself.
+/// The search runs on up to two lanes: this thread, solving on the
+/// caller's [`Workspace`], and one helper thread spawned for the duration
+/// of the call. While one lane runs a solve, the other runs the solve
+/// that comes next if that one fails; a failed solve changes nothing a
+/// later solve reads, so that solve is known in advance. Outcomes are
+/// committed in search order, and the solves after a converged one are
+/// cancelled and never read. The result does not depend on which lane
+/// ran which solve: it is bit for bit the result of running the solves
+/// one at a time.
+///
+/// The helper is spawned only while fewer solver lanes run in the process
+/// than [`std::thread::available_parallelism`] reports (every running
+/// search counts its own thread and its helper), and it leaves the search
+/// after its current solve once more lanes run than that. So `k` threads
+/// searching at once settle on at most `max(k, cores)` solver threads,
+/// and a search that finds every core busy, or cannot spawn its helper,
+/// runs every solve on this thread. The helper solves on a workspace this
+/// thread keeps between searches, so repeated searches on one thread
+/// re-grow neither lane's buffers; the helper thread itself is spawned
+/// anew for each search.
 ///
 /// # Panics
 ///
@@ -187,8 +206,23 @@ pub fn find_minimal_latency(
     search: &LatencySearch,
     ws: &mut Workspace,
 ) -> Result<LatencyResult, LatencyError> {
+    let _caller = LaneSlot::take();
+    search_on_lanes(model, target, seed, options, search, ws, LaneSlot::spare())
+}
+
+/// [`find_minimal_latency`] with its helper decided: two lanes given a
+/// `helper` slot, this thread alone without one.
+fn search_on_lanes(
+    model: &ControlModel,
+    target: &Mat,
+    seed: Option<&Pulse>,
+    options: &GrapeOptions,
+    search: &LatencySearch,
+    ws: &mut Workspace,
+    helper: Option<LaneSlot>,
+) -> Result<LatencyResult, LatencyError> {
     let search = Search::new(model, seed, options, search)?;
-    run_on_two_lanes(search, ws, &|n_steps, options, ws, cancel| {
+    run_lanes(search, ws, helper, &|n_steps, options, ws, cancel| {
         let problem = GrapeProblem {
             model,
             target,
@@ -204,25 +238,91 @@ pub fn find_minimal_latency(
 type Solver<'s> =
     dyn Fn(usize, GrapeOptions, &mut Workspace, &AtomicBool) -> GrapeOutcome + Sync + 's;
 
-/// Runs `search` to its end on two lanes: this thread on `ws`, and a
-/// helper thread on a workspace of its own.
-fn run_on_two_lanes(
+/// Solver lanes running in this process: the thread of every running
+/// search and every helper lane.
+static RUNNING_LANES: AtomicUsize = AtomicUsize::new(0);
+
+/// One solver lane, counted in [`RUNNING_LANES`] while it lives.
+struct LaneSlot {
+    /// Whether the lane gives its core back once more lanes run than
+    /// the machine has cores: a helper's slot from [`LaneSlot::spare`].
+    yields: bool,
+}
+
+impl LaneSlot {
+    /// Counts a lane that runs whatever the count is: a search's own
+    /// thread.
+    fn take() -> Self {
+        RUNNING_LANES.fetch_add(1, Ordering::Relaxed);
+        Self { yields: false }
+    }
+
+    /// A slot for a helper lane, if fewer lanes run than the machine has
+    /// cores.
+    fn spare() -> Option<Self> {
+        let cores = cores();
+        RUNNING_LANES
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n < cores).then_some(n + 1)
+            })
+            .ok()
+            .map(|_| Self { yields: true })
+    }
+
+    /// Whether this lane should leave its search: it yields, and more
+    /// lanes run than the machine has cores.
+    fn crowded(&self) -> bool {
+        self.yields && RUNNING_LANES.load(Ordering::Relaxed) > cores()
+    }
+}
+
+/// The machine's cores, as [`std::thread::available_parallelism`] reports
+/// them on first use.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+impl Drop for LaneSlot {
+    fn drop(&mut self) {
+        RUNNING_LANES.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+thread_local! {
+    /// The workspace this thread's searches lend their helper lane. It
+    /// stays with the calling thread between searches, so a thread that
+    /// runs many searches grows the helper's buffers once, as it grows
+    /// its own.
+    static HELPER_WORKSPACE: Cell<Option<Workspace>> = const { Cell::new(None) };
+}
+
+/// Runs `search` to its end: this thread on `ws`, and, given a `helper`
+/// slot, a helper thread on this thread's helper workspace.
+fn run_lanes(
     search: Search<'_>,
     ws: &mut Workspace,
+    helper: Option<LaneSlot>,
     solve: &Solver<'_>,
 ) -> Result<LatencyResult, LatencyError> {
     let lanes = Lanes::new(search);
-    std::thread::scope(|scope| {
-        let helper = std::thread::Builder::new()
-            .name(HELPER_NAME.into())
-            .spawn_scoped(scope, || lanes.run(1, &mut Workspace::new(), solve));
-        lanes.run(0, ws, solve);
-        if let Ok(helper) = helper {
-            if let Err(panic) = helper.join() {
-                std::panic::resume_unwind(panic);
+    if let Some(slot) = helper {
+        let mut helper_ws = HELPER_WORKSPACE.take().unwrap_or_default();
+        std::thread::scope(|scope| {
+            let helper = std::thread::Builder::new()
+                .name(HELPER_NAME.into())
+                .spawn_scoped(scope, || lanes.run(1, &mut helper_ws, solve, Some(&slot)));
+            lanes.run(0, ws, solve, None);
+            if let Ok(helper) = helper {
+                if let Err(panic) = helper.join() {
+                    std::panic::resume_unwind(panic);
+                }
             }
-        }
-    });
+        });
+        HELPER_WORKSPACE.set(Some(helper_ws));
+    } else {
+        lanes.run(0, ws, solve, None);
+    }
     // Either lane may have allocated the result. Copy it on this thread,
     // so the pulse a caller keeps (the library keeps every one) does not
     // pin memory the helper thread's allocator could otherwise return.
@@ -617,8 +717,10 @@ impl<'a> Lanes<'a> {
     }
 
     /// One lane: take the next solve of the chain, run it on `ws`, file
-    /// its outcome, until the search is done.
-    fn run(&self, lane: usize, ws: &mut Workspace, solve: &Solver<'_>) {
+    /// its outcome, until the search is done. A lane with a `slot` also
+    /// leaves, between two solves, once its slot is
+    /// [crowded](LaneSlot::crowded).
+    fn run(&self, lane: usize, ws: &mut Workspace, solve: &Solver<'_>, slot: Option<&LaneSlot>) {
         let _abort = AbortOnUnwind(self);
         let mut finished = None;
         let mut chain = self.lock();
@@ -631,6 +733,9 @@ impl<'a> Lanes<'a> {
             }
             if chain.aborted || chain.committed.done() {
                 self.cancel_all();
+                return;
+            }
+            if slot.is_some_and(LaneSlot::crowded) {
                 return;
             }
             let Some((pos, n_steps, options)) = chain.take() else {
@@ -709,6 +814,19 @@ mod tests {
             state.record(out);
         }
         (state.finish(), solves)
+    }
+
+    /// The search on two lanes, whatever else runs in the process.
+    fn on_two_lanes(
+        model: &ControlModel,
+        target: &Mat,
+        seed: Option<&Pulse>,
+        options: &GrapeOptions,
+        search: &LatencySearch,
+        ws: &mut Workspace,
+    ) -> Searched {
+        let helper = Some(LaneSlot::take());
+        search_on_lanes(model, target, seed, options, search, ws, helper)
     }
 
     /// A scratch search with a throwaway workspace.
@@ -791,7 +909,7 @@ mod tests {
         search: &LatencySearch,
         what: &str,
     ) -> Searched {
-        let got = find_minimal_latency(model, target, seed, options, search, &mut Workspace::new());
+        let got = on_two_lanes(model, target, seed, options, search, &mut Workspace::new());
         let (want, solves) = reference(model, target, seed, options, search);
         assert_identical(&got, &want, what);
         if let Ok(r) = &got {
@@ -895,8 +1013,9 @@ mod tests {
     }
 
     /// A scratch search of `target`, then one seeded with its pulse
-    /// resampled to `guess` slices, both checked against the reference;
-    /// returns their `(probes, total_iterations)`.
+    /// resampled to `guess` slices, both checked against the reference on
+    /// two lanes and on the caller alone; returns their `(probes,
+    /// total_iterations)`.
     fn scratch_then_seeded(
         qubits: usize,
         target: &Mat,
@@ -904,10 +1023,17 @@ mod tests {
     ) -> [(Vec<(usize, bool)>, usize); 2] {
         let model = ControlModel::spin_chain(qubits);
         let (options, search) = (GrapeOptions::default(), LatencySearch::default());
-        let scratch = check(&model, target, None, &options, &search, "scratch").unwrap();
+        let alone = |seed: Option<&Pulse>| {
+            let mut ws = Workspace::new();
+            search_on_lanes(&model, target, seed, &options, &search, &mut ws, None)
+        };
+        let scratch = check(&model, target, None, &options, &search, "scratch");
+        assert_identical(&alone(None), &scratch, "scratch, caller alone");
+        let scratch = scratch.unwrap();
         let seed = scratch.outcome.pulse.resampled(guess);
-        let seeded = check(&model, target, Some(&seed), &options, &search, "seeded").unwrap();
-        [scratch, seeded].map(|r| (r.probes, r.total_iterations))
+        let seeded = check(&model, target, Some(&seed), &options, &search, "seeded");
+        assert_identical(&alone(Some(&seed)), &seeded, "seeded, caller alone");
+        [scratch, seeded.unwrap()].map(|r| (r.probes, r.total_iterations))
     }
 
     #[test]
@@ -1095,7 +1221,8 @@ mod tests {
             let search = Search::new(&model, None, &options, &LatencySearch::default()).unwrap();
             let start = std::time::Instant::now();
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_on_two_lanes(search, &mut Workspace::new(), &|_, _, _, cancel| {
+                let helper = Some(LaneSlot::take());
+                run_lanes(search, &mut Workspace::new(), helper, &|_, _, _, cancel| {
                     let on_helper = std::thread::current().name() == Some(HELPER_NAME);
                     if on_helper == helper_panics {
                         panic!("solve failed, helper lane: {on_helper}");
@@ -1118,48 +1245,105 @@ mod tests {
     }
 
     #[test]
-    fn callers_workspace_reaches_capacity_fixed_point_across_searches() {
+    fn lane_workspaces_reach_capacity_fixed_point_across_searches() {
         // The serve path runs thousands of latency searches against one
-        // leased workspace. Which solves run on the caller's workspace
-        // depends on the lanes' timing, so warm it to the search's longest
-        // probe first; from then on a repeat search must not grow any of
-        // its buffers (the workspace-capacity invariant behind the
-        // allocation-free steady state), and must reproduce the result
-        // bit for bit.
+        // leased workspace, and each search lends its helper the
+        // workspace this thread keeps for it. Which lane runs which solve
+        // depends on timing, and a speculative solve may run any slice
+        // count up to the cap, so warm both workspaces at the cap first.
+        // A repeat search must then grow neither (the workspace-capacity
+        // invariant behind the allocation-free steady state), must lend
+        // its helper the kept workspace rather than a fresh one, and must
+        // reproduce the result bit for bit.
         let model = ControlModel::spin_chain(1);
         let x = x_gate();
-        let mut ws = Workspace::new();
         let opts = GrapeOptions::default();
         let search = LatencySearch::default();
-        let r1 = find_minimal_latency(&model, &x, None, &opts, &search, &mut ws);
-        let longest = r1
-            .as_ref()
-            .unwrap()
-            .probes
-            .iter()
-            .map(|&(n, _)| n)
-            .max()
-            .unwrap();
+        let r1 = on_two_lanes(&model, &x, None, &opts, &search, &mut Workspace::new());
         let problem = GrapeProblem {
             model: &model,
             target: &x,
-            n_steps: longest,
+            n_steps: search.max_steps,
             options: opts.clone(),
         };
-        solve_with(&problem, &mut ws);
+        let warmed = || {
+            let mut ws = Workspace::new();
+            solve_with(&problem, &mut ws);
+            ws
+        };
+        let (mut ws, helper_ws) = (warmed(), warmed());
+        // Lengths and the buffers' addresses: a grown or replaced
+        // workspace changes one of them.
         let sizes = |ws: &Workspace| {
             (
-                ws.step_us.len(),
-                ws.fwd.len(),
-                ws.bwd.len(),
-                ws.eigs.len(),
-                ws.amps.len(),
+                [
+                    ws.step_us.len(),
+                    ws.fwd.len(),
+                    ws.bwd.len(),
+                    ws.eigs.len(),
+                    ws.amps.len(),
+                ],
+                [ws.step_us.as_ptr(), ws.fwd.as_ptr(), ws.bwd.as_ptr()],
             )
         };
-        let snapshot = sizes(&ws);
-        let r2 = find_minimal_latency(&model, &x, None, &opts, &search, &mut ws);
-        assert_eq!(snapshot, sizes(&ws), "repeat search grew workspace buffers");
+        let (caller, helper) = (sizes(&ws), sizes(&helper_ws));
+        HELPER_WORKSPACE.set(Some(helper_ws));
+        let r2 = on_two_lanes(&model, &x, None, &opts, &search, &mut ws);
+        assert_eq!(
+            caller,
+            sizes(&ws),
+            "repeat search grew the caller's buffers"
+        );
+        let helper_ws = HELPER_WORKSPACE
+            .take()
+            .expect("the helper's workspace is kept");
+        assert_eq!(
+            helper,
+            sizes(&helper_ws),
+            "helper lane's workspace not kept"
+        );
         assert_identical(&r2, &r1, "ws reuse moved bits");
+    }
+
+    #[test]
+    fn no_helper_once_every_core_runs_a_lane() {
+        let held: Vec<LaneSlot> = (0..cores()).map(|_| LaneSlot::take()).collect();
+        assert!(LaneSlot::spare().is_none());
+        drop(held);
+    }
+
+    #[test]
+    fn a_helper_on_a_crowded_machine_leaves_the_search_to_the_caller() {
+        // Every core already runs a lane, so a yielding helper gives its
+        // core back before it takes a solve; the caller runs them all,
+        // to the same result.
+        let model = ControlModel::spin_chain(1);
+        let (options, search) = (GrapeOptions::default(), LatencySearch::default());
+        let held: Vec<LaneSlot> = (0..cores()).map(|_| LaneSlot::take()).collect();
+        let mut helper = LaneSlot::take();
+        helper.yields = true;
+        let on_helper = Mutex::new(Vec::new());
+        let state = Search::new(&model, None, &options, &search).unwrap();
+        let got = run_lanes(
+            state,
+            &mut Workspace::new(),
+            Some(helper),
+            &|n_steps, options, ws, cancel| {
+                let lane = std::thread::current().name() == Some(HELPER_NAME);
+                on_helper.lock().unwrap().push(lane);
+                let problem = GrapeProblem {
+                    model: &model,
+                    target: &x_gate(),
+                    n_steps,
+                    options,
+                };
+                solve_cancellable(&problem, ws, Some(cancel))
+            },
+        );
+        drop(held);
+        let (want, solves) = reference(&model, &x_gate(), None, &options, &search);
+        assert_identical(&got, &want, "crowded");
+        assert_eq!(*on_helper.lock().unwrap(), vec![false; solves.len()]);
     }
 
     #[test]

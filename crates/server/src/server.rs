@@ -23,7 +23,12 @@
 //! accepts them, and per-connection sequence numbers keep pipelined
 //! responses in request order even when workers finish out of order.
 //! Idle connections therefore cost a registry entry, not an OS thread —
-//! the thread budget is `1 + workers` regardless of connection count.
+//! the thread budget is `1 + workers` regardless of connection count,
+//! plus the helper lanes of latency searches: a worker that compiles a
+//! miss may run its search on a second thread, but only while fewer
+//! solver threads run in the process than it has cores
+//! ([`accqoc_grape::find_minimal_latency`]), so `w` workers compiling at
+//! once settle on at most `max(w, cores)` solver threads.
 //!
 //! The first bytes of a connection select its protocol: `{` (or any
 //! non-HTTP first line) means the newline-delimited JSON line protocol,
@@ -63,7 +68,11 @@ use crate::queue::{BoundedQueue, EnqueueError};
 /// `queue_capacity` together.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads compiling/serving admitted requests (≥ 1).
+    /// Worker threads compiling/serving admitted requests (≥ 1). A
+    /// worker compiling a miss borrows a spare core for its latency
+    /// search's helper lane when one is free, so `workers` below the core
+    /// count still keeps every core busy on misses; more workers than
+    /// cores only add lanes that share them.
     pub workers: usize,
     /// Admission-queue capacity: requests pending beyond the workers'
     /// in-flight set. A full queue rejects with a typed `busy` error —
