@@ -130,7 +130,11 @@ mod tests {
                 Gate::Tdg(1),
             ],
         );
-        let session = Session::from_config(base.clone()).unwrap();
+        let session = Session::builder()
+            .topology(topo.clone())
+            .grape(base.grape.clone())
+            .build()
+            .unwrap();
         let accqoc = session.compile_program(&circuit).unwrap();
         let bf = brute_force_qoc(&circuit, &topo, &base, &BruteForceConfig::default()).unwrap();
 

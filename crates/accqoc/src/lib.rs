@@ -13,12 +13,13 @@
 //!    minimizes the similarity distance between consecutive groups,
 //!    seeding each GRAPE run with its MST parent's pulse.
 //! 3. **Balanced parallel compilation** ([`partition_tree`],
-//!    [`Session::precompile_parallel`]) — split the MST into balanced
+//!    [`PrecompileOptions::threads`]) — split the MST into balanced
 //!    connected parts and compile them on a real [`std::thread::scope`]
 //!    worker pool, each worker with its own reusable GRAPE workspace and
 //!    returning its pulses to the caller, which inserts them into the one
 //!    [`PulseLibrary`]. This is the same engine, at plan width 1 on one
-//!    thread, that runs [`Session::compile`] and [`Session::precompile`].
+//!    thread, that runs [`Session::compile`] and a sequential
+//!    [`Session::precompile`].
 //!    The partition plan is thread-count-invariant, so the persisted
 //!    cache artifact is byte-identical however many threads run it.
 //! 4. **Online serving** ([`PulseLibrary`],
@@ -89,7 +90,7 @@ pub use mst::{mst_compile_order, scratch_order, CompileOrder, CompileStep, Simil
 pub use parallel::{ParallelStats, WorkerTiming, DEFAULT_PLAN_PARTS};
 pub use partition::{partition_tree, TreePartition, WeightedTree};
 pub use persist::{PersistOptions, RecoveryReport, SNAPSHOT_FILE, WAL_FILE};
-pub use precompile::{collect_category, Category, PrecompileReport};
+pub use precompile::{collect_category, Category, PrecompileOptions, PrecompileReport};
 pub use session::{
     CompileReport, CoverageStats, DecomposeReport, GroupCompilation, GroupReport, GroupTarget,
     LatencyReport, LookupReport, MapReport, ProgramCompilation, Session, SessionBuilder,
@@ -100,8 +101,7 @@ pub use shard::{
 };
 pub use similarity::{uhlmann_fidelity, uhlmann_fidelity_with, SimilarityFn, SimilarityScratch};
 pub use verify::{
-    caches_equivalent, CacheDivergence, EquivalenceReport, GroupVerification, VerifyOptions,
-    VerifyReport,
+    caches_equivalent, CacheDivergence, EquivalenceReport, GroupVerification, VerifyReport,
 };
 
 /// One-line import for the common case: the session facade, the unified
@@ -118,8 +118,8 @@ pub mod prelude {
     // binaries routinely return `Result<(), Box<dyn Error>>`, and a
     // glob-imported alias would shadow `std::result::Result`.
     pub use crate::{
-        CoverageStats, Error, LibraryStats, ModelSet, ProgramCompilation, PulseCache, ServeOptions,
-        ServeReport, Session, SessionBuilder, SimilarityFn, VerifyOptions, VerifyReport,
+        CoverageStats, Error, LibraryStats, ModelSet, PrecompileOptions, ProgramCompilation,
+        PulseCache, ServeOptions, ServeReport, Session, SessionBuilder, SimilarityFn, VerifyReport,
     };
     pub use accqoc_circuit::{Circuit, Gate};
     pub use accqoc_grape::{GrapeOptions, LatencySearch};

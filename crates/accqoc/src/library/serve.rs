@@ -29,6 +29,22 @@ use crate::error::Result;
 use crate::json::{self, hex_decode, hex_encode, JsonError, JsonValue};
 use crate::session::{CoverageStats, Session};
 
+/// Warm-started compiles anchor the latency binary search at the seed:
+/// the search floor is raised to `seed_steps × SEARCH_ANCHOR` (never
+/// above the seed itself), pruning the deep-infeasible probes that
+/// dominate a cold search. Similar groups have similar minimal latencies
+/// — the premise of the paper's §V-B — so the pruned region is (almost)
+/// never where the optimum lives. At `1.0` the search *trusts* the seed's
+/// slice count: it confirms the seed converges, then walks downward one
+/// slice at a time while the shorter probe keeps converging (each step
+/// warm-started from the last), stopping at the first failure — so
+/// near-identical neighbors, like adjacent points of a parameterized
+/// θ-sweep, cost two GRAPE runs instead of a whole probe cascade, and a
+/// beatable seed descends to the true minimum without re-opening the
+/// bisection over the deep-infeasible region. (The batch engine anchors
+/// at `0.0`, which is the plain search.)
+pub(crate) const SEARCH_ANCHOR: f64 = 1.0;
+
 /// Configuration of the online serving path.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
@@ -37,29 +53,17 @@ pub struct ServeOptions {
     /// higher lookup cost; the default (16) saturates the golden-suite
     /// warm-start share.
     pub candidates: usize,
-    /// Warm-started compiles anchor the latency binary search at the
-    /// seed: the search floor is raised to `seed_steps × anchor` (never
-    /// above the seed itself), pruning the deep-infeasible probes that
-    /// dominate a cold search. Similar groups have similar minimal
-    /// latencies — the premise of the paper's §V-B — so the pruned
-    /// region is (almost) never where the optimum lives. At the default
-    /// `1.0` the search *trusts* the seed's slice count: it confirms the
-    /// seed converges, then walks downward one slice at a time while the
-    /// shorter probe keeps converging (each step warm-started from the
-    /// last), stopping at the first failure — so near-identical
-    /// neighbors, like adjacent points of a parameterized θ-sweep, cost
-    /// two GRAPE runs instead of a whole probe cascade, and a beatable
-    /// seed descends to the true minimum without re-opening the
-    /// bisection over the deep-infeasible region. `0.0` disables the
-    /// anchor and reproduces the batch search exactly.
-    pub search_anchor: f64,
+    /// Serve only the unique groups of these widths (`None` = every
+    /// group): what one shard of a width-partitioned deployment owns.
+    /// See [`Session::serve_grouped`] for what a subset report carries.
+    pub only_qubits: Option<Vec<usize>>,
 }
 
 impl Default for ServeOptions {
     fn default() -> Self {
         Self {
             candidates: 16,
-            search_anchor: 1.0,
+            only_qubits: None,
         }
     }
 }
@@ -274,21 +278,20 @@ impl ServeReport {
 }
 
 /// Serves the unique groups of a front-ended program whose width is in
-/// `only_qubits` (`None` = every group) against the session's pulse
-/// library: the implementation behind [`Session::serve_program`],
-/// [`Session::serve_grouped`] and [`Session::serve_grouped_subset`],
-/// whose docs state the contract. See the module docs for the hit /
-/// warm-miss / scratch-miss resolution.
+/// `options.only_qubits` (`None` = every group) against the session's
+/// pulse library: the implementation behind [`Session::serve_program`]
+/// and [`Session::serve_grouped`], whose docs state the contract. See
+/// the module docs for the hit / warm-miss / scratch-miss resolution.
 ///
 /// The program's latency is folded from the pulses resolved *during*
 /// this call, so a bounded library that evicts one of this program's own
 /// groups mid-serve still reports correct latencies.
-pub(crate) fn serve_grouped_subset(
+pub(crate) fn serve_grouped(
     session: &Session,
     grouped: &crate::session::GroupReport,
     options: &ServeOptions,
-    only_qubits: Option<&[usize]>,
 ) -> Result<ServeReport> {
+    let only_qubits = options.only_qubits.as_deref();
     let library = session.library();
     let n_unique = grouped.targets.len();
     let owned: Vec<bool> = grouped
@@ -407,7 +410,7 @@ pub(crate) fn serve_grouped_subset(
             &target.unitary,
             target.n_qubits,
             warm.map(|n| &n.pulse),
-            options.search_anchor,
+            SEARCH_ANCHOR,
             &mut ws,
         )?;
         let warm_from = warm.map(|n| n.key.clone());

@@ -26,9 +26,9 @@
 //!   pulse store at all.
 //!
 //! Plan width 1 cuts no MST edge, so it walks the exact sequential
-//! warm-start chain; that is how [`Session::compile`] and
-//! [`Session::precompile`] run. [`Session::precompile_parallel`] runs the
-//! fixed default plan, so compiling with 1 thread and with 16 threads
+//! warm-start chain; that is how [`Session::compile`] and a sequential
+//! [`Session::precompile`] run. A threaded [`Session::precompile`] runs
+//! the fixed default plan, so compiling with 1 thread and with 16 threads
 //! produces **byte-identical pulse-cache artifacts**; only the wall clock
 //! changes.
 
@@ -43,7 +43,7 @@ use crate::mst::{mst_compile_order, CompileOrder, SimilarityGraph};
 use crate::partition::{partition_tree, TreePartition, WeightedTree};
 use crate::session::{GroupTarget, Session};
 
-/// Plan width of [`Session::precompile_parallel`]: how many connected
+/// Plan width of a threaded [`Session::precompile`]: how many connected
 /// parts the MST is split into. Chosen above common core counts so the
 /// pool stays busy, while keeping the number of cut MST edges (and thus
 /// extra scratch starts) small. The plan — and therefore the compiled

@@ -7,9 +7,8 @@
 //! on a finer time grid (§IV-G) to squeeze its latency further.
 //!
 //! The functions here are the implementations behind
-//! [`Session::precompile`], [`Session::precompile_subset`],
-//! [`Session::precompile_parallel`], and [`Session::optimize_group`];
-//! call them through the session.
+//! [`Session::precompile`] and [`Session::optimize_group`]; call them
+//! through the session.
 
 use std::collections::HashMap;
 
@@ -36,6 +35,21 @@ pub struct PrecompileReport {
     pub frequencies: HashMap<UnitaryKey, usize>,
     /// The most frequent group, if any.
     pub most_frequent: Option<UnitaryKey>,
+}
+
+/// What [`Session::precompile`] compiles and on which engine shape. The
+/// default is the whole category on the sequential MST chain.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PrecompileOptions<'a> {
+    /// Only the unique groups of these widths (`None` = every group):
+    /// what one shard of a width-partitioned deployment owns.
+    pub only_qubits: Option<&'a [usize]>,
+    /// `None` runs the sequential MST chain (one plan part, one thread);
+    /// `Some(n)` runs the fixed [`DEFAULT_PLAN_PARTS`] partition plan on
+    /// `n` worker threads.
+    ///
+    /// [`DEFAULT_PLAN_PARTS`]: crate::DEFAULT_PLAN_PARTS
+    pub threads: Option<usize>,
 }
 
 /// Static pre-compilation over `programs`, restricted to the unique
@@ -238,7 +252,10 @@ mod tests {
     #[test]
     fn precompile_fills_cache_and_counts_frequencies() {
         let s = session();
-        let report = s.precompile(&programs()).unwrap();
+        let report = s
+            .precompile(&programs(), &PrecompileOptions::default())
+            .unwrap()
+            .0;
         assert_eq!(report.n_programs, 2);
         assert!(report.n_unique_groups >= 1);
         assert_eq!(s.cache_len(), report.n_unique_groups);
@@ -251,8 +268,14 @@ mod tests {
     #[test]
     fn precompile_skips_already_cached_groups() {
         let s = session();
-        let first = s.precompile(&programs()).unwrap();
-        let second = s.precompile(&programs()).unwrap();
+        let first = s
+            .precompile(&programs(), &PrecompileOptions::default())
+            .unwrap()
+            .0;
+        let second = s
+            .precompile(&programs(), &PrecompileOptions::default())
+            .unwrap()
+            .0;
         assert_eq!(second.total_iterations, 0, "everything already covered");
         assert_eq!(first.n_unique_groups, second.n_unique_groups);
     }
@@ -356,7 +379,10 @@ mod tests {
     fn optimize_group_never_worsens_latency() {
         let s = session();
         let progs = programs();
-        let report = s.precompile(&progs).unwrap();
+        let report = s
+            .precompile(&progs, &PrecompileOptions::default())
+            .unwrap()
+            .0;
         let key = report.most_frequent.unwrap();
         // Find the canonical unitary of that key.
         let (canonical, keys, _) = collect_category(&s, &progs);

@@ -27,12 +27,12 @@ use accqoc_map::{crosstalk_metric, map_circuit, MappingOptions};
 use crate::cache::{CachedPulse, PulseCache};
 use crate::compile::AccQocConfig;
 use crate::error::{Error, Result};
-use crate::library::serve::serve_grouped_subset;
+use crate::library::serve::serve_grouped;
 use crate::library::{PulseLibrary, ServeOptions, ServeReport};
 use crate::model::ModelSet;
 use crate::parallel::{compile_batch, ParallelStats, DEFAULT_PLAN_PARTS};
 use crate::persist::{PersistOptions, RecoveryReport};
-use crate::precompile::{self, PrecompileReport};
+use crate::precompile::{self, PrecompileOptions, PrecompileReport};
 use crate::similarity::SimilarityFn;
 
 /// Largest entry of `U†U − I` a caller-supplied target may show and
@@ -239,7 +239,6 @@ pub struct SessionBuilder {
     similarity: Option<SimilarityFn>,
     warm_threshold: Option<f64>,
     models: Option<ModelSet>,
-    cache: Option<PulseCache>,
     library_capacity: Option<usize>,
     persistence: Option<PersistOptions>,
 }
@@ -292,12 +291,6 @@ impl SessionBuilder {
     /// grouping policy's width).
     pub fn models(mut self, models: ModelSet) -> Self {
         self.models = Some(models);
-        self
-    }
-
-    /// Seeds the session with a pre-populated pulse cache.
-    pub fn cache(mut self, cache: PulseCache) -> Self {
-        self.cache = Some(cache);
         self
     }
 
@@ -373,9 +366,6 @@ impl SessionBuilder {
             None => ModelSet::spin(config.policy.max_qubits)?,
         };
         let mut library = PulseLibrary::with_capacity(self.library_capacity);
-        if let Some(cache) = self.cache {
-            library.merge(cache);
-        }
         let mut recovery = None;
         if let Some(options) = self.persistence {
             // Seed before attaching the journal so recovered state is
@@ -499,24 +489,6 @@ impl Session {
         SessionBuilder::default()
     }
 
-    /// Builds a session from a full [`AccQocConfig`], deriving models
-    /// from the policy width.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::InvalidConfig`] when the policy width has no spin-chain
-    /// model.
-    pub fn from_config(config: AccQocConfig) -> Result<Self> {
-        let models = ModelSet::spin(config.policy.max_qubits)?;
-        Ok(Self {
-            config,
-            models,
-            durations: Arc::new(Mutex::new(None)),
-            library: PulseLibrary::new(),
-            recovery: None,
-        })
-    }
-
     /// A session with independent state but the same configuration and a
     /// snapshot of the current library (entries and fingerprint index;
     /// serving counters start fresh). Forks share the (lazily compiled)
@@ -570,16 +542,6 @@ impl Session {
     /// A copy of one cache entry, if covered.
     pub fn cached(&self, key: &UnitaryKey) -> Option<CachedPulse> {
         self.library.get(key)
-    }
-
-    /// Merges entries into the session library (incoming entries win).
-    /// A plain [`PulseCache`] carries no canonical unitaries, so entries
-    /// imported this way serve exact key hits but are not
-    /// fingerprint-indexed; [`Session::load_cache`] indexes every entry
-    /// whose artifact carries its unitary (every [`Session::save_cache`]
-    /// artifact does).
-    pub fn import_cache(&self, other: PulseCache) {
-        self.library.merge(other);
     }
 
     /// Persists the library as JSON, written atomically (temp + rename):
@@ -881,14 +843,10 @@ impl Session {
         self.group(&mapped)
     }
 
-    /// Coverage of a program against the session cache, without
-    /// compiling anything.
-    pub fn coverage_of(&self, circuit: &Circuit) -> CoverageStats {
-        self.lookup(&self.front_end(circuit)).coverage
-    }
-
     /// Compiles one canonical unitary to a pulse (binary-searched minimal
     /// latency), optionally warm-started. Does **not** touch the cache.
+    /// Solver scratch is leased from the calling thread's pool, so
+    /// repeated compilations on one thread reuse its buffers.
     ///
     /// # Errors
     ///
@@ -902,23 +860,6 @@ impl Session {
         target: &Mat,
         n_qubits: usize,
         warm: Option<&Pulse>,
-    ) -> Result<LatencyResult> {
-        self.compile_unitary_with(target, n_qubits, warm, &mut self.lease_workspace())
-    }
-
-    /// [`Session::compile_unitary`] with a caller-owned GRAPE workspace,
-    /// so repeated compilations (and per-thread worker loops) reuse the
-    /// solver's scratch buffers instead of reallocating them every probe.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Session::compile_unitary`].
-    pub fn compile_unitary_with(
-        &self,
-        target: &Mat,
-        n_qubits: usize,
-        warm: Option<&Pulse>,
-        ws: &mut GrapeWorkspace,
     ) -> Result<LatencyResult> {
         self.models.for_qubits(n_qubits)?;
         let dim = 1usize << n_qubits;
@@ -939,16 +880,16 @@ impl Session {
             return Err(Error::InvalidTarget { n_qubits, message });
         }
         // Anchor 0.0 = the plain batch search (no seed-anchored floor).
-        self.compile_anchored(target, n_qubits, warm, 0.0, ws)
+        self.compile_anchored(target, n_qubits, warm, 0.0, &mut self.lease_workspace())
     }
 
     /// The compile behind every batch and serving path, on targets the
-    /// front end produced (so unchecked):
-    /// [`Session::compile_unitary_with`] plus the seed-anchored search
-    /// window of [`ServeOptions::search_anchor`] — a warm seed raises the
+    /// front end produced (so unchecked): [`Session::compile_unitary`]
+    /// plus a seed-anchored search window — a warm seed raises the
     /// search floor to `seed_steps × anchor`, pruning the deep-infeasible
-    /// probes a cold search must pay for. Anchor `0.0` (or a scratch
-    /// compile) is exactly the batch search.
+    /// probes a cold search must pay for (the serving path anchors at
+    /// [`SEARCH_ANCHOR`](crate::library::serve::SEARCH_ANCHOR)). Anchor
+    /// `0.0` (or a scratch compile) is exactly the batch search.
     pub(crate) fn compile_anchored(
         &self,
         target: &Mat,
@@ -974,75 +915,41 @@ impl Session {
             .map_err(|source| Error::CompileFailed { n_qubits, source })
     }
 
-    /// Static pre-compilation (§IV): profiles `programs`, compiles their
-    /// de-duplicated group category into the session cache on the batch
-    /// engine (one plan part, one thread: the exact sequential MST
-    /// warm-start chain), and reports the category statistics.
+    /// Static pre-compilation (§IV): profiles `programs`, compiles the
+    /// groups of their de-duplicated category that the library does not
+    /// yet hold on the batch engine, inserts the pulses into the session
+    /// library, and reports the category statistics with the engine's
+    /// per-worker timings.
+    ///
+    /// [`PrecompileOptions::threads`] picks the engine shape:
+    ///
+    /// - `None` runs one plan part on one thread: the exact sequential
+    ///   MST warm-start chain.
+    /// - `Some(n)` compiles on a pool of `n` OS threads over a balanced
+    ///   MST partition (§V-D) of fixed width [`DEFAULT_PLAN_PARTS`],
+    ///   each worker with its own GRAPE workspace. The plan does not
+    ///   depend on `n`, so the session cache — and any artifact saved
+    ///   from it — is byte-identical whether this runs on 1 thread or
+    ///   16. Relative to `None`, the plan's cut MST edges degrade a
+    ///   handful of warm starts to scratch starts, so the two artifacts
+    ///   differ in exactly those groups; pools larger than the plan
+    ///   width idle.
+    ///
+    /// [`PrecompileOptions::only_qubits`] restricts the run to the unique
+    /// groups of those widths — what one shard of a sharded deployment
+    /// precompiles. The report then counts owned groups only, so shard
+    /// reports over a width partition sum to the whole-category numbers.
     ///
     /// # Errors
     ///
-    /// Propagates group-compilation failures; a failure leaves the cache
+    /// [`Error::InvalidConfig`] when `threads` is `Some(0)`; otherwise
+    /// propagates group-compilation failures, leaving the cache
     /// untouched.
     ///
     /// # Examples
     ///
-    /// ```no_run
-    /// use accqoc::Session;
-    /// use accqoc_hw::Topology;
-    /// use accqoc_workloads::{full_suite, profiling_split};
-    ///
-    /// let session = Session::builder().topology(Topology::melbourne()).build()?;
-    /// let suite = full_suite();
-    /// let (profile, _) = profiling_split(&suite, 42);
-    /// let programs: Vec<_> = profile.iter().map(|&i| suite[i].circuit.clone()).collect();
-    /// let report = session.precompile(&programs)?;
-    /// assert_eq!(report.n_unique_groups, session.cache_len());
-    /// # Ok::<(), accqoc::Error>(())
     /// ```
-    pub fn precompile(&self, programs: &[Circuit]) -> Result<PrecompileReport> {
-        self.precompile_subset(programs, None)
-    }
-
-    /// [`Session::precompile`] restricted to the unique groups whose
-    /// width is in `only_qubits` — what one shard of a sharded
-    /// deployment precompiles. The report counts owned groups only, so
-    /// shard reports over a width partition sum to the whole-category
-    /// numbers. `None` is [`Session::precompile`] exactly.
-    ///
-    /// # Errors
-    ///
-    /// Propagates group-compilation failures; a failure leaves the cache
-    /// untouched.
-    pub fn precompile_subset(
-        &self,
-        programs: &[Circuit],
-        only_qubits: Option<&[usize]>,
-    ) -> Result<PrecompileReport> {
-        precompile::precompile(self, programs, only_qubits, 1, 1).map(|(report, _)| report)
-    }
-
-    /// Parallel variant of [`Session::precompile`]: compiles the missing
-    /// groups on a pool of `threads` OS threads over a balanced MST
-    /// partition (§V-D), each worker with its own GRAPE workspace, and
-    /// returns real per-worker wall-clock timings in the stats.
-    ///
-    /// The partition *plan* has a fixed width of [`DEFAULT_PLAN_PARTS`]
-    /// (independent of `threads`), so the session cache — and any
-    /// artifact saved from it — is byte-identical whether this runs on 1
-    /// thread or 16. Relative to [`Session::precompile`], the plan's cut
-    /// MST edges degrade a handful of warm starts to scratch starts, so
-    /// the two artifacts differ in exactly those groups; pools larger
-    /// than the plan width idle.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::InvalidConfig`] when `threads == 0`; otherwise propagates
-    /// group-compilation failures, leaving the cache untouched.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use accqoc::Session;
+    /// use accqoc::{PrecompileOptions, Session};
     /// use accqoc_circuit::{Circuit, Gate};
     /// use accqoc_hw::Topology;
     ///
@@ -1053,17 +960,25 @@ impl Session {
     ///     .grape(grape)
     ///     .build()?;
     /// let programs = vec![Circuit::from_gates(2, [Gate::H(0)])];
-    /// let (report, stats) = session.precompile_parallel(&programs, 2)?;
+    /// let options = PrecompileOptions {
+    ///     threads: Some(2),
+    ///     ..PrecompileOptions::default()
+    /// };
+    /// let (report, stats) = session.precompile(&programs, &options)?;
     /// assert_eq!(report.n_unique_groups, session.cache_len());
     /// assert!(stats.total_iterations >= stats.makespan_iterations);
     /// # Ok::<(), accqoc::Error>(())
     /// ```
-    pub fn precompile_parallel(
+    pub fn precompile(
         &self,
         programs: &[Circuit],
-        threads: usize,
+        options: &PrecompileOptions<'_>,
     ) -> Result<(PrecompileReport, ParallelStats)> {
-        precompile::precompile(self, programs, None, DEFAULT_PLAN_PARTS, threads)
+        let (plan_width, threads) = match options.threads {
+            None => (1, 1),
+            Some(threads) => (DEFAULT_PLAN_PARTS, threads),
+        };
+        precompile::precompile(self, programs, options.only_qubits, plan_width, threads)
     }
 
     // -- online serving -----------------------------------------------------
@@ -1109,28 +1024,29 @@ impl Session {
     /// # Ok::<(), accqoc::Error>(())
     /// ```
     pub fn serve_program(&self, circuit: &Circuit) -> Result<ServeReport> {
-        self.serve_program_with(circuit, &ServeOptions::default())
-    }
-
-    /// [`Session::serve_program`] with explicit [`ServeOptions`]
-    /// (candidate count of the fingerprint retrieval).
-    ///
-    /// # Errors
-    ///
-    /// Propagates group-compilation failures.
-    pub fn serve_program_with(
-        &self,
-        circuit: &Circuit,
-        options: &ServeOptions,
-    ) -> Result<ServeReport> {
-        self.serve_grouped(&self.front_end(circuit), options)
+        self.serve_grouped(&self.front_end(circuit), &ServeOptions::default())
     }
 
     /// [`Session::serve_program`] for callers that already ran
     /// [`Session::front_end`] — e.g. the serving daemon, which needs the
     /// program's group keys *before* serving to claim them for in-flight
     /// coalescing, and should not pay decompose/map/group twice per
-    /// request.
+    /// request — with explicit [`ServeOptions`].
+    ///
+    /// [`ServeOptions::only_qubits`] restricts the serve to the unique
+    /// groups of those widths — what one shard of a sharded deployment
+    /// serves. Because warm starts are strictly width-local (the
+    /// fingerprint index never crosses a width boundary), the per-width
+    /// serving state — hit/miss sequence, warm-start picks, hub rounds,
+    /// compiled bytes — is identical to what a single process serving
+    /// the whole program would produce, and summing the subset reports
+    /// of a disjoint width partition reconstructs the unsharded counters
+    /// exactly. Subset reports carry `overall_latency_ns` and
+    /// `gate_based_latency_ns` of `0.0` (those are program-level numbers
+    /// no single shard can see; the router folds the true overall
+    /// latency from the merged per-group latencies), and their
+    /// `coverage.total` counts only the owned instances, so coverage also
+    /// sums exactly.
     ///
     /// # Errors
     ///
@@ -1140,37 +1056,7 @@ impl Session {
         grouped: &GroupReport,
         options: &ServeOptions,
     ) -> Result<ServeReport> {
-        serve_grouped_subset(self, grouped, options, None)
-    }
-
-    /// [`Session::serve_grouped`] restricted to the unique groups whose
-    /// width is in `only_qubits` — what one shard of a sharded
-    /// deployment serves. Because warm starts are strictly width-local
-    /// (the fingerprint index never crosses a width boundary), the
-    /// per-width serving state — hit/miss sequence, warm-start picks,
-    /// hub rounds, compiled bytes — is identical to what a single
-    /// process serving the whole program would produce, and summing the
-    /// subset reports of a disjoint width partition reconstructs the
-    /// unsharded counters exactly.
-    ///
-    /// Subset reports carry `overall_latency_ns` and
-    /// `gate_based_latency_ns` of `0.0` (those are program-level numbers
-    /// no single shard can see; the router folds the true overall
-    /// latency from the merged per-group latencies), and their
-    /// `coverage.total` counts only the owned instances, so coverage also
-    /// sums exactly. `only_qubits: None` is [`Session::serve_grouped`]
-    /// exactly.
-    ///
-    /// # Errors
-    ///
-    /// Propagates group-compilation failures.
-    pub fn serve_grouped_subset(
-        &self,
-        grouped: &GroupReport,
-        options: &ServeOptions,
-        only_qubits: Option<&[usize]>,
-    ) -> Result<ServeReport> {
-        serve_grouped_subset(self, grouped, options, only_qubits)
+        serve_grouped(self, grouped, options)
     }
 
     /// Folds the program-level overall latency (Algorithm 3 DP) from
@@ -1212,8 +1098,9 @@ impl Session {
     /// unitaries are composed per the grouped schedule and checked
     /// against the whole-program reference unitary.
     ///
-    /// Uses [`VerifyOptions::default`](crate::VerifyOptions); see
-    /// [`Session::verify_program_with`] for configurable thresholds.
+    /// The pass thresholds are fixed: every group fidelity at least
+    /// 0.999 and, on registers of up to 8 qubits, a program fidelity of
+    /// at least 0.98 and a `|0…0⟩` state overlap of at least 0.95.
     ///
     /// # Errors
     ///
@@ -1243,21 +1130,7 @@ impl Session {
     /// # Ok::<(), accqoc::Error>(())
     /// ```
     pub fn verify_program(&self, circuit: &Circuit) -> Result<crate::VerifyReport> {
-        crate::verify::verify_program(self, circuit, &crate::VerifyOptions::default())
-    }
-
-    /// [`Session::verify_program`] with explicit thresholds and dense
-    /// composition limits.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Session::verify_program`].
-    pub fn verify_program_with(
-        &self,
-        circuit: &Circuit,
-        options: &crate::VerifyOptions,
-    ) -> Result<crate::VerifyReport> {
-        crate::verify::verify_program(self, circuit, options)
+        crate::verify::verify_program(self, circuit)
     }
 
     /// Re-optimizes one cached group on a finer time grid (§IV-G).

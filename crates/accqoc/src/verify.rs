@@ -17,11 +17,11 @@
 //!    program, plus a `|0…0⟩` output-state spot check through the
 //!    density-matrix simulator.
 //! 2. **Differential compile checks** ([`caches_equivalent`]): two pulse
-//!    caches produced by different engines (sequential `precompile`,
-//!    `precompile_parallel`, per-program `compile_program`) are compared
-//!    *semantically* — the pulses may differ byte-wise, but the unitaries
-//!    they realize and the latencies they report must agree within
-//!    tolerance.
+//!    caches produced by different engines (`precompile` on the
+//!    sequential chain or a parallel plan, per-program `compile_program`)
+//!    are compared *semantically* — the pulses may differ byte-wise, but
+//!    the unitaries they realize and the latencies they report must
+//!    agree within tolerance.
 //!
 //! [`Session::verify_program`]: crate::Session::verify_program
 
@@ -42,46 +42,30 @@ use crate::model::ModelSet;
 use crate::session::{GroupReport, Session};
 
 // ---------------------------------------------------------------------------
-// Options.
+// Thresholds.
 // ---------------------------------------------------------------------------
 
-/// Thresholds and limits for [`Session::verify_program`].
-///
-/// [`Session::verify_program`]: crate::Session::verify_program
-#[derive(Debug, Clone)]
-pub struct VerifyOptions {
-    /// Minimum acceptable per-group gate fidelity. The default `0.999` is
-    /// deliberately looser than the paper's `1 − 10⁻⁴` convergence
-    /// target, so a healthy cache passes with margin and a genuinely
-    /// wrong pulse (fidelity far below 1) fails unambiguously.
-    pub min_group_fidelity: f64,
-    /// Minimum acceptable whole-program process fidelity on the exact
-    /// (dense-composition) path. Per-group errors at the `10⁻⁴` target
-    /// accumulate over instances, so this default is more forgiving than
-    /// the per-group gate: `0.98`.
-    pub min_exact_fidelity: f64,
-    /// Minimum acceptable `|0…0⟩` output-state overlap on the exact path.
-    /// Process fidelity does not lower-bound any single input-state
-    /// overlap, so the state spot check gets its own (looser) threshold:
-    /// `0.95`.
-    pub min_state_fidelity: f64,
-    /// Widest register (qubits) for which the exact dense composition is
-    /// attempted; wider programs report only per-group fidelities and the
-    /// multiplicative bound. Capped by
-    /// [`accqoc_circuit::MAX_DENSE_QUBITS`].
-    pub max_exact_qubits: usize,
-}
+/// Minimum acceptable per-group gate fidelity. `0.999` is deliberately
+/// looser than the paper's `1 − 10⁻⁴` convergence target, so a healthy
+/// cache passes with margin and a genuinely wrong pulse (fidelity far
+/// below 1) fails unambiguously.
+const MIN_GROUP_FIDELITY: f64 = 0.999;
 
-impl Default for VerifyOptions {
-    fn default() -> Self {
-        Self {
-            min_group_fidelity: 0.999,
-            min_exact_fidelity: 0.98,
-            min_state_fidelity: 0.95,
-            max_exact_qubits: 8,
-        }
-    }
-}
+/// Minimum acceptable whole-program process fidelity on the exact
+/// (dense-composition) path. Per-group errors at the `10⁻⁴` target
+/// accumulate over instances, so this is more forgiving than the
+/// per-group gate: `0.98`.
+const MIN_EXACT_FIDELITY: f64 = 0.98;
+
+/// Minimum acceptable `|0…0⟩` output-state overlap on the exact path.
+/// Process fidelity does not lower-bound any single input-state overlap,
+/// so the state spot check gets its own (looser) threshold: `0.95`.
+const MIN_STATE_FIDELITY: f64 = 0.95;
+
+/// Widest register (qubits) for which the exact dense composition is
+/// attempted; wider programs report only per-group fidelities and the
+/// multiplicative bound. Capped by [`accqoc_circuit::MAX_DENSE_QUBITS`].
+const MAX_EXACT_QUBITS: usize = 8;
 
 // ---------------------------------------------------------------------------
 // Report types.
@@ -125,13 +109,15 @@ pub struct VerifyReport {
     /// Exact whole-program process fidelity — per-instance reconstructed
     /// unitaries composed per the grouped schedule versus the dense
     /// reference unitary of the processed circuit. `None` when the
-    /// register exceeds [`VerifyOptions::max_exact_qubits`].
+    /// register is wider than 8 qubits.
     pub exact_fidelity: Option<f64>,
     /// `|0…0⟩` output-state overlap between the reconstructed and the
     /// reference program unitary. `None` exactly when `exact_fidelity`
     /// is.
     pub state_fidelity: Option<f64>,
-    /// `true` when every threshold in the [`VerifyOptions`] held.
+    /// `true` when every group fidelity reached 0.999 and, on the exact
+    /// path, the program fidelity reached 0.98 and the state overlap
+    /// 0.95.
     pub passed: bool,
 }
 
@@ -307,23 +293,15 @@ fn check_pulse_fits(entry: &CachedPulse, model: &accqoc_hw::ControlModel) -> Res
 /// Implementation behind [`Session::verify_program`].
 ///
 /// [`Session::verify_program`]: crate::Session::verify_program
-pub(crate) fn verify_program(
-    session: &Session,
-    circuit: &Circuit,
-    options: &VerifyOptions,
-) -> Result<VerifyReport> {
+pub(crate) fn verify_program(session: &Session, circuit: &Circuit) -> Result<VerifyReport> {
     let grouped = session.front_end(circuit);
-    verify_grouped(session, &grouped, options)
+    verify_grouped(session, &grouped)
 }
 
 /// Verifies an already-grouped program (shares the front end with the
 /// compile pipeline, so the oracle sees exactly the groups the compiler
 /// saw).
-fn verify_grouped(
-    session: &Session,
-    grouped: &GroupReport,
-    options: &VerifyOptions,
-) -> Result<VerifyReport> {
+fn verify_grouped(session: &Session, grouped: &GroupReport) -> Result<VerifyReport> {
     // Reconstruct each unique group's realized unitary from its cached
     // pulse and score it against the canonical compile target.
     let mut realized: HashMap<UnitaryKey, Mat> = HashMap::new();
@@ -371,34 +349,33 @@ fn verify_grouped(
     // Exact path: compose the reconstructed per-instance unitaries per the
     // grouped schedule and compare against the dense reference.
     let n_qubits = grouped.processed.n_qubits();
-    let (exact_fidelity, state_fidelity) =
-        if n_qubits <= options.max_exact_qubits.min(MAX_DENSE_QUBITS) {
-            let reference = circuit_unitary(&grouped.processed);
-            let mut reconstructed = Mat::identity(1 << n_qubits);
-            debug_assert!(grouped.grouped.is_topologically_sound());
-            for group in &grouped.grouped.groups {
-                // The cached pulse realizes the *canonical* frame; undo the
-                // instance's canonicalizing permutation to recover its
-                // local-qubit unitary, then embed over its global qubits.
-                let (key, perm) =
-                    UnitaryKey::canonical_with_permutation(&group.unitary(), group.n_qubits());
-                let canonical = realized.get(&key).ok_or(Error::UncoveredGroup {
-                    n_qubits: group.n_qubits(),
-                })?;
-                let local = permute_qubits(canonical, &invert_permutation(&perm), group.n_qubits());
-                apply_unitary(&mut reconstructed, &local, &group.qubits, n_qubits);
-            }
-            (
-                Some(phase_invariant_fidelity(&reconstructed, &reference)),
-                Some(output_state_fidelity(&reference, &reconstructed, 0)),
-            )
-        } else {
-            (None, None)
-        };
+    let (exact_fidelity, state_fidelity) = if n_qubits <= MAX_EXACT_QUBITS.min(MAX_DENSE_QUBITS) {
+        let reference = circuit_unitary(&grouped.processed);
+        let mut reconstructed = Mat::identity(1 << n_qubits);
+        debug_assert!(grouped.grouped.is_topologically_sound());
+        for group in &grouped.grouped.groups {
+            // The cached pulse realizes the *canonical* frame; undo the
+            // instance's canonicalizing permutation to recover its
+            // local-qubit unitary, then embed over its global qubits.
+            let (key, perm) =
+                UnitaryKey::canonical_with_permutation(&group.unitary(), group.n_qubits());
+            let canonical = realized.get(&key).ok_or(Error::UncoveredGroup {
+                n_qubits: group.n_qubits(),
+            })?;
+            let local = permute_qubits(canonical, &invert_permutation(&perm), group.n_qubits());
+            apply_unitary(&mut reconstructed, &local, &group.qubits, n_qubits);
+        }
+        (
+            Some(phase_invariant_fidelity(&reconstructed, &reference)),
+            Some(output_state_fidelity(&reference, &reconstructed, 0)),
+        )
+    } else {
+        (None, None)
+    };
 
-    let passed = min_group_fidelity >= options.min_group_fidelity
-        && exact_fidelity.is_none_or(|f| f >= options.min_exact_fidelity)
-        && state_fidelity.is_none_or(|f| f >= options.min_state_fidelity);
+    let passed = min_group_fidelity >= MIN_GROUP_FIDELITY
+        && exact_fidelity.is_none_or(|f| f >= MIN_EXACT_FIDELITY)
+        && state_fidelity.is_none_or(|f| f >= MIN_STATE_FIDELITY);
     Ok(VerifyReport {
         groups,
         n_instances,
@@ -598,7 +575,7 @@ mod tests {
                 },
             );
         }
-        session.import_cache(broken);
+        session.library().merge(broken);
         let report = session.verify_program(&circuit).unwrap();
         assert!(!report.passed, "zeroed pulses must not verify");
         assert!(report.min_group_fidelity < 0.999);

@@ -1,9 +1,7 @@
-//! Shared experiment setup: session, benchmark suite, and a persistent
+//! Shared experiment setup: session, benchmark suite, and the
 //! pre-compiled pulse cache.
 
-use std::path::PathBuf;
-
-use accqoc::{PrecompileReport, Session};
+use accqoc::{PrecompileOptions, PrecompileReport, Session};
 use accqoc_circuit::Circuit;
 use accqoc_hw::Topology;
 use accqoc_workloads::{full_suite, profiling_split, BenchProgram};
@@ -18,18 +16,6 @@ pub fn fast_mode() -> bool {
     std::env::var("ACCQOC_FAST")
         .map(|v| v == "1")
         .unwrap_or(false)
-}
-
-/// Where the shared pulse cache is persisted between figure binaries.
-pub fn cache_path() -> PathBuf {
-    if let Ok(p) = std::env::var("ACCQOC_CACHE") {
-        return PathBuf::from(p);
-    }
-    PathBuf::from("results").join(if fast_mode() {
-        "pulse_cache_fast.json"
-    } else {
-        "pulse_cache.json"
-    })
 }
 
 /// Number of compile workers.
@@ -51,7 +37,7 @@ pub struct ExperimentContext {
     pub profile_idx: Vec<usize>,
     /// Indices of the evaluation programs.
     pub eval_idx: Vec<usize>,
-    /// Pre-compilation report when the cache was built in this process.
+    /// Pre-compilation report ([`ExperimentContext::precompiled`] only).
     pub report: Option<PrecompileReport>,
 }
 
@@ -82,26 +68,17 @@ impl ExperimentContext {
         }
     }
 
-    /// Builds the context and ensures the static pre-compilation cache is
-    /// available: loaded from disk when present, otherwise compiled (in
-    /// parallel) and saved.
+    /// Builds the context and pre-compiles the profiling programs'
+    /// group category in this process (in parallel). Nothing is read
+    /// from disk, so every figure reports pulses of the solver it was
+    /// built with.
     ///
     /// # Panics
     ///
     /// Panics if pre-compilation fails for a group (should not happen on
-    /// the stock suite) or the cache file is unreadable.
+    /// the stock suite).
     pub fn precompiled() -> Self {
         let mut ctx = Self::bare();
-        let path = cache_path();
-        if path.exists() {
-            let loaded = ctx.session.load_cache(&path).expect("cache file readable");
-            eprintln!(
-                "[context] loaded {} cached groups from {}",
-                loaded,
-                path.display()
-            );
-            return ctx;
-        }
         let programs = ctx.profile_programs();
         eprintln!(
             "[context] pre-compiling category from {} profiling programs on {} workers…",
@@ -109,9 +86,13 @@ impl ExperimentContext {
             n_workers()
         );
         let t0 = std::time::Instant::now();
+        let options = PrecompileOptions {
+            threads: Some(n_workers()),
+            ..PrecompileOptions::default()
+        };
         let (report, stats) = ctx
             .session
-            .precompile_parallel(&programs, n_workers())
+            .precompile(&programs, &options)
             .expect("pre-compilation succeeds on the stock suite");
         eprintln!(
             "[context] {} unique groups, {} iterations ({} makespan) in {:.1?}",
@@ -121,10 +102,6 @@ impl ExperimentContext {
             t0.elapsed()
         );
         ctx.report = Some(report);
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir).ok();
-        }
-        ctx.session.save_cache(&path).expect("cache file writable");
         ctx
     }
 

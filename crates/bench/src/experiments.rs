@@ -8,7 +8,7 @@ use std::collections::HashMap;
 
 use accqoc::{
     brute_force_qoc, collect_category, mst_compile_order, scratch_order, BruteForceConfig,
-    CompileOrder, Session, SimilarityFn, SimilarityGraph,
+    CompileOrder, PrecompileOptions, Session, SimilarityFn, SimilarityGraph,
 };
 use accqoc_circuit::{Circuit, GateKind, UnitaryKey};
 use accqoc_grape::Pulse;
@@ -136,7 +136,10 @@ pub fn fig7_rows(ctx: &ExperimentContext, n_programs: usize) -> Vec<(String, usi
     programs
         .iter()
         .map(|p| {
-            let cov = ctx.session.coverage_of(&p.circuit);
+            let cov = ctx
+                .session
+                .lookup(&ctx.session.front_end(&p.circuit))
+                .coverage;
             (p.name.clone(), cov.covered, cov.total, cov.rate())
         })
         .collect()
@@ -483,8 +486,12 @@ pub fn fig12_cells(ctx: &ExperimentContext, n_programs: usize) -> Vec<Fig12Cell>
             .expect("paper policy session is valid");
         let circuits: Vec<Circuit> = programs.iter().map(|p| p.circuit.clone()).collect();
 
+        let options = PrecompileOptions {
+            threads: Some(n_workers()),
+            ..PrecompileOptions::default()
+        };
         let (report, _) = session
-            .precompile_parallel(&circuits, n_workers())
+            .precompile(&circuits, &options)
             .expect("policy category compiles");
 
         // Latencies before the most-frequent-group optimization.
@@ -651,8 +658,12 @@ pub fn threads_speedup_rows(
             .topology(Topology::melbourne())
             .build()
             .expect("stock melbourne session is valid");
+        let options = PrecompileOptions {
+            threads: Some(threads),
+            ..PrecompileOptions::default()
+        };
         let (report, stats) = session
-            .precompile_parallel(&circuits, threads)
+            .precompile(&circuits, &options)
             .expect("fig13 workload compiles");
         let wall_s = stats.wall.as_secs_f64();
         if rows.is_empty() {

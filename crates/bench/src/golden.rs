@@ -19,7 +19,7 @@
 use std::path::{Path, PathBuf};
 
 use accqoc::json::{self, JsonValue};
-use accqoc::{Session, VerifyOptions};
+use accqoc::{PrecompileOptions, Session};
 use accqoc_hw::Topology;
 use accqoc_workloads::{golden_suite, BenchProgram};
 
@@ -225,7 +225,7 @@ pub fn compute_corpus() -> GoldenCorpus {
     let session = golden_session();
     let circuits: Vec<_> = programs.iter().map(|p| p.circuit.clone()).collect();
     session
-        .precompile(&circuits)
+        .precompile(&circuits, &PrecompileOptions::default())
         .expect("golden suite pre-compiles");
     let rows = programs.iter().map(|p| compute_row(&session, p)).collect();
     GoldenCorpus { rows }
@@ -236,7 +236,7 @@ fn compute_row(session: &Session, program: &BenchProgram) -> GoldenRow {
         .compile_program(&program.circuit)
         .expect("golden workload compiles");
     let report = session
-        .verify_program_with(&program.circuit, &VerifyOptions::default())
+        .verify_program(&program.circuit)
         .expect("golden workload verifies");
     GoldenRow {
         name: program.name.clone(),

@@ -1,44 +1,20 @@
 //! Offline stand-in for the `criterion` crate.
 //!
 //! The build environment has no access to crates.io, so this workspace
-//! vendors a minimal wall-clock benchmark harness exposing the criterion
-//! API surface its benches use: [`Criterion::bench_function`],
-//! [`Criterion::benchmark_group`], [`BenchmarkGroup::bench_with_input`],
-//! [`BenchmarkId`], [`Bencher::iter`], and the [`criterion_group!`] /
-//! [`criterion_main!`] macros. Each benchmark is warmed up, then timed
-//! over a fixed number of samples; the median per-iteration time is
-//! printed. There is no statistical analysis, plotting, or baseline
-//! comparison.
+//! vendors the small timing surface its microbenchmarks use: a
+//! [`Sampler`] that warms a closure up, times it over a fixed number of
+//! samples and reports the median per-iteration time as a
+//! [`Measurement`], plus criterion's [`black_box`]. There is no
+//! statistical analysis, plotting, or baseline comparison.
 
 #![warn(missing_docs)]
 
-use std::fmt::Display;
 use std::hint::black_box as std_black_box;
 use std::time::{Duration, Instant};
 
 /// Re-export of [`std::hint::black_box`] under criterion's name.
 pub fn black_box<T>(x: T) -> T {
     std_black_box(x)
-}
-
-/// Identifier for a parameterized benchmark.
-pub struct BenchmarkId {
-    rendered: String,
-}
-
-impl BenchmarkId {
-    /// `name/parameter`, like criterion's `BenchmarkId::new`.
-    pub fn new(name: impl Into<String>, parameter: impl Display) -> Self {
-        Self {
-            rendered: format!("{}/{}", name.into(), parameter),
-        }
-    }
-}
-
-impl Display for BenchmarkId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.rendered)
-    }
 }
 
 /// Explicit timing plan: warm-up iterations, timed iterations per
@@ -112,14 +88,6 @@ impl Sampler {
     }
 }
 
-impl Default for Sampler {
-    /// The calibrated plan [`Bencher::iter`] uses: 1 warm-up iteration,
-    /// auto-calibrated sample length, 30 samples.
-    fn default() -> Self {
-        Self::calibrated(30)
-    }
-}
-
 /// Median-of-K result of [`Sampler::measure`]. All times are
 /// per-iteration nanoseconds.
 #[derive(Debug, Clone, Copy)]
@@ -136,157 +104,9 @@ pub struct Measurement {
     pub iters_per_sample: u32,
 }
 
-/// Drives the timed closure of one benchmark.
-pub struct Bencher {
-    samples: usize,
-    /// Median per-iteration time of the last `iter` call.
-    last_median: Duration,
-}
-
-impl Bencher {
-    /// Times `f`, storing the median per-iteration duration.
-    pub fn iter<O>(&mut self, f: impl FnMut() -> O) {
-        let m = Sampler::calibrated(self.samples).measure(f);
-        self.last_median = Duration::from_nanos(m.median_ns as u64);
-    }
-}
-
-fn run_benchmark(name: &str, sample_size: usize, f: &mut dyn FnMut(&mut Bencher)) {
-    let mut bencher = Bencher {
-        samples: sample_size.max(3),
-        last_median: Duration::ZERO,
-    };
-    f(&mut bencher);
-    println!("{name:<40} {:>12.3?}/iter", bencher.last_median);
-}
-
-/// A named group of related benchmarks.
-pub struct BenchmarkGroup<'a> {
-    name: String,
-    sample_size: usize,
-    _criterion: &'a mut Criterion,
-}
-
-impl BenchmarkGroup<'_> {
-    /// Sets the number of timing samples per benchmark.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.sample_size = n;
-        self
-    }
-
-    /// Runs one benchmark in this group.
-    pub fn bench_function(
-        &mut self,
-        id: impl Display,
-        mut f: impl FnMut(&mut Bencher),
-    ) -> &mut Self {
-        run_benchmark(&format!("{}/{}", self.name, id), self.sample_size, &mut f);
-        self
-    }
-
-    /// Runs one benchmark with an explicit input value.
-    pub fn bench_with_input<I: ?Sized>(
-        &mut self,
-        id: BenchmarkId,
-        input: &I,
-        mut f: impl FnMut(&mut Bencher, &I),
-    ) -> &mut Self {
-        run_benchmark(
-            &format!("{}/{}", self.name, id),
-            self.sample_size,
-            &mut |b| f(b, input),
-        );
-        self
-    }
-
-    /// Ends the group (no-op; present for API compatibility).
-    pub fn finish(self) {}
-}
-
-/// The benchmark harness entry point.
-#[derive(Default)]
-pub struct Criterion {
-    default_sample_size: usize,
-}
-
-impl Criterion {
-    /// Harness with the default sample size.
-    pub fn new() -> Self {
-        Self {
-            default_sample_size: 0,
-        }
-    }
-
-    fn sample_size_or_default(&self) -> usize {
-        if self.default_sample_size == 0 {
-            30
-        } else {
-            self.default_sample_size
-        }
-    }
-
-    /// Runs one stand-alone benchmark.
-    pub fn bench_function(
-        &mut self,
-        id: impl Display,
-        mut f: impl FnMut(&mut Bencher),
-    ) -> &mut Self {
-        run_benchmark(&id.to_string(), self.sample_size_or_default(), &mut f);
-        self
-    }
-
-    /// Opens a named benchmark group.
-    pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
-        let sample_size = self.sample_size_or_default();
-        BenchmarkGroup {
-            name: name.into(),
-            sample_size,
-            _criterion: self,
-        }
-    }
-}
-
-/// Bundles benchmark functions into one runnable group function.
-#[macro_export]
-macro_rules! criterion_group {
-    ($group:ident, $($target:path),+ $(,)?) => {
-        fn $group(c: &mut $crate::Criterion) {
-            $($target(c);)+
-        }
-    };
-}
-
-/// Generates `main` running the given benchmark groups.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            let mut criterion = $crate::Criterion::new();
-            $($group(&mut criterion);)+
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tiny_bench(c: &mut Criterion) {
-        c.bench_function("sum_1000", |b| b.iter(|| (0..1000u64).sum::<u64>()));
-        let mut group = c.benchmark_group("grouped");
-        group.sample_size(5);
-        group.bench_function("noop", |b| b.iter(|| 1 + 1));
-        group.bench_with_input(BenchmarkId::new("with_input", 4), &4usize, |b, &n| {
-            b.iter(|| n * 2)
-        });
-        group.finish();
-    }
-
-    #[test]
-    fn harness_runs_benchmarks() {
-        let mut c = Criterion::new();
-        tiny_bench(&mut c);
-    }
 
     #[test]
     fn sampler_fixed_iters_are_respected() {

@@ -186,7 +186,7 @@ impl Client {
         circuit: &Circuit,
         return_pulses: bool,
     ) -> Result<(ServeReport, Option<PulseCache>), ClientError> {
-        let (report, pulses, _missing) = self.serve_program_full(circuit, return_pulses)?;
+        let (report, pulses, _missing) = self.serve_program_full(circuit, return_pulses, None)?;
         Ok((report, pulses))
     }
 
@@ -194,28 +194,15 @@ impl Client {
     /// whose pulses the daemon could not read back (a capacity-bounded
     /// library evicted them before the response was cut). Callers that
     /// persist or replay the returned cache must treat those groups as
-    /// unresolved.
+    /// unresolved. `only_qubits` restricts the serve to the unique groups
+    /// of those widths — how the shard router asks a worker for exactly
+    /// the groups it owns on the hash ring; `None` serves the whole
+    /// program.
     ///
     /// # Errors
     ///
     /// See [`Client::call`].
     pub fn serve_program_full(
-        &mut self,
-        circuit: &Circuit,
-        return_pulses: bool,
-    ) -> Result<(ServeReport, Option<PulseCache>, Vec<UnitaryKey>), ClientError> {
-        self.serve_program_subset(circuit, return_pulses, None)
-    }
-
-    /// [`Client::serve_program_full`] restricted to the unique groups
-    /// of the given widths — how the shard router asks a worker for
-    /// exactly the groups it owns on the hash ring. `None` serves the
-    /// whole program.
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::call`].
-    pub fn serve_program_subset(
         &mut self,
         circuit: &Circuit,
         return_pulses: bool,
@@ -236,22 +223,14 @@ impl Client {
     }
 
     /// Batch pre-compiles a profiled program set into the daemon's
-    /// library.
+    /// library; `only_qubits` restricts it to the unique groups of those
+    /// widths (see [`Client::serve_program_full`]), `None` compiles them
+    /// all.
     ///
     /// # Errors
     ///
     /// See [`Client::call`].
-    pub fn precompile(&mut self, programs: &[Circuit]) -> Result<PrecompileSummary, ClientError> {
-        self.precompile_subset(programs, None)
-    }
-
-    /// [`Client::precompile`] restricted to the unique groups of the
-    /// given widths (see [`Client::serve_program_subset`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::call`].
-    pub fn precompile_subset(
+    pub fn precompile(
         &mut self,
         programs: &[Circuit],
         only_qubits: Option<&[usize]>,

@@ -20,8 +20,8 @@
 //! transport is a non-blocking event loop over [`std::net::TcpListener`]
 //! (one thread multiplexes every connection, so idle clients cost a
 //! registry entry instead of an OS thread), the worker pool is the same
-//! [`std::thread::scope`] pattern as the batch engine behind
-//! `accqoc::Session::precompile_parallel`, and the wire format reuses
+//! [`std::thread::scope`] pattern as the batch engine behind a threaded
+//! `accqoc::Session::precompile`, and the wire format reuses
 //! `accqoc::json`.
 //!
 //! Three properties define the daemon's behavior under load:

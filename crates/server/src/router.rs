@@ -244,9 +244,13 @@ impl RouterHandler {
             // Nothing owned anywhere (empty program, or a filter that
             // matches no group): the local session serves it exactly —
             // no group means no compile, so the empty library is fine.
+            let options = accqoc::ServeOptions {
+                only_qubits: only_qubits.map(<[usize]>::to_vec),
+                ..accqoc::ServeOptions::default()
+            };
             let report = self
                 .session
-                .serve_grouped_subset(&grouped, &accqoc::ServeOptions::default(), only_qubits)
+                .serve_grouped(&grouped, &options)
                 .map_err(compile_failure)?;
             return Ok(Payload::Serve {
                 report,
@@ -266,7 +270,7 @@ impl RouterHandler {
         let mut total = 0;
         for (&shard, widths) in &by_owner {
             let (report, shard_pulses, shard_missing) = self.with_shard(shard, |client| {
-                client.serve_program_subset(&circuit, return_pulses, Some(widths))
+                client.serve_program_full(&circuit, return_pulses, Some(widths))
             })?;
             n_compiled += report.n_compiled;
             n_warm_started += report.n_warm_started;
@@ -361,9 +365,8 @@ impl RouterHandler {
             total_iterations: 0,
         };
         for (&shard, widths) in &by_owner {
-            let shard_summary = self.with_shard(shard, |client| {
-                client.precompile_subset(&circuits, Some(widths))
-            })?;
+            let shard_summary =
+                self.with_shard(shard, |client| client.precompile(&circuits, Some(widths)))?;
             summary.n_unique_groups += shard_summary.n_unique_groups;
             summary.total_iterations += shard_summary.total_iterations;
         }
@@ -391,7 +394,7 @@ impl RouterHandler {
             fetched.merge(pulses);
         }
         let fork = self.session.fork();
-        fork.import_cache(fetched);
+        fork.library().merge(fetched);
         fork.verify_program(&circuit)
             .map(Payload::Verify)
             .map_err(compile_failure)

@@ -47,6 +47,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -364,7 +365,8 @@ impl HandlerContext<'_> {
 /// identical wire surfaces.
 pub trait CallHandler: Sync {
     /// Executes one admitted call. `id` is the legacy correlation id to
-    /// echo (0 on the HTTP surface).
+    /// echo (0 on the HTTP surface). A panic here is caught by the
+    /// worker and answered with a typed `internal` error.
     fn handle(&self, id: u64, call: Call, ctx: &HandlerContext<'_>) -> Response;
 
     /// Called once, from the event loop, when a `shutdown` request
@@ -500,7 +502,22 @@ impl<H: CallHandler> Server<H> {
                             counters,
                             queue_depth: queue.len(),
                         };
-                        let response = handler.handle(job.id, job.call, &ctx);
+                        let id = job.id;
+                        // A panicking handler answers its own request with
+                        // a typed error and keeps this worker in the pool:
+                        // unanswered, the request would park every later
+                        // reply on its connection behind its sequence
+                        // number.
+                        let response = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                            handler.handle(id, job.call, &ctx)
+                        }))
+                        .unwrap_or_else(|panic| {
+                            Response::failure(
+                                id,
+                                ErrorCode::Internal,
+                                format!("handler panicked: {}", panic_message(&*panic)),
+                            )
+                        });
                         let bytes = render_response(&response, job.mode);
                         // A vanished client is not a daemon problem.
                         done.send(Completion {
@@ -535,6 +552,15 @@ impl<H: CallHandler> Server<H> {
         })?;
         Ok(counters.snapshot())
     }
+}
+
+/// The text a panic was raised with, when it is a string.
+fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
+    panic
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string payload")
 }
 
 /// The single-threaded reactor: accepts, reads, frames, dispatches, and
@@ -925,8 +951,13 @@ fn handle_call(
             // router mode only the owned groups are claimed (the rest
             // belong to other shards and are never compiled here).
             let grouped = session.front_end(&circuit);
+            let options = accqoc::ServeOptions {
+                only_qubits,
+                ..accqoc::ServeOptions::default()
+            };
             let owned = |n_qubits: usize| {
-                only_qubits
+                options
+                    .only_qubits
                     .as_deref()
                     .is_none_or(|widths| widths.contains(&n_qubits))
             };
@@ -940,11 +971,7 @@ fn handle_call(
             if claim.waited() {
                 ctx.note_coalesced_wait();
             }
-            let report = match session.serve_grouped_subset(
-                &grouped,
-                &accqoc::ServeOptions::default(),
-                only_qubits.as_deref(),
-            ) {
+            let report = match session.serve_grouped(&grouped, &options) {
                 Ok(report) => report,
                 Err(e) => return compile_failure(e),
             };
@@ -1016,8 +1043,12 @@ fn handle_call(
             if claim.waited() {
                 ctx.note_coalesced_wait();
             }
-            match session.precompile_subset(&circuits, only_qubits.as_deref()) {
-                Ok(report) => Response {
+            let options = accqoc::PrecompileOptions {
+                only_qubits: only_qubits.as_deref(),
+                threads: None,
+            };
+            match session.precompile(&circuits, &options) {
+                Ok((report, _)) => Response {
                     id,
                     body: Ok(Payload::Precompile(PrecompileSummary {
                         n_programs: report.n_programs,

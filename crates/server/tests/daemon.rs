@@ -54,7 +54,7 @@ fn served_pulses_are_byte_identical_to_in_process_serving() {
     let mut client = Client::connect(addr).expect("connect");
     for (program, expected) in programs.iter().zip(&baseline_reports) {
         let (report, pulses, missing) = client
-            .serve_program_full(program, true)
+            .serve_program_full(program, true, None)
             .expect("daemon serves");
         assert!(
             missing.is_empty(),
@@ -173,7 +173,7 @@ fn precompile_then_serve_is_fully_covered() {
 
     let program = Circuit::from_gates(2, [Gate::H(0), Gate::Cx(0, 1)]);
     let summary = client
-        .precompile(std::slice::from_ref(&program))
+        .precompile(std::slice::from_ref(&program), None)
         .expect("precompiles");
     assert!(summary.n_unique_groups > 0);
     assert_eq!(summary.n_programs, 1);
@@ -215,7 +215,7 @@ fn capacity_bounded_library_marks_evicted_groups_missing() {
     let (addr, handle) = boot(Arc::clone(&session), ServerConfig::default());
     let mut client = Client::connect(addr).expect("connect");
     let (report, pulses, missing) = client
-        .serve_program_full(&program, true)
+        .serve_program_full(&program, true, None)
         .expect("daemon serves");
     let pulses = pulses.expect("return_pulses was requested");
 

@@ -318,7 +318,7 @@ fn library_pagination_pages_the_whole_library_without_overlap() {
         Circuit::from_gates(2, [Gate::H(0), Gate::Cx(0, 1)]),
         Circuit::from_gates(2, [Gate::T(0), Gate::Cx(0, 1)]),
     ];
-    let summary = client.precompile(&programs).expect("precompile");
+    let summary = client.precompile(&programs, None).expect("precompile");
     assert!(summary.n_unique_groups >= 2, "need at least 2 entries");
 
     // …then page it out over HTTP, one entry per page.

@@ -151,7 +151,7 @@ fn killed_shard_yields_typed_error_and_resumes_byte_identically() {
     // Serve the prefix; these compile the shard libraries.
     for pos in 0..KILL_AT {
         let (report, _, _) = client
-            .serve_program_full(&programs[stream[pos]], false)
+            .serve_program_full(&programs[stream[pos]], false, None)
             .expect("prefix serves");
         assert_eq!(report, base_reports[pos], "prefix diverged at {pos}");
     }
@@ -164,7 +164,7 @@ fn killed_shard_yields_typed_error_and_resumes_byte_identically() {
     // typed error, bounded by its retry budget — never a hang.
     let started = std::time::Instant::now();
     let err = client
-        .serve_program_full(&programs[stream[KILL_AT]], false)
+        .serve_program_full(&programs[stream[KILL_AT]], false, None)
         .expect_err("the width-2 owner is dead");
     let elapsed = started.elapsed();
     match err {
@@ -188,7 +188,7 @@ fn killed_shard_yields_typed_error_and_resumes_byte_identically() {
     // uninterrupted report at this position: the recovered entries serve
     // as exact hits, not recompiles.
     let (report, _, _) = client
-        .serve_program_full(&programs[stream[KILL_AT]], false)
+        .serve_program_full(&programs[stream[KILL_AT]], false, None)
         .expect("resumes after restart");
     assert_eq!(report, base_reports[KILL_AT], "resume diverged");
 
@@ -219,7 +219,7 @@ fn killed_shard_yields_typed_error_and_resumes_byte_identically() {
     // post-recovery warm-start chains continue byte-identically.
     for pos in KILL_AT + 1..stream.len() {
         let (report, _, _) = client
-            .serve_program_full(&programs[stream[pos]], false)
+            .serve_program_full(&programs[stream[pos]], false, None)
             .expect("tail serves");
         assert_eq!(report, base_reports[pos], "tail diverged at {pos}");
     }

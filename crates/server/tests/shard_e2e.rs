@@ -88,7 +88,7 @@ fn three_shard_deployment_is_byte_transparent() {
     let mut client = Client::connect(router_addr).expect("connect router");
     for (&i, expected) in stream.iter().zip(&base_reports) {
         let (report, pulses, missing) = client
-            .serve_program_full(&programs[i], true)
+            .serve_program_full(&programs[i], true, None)
             .expect("router serves");
         assert!(missing.is_empty(), "unbounded workers never evict");
         assert_eq!(&report, expected, "serve report diverged on program {i}");

@@ -57,7 +57,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut artifacts = Vec::new();
     for threads in [1, 4] {
         let session = session()?;
-        let (report, stats) = session.precompile_parallel(&programs, threads)?;
+        let options = PrecompileOptions {
+            threads: Some(threads),
+            ..PrecompileOptions::default()
+        };
+        let (report, stats) = session.precompile(&programs, &options)?;
         println!(
             "\n{threads} thread(s): {} groups compiled in {:.2?} (engine wall)",
             report.n_unique_groups, stats.wall

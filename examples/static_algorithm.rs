@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "static pre-compilation over {} profiling programs…",
         profile.len()
     );
-    let report = session.precompile(&profile)?;
+    let (report, _) = session.precompile(&profile, &PrecompileOptions::default())?;
     println!(
         "category: {} unique groups, {} iterations (one-time cost)",
         report.n_unique_groups, report.total_iterations

@@ -58,7 +58,7 @@ fn populate(session: &Session) {
     let mut plain = PulseCache::new();
     let bare = circuit_unitary(&Circuit::from_gates(1, [Gate::X(0)]));
     plain.insert(UnitaryKey::canonical(&bare, 1), entry(1, 8.0));
-    session.import_cache(plain);
+    library.merge(plain);
 }
 
 /// A valid library artifact (the `save_cache` file and the snapshot

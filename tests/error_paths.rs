@@ -412,10 +412,7 @@ fn mis_sized_target_is_a_typed_error_not_a_panic() {
     // Regression: a 2×2 target submitted as a 2-qubit group used to
     // panic on GRAPE's dimension assertion.
     let x = Mat::from_reals(&[0.0, 1.0, 1.0, 0.0]);
-    let mut ws = accqoc_repro::grape::Workspace::new();
-    let e = target_session()
-        .compile_unitary_with(&x, 2, None, &mut ws)
-        .unwrap_err();
+    let e = target_session().compile_unitary(&x, 2, None).unwrap_err();
     match &e {
         Error::InvalidTarget { n_qubits, message } => {
             assert_eq!(*n_qubits, 2);
@@ -428,7 +425,7 @@ fn mis_sized_target_is_a_typed_error_not_a_panic() {
 #[test]
 fn non_finite_cached_amplitude_fails_verification_with_a_typed_error() {
     // A library seeded with an infinite amplitude (nothing on the load
-    // paths admits one, but `SessionBuilder::cache` takes any cache):
+    // paths admits one, but `PulseLibrary::merge` takes any cache):
     // propagating it is a linear-algebra error, not a panic.
     let program = Circuit::from_gates(2, [Gate::H(0)]);
     let compiled = Session::builder()
@@ -444,9 +441,9 @@ fn non_finite_cached_amplitude_fails_verification_with_a_typed_error() {
     }
     let session = Session::builder()
         .topology(Topology::linear(2))
-        .cache(poisoned)
         .build()
         .unwrap();
+    session.library().merge(poisoned);
     let e = session.verify_program(&program).unwrap_err();
     assert!(matches!(e, Error::Linalg(_)), "{e}");
 }

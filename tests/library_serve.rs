@@ -103,7 +103,6 @@ fn width_partitioned_subset_serving_is_byte_transparent() {
         "suite must exercise both width classes"
     );
 
-    let opts = ServeOptions::default();
     let shards = [session(3), session(3)]; // shard 0 owns width 1, shard 1 width 2
     let widths: [&[usize]; 2] = [&[1], &[2]];
     for (p, base) in programs.iter().zip(&base_reports) {
@@ -111,9 +110,11 @@ fn width_partitioned_subset_serving_is_byte_transparent() {
         let mut owned_total = 0;
         for (shard, width) in shards.iter().zip(widths) {
             let grouped = shard.front_end(p);
-            let report = shard
-                .serve_grouped_subset(&grouped, &opts, Some(width))
-                .expect("subset serves");
+            let opts = ServeOptions {
+                only_qubits: Some(width.to_vec()),
+                ..ServeOptions::default()
+            };
+            let report = shard.serve_grouped(&grouped, &opts).expect("subset serves");
             assert_eq!(
                 report.overall_latency_ns, 0.0,
                 "subsets cannot see the whole program's latency"
@@ -187,7 +188,7 @@ fn width_partitioned_subset_serving_is_byte_transparent() {
     for (p, base) in programs.iter().zip(&base_reports) {
         let grouped = unfiltered.front_end(p);
         let report = unfiltered
-            .serve_grouped_subset(&grouped, &opts, None)
+            .serve_grouped(&grouped, &ServeOptions::default())
             .expect("unfiltered serves");
         assert_eq!(report.to_json(), base.to_json(), "None filter is identity");
     }
@@ -310,7 +311,7 @@ fn unindexed_bulk_import_still_serves_exact_hits() {
     let exported = warm.cache_snapshot();
 
     let cold = session(2);
-    cold.import_cache(exported);
+    cold.library().merge(exported);
     assert_eq!(cold.library().indexed_len(), 0, "plain import is unindexed");
     let report = cold.serve_program(&program).expect("serves from import");
     assert_eq!(report.n_compiled, 0, "exact keys hit without the index");

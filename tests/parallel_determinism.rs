@@ -4,8 +4,8 @@
 //! [`PulseLibrary`] every compile writes into.
 
 use accqoc::{
-    collect_category, mst_compile_order, warm_start_allowed, CachedPulse, PulseCache, PulseLibrary,
-    Session, SimilarityFn, SimilarityGraph,
+    collect_category, mst_compile_order, warm_start_allowed, CachedPulse, PrecompileOptions,
+    PulseCache, PulseLibrary, Session, SimilarityFn, SimilarityGraph,
 };
 use accqoc_circuit::{Circuit, Gate, UnitaryKey};
 use accqoc_grape::Pulse;
@@ -45,27 +45,47 @@ fn programs() -> Vec<Circuit> {
 fn one_and_four_thread_precompile_write_identical_artifacts() {
     let dir = std::env::temp_dir().join("accqoc_parallel_determinism");
     std::fs::create_dir_all(&dir).unwrap();
+    // Every group of `programs()` spans two qubits; the mixed set adds
+    // one-qubit groups for the width filter to leave out.
+    let mut mixed = programs();
+    mixed.push(Circuit::from_gates(3, [Gate::H(2), Gate::T(2)]));
 
-    let mut paths = Vec::new();
-    for threads in [1usize, 4] {
-        let s = session();
-        let (report, stats) = s.precompile_parallel(&programs(), threads).unwrap();
-        assert!(report.n_unique_groups > 0);
-        assert!(stats.total_iterations >= stats.makespan_iterations);
-        let path = dir.join(format!("cache_{threads}threads.json"));
-        s.save_cache(&path).unwrap();
-        paths.push(path);
-    }
-
-    let one = std::fs::read(&paths[0]).unwrap();
-    let four = std::fs::read(&paths[1]).unwrap();
-    assert!(!one.is_empty());
-    assert_eq!(
-        one, four,
-        "1-thread and 4-thread precompile must persist byte-identical caches"
-    );
-    for p in paths {
-        std::fs::remove_file(p).ok();
+    // The whole category on 1 and 4 threads, and the width-2 groups of
+    // the mixed set (what one shard of a width-partitioned deployment
+    // owns) on 1 and 2.
+    let width_two: &[usize] = &[2];
+    let inputs = [(programs(), None, [1, 4]), (mixed, Some(width_two), [1, 2])];
+    for (programs, only_qubits, thread_counts) in inputs {
+        let (canonical, _, _) = collect_category(&session(), &programs);
+        let owned = |n_qubits: usize| only_qubits.is_none_or(|widths| widths.contains(&n_qubits));
+        let n_owned = canonical.iter().filter(|(_, n)| owned(*n)).count();
+        assert!(n_owned > 0);
+        assert!(only_qubits.is_none() || n_owned < canonical.len());
+        let mut artifacts = Vec::new();
+        for threads in thread_counts {
+            let s = session();
+            let options = PrecompileOptions {
+                only_qubits,
+                threads: Some(threads),
+            };
+            let (report, stats) = s.precompile(&programs, &options).unwrap();
+            assert_eq!(report.n_unique_groups, n_owned, "{only_qubits:?}");
+            assert_eq!(report.frequencies.len(), n_owned, "{only_qubits:?}");
+            assert!(stats.total_iterations >= stats.makespan_iterations);
+            let cache = s.cache_snapshot();
+            assert_eq!(cache.len(), n_owned);
+            assert!(cache.iter().all(|(_, e)| owned(e.n_qubits)));
+            let path = dir.join(format!("cache_{only_qubits:?}_{threads}threads.json"));
+            s.save_cache(&path).unwrap();
+            artifacts.push(std::fs::read(&path).unwrap());
+            std::fs::remove_file(path).ok();
+        }
+        assert!(!artifacts[0].is_empty());
+        assert_eq!(
+            artifacts[0], artifacts[1],
+            "{only_qubits:?}: precompile on {thread_counts:?} threads must persist \
+             byte-identical caches"
+        );
     }
 }
 
@@ -108,7 +128,9 @@ fn plan_width_one_matches_sequential_precompile_bit_for_bit() {
     }
 
     let seq = session();
-    let report = seq.precompile(&programs()).unwrap();
+    let (report, _) = seq
+        .precompile(&programs(), &PrecompileOptions::default())
+        .unwrap();
     assert_eq!(report.total_iterations, expected_iterations);
     assert_eq!(
         seq.cache_snapshot().to_json(),

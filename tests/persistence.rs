@@ -301,7 +301,7 @@ fn checkpoint_leaves_one_snapshot_that_is_the_save_cache_artifact() {
     }
     let mut plain = PulseCache::new();
     plain.insert(UnitaryKey::canonical(&rz(2.5), 1), entry(1, 9.0));
-    live.import_cache(plain);
+    live.library().merge(plain);
     live.checkpoint().expect("checkpoint");
 
     let mut files: Vec<String> = std::fs::read_dir(&dir)
@@ -524,7 +524,7 @@ proptest! {
                         UnitaryKey::canonical(&rz(0.1 * *tag as f64), 1),
                         entry(1, 100.0 + *tag as f64),
                     );
-                    live.import_cache(plain);
+                    live.library().merge(plain);
                 }
                 Op::Touch(tag) => {
                     let u = rz(0.1 * *tag as f64);

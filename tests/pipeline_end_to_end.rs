@@ -105,12 +105,14 @@ fn precompile_then_cover_unseen_program() {
         Circuit::from_gates(3, [Gate::H(0), Gate::Cx(0, 1), Gate::T(1)]),
         Circuit::from_gates(3, [Gate::Cx(1, 2), Gate::H(2), Gate::Cx(1, 2)]),
     ];
-    session.precompile(&profile).unwrap();
+    session
+        .precompile(&profile, &PrecompileOptions::default())
+        .unwrap();
     let pre_size = session.cache_len();
     assert!(pre_size >= 2);
 
     let unseen = Circuit::from_gates(3, [Gate::H(0), Gate::Cx(0, 1), Gate::T(1), Gate::Cx(1, 2)]);
-    let coverage = session.coverage_of(&unseen);
+    let coverage = session.lookup(&session.front_end(&unseen)).coverage;
     assert!(
         coverage.covered > 0,
         "profiled groups should cover part of the program"

@@ -1,7 +1,7 @@
 //! The differential compile oracle: every way the workspace compiles a
-//! category — [`Session::precompile`] (the batch engine at plan width 1),
-//! [`Session::precompile_parallel`] (the default partition plan), and
-//! program-by-program [`Session::compile_program`] — must produce
+//! category — [`Session::precompile`] on the sequential chain (the batch
+//! engine at plan width 1) and on threads (the default partition plan),
+//! and program-by-program [`Session::compile_program`] — must produce
 //! *semantically* equivalent pulses: same covered groups, same realized
 //! unitaries, same latencies within tolerance. Byte-equality of cache
 //! artifacts is checked elsewhere (`tests/parallel_determinism.rs`);
@@ -9,10 +9,9 @@
 //! bytes legitimately differ.
 //!
 //! [`Session::precompile`]: accqoc::Session::precompile
-//! [`Session::precompile_parallel`]: accqoc::Session::precompile_parallel
 //! [`Session::compile_program`]: accqoc::Session::compile_program
 
-use accqoc_repro::accqoc::{caches_equivalent, AccQocConfig};
+use accqoc_repro::accqoc::caches_equivalent;
 use accqoc_repro::prelude::*;
 use accqoc_repro::workloads::golden_suite;
 
@@ -50,7 +49,8 @@ fn all_compile_engines_are_semantically_equivalent() {
 
     // Engine A: the sequential reference.
     let seq = session();
-    seq.precompile(&progs).unwrap();
+    seq.precompile(&progs, &PrecompileOptions::default())
+        .unwrap();
     let seq_cache = seq.cache_snapshot();
     assert!(!seq_cache.is_empty());
 
@@ -63,7 +63,11 @@ fn all_compile_engines_are_semantically_equivalent() {
     // handful of slices of slack here (plan width 1 is pinned to the
     // sequential chain byte for byte in `tests/parallel_determinism.rs`).
     let default_plan = session();
-    default_plan.precompile_parallel(&progs, 4).unwrap();
+    let options = PrecompileOptions {
+        threads: Some(4),
+        ..PrecompileOptions::default()
+    };
+    default_plan.precompile(&progs, &options).unwrap();
     let report = caches_equivalent(
         seq.models(),
         &seq_cache,
@@ -77,14 +81,10 @@ fn all_compile_engines_are_semantically_equivalent() {
         "default-plan parallel diverged: {report:?}"
     );
 
-    // Engine C: one config-built session compiling program by program
-    // into its own growing cache (per-program MSTs instead of one global
-    // MST — different chains, same physics).
-    let per_program = {
-        let mut config = AccQocConfig::for_topology(Topology::linear(3));
-        config.grape.stop.max_iters = 200;
-        Session::from_config(config).expect("valid config")
-    };
+    // Engine C: one session compiling program by program into its own
+    // growing cache (per-program MSTs instead of one global MST —
+    // different chains, same physics).
+    let per_program = session();
     for p in &progs {
         per_program.compile_program(p).unwrap();
     }
@@ -112,8 +112,12 @@ fn workload_verifies_after_parallel_compilation() {
         .expect("qft_3 is golden")
         .circuit;
     let session = session();
+    let options = PrecompileOptions {
+        threads: Some(2),
+        ..PrecompileOptions::default()
+    };
     session
-        .precompile_parallel(std::slice::from_ref(&qft3), 2)
+        .precompile(std::slice::from_ref(&qft3), &options)
         .unwrap();
     let compiled = session.compile_program(&qft3).unwrap();
     assert_eq!(compiled.coverage.covered, compiled.coverage.total);
