@@ -64,6 +64,7 @@ mod baselines;
 mod cache;
 mod compile;
 mod error;
+mod exec;
 pub mod json;
 pub mod library;
 mod model;

@@ -8,10 +8,9 @@
 //! exactly the serve-heavy regime the ROADMAP targets. [`PulseLibrary`]
 //! unifies them:
 //!
-//! - **storage** — one [`PulseCache`] keeps the pulses, under the same
-//!   mutex as the per-entry recency metadata and the fingerprint index,
-//!   with an optional capacity bound and deterministic
-//!   least-recently-used eviction;
+//! - **storage** — one map keeps each key's entry, fingerprint-index
+//!   data and recency stamp under one mutex, with an optional capacity
+//!   bound and deterministic least-recently-used eviction;
 //! - **retrieval** — every entry inserted with its canonical unitary is
 //!   fingerprinted ([`UnitaryFingerprint`]) into a bucketed index, so a
 //!   cache miss finds warm-start candidates in sublinear time and only
@@ -22,16 +21,17 @@
 //!   batch first and then inserts its entries here, each with its
 //!   canonical unitary;
 //! - **serving** — [`Session::serve_program`](crate::Session::serve_program)
-//!   drives the library online: hits are free, misses warm-start GRAPE
-//!   from the nearest cached neighbor and insert the result back, and
+//!   drives the library online: hits are free, misses are planned
+//!   against the library under its lock and warm-start GRAPE from the
+//!   nearest cached neighbor, the results are inserted back, and
 //!   [`LibraryStats`] counts all of it.
 
 mod fingerprint;
 pub(crate) mod serve;
 
-use std::collections::HashMap;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use accqoc_circuit::UnitaryKey;
 use accqoc_grape::Pulse;
@@ -44,7 +44,8 @@ use crate::similarity::{SimilarityFn, SimilarityScratch};
 pub use fingerprint::UnitaryFingerprint;
 pub use serve::{ServeOptions, ServeReport, ServedGroup};
 
-use fingerprint::FingerprintIndex;
+pub(crate) use fingerprint::Added;
+use fingerprint::{FingerprintIndex, Overlay};
 
 /// Point-in-time counters of the library's serving behavior.
 ///
@@ -181,30 +182,25 @@ struct StatsCells {
     evictions: AtomicU64,
 }
 
-/// Everything the library stores, under one mutex: the pulses, the
-/// fingerprint index, and the recency metadata that drives eviction.
-#[derive(Debug, Default)]
-struct LibraryState {
-    pulses: PulseCache,
-    index: FingerprintIndex,
-    /// Last-use stamp per stored key (indexed or not).
-    recency: HashMap<UnitaryKey, u64>,
-    /// Scratch for exact re-scoring of fingerprint candidates.
-    scratch: SimilarityScratch,
+/// Everything the library stores, under one mutex: one map from each
+/// key to its entry, its fingerprint-index data and its recency stamp.
+type LibraryState = FingerprintIndex<CachedPulse>;
+
+/// Every entry sorted by key, each with its canonical unitary when it is
+/// fingerprint-indexed, as the library artifact.
+fn artifact(state: &LibraryState) -> String {
+    let mut entries: Vec<_> = state
+        .iter()
+        .map(|(key, slot)| (key, &slot.value, slot.indexed.as_ref().map(|i| &i.unitary)))
+        .collect();
+    entries.sort_by(|a, b| a.0.cmp(b.0));
+    crate::persist::library_json(entries.into_iter())
 }
 
-impl LibraryState {
-    /// Every entry sorted by key, each with its canonical unitary when
-    /// the fingerprint index holds one, as the library artifact.
-    fn artifact(&self) -> String {
-        let mut entries: Vec<_> = self
-            .pulses
-            .iter()
-            .map(|(key, entry)| (key, entry, self.index.get(key).map(|i| &i.unitary)))
-            .collect();
-        entries.sort_by(|a, b| a.0.cmp(b.0));
-        crate::persist::library_json(entries.into_iter())
-    }
+thread_local! {
+    /// Scratch for the exact re-scoring of fingerprint candidates: one
+    /// per thread rather than one per library.
+    static SCRATCH: RefCell<SimilarityScratch> = RefCell::new(SimilarityScratch::new());
 }
 
 /// A warm-start neighbor found by [`PulseLibrary::nearest`].
@@ -294,30 +290,30 @@ impl PulseLibrary {
 
     /// Number of stored entries.
     pub fn len(&self) -> usize {
-        self.lock().pulses.len()
+        self.lock().len()
     }
 
     /// `true` when nothing is stored.
     pub fn is_empty(&self) -> bool {
-        self.lock().pulses.is_empty()
+        self.lock().len() == 0
     }
 
     /// Number of fingerprint-indexed entries (≤ [`PulseLibrary::len`]:
     /// entries inserted without a unitary, as plain-cache merges are,
     /// are not indexed).
     pub fn indexed_len(&self) -> usize {
-        self.lock().index.len()
+        self.lock().indexed_len()
     }
 
     /// `true` when the store covers `key`.
     pub fn contains(&self, key: &UnitaryKey) -> bool {
-        self.lock().pulses.contains(key)
+        self.lock().get(key).is_some()
     }
 
     /// A copy of one entry, if covered. Does not touch recency (the
     /// serving path's hits do, under the same lock as the read).
     pub fn get(&self, key: &UnitaryKey) -> Option<CachedPulse> {
-        self.lock().pulses.lookup(key).cloned()
+        self.lock().get(key).map(|slot| slot.value.clone())
     }
 
     /// A copy of one entry with its recency refreshed, under one lock:
@@ -325,10 +321,8 @@ impl PulseLibrary {
     pub(crate) fn hit(&self, key: &UnitaryKey) -> Option<CachedPulse> {
         let stamp = self.tick();
         let mut state = self.lock();
-        let entry = state.pulses.lookup(key).cloned()?;
-        if let Some(slot) = state.recency.get_mut(key) {
-            *slot = stamp;
-        }
+        let entry = state.get(key)?.value.clone();
+        state.touch(key, stamp);
         Some(entry)
     }
 
@@ -336,13 +330,10 @@ impl PulseLibrary {
     /// evictions (a no-op when `key` is not stored).
     pub fn touch(&self, key: &UnitaryKey) {
         let stamp = self.tick();
-        let mut state = self.lock();
-        if let Some(slot) = state.recency.get_mut(key) {
-            *slot = stamp;
-        }
+        self.lock().touch(key, stamp);
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, LibraryState> {
+    fn lock(&self) -> MutexGuard<'_, LibraryState> {
         self.state
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -366,11 +357,7 @@ impl PulseLibrary {
             return;
         }
         let logged = self.journal.as_ref().map(|_| entry.clone());
-        state.pulses.insert(key.clone(), entry);
-        if let Some(unitary) = unitary {
-            state.index.insert(key.clone(), unitary, n_qubits);
-        }
-        state.recency.insert(key.clone(), stamp);
+        state.insert(key.clone(), entry, unitary.map(|u| (u, n_qubits)), stamp);
         let evicted = self.evict_over_capacity(&mut state);
         if let Some(journal) = &self.journal {
             journal.record(&Event::Insert {
@@ -399,30 +386,43 @@ impl PulseLibrary {
     /// A copy of the stored pulses (its JSON artifact is
     /// byte-deterministic: [`PulseCache::to_json`] sorts by key).
     pub fn snapshot(&self) -> PulseCache {
-        self.lock().pulses.clone()
+        let state = self.lock();
+        let mut cache = PulseCache::new();
+        for (key, slot) in state.iter() {
+            cache.insert(key.clone(), slot.value.clone());
+        }
+        cache
+    }
+
+    /// One page of the library in key order: the number of entries, and
+    /// `row` applied to the `limit` entries after the first `offset`,
+    /// under one lock and without copying any other entry.
+    pub fn page<T>(
+        &self,
+        offset: usize,
+        limit: usize,
+        mut row: impl FnMut(&UnitaryKey, &CachedPulse) -> T,
+    ) -> (usize, Vec<T>) {
+        let state = self.lock();
+        let mut entries: Vec<_> = state.iter().collect();
+        entries.sort_by(|a, b| a.0.cmp(b.0));
+        let rows = entries
+            .into_iter()
+            .skip(offset)
+            .take(limit)
+            .map(|(key, slot)| row(key, &slot.value))
+            .collect();
+        (state.len(), rows)
     }
 
     /// Evicts least-recently-used entries until the capacity bound
     /// holds; returns the victims (in eviction order) so callers with a
     /// journal can log them. Caller holds the state lock.
-    fn evict_over_capacity(&self, state: &mut LibraryState) -> Vec<UnitaryKey> {
-        let mut evicted = Vec::new();
-        let Some(capacity) = self.capacity else {
-            return evicted;
-        };
-        while state.recency.len() > capacity {
-            let victim = state
-                .recency
-                .iter()
-                .min_by(|a, b| a.1.cmp(b.1).then_with(|| a.0.cmp(b.0)))
-                .map(|(k, _)| k.clone());
-            let Some(victim) = victim else { break };
-            state.recency.remove(&victim);
-            state.index.remove(&victim);
-            state.pulses.remove(&victim);
-            self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-            evicted.push(victim);
-        }
+    fn evict_over_capacity(&self, index: &mut LibraryState) -> Vec<UnitaryKey> {
+        let evicted = evict_over(self.capacity, index);
+        self.stats
+            .evictions
+            .fetch_add(evicted.len() as u64, Ordering::Relaxed);
         evicted
     }
 
@@ -435,7 +435,7 @@ impl PulseLibrary {
         if !journal.due_for_snapshot() {
             return;
         }
-        let _ = journal.snapshot(&state.artifact());
+        let _ = journal.snapshot(&artifact(state));
     }
 
     /// Forces a durability snapshot: writes the snapshot and truncates
@@ -454,7 +454,7 @@ impl PulseLibrary {
         // mutation can append to the WAL between our snapshot copy and
         // the truncation (which would silently drop that record).
         let state = self.lock();
-        let result = journal.snapshot(&state.artifact());
+        let result = journal.snapshot(&artifact(&state));
         drop(state);
         result.map_err(crate::error::Error::from)
     }
@@ -462,7 +462,7 @@ impl PulseLibrary {
     /// The library artifact: what [`Session::save_cache`](crate::Session::save_cache)
     /// writes and a durable snapshot holds.
     pub(crate) fn artifact(&self) -> String {
-        self.lock().artifact()
+        artifact(&self.lock())
     }
 
     /// The nearest indexed neighbor of `unitary`: fingerprint buckets
@@ -491,43 +491,26 @@ impl PulseLibrary {
         k: usize,
         similarity: SimilarityFn,
     ) -> Option<NearestPulse> {
-        let mut state = self.lock();
-        // Split the guard so the exact re-scoring borrows the index
-        // entries and the scratch simultaneously — no per-candidate
-        // unitary clones on the serving hot path.
-        let LibraryState {
-            pulses,
-            index,
-            scratch,
-            ..
-        } = &mut *state;
-        let candidates = index.candidates(query, k);
-        let mut best: Option<(UnitaryKey, f64)> = None;
-        for (key, _) in candidates {
-            // A candidate key missing from the entry map would mean the
-            // bucket lists drifted from the entries; degrade to skipping
-            // the candidate, never to aborting a query with a valid best.
-            let Some(entry) = index.get(&key) else {
-                continue;
-            };
-            let d = similarity.distance_with(unitary, &entry.unitary, scratch);
-            let better = match &best {
-                None => true,
-                Some((bk, bd)) => d < *bd || (d == *bd && key < *bk),
-            };
-            if better {
-                best = Some((key, d));
-            }
-        }
-        let (key, distance) = best?;
-        let neighbor = index.get(&key)?.unitary.clone();
-        let pulse = pulses.lookup(&key)?.pulse.clone();
+        let state = self.lock();
+        let (key, distance, unitary) = SCRATCH.with_borrow_mut(|scratch| {
+            state.nearest(query, unitary, k, similarity, &Overlay::default(), scratch)
+        })?;
         Some(NearestPulse {
-            key,
             distance,
-            unitary: neighbor,
-            pulse,
+            unitary: unitary.clone(),
+            pulse: state.get(&key)?.value.pulse.clone(),
+            key,
         })
+    }
+
+    /// The library, locked, as a serve plans its compiles against it:
+    /// the lock is held until the view is dropped.
+    pub(crate) fn plan_view(&self) -> PlanView<'_> {
+        PlanView {
+            state: self.lock(),
+            capacity: self.capacity,
+            overlay: Overlay::default(),
+        }
     }
 
     /// A point-in-time snapshot of the serving counters.
@@ -563,6 +546,89 @@ impl PulseLibrary {
     }
 }
 
+/// Evicts least-recently-used keys of `index` until at most `capacity`
+/// remain; returns the victims in eviction order.
+fn evict_over(capacity: Option<usize>, index: &mut LibraryState) -> Vec<UnitaryKey> {
+    let mut evicted = Vec::new();
+    let Some(capacity) = capacity else {
+        return evicted;
+    };
+    while index.len() > capacity {
+        let Some(victim) = index.lru(|_| false) else {
+            break;
+        };
+        index.remove(&victim);
+        evicted.push(victim);
+    }
+    evicted
+}
+
+/// The library as a serve plans against it: the stored keys under the
+/// library's lock, with the plan's picks laid over them. A pick goes in
+/// the way [`PulseLibrary::insert`] would put it, evicting under the same
+/// capacity bound, but only in the overlay, so the plan sees what a
+/// one-at-a-time serve would see without copying or writing the library.
+pub(crate) struct PlanView<'a> {
+    state: MutexGuard<'a, LibraryState>,
+    capacity: Option<usize>,
+    overlay: Overlay<'a>,
+}
+
+impl<'a> PlanView<'a> {
+    /// The nearest indexed key to `unitary`, its distance and its
+    /// unitary ([`PulseLibrary::nearest_by_fingerprint`] without the
+    /// pulse).
+    pub(crate) fn nearest(
+        &self,
+        query: &UnitaryFingerprint,
+        unitary: &Mat,
+        k: usize,
+        similarity: SimilarityFn,
+    ) -> Option<(UnitaryKey, f64, &Mat)> {
+        let (state, overlay) = (&*self.state, &self.overlay);
+        SCRATCH.with_borrow_mut(|scratch| {
+            state.nearest(query, unitary, k, similarity, overlay, scratch)
+        })
+    }
+
+    /// A copy of the pulse of `key`, a stored key the view shows.
+    pub(crate) fn pulse(&self, key: &UnitaryKey) -> Option<Pulse> {
+        if self.overlay.hidden.contains(key) {
+            return None;
+        }
+        Some(self.state.get(key)?.value.pulse.clone())
+    }
+
+    /// Puts `pick` in as the newest entry and evicts the least recently
+    /// used entries over the capacity bound: stored ones first, since
+    /// every pick is newer, then the earliest picks.
+    pub(crate) fn insert(&mut self, pick: Added<'a>) {
+        if self.capacity == Some(0) {
+            return;
+        }
+        if self.state.get(pick.key).is_some() {
+            // Stored since the serve's hits were read: the insert
+            // replaces it.
+            self.overlay.hidden.insert(pick.key.clone());
+        }
+        self.overlay.added.push(pick);
+        let Some(capacity) = self.capacity else {
+            return;
+        };
+        while self.state.len() - self.overlay.hidden.len() + self.overlay.added.len() > capacity {
+            let hidden = &self.overlay.hidden;
+            match self.state.lru(|key| hidden.contains(key)) {
+                Some(victim) => {
+                    self.overlay.hidden.insert(victim);
+                }
+                None => {
+                    self.overlay.added.remove(0);
+                }
+            }
+        }
+    }
+}
+
 impl Clone for PulseLibrary {
     /// Clones contents and index; the serving counters start fresh, the
     /// recency clock continues from the source's stamp, and the clone
@@ -570,14 +636,7 @@ impl Clone for PulseLibrary {
     /// would interleave inconsistently, so only the original session
     /// persists.
     fn clone(&self) -> Self {
-        let state = self.lock();
-        let cloned_state = LibraryState {
-            pulses: state.pulses.clone(),
-            index: state.index.clone(),
-            recency: state.recency.clone(),
-            scratch: SimilarityScratch::new(),
-        };
-        drop(state);
+        let cloned_state = self.lock().clone();
         Self {
             state: Mutex::new(cloned_state),
             capacity: self.capacity,
@@ -694,6 +753,33 @@ mod tests {
         assert!(lib.contains(&key_of(&c)));
         assert_eq!(lib.stats().evictions, 1);
         assert_eq!(lib.indexed_len(), 2);
+    }
+
+    #[test]
+    fn pages_are_slices_of_the_sorted_snapshot() {
+        let lib = PulseLibrary::new();
+        for k in 0..7 {
+            let u = rz(0.3 + 0.37 * k as f64);
+            lib.insert(key_of(&u), entry(k as f64), (k % 2 == 0).then_some(&u));
+        }
+        // What a page was before it had its own method: the whole
+        // snapshot, sorted by key, then cut.
+        let snapshot = lib.snapshot();
+        let mut sorted: Vec<(&UnitaryKey, &CachedPulse)> = snapshot.iter().collect();
+        sorted.sort_by(|a, b| a.0.cmp(b.0));
+        for offset in 0..9 {
+            for limit in 0..9 {
+                let (total, rows) = lib.page(offset, limit, |key, e| (key.clone(), e.clone()));
+                let want: Vec<(UnitaryKey, CachedPulse)> = sorted
+                    .iter()
+                    .skip(offset)
+                    .take(limit)
+                    .map(|(k, e)| ((*k).clone(), (*e).clone()))
+                    .collect();
+                assert_eq!(total, 7);
+                assert_eq!(rows, want, "offset {offset}, limit {limit}");
+            }
+        }
     }
 
     #[test]

@@ -19,11 +19,13 @@
 //!   compile sequence (global MST order restricted to the part, cut
 //!   parents degraded to scratch). The plan depends only on the inputs
 //!   and the plan width — never on thread count or timing.
-//! - The *execution* runs the parts on a [`std::thread::scope`] worker
-//!   pool. Parts are handed out longest-processing-time-first from a
-//!   shared atomic queue; each worker owns a pooled GRAPE workspace and
-//!   returns its compiled entries through `join`, so workers share no
-//!   pulse store at all.
+//! - The *execution* runs the parts on the [compile executor](crate::exec),
+//!   at most `threads` lanes: the calling thread plus one scoped thread
+//!   per spare core. The parts are queued longest-processing-time-first,
+//!   each a chain of steps in its local MST order, so a part's steps run
+//!   one after another while other parts run beside it. Each lane owns
+//!   a pooled GRAPE workspace, and the entries are committed on the
+//!   caller, so lanes share no pulse store at all.
 //!
 //! Plan width 1 cuts no MST edge, so it walks the exact sequential
 //! warm-start chain; that is how [`Session::compile`] and a sequential
@@ -33,12 +35,14 @@
 //! changes.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
+
+use accqoc_grape::{LatencyResult, Workspace};
 
 use crate::cache::CachedPulse;
 use crate::compile::warm_start_allowed;
 use crate::error::{Error, Result};
+use crate::exec::{self, Done, Width};
 use crate::mst::{mst_compile_order, CompileOrder, SimilarityGraph};
 use crate::partition::{partition_tree, TreePartition, WeightedTree};
 use crate::session::{GroupTarget, Session};
@@ -50,19 +54,21 @@ use crate::session::{GroupTarget, Session};
 /// pulses — does not depend on the thread count.
 pub const DEFAULT_PLAN_PARTS: usize = 8;
 
-/// Wall-clock accounting for one pool worker.
+/// Wall-clock accounting for one lane of the batch.
 #[derive(Debug, Clone)]
 pub struct WorkerTiming {
-    /// Pool worker index (`0..threads`).
+    /// Lane index (`0..threads`): 0 is the calling thread; a thread the
+    /// batch starts takes the lowest index no running thread holds, so
+    /// a lane that exits and a later one can share an index.
     pub worker: usize,
-    /// Parts this worker executed.
+    /// Parts this lane compiled a step of.
     pub parts: usize,
-    /// Groups this worker compiled.
+    /// Groups this lane compiled.
     pub groups: usize,
-    /// GRAPE iterations this worker spent.
+    /// GRAPE iterations this lane spent.
     pub iterations: usize,
-    /// Busy wall-clock time of this worker (from first part claimed to
-    /// last part finished).
+    /// Wall-clock time of this lane, from its first step's start to its
+    /// last step's end.
     pub wall: Duration,
 }
 
@@ -88,8 +94,8 @@ pub struct ParallelStats {
     pub cut_edges: usize,
     /// The partition itself.
     pub partition: TreePartition,
-    /// Per-worker wall-clock accounting (one entry per pool thread that
-    /// executed at least one part).
+    /// Per-lane wall-clock accounting (one entry per lane that compiled
+    /// at least one group), by lane index.
     pub worker_timings: Vec<WorkerTiming>,
     /// Wall-clock time of the whole parallel section (plan build
     /// excluded, thread spawn/join included).
@@ -156,15 +162,16 @@ pub(crate) struct Batch {
 
 /// Compiles `targets` in similarity-MST order with warm starts, over a
 /// balanced partition of the MST into `plan_width` connected parts (at
-/// least one per tree component) run on a pool of `threads` workers
-/// (see the module docs for the plan/execution split). Nothing is
+/// least one per tree component) run on at most `threads` lanes (see the
+/// module docs for the plan/execution split). Nothing is
 /// written to the session library: the caller inserts the returned
 /// entries.
 ///
 /// # Errors
 ///
 /// [`Error::InvalidConfig`] when `threads == 0`; otherwise the first
-/// compilation failure (the other workers' completed work is discarded).
+/// compilation failure in plan order (the other lanes' completed work is
+/// discarded).
 pub(crate) fn compile_batch(
     session: &Session,
     targets: &[GroupTarget],
@@ -193,110 +200,84 @@ pub(crate) fn compile_batch(
     let partition = partition_tree(&tree, plan_width);
     let (plans, cut_edges) = build_plans(&order, &partition.parts());
 
-    // Longest-processing-time-first queue order (by estimated part
-    // weight, deterministic index tie-break) so the heaviest part starts
-    // first and the pool drains evenly.
+    // The executor's plan: the parts longest-processing-time-first (by
+    // estimated part weight, deterministic index tie-break) so the
+    // heaviest part starts first and the lanes drain evenly, each part a
+    // chain of steps in its local MST order.
     let loads = partition.loads(&tree);
     let mut queue: Vec<usize> = (0..plans.len()).collect();
     queue.sort_by(|&a, &b| loads[b].total_cmp(&loads[a]).then(a.cmp(&b)));
-
-    struct PartOutcome {
-        part: usize,
-        iterations: usize,
-        entries: HashMap<usize, CachedPulse>,
-    }
-    type WorkerResult = Result<(Vec<PartOutcome>, Duration)>;
-
-    let next = AtomicUsize::new(0);
-    let t0 = Instant::now();
-    let worker_results: Vec<WorkerResult> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads.min(plans.len()))
-            .map(|_| {
-                let (next, queue, plans) = (&next, &queue, &plans);
-                scope.spawn(move || -> WorkerResult {
-                    // One pooled workspace per worker for the whole
-                    // drain, from (and back to) the worker thread's pool.
-                    let mut ws = session.lease_workspace();
-                    let mut done = Vec::new();
-                    let started = Instant::now();
-                    while let Some(&part) = queue.get(next.fetch_add(1, Ordering::Relaxed)) {
-                        let mut entries: HashMap<usize, CachedPulse> = HashMap::new();
-                        let mut iterations = 0usize;
-                        for &(vertex, parent) in &plans[part] {
-                            let target = &targets[vertex];
-                            let warm = parent
-                                .filter(|&p| {
-                                    warm_start_allowed(
-                                        &targets[p].unitary,
-                                        &target.unitary,
-                                        session.config().warm_threshold,
-                                    )
-                                })
-                                .and_then(|p| entries.get(&p))
-                                .map(|e| &e.pulse);
-                            let r = session.compile_anchored(
-                                &target.unitary,
-                                target.n_qubits,
-                                warm,
-                                0.0,
-                                &mut ws,
-                            )?;
-                            iterations += r.total_iterations;
-                            entries.insert(
-                                vertex,
-                                CachedPulse {
-                                    pulse: r.outcome.pulse,
-                                    latency_ns: r.latency_ns,
-                                    iterations: r.total_iterations,
-                                    n_qubits: target.n_qubits,
-                                },
-                            );
-                        }
-                        done.push(PartOutcome {
-                            part,
-                            iterations,
-                            entries,
-                        });
-                    }
-                    Ok((done, started.elapsed()))
+    // Per step: its part, its vertex, and its warm parent's step.
+    let mut steps: Vec<(usize, usize, Option<usize>)> = Vec::with_capacity(n);
+    let mut after: Vec<Option<usize>> = Vec::with_capacity(n);
+    let mut step_of: HashMap<usize, usize> = HashMap::with_capacity(n);
+    for &part in &queue {
+        for (k, &(vertex, parent)) in plans[part].iter().enumerate() {
+            let parent = parent
+                .filter(|&p| {
+                    warm_start_allowed(
+                        &targets[p].unitary,
+                        &targets[vertex].unitary,
+                        session.config().warm_threshold,
+                    )
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
+                .map(|p| step_of[&p]);
+            after.push((k > 0).then(|| steps.len() - 1));
+            step_of.insert(vertex, steps.len());
+            steps.push((part, vertex, parent));
+        }
+    }
+
+    let run = |i: usize, done: &Done<'_, LatencyResult>, ws: &mut Workspace| {
+        let (_, vertex, parent) = steps[i];
+        let target = &targets[vertex];
+        let warm = parent.map(|p| &done.get(p).outcome.pulse);
+        session.compile_anchored(&target.unitary, target.n_qubits, warm, 0.0, ws)
+    };
+    let mut compiled: Vec<Option<CachedPulse>> = vec![None; n];
+    let mut commit = |i: usize, r: &LatencyResult| {
+        let vertex = steps[i].1;
+        compiled[vertex] = Some(CachedPulse {
+            // Copied on this thread, like every pulse the library keeps.
+            pulse: r.outcome.pulse.clone(),
+            latency_ns: r.latency_ns,
+            iterations: r.total_iterations,
+            n_qubits: targets[vertex].n_qubits,
+        });
+    };
+    let t0 = Instant::now();
+    let ran = exec::execute(&after, Width::Spare(threads), &run, &mut commit)?;
     let wall = t0.elapsed();
 
-    let mut compiled: HashMap<usize, CachedPulse> = HashMap::with_capacity(n);
+    let iterations = |i: usize| compiled[steps[i].1].as_ref().map_or(0, |e| e.iterations);
     let mut iterations_per_part = vec![0usize; plans.len()];
-    let mut worker_timings = Vec::new();
-    for (worker, result) in worker_results.into_iter().enumerate() {
-        let (done, busy) = result?;
-        let mut timing = WorkerTiming {
-            worker,
-            parts: done.len(),
-            groups: 0,
-            iterations: 0,
-            wall: busy,
-        };
-        for outcome in done {
-            iterations_per_part[outcome.part] = outcome.iterations;
-            timing.groups += outcome.entries.len();
-            timing.iterations += outcome.iterations;
-            compiled.extend(outcome.entries);
-        }
-        if timing.parts > 0 {
-            worker_timings.push(timing);
-        }
+    for (i, &(part, _, _)) in steps.iter().enumerate() {
+        iterations_per_part[part] += iterations(i);
     }
+    let n_lanes = ran.iter().map(|r| r.lane + 1).max().unwrap_or(0);
+    let worker_timings = (0..n_lanes)
+        .filter_map(|lane| {
+            let on_lane: Vec<usize> = (0..steps.len()).filter(|&i| ran[i].lane == lane).collect();
+            let first = on_lane.iter().map(|&i| ran[i].started).min()?;
+            let last = on_lane.iter().map(|&i| ran[i].finished).max()?;
+            let mut parts: Vec<usize> = on_lane.iter().map(|&i| steps[i].0).collect();
+            parts.sort_unstable();
+            parts.dedup();
+            Some(WorkerTiming {
+                worker: lane,
+                parts: parts.len(),
+                groups: on_lane.len(),
+                iterations: on_lane.iter().map(|&i| iterations(i)).sum(),
+                wall: last - first,
+            })
+        })
+        .collect();
     let entries = order
         .steps
         .iter()
         .map(|step| {
-            let entry = compiled
-                .remove(&step.vertex)
+            let entry = compiled[step.vertex]
+                .take()
                 .expect("every plan part compiled every vertex it holds");
             (step.vertex, entry)
         })

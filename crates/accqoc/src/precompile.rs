@@ -46,7 +46,9 @@ pub struct PrecompileOptions<'a> {
     pub only_qubits: Option<&'a [usize]>,
     /// `None` runs the sequential MST chain (one plan part, one thread);
     /// `Some(n)` runs the fixed [`DEFAULT_PLAN_PARTS`] partition plan on
-    /// `n` worker threads.
+    /// at most `n` lanes: this thread plus one thread per spare core. So
+    /// `n` is a cap, not a thread count: every `n` at or above the
+    /// number of idle cores runs on the same lanes.
     ///
     /// [`DEFAULT_PLAN_PARTS`]: crate::DEFAULT_PLAN_PARTS
     pub threads: Option<usize>,
@@ -55,7 +57,7 @@ pub struct PrecompileOptions<'a> {
 /// Static pre-compilation over `programs`, restricted to the unique
 /// groups whose width is in `only_qubits` (`None` = every group): the
 /// groups the library does not yet hold are compiled on the batch engine
-/// at plan width `plan_width` on `threads` workers and inserted into the
+/// at plan width `plan_width` on at most `threads` lanes and inserted into the
 /// session library with their canonical unitaries (fingerprint-indexed).
 /// The report counts owned groups only, so per-shard reports over a
 /// width partition sum to the whole-category numbers (group keys encode
@@ -206,7 +208,7 @@ pub(crate) fn optimize_group(
             max_steps: search.max_steps,
             initial_guess: entry.as_ref().map(|e| 2 * e.pulse.n_steps()),
         },
-        &mut session.lease_workspace(),
+        &mut crate::session::lease_workspace(),
     )
     .map_err(|source| Error::CompileFailed { n_qubits, source })?;
 

@@ -27,6 +27,7 @@ use accqoc_map::{crosstalk_metric, map_circuit, MappingOptions};
 use crate::cache::{CachedPulse, PulseCache};
 use crate::compile::AccQocConfig;
 use crate::error::{Error, Result};
+use crate::exec::{self, Done, Width};
 use crate::library::serve::serve_grouped;
 use crate::library::{PulseLibrary, ServeOptions, ServeReport};
 use crate::model::ModelSet;
@@ -416,7 +417,7 @@ pub struct Session {
 
 thread_local! {
     /// Idle GRAPE workspaces of this thread. Serve and compile paths
-    /// lease one per request (see [`Session::lease_workspace`]) instead of
+    /// lease one per request (see [`lease_workspace`]) instead of
     /// allocating fresh solver scratch, so a long-lived thread reaches an
     /// allocation-free steady state once the pooled buffers have grown to
     /// the workload's dimensions. The pool belongs to the thread, not to
@@ -460,6 +461,18 @@ impl Drop for WorkspaceLease {
             let _ = WORKSPACE_POOL.try_with(|pool| pool.borrow_mut().push(ws));
         }
     }
+}
+
+/// Leases a GRAPE workspace from the calling thread's pool (creating an
+/// empty one only when the pool is dry). The workspace returns to the
+/// pool of the thread that drops the lease, grown buffers intact.
+pub(crate) fn lease_workspace() -> WorkspaceLease {
+    let ws = WORKSPACE_POOL
+        .try_with(|pool| pool.borrow_mut().pop())
+        .ok()
+        .flatten()
+        .unwrap_or_default();
+    WorkspaceLease { ws: Some(ws) }
 }
 
 /// Number of idle workspaces parked in the current thread's pool.
@@ -822,18 +835,6 @@ impl Session {
         })
     }
 
-    /// Leases a GRAPE workspace from the calling thread's pool (creating
-    /// an empty one only when the pool is dry). The workspace returns to
-    /// the pool of the thread that drops the lease, grown buffers intact.
-    pub(crate) fn lease_workspace(&self) -> WorkspaceLease {
-        let ws = WORKSPACE_POOL
-            .try_with(|pool| pool.borrow_mut().pop())
-            .ok()
-            .flatten()
-            .unwrap_or_default();
-        WorkspaceLease { ws: Some(ws) }
-    }
-
     // -- lower-level entry points -------------------------------------------
 
     /// Front-end only: decompose, map, and group a program.
@@ -880,7 +881,7 @@ impl Session {
             return Err(Error::InvalidTarget { n_qubits, message });
         }
         // Anchor 0.0 = the plain batch search (no seed-anchored floor).
-        self.compile_anchored(target, n_qubits, warm, 0.0, &mut self.lease_workspace())
+        self.compile_anchored(target, n_qubits, warm, 0.0, &mut lease_workspace())
     }
 
     /// The compile behind every batch and serving path, on targets the
@@ -919,21 +920,20 @@ impl Session {
     /// groups of their de-duplicated category that the library does not
     /// yet hold on the batch engine, inserts the pulses into the session
     /// library, and reports the category statistics with the engine's
-    /// per-worker timings.
+    /// per-lane timings.
     ///
     /// [`PrecompileOptions::threads`] picks the engine shape:
     ///
     /// - `None` runs one plan part on one thread: the exact sequential
     ///   MST warm-start chain.
-    /// - `Some(n)` compiles on a pool of `n` OS threads over a balanced
-    ///   MST partition (§V-D) of fixed width [`DEFAULT_PLAN_PARTS`],
-    ///   each worker with its own GRAPE workspace. The plan does not
-    ///   depend on `n`, so the session cache — and any artifact saved
-    ///   from it — is byte-identical whether this runs on 1 thread or
-    ///   16. Relative to `None`, the plan's cut MST edges degrade a
-    ///   handful of warm starts to scratch starts, so the two artifacts
-    ///   differ in exactly those groups; pools larger than the plan
-    ///   width idle.
+    /// - `Some(n)` compiles on at most `n` lanes (this thread plus one
+    ///   thread per spare core) over a balanced MST partition (§V-D) of
+    ///   fixed width [`DEFAULT_PLAN_PARTS`], each lane with its own GRAPE
+    ///   workspace. The plan does not depend on `n`, so the session
+    ///   cache — and any artifact saved from it — is byte-identical
+    ///   whether this runs on 1 thread or 16. Relative to `None`, the
+    ///   plan's cut MST edges degrade a handful of warm starts to scratch
+    ///   starts, so the two artifacts differ in exactly those groups.
     ///
     /// [`PrecompileOptions::only_qubits`] restricts the run to the unique
     /// groups of those widths — what one shard of a sharded deployment
@@ -1174,50 +1174,59 @@ impl Session {
         table
     }
 
+    /// Calibrates the table: one independent compile per basis gate, run
+    /// on the compile executor (side by side on spare cores).
     fn build_gate_durations(&self) -> GateDurations {
-        use GateKind::*;
+        let gates = CALIBRATION_GATES;
+        // A gate this device cannot compile gets an infinite duration.
+        let run = |i: usize, _: &Done<'_, f64>, ws: &mut GrapeWorkspace| {
+            let gate = &gates[i].1;
+            let width = gate.qubits().len();
+            Ok(self
+                .compile_anchored(&gate.matrix(), width, None, 0.0, ws)
+                .map_or(f64::INFINITY, |r| r.latency_ns))
+        };
         let mut map: std::collections::BTreeMap<GateKind, f64> = std::collections::BTreeMap::new();
-        let single: &[(GateKind, Gate)] = &[
-            (X, Gate::X(0)),
-            (Y, Gate::Y(0)),
-            (Z, Gate::Z(0)),
-            (H, Gate::H(0)),
-            (S, Gate::S(0)),
-            (Sdg, Gate::Sdg(0)),
-            (T, Gate::T(0)),
-            (Tdg, Gate::Tdg(0)),
-            (Rx, Gate::Rx(0, std::f64::consts::FRAC_PI_2)),
-            (Ry, Gate::Ry(0, std::f64::consts::FRAC_PI_2)),
-            (Rz, Gate::Rz(0, std::f64::consts::FRAC_PI_2)),
-            (U1, Gate::U1(0, std::f64::consts::FRAC_PI_2)),
-            (U2, Gate::U2(0, 0.3, 0.9)),
-            (U3, Gate::U3(0, 1.1, 0.4, -0.7)),
-        ];
-        for (kind, gate) in single {
-            let target = gate.matrix();
-            let latency = self
-                .compile_unitary(&target, 1, None)
-                .map(|r| r.latency_ns)
-                .unwrap_or(f64::INFINITY);
-            map.insert(*kind, latency);
-        }
-        let double: &[(GateKind, Gate)] = &[
-            (Cx, Gate::Cx(0, 1)),
-            (Cz, Gate::Cz(0, 1)),
-            (Swap, Gate::Swap(0, 1)),
-        ];
-        for (kind, gate) in double {
-            let target = gate.matrix();
-            let latency = self
-                .compile_unitary(&target, 2, None)
-                .map(|r| r.latency_ns)
-                .unwrap_or(f64::INFINITY);
-            map.insert(*kind, latency);
-        }
+        let mut commit = |i: usize, latency: &f64| {
+            map.insert(gates[i].0, *latency);
+        };
+        exec::execute(
+            &vec![None; gates.len()],
+            Width::Spare(usize::MAX),
+            &run,
+            &mut commit,
+        )
+        .expect("a calibration step never fails");
         let default = map.values().copied().fold(0.0, f64::max);
         GateDurations::from_single_gate_pulses(map, default)
     }
 }
+
+/// The basis gates the gate-duration table calibrates, each on the
+/// lowest qubits.
+const CALIBRATION_GATES: &[(GateKind, Gate)] = {
+    use std::f64::consts::FRAC_PI_2;
+    use GateKind::*;
+    &[
+        (X, Gate::X(0)),
+        (Y, Gate::Y(0)),
+        (Z, Gate::Z(0)),
+        (H, Gate::H(0)),
+        (S, Gate::S(0)),
+        (Sdg, Gate::Sdg(0)),
+        (T, Gate::T(0)),
+        (Tdg, Gate::Tdg(0)),
+        (Rx, Gate::Rx(0, FRAC_PI_2)),
+        (Ry, Gate::Ry(0, FRAC_PI_2)),
+        (Rz, Gate::Rz(0, FRAC_PI_2)),
+        (U1, Gate::U1(0, FRAC_PI_2)),
+        (U2, Gate::U2(0, 0.3, 0.9)),
+        (U3, Gate::U3(0, 1.1, 0.4, -0.7)),
+        (Cx, Gate::Cx(0, 1)),
+        (Cz, Gate::Cz(0, 1)),
+        (Swap, Gate::Swap(0, 1)),
+    ]
+};
 
 #[cfg(test)]
 mod tests {
@@ -1246,46 +1255,50 @@ mod tests {
 
     #[test]
     fn workspace_pool_recycles_leases() {
-        let session = tiny_session();
         assert_eq!(pooled_workspaces(), 0);
         {
-            let _a = session.lease_workspace();
-            let _b = session.lease_workspace();
+            let _a = lease_workspace();
+            let _b = lease_workspace();
             assert_eq!(pooled_workspaces(), 0);
         }
         // Both leases returned: the pool holds exactly the thread's peak
         // concurrency, and a further lease reuses one of them.
         assert_eq!(pooled_workspaces(), 2);
-        drop(session.lease_workspace());
+        drop(lease_workspace());
         assert_eq!(pooled_workspaces(), 2);
     }
 
     #[test]
     fn forks_share_one_workspace_pool() {
-        // Two independent sessions and a fork, all on this thread.
+        // Two independent sessions and a fork, all compiling on this
+        // thread, draw from the thread's one pool.
         let session = tiny_session();
         let other = tiny_session();
         let fork = session.fork();
-        drop(fork.lease_workspace());
+        let x = Gate::X(0).matrix();
+        fork.compile_unitary(&x, 1, None).unwrap();
+        assert_eq!(pooled_workspaces(), 1);
+        // The fork's returned workspace serves the original session and
+        // the other one in turn.
+        session.compile_unitary(&x, 1, None).unwrap();
+        other.compile_unitary(&x, 1, None).unwrap();
         assert_eq!(pooled_workspaces(), 1);
         {
-            // The fork's returned workspace serves the original session;
-            // the second concurrent lease has to grow the pool.
-            let _a = session.lease_workspace();
+            // With the pooled workspace leased, a compile has to grow
+            // the pool.
+            let _held = lease_workspace();
             assert_eq!(pooled_workspaces(), 0);
-            let _b = other.lease_workspace();
-            assert_eq!(pooled_workspaces(), 0);
+            other.compile_unitary(&x, 1, None).unwrap();
+            assert_eq!(pooled_workspaces(), 1);
         }
         assert_eq!(pooled_workspaces(), 2);
-        drop(other.lease_workspace());
-        drop(fork.lease_workspace());
+        fork.compile_unitary(&x, 1, None).unwrap();
         assert_eq!(pooled_workspaces(), 2);
     }
 
     #[test]
     fn lease_dropped_on_another_thread_returns_to_that_threads_pool() {
-        let session = tiny_session();
-        let lease = session.lease_workspace();
+        let lease = lease_workspace();
         let remote = std::thread::spawn(move || {
             assert_eq!(pooled_workspaces(), 0);
             drop(lease);
@@ -1401,6 +1414,23 @@ mod tests {
         let c2 = Circuit::from_gates(3, [Gate::H(0), Gate::Cx(0, 1)]);
         fork.compile_program(&c2).unwrap();
         assert!(fork.cache_len() > session.cache_len());
+    }
+
+    #[test]
+    fn gate_duration_table_matches_one_compile_at_a_time() {
+        let session = tiny_session();
+        let table = session.gate_durations();
+        for (kind, gate) in CALIBRATION_GATES {
+            let width = gate.qubits().len();
+            let one = session
+                .compile_unitary(&gate.matrix(), width, None)
+                .map_or(f64::INFINITY, |r| r.latency_ns);
+            assert_eq!(
+                table.gate_duration(gate).to_bits(),
+                one.to_bits(),
+                "{kind:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Threads-vs-speedup sweep of the parallel pre-compilation engine on
 //! the Figure 13 workload: identical GRAPE work per row (the partition
-//! plan is thread-count-invariant), only the worker-pool size changes.
+//! plan is thread-count-invariant), only the lane cap changes. Lanes
+//! beyond the calling thread start only on spare cores, so counts at or
+//! above the core count run alike.
 use accqoc_bench::experiments::threads_speedup_rows;
 use accqoc_bench::{fast_mode, print_table, write_csv, ExperimentContext};
 

@@ -1,7 +1,7 @@
 //! Shared experiment setup: session, benchmark suite, and the
 //! pre-compiled pulse cache.
 
-use accqoc::{PrecompileOptions, PrecompileReport, Session};
+use accqoc::{PrecompileOptions, Session};
 use accqoc_circuit::Circuit;
 use accqoc_hw::Topology;
 use accqoc_workloads::{full_suite, profiling_split, BenchProgram};
@@ -37,8 +37,6 @@ pub struct ExperimentContext {
     pub profile_idx: Vec<usize>,
     /// Indices of the evaluation programs.
     pub eval_idx: Vec<usize>,
-    /// Pre-compilation report ([`ExperimentContext::precompiled`] only).
-    pub report: Option<PrecompileReport>,
 }
 
 impl ExperimentContext {
@@ -64,7 +62,6 @@ impl ExperimentContext {
             suite,
             profile_idx,
             eval_idx,
-            report: None,
         }
     }
 
@@ -78,7 +75,7 @@ impl ExperimentContext {
     /// Panics if pre-compilation fails for a group (should not happen on
     /// the stock suite).
     pub fn precompiled() -> Self {
-        let mut ctx = Self::bare();
+        let ctx = Self::bare();
         let programs = ctx.profile_programs();
         eprintln!(
             "[context] pre-compiling category from {} profiling programs on {} workers…",
@@ -101,7 +98,6 @@ impl ExperimentContext {
             stats.makespan_iterations,
             t0.elapsed()
         );
-        ctx.report = Some(report);
         ctx
     }
 

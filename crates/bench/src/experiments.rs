@@ -627,7 +627,7 @@ pub struct ThreadsRow {
     pub makespan_iterations: usize,
     /// MST edges cut by the partition plan.
     pub cut_edges: usize,
-    /// Busiest worker's busy time, seconds.
+    /// Busiest lane's busy time, seconds.
     pub busiest_worker_s: f64,
     /// SHA-agnostic artifact fingerprint: byte length of the serialized
     /// cache (equal across rows ⇔ plan determinism held).
@@ -638,7 +638,9 @@ pub struct ThreadsRow {
 /// group category pre-compiled from scratch once per thread count on a
 /// fresh session. Because the partition plan is fixed, every row does
 /// *identical* GRAPE work — the wall-clock column isolates the engine's
-/// parallel efficiency.
+/// parallel efficiency. A row's thread count caps the engine's lanes,
+/// and a lane beyond the calling thread starts only on a spare core, so
+/// the rows at or above the core count run alike.
 pub fn threads_speedup_rows(
     ctx: &ExperimentContext,
     thread_counts: &[usize],

@@ -28,12 +28,14 @@
 //! search's, whichever lane ran which solve.
 //!
 //! The helper only runs on a core no other solver lane holds: the
-//! process counts its running lanes (the thread of every running search,
-//! and every helper). A search spawns its helper only while that count
-//! is below [`std::thread::available_parallelism`], and a helper leaves
-//! its search, between two solves, once the count is above it. The
-//! caller then runs the same lane driver alone, so several threads
-//! searching at once do not add helpers on top of a full machine.
+//! process counts its running lanes ([`SolverLane`]: the thread of every
+//! running search, every helper, and every thread a caller runs
+//! compiles on, each thread once). A search spawns its helper only while
+//! that count is below [`std::thread::available_parallelism`], and a
+//! helper leaves its search, between two solves, once the count is above
+//! it. The caller then runs the same lane driver alone, so several
+//! threads searching at once do not add helpers on top of a full
+//! machine.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -155,7 +157,8 @@ pub struct LatencyResult {
 ///
 /// The helper is spawned only while fewer solver lanes run in the process
 /// than [`std::thread::available_parallelism`] reports (every running
-/// search counts its own thread and its helper), and it leaves the search
+/// search counts its own thread, unless the thread already holds a
+/// [`SolverLane`], and its helper), and it leaves the search
 /// after its current solve once more lanes run than that. So `k` threads
 /// searching at once settle on at most `max(k, cores)` solver threads,
 /// and a search that finds every core busy, or cannot spawn its helper,
@@ -206,7 +209,7 @@ pub fn find_minimal_latency(
     search: &LatencySearch,
     ws: &mut Workspace,
 ) -> Result<LatencyResult, LatencyError> {
-    let _caller = LaneSlot::take();
+    let _caller = SolverLane::caller();
     search_on_lanes(model, target, seed, options, search, ws, LaneSlot::spare())
 }
 
@@ -243,6 +246,7 @@ type Solver<'s> =
 static RUNNING_LANES: AtomicUsize = AtomicUsize::new(0);
 
 /// One solver lane, counted in [`RUNNING_LANES`] while it lives.
+#[derive(Debug)]
 struct LaneSlot {
     /// Whether the lane gives its core back once more lanes run than
     /// the machine has cores: a helper's slot from [`LaneSlot::spare`].
@@ -286,6 +290,82 @@ fn cores() -> usize {
 impl Drop for LaneSlot {
     fn drop(&mut self) {
         RUNNING_LANES.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+thread_local! {
+    /// Whether this thread is counted in [`RUNNING_LANES`] through a
+    /// [`SolverLane`].
+    static ON_LANE: Cell<bool> = const { Cell::new(false) };
+}
+
+/// A solver lane held in the process-wide count that decides whether a
+/// latency search gets a helper lane: how a caller that runs compiles on
+/// several threads of its own shares the machine's cores with the
+/// searches it runs.
+///
+/// Every thread that runs solves is counted once: a search counts its own
+/// thread (unless the thread already holds a lane) and its helper, and a
+/// thread that runs many searches can hold one lane across all of them.
+/// A thread is started on a [`SolverLane::spare`] lane only while fewer
+/// lanes run than [`std::thread::available_parallelism`] reports, so
+/// `k` callers settle on at most `max(k, cores)` solver threads.
+#[derive(Debug)]
+pub struct SolverLane {
+    slot: Option<LaneSlot>,
+    /// Whether this value marked its thread as counted, and so unmarks
+    /// it when dropped (on the same thread).
+    marks: bool,
+}
+
+impl SolverLane {
+    /// Counts the calling thread as a lane until the value is dropped; a
+    /// no-op when the thread already holds one.
+    pub fn caller() -> Self {
+        if ON_LANE.get() {
+            return Self {
+                slot: None,
+                marks: false,
+            };
+        }
+        ON_LANE.set(true);
+        Self {
+            slot: Some(LaneSlot::take()),
+            marks: true,
+        }
+    }
+
+    /// A lane for a thread about to start, if fewer lanes run than the
+    /// machine has cores. The thread calls [`SolverLane::enter`] before
+    /// its first solve, so the searches it runs count no second lane.
+    pub fn spare() -> Option<Self> {
+        LaneSlot::spare().map(|slot| Self {
+            slot: Some(slot),
+            marks: false,
+        })
+    }
+
+    /// Marks the current thread as running on this lane. Drop the lane on
+    /// the thread that entered it.
+    pub fn enter(&mut self) {
+        if !ON_LANE.get() {
+            ON_LANE.set(true);
+            self.marks = true;
+        }
+    }
+
+    /// Whether a [spare](SolverLane::spare) lane should give its core
+    /// back: more lanes run than the machine has cores.
+    pub fn crowded(&self) -> bool {
+        self.slot.as_ref().is_some_and(LaneSlot::crowded)
+    }
+}
+
+impl Drop for SolverLane {
+    fn drop(&mut self) {
+        if self.marks {
+            ON_LANE.set(false);
+        }
     }
 }
 

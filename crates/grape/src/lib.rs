@@ -37,7 +37,9 @@ mod propagate;
 mod pulse;
 mod workspace;
 
-pub use binary_search::{find_minimal_latency, LatencyError, LatencyResult, LatencySearch};
+pub use binary_search::{
+    find_minimal_latency, LatencyError, LatencyResult, LatencySearch, SolverLane,
+};
 pub use grape::{
     cost_and_gradient_into, infidelity, solve, solve_with, GradientMethod, GrapeOptions,
     GrapeOutcome, GrapeProblem, InitStrategy,

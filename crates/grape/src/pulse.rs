@@ -20,8 +20,10 @@
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Pulse {
-    /// `amps[channel][step]`.
-    amps: Vec<Vec<f64>>,
+    /// Channel-major amplitudes: channel `c`, step `k` at
+    /// `amps[c * n_steps + k]`.
+    amps: Vec<f64>,
+    n_controls: usize,
     dt_ns: f64,
 }
 
@@ -35,7 +37,8 @@ impl Pulse {
         assert!(dt_ns > 0.0, "dt must be positive");
         assert!(n_controls > 0, "need at least one control channel");
         Self {
-            amps: vec![vec![0.0; n_steps]; n_controls],
+            amps: vec![0.0; n_controls * n_steps],
+            n_controls,
             dt_ns,
         }
     }
@@ -53,17 +56,21 @@ impl Pulse {
             amps.iter().all(|row| row.len() == steps),
             "ragged amplitude rows"
         );
-        Self { amps, dt_ns }
+        Self {
+            n_controls: amps.len(),
+            amps: amps.concat(),
+            dt_ns,
+        }
     }
 
     /// Number of control channels.
     pub fn n_controls(&self) -> usize {
-        self.amps.len()
+        self.n_controls
     }
 
     /// Number of time slices.
     pub fn n_steps(&self) -> usize {
-        self.amps[0].len()
+        self.amps.len() / self.n_controls
     }
 
     /// Slice width in nanoseconds.
@@ -82,7 +89,7 @@ impl Pulse {
     ///
     /// Panics when out of range.
     pub fn amp(&self, channel: usize, step: usize) -> f64 {
-        self.amps[channel][step]
+        self.channel(channel)[step]
     }
 
     /// Sets one amplitude.
@@ -91,23 +98,25 @@ impl Pulse {
     ///
     /// Panics when out of range.
     pub fn set(&mut self, channel: usize, step: usize, value: f64) {
-        self.amps[channel][step] = value;
+        let n_steps = self.n_steps();
+        self.amps[channel * n_steps..(channel + 1) * n_steps][step] = value;
     }
 
     /// Amplitude row of one channel.
     pub fn channel(&self, channel: usize) -> &[f64] {
-        &self.amps[channel]
+        let n_steps = self.n_steps();
+        &self.amps[channel * n_steps..(channel + 1) * n_steps]
     }
 
     /// Amplitudes of every channel at one time step.
     pub fn step_amps(&self, step: usize) -> Vec<f64> {
-        self.amps.iter().map(|row| row[step]).collect()
+        (0..self.n_controls).map(|c| self.amp(c, step)).collect()
     }
 
     /// Flattens to the GRAPE parameter vector layout
     /// (`[channel-major]`: channel 0 steps, channel 1 steps, …).
     pub fn to_params(&self) -> Vec<f64> {
-        self.amps.iter().flatten().copied().collect()
+        self.amps.clone()
     }
 
     /// Rebuilds a pulse from the flat parameter layout of
@@ -118,10 +127,9 @@ impl Pulse {
     /// Panics if `params.len() != n_controls * n_steps`.
     pub fn from_params(params: &[f64], n_controls: usize, n_steps: usize, dt_ns: f64) -> Self {
         assert_eq!(params.len(), n_controls * n_steps, "parameter count");
-        let amps = (0..n_controls)
-            .map(|c| params[c * n_steps..(c + 1) * n_steps].to_vec())
-            .collect();
-        Self::from_amps(amps, dt_ns)
+        let mut pulse = Self::zeros(n_controls, n_steps, dt_ns);
+        pulse.amps.copy_from_slice(params);
+        pulse
     }
 
     /// Resamples onto `new_steps` slices by linear interpolation of each
@@ -139,12 +147,13 @@ impl Pulse {
             return self.clone();
         }
         let mut out = Pulse::zeros(self.n_controls(), new_steps, self.dt_ns);
-        for c in 0..self.n_controls() {
-            for k in 0..new_steps {
-                let v = if old == 0 {
+        for (c, row) in out.amps.chunks_exact_mut(new_steps).enumerate() {
+            let src = self.channel(c);
+            for (k, v) in row.iter_mut().enumerate() {
+                *v = if old == 0 {
                     0.0
                 } else if old == 1 {
-                    self.amps[c][0]
+                    src[0]
                 } else {
                     // Sample positions at slice centers, mapped proportionally.
                     let pos = (k as f64 + 0.5) / new_steps as f64 * old as f64 - 0.5;
@@ -152,9 +161,8 @@ impl Pulse {
                     let lo = pos.floor() as usize;
                     let hi = (lo + 1).min(old - 1);
                     let frac = pos - lo as f64;
-                    self.amps[c][lo] * (1.0 - frac) + self.amps[c][hi] * frac
+                    src[lo] * (1.0 - frac) + src[hi] * frac
                 };
-                out.amps[c][k] = v;
             }
         }
         out
@@ -174,25 +182,21 @@ impl Pulse {
             "channel count mismatch"
         );
         assert!((self.dt_ns - other.dt_ns).abs() < 1e-12, "dt mismatch");
-        let amps = self
-            .amps
-            .iter()
-            .zip(&other.amps)
-            .map(|(a, b)| {
-                let mut row = a.clone();
-                row.extend_from_slice(b);
-                row
-            })
-            .collect();
-        Pulse::from_amps(amps, self.dt_ns)
+        let mut amps = Vec::with_capacity(self.amps.len() + other.amps.len());
+        for c in 0..self.n_controls {
+            amps.extend_from_slice(self.channel(c));
+            amps.extend_from_slice(other.channel(c));
+        }
+        Pulse {
+            amps,
+            n_controls: self.n_controls,
+            dt_ns: self.dt_ns,
+        }
     }
 
     /// Largest absolute amplitude across all channels and steps.
     pub fn max_abs_amp(&self) -> f64 {
-        self.amps
-            .iter()
-            .flatten()
-            .fold(0.0f64, |m, &v| m.max(v.abs()))
+        self.amps.iter().fold(0.0f64, |m, &v| m.max(v.abs()))
     }
 }
 

@@ -24,11 +24,13 @@
 //! responses in request order even when workers finish out of order.
 //! Idle connections therefore cost a registry entry, not an OS thread —
 //! the thread budget is `1 + workers` regardless of connection count,
-//! plus the helper lanes of latency searches: a worker that compiles a
-//! miss may run its search on a second thread, but only while fewer
-//! solver threads run in the process than it has cores
-//! ([`accqoc_grape::find_minimal_latency`]), so `w` workers compiling at
-//! once settle on at most `max(w, cores)` solver threads.
+//! plus the spare solver lanes of compiles: a worker serving a program's
+//! misses compiles independent groups side by side on extra threads,
+//! and a latency search may run on a second thread, but each only while
+//! fewer solver threads run in the process than it has cores
+//! ([`accqoc_grape::SolverLane`]), so `w` workers compiling at once
+//! settle on at most `max(w, cores)` solver threads. A serve plans its
+//! misses against the library as it stands when the plan is made.
 //!
 //! The first bytes of a connection select its protocol: `{` (or any
 //! non-HTTP first line) means the newline-delimited JSON line protocol,
@@ -53,8 +55,8 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use accqoc::json::hex_encode;
-use accqoc::{CachedPulse, PulseCache, Session};
-use accqoc_circuit::{parse_qasm, UnitaryKey};
+use accqoc::{PulseCache, Session};
+use accqoc_circuit::parse_qasm;
 
 use crate::http::{self, Format, HttpParse};
 use crate::inflight::InflightGroups;
@@ -70,10 +72,10 @@ use crate::queue::{BoundedQueue, EnqueueError};
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Worker threads compiling/serving admitted requests (≥ 1). A
-    /// worker compiling a miss borrows a spare core for its latency
-    /// search's helper lane when one is free, so `workers` below the core
-    /// count still keeps every core busy on misses; more workers than
-    /// cores only add lanes that share them.
+    /// worker serving misses borrows each spare core it finds for an
+    /// independent compile or a latency search's helper lane, so
+    /// `workers` below the core count still keeps every core busy on
+    /// misses; more workers than cores only add lanes that share them.
     pub workers: usize,
     /// Admission-queue capacity: requests pending beyond the workers'
     /// in-flight set. A full queue rejects with a typed `busy` error —
@@ -1100,24 +1102,18 @@ fn handle_call(
             }
         }
         Call::Library { limit, offset } => {
-            let snapshot = session.cache_snapshot();
-            let total = snapshot.len();
-            let mut entries: Vec<(&UnitaryKey, &CachedPulse)> = snapshot.iter().collect();
-            // The backing store is unordered; sort so pagination is
-            // stable across pages cut from the same snapshot.
-            entries.sort_by(|a, b| a.0.cmp(b.0));
-            let page = entries
-                .into_iter()
-                .skip(offset)
-                .take(limit)
-                .map(|(key, cached)| LibraryEntryInfo {
-                    key: hex_encode(key.as_bytes()),
-                    n_qubits: cached.n_qubits,
-                    latency_ns: cached.latency_ns,
-                    iterations: cached.iterations,
-                    n_steps: cached.pulse.n_steps(),
-                })
-                .collect();
+            // Key order, cut under the library lock: only the page's rows
+            // are built.
+            let (total, page) =
+                session
+                    .library()
+                    .page(offset, limit, |key, cached| LibraryEntryInfo {
+                        key: hex_encode(key.as_bytes()),
+                        n_qubits: cached.n_qubits,
+                        latency_ns: cached.latency_ns,
+                        iterations: cached.iterations,
+                        n_steps: cached.pulse.n_steps(),
+                    });
             Response {
                 id,
                 body: Ok(Payload::Library(LibraryPage {

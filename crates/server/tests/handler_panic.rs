@@ -2,7 +2,8 @@
 //! its worker down with it: the panicking call is answered with a typed
 //! `internal` error, later requests on the same connection are answered,
 //! the pool keeps its size however many handlers panic, and the daemon
-//! still shuts down cleanly.
+//! still shuts down cleanly. A compile that panics on a thread of the
+//! compile executor answers the same way.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -88,4 +89,64 @@ fn panicking_handler_answers_internal_and_keeps_serving() {
         .expect("run does not re-raise a handler panic")
         .expect("run returns Ok");
     assert_eq!(counters.requests_served, 2 + (workers as u64 + 1) + 1 + 1);
+}
+
+/// Serves, on every `library` call, a program of three independent
+/// single-qubit groups labelled one qubit too wide, so each compile
+/// panics in GRAPE on whichever lane of the compile executor runs it.
+struct PanicsInACompile {
+    session: accqoc::Session,
+}
+
+impl CallHandler for PanicsInACompile {
+    fn handle(&self, _id: u64, _call: Call, _ctx: &HandlerContext<'_>) -> Response {
+        let program = accqoc_circuit::Circuit::from_gates(
+            3,
+            [
+                accqoc_circuit::Gate::H(0),
+                accqoc_circuit::Gate::Rx(1, 0.9),
+                accqoc_circuit::Gate::Ry(2, 2.3),
+            ],
+        );
+        let mut grouped = self.session.front_end(&program);
+        for target in &mut grouped.targets {
+            target.n_qubits += 1;
+        }
+        let served = self
+            .session
+            .serve_grouped(&grouped, &accqoc::ServeOptions::default());
+        panic!("a mis-sized compile returned: {served:?}");
+    }
+}
+
+#[test]
+fn a_compile_that_panics_on_any_lane_answers_internal() {
+    let session = accqoc::Session::builder()
+        .topology(accqoc_hw::Topology::linear(3))
+        .build()
+        .expect("valid session");
+    let server = Server::bind_with_handler(
+        Arc::new(PanicsInACompile { session }),
+        "127.0.0.1:0",
+        ServerConfig::default(),
+    )
+    .expect("bind ephemeral port");
+    let addr = server.local_addr();
+    let handle = std::thread::spawn(move || server.run());
+    let timeout = Some(Duration::from_secs(20));
+    let mut client = Client::connect_with(addr, Duration::from_secs(5), timeout).expect("connect");
+    for _ in 0..3 {
+        match client.library(1, 0) {
+            Err(ClientError::Remote(e)) => {
+                assert_eq!(e.code, ErrorCode::Internal, "{e:?}");
+                assert!(e.message.contains("target dimension"), "{e:?}");
+            }
+            other => panic!("expected a typed internal error, got {other:?}"),
+        }
+    }
+    client.shutdown().expect("shutdown");
+    handle
+        .join()
+        .expect("run does not re-raise a handler panic")
+        .expect("run returns Ok");
 }
