@@ -7,8 +7,8 @@
 //!   compiled from scratch, giving the best latency at enormous compile
 //!   cost. The paper's brute force reaches 10-qubit groups and takes
 //!   hours; we cap the group width (3 qubits by default) to keep the
-//!   experiment tractable while preserving the trade-off's direction,
-//!   and record the cap in EXPERIMENTS.md.
+//!   experiment tractable while preserving the trade-off's direction;
+//!   Figure 15 prints the cap beside its results.
 
 use accqoc_circuit::Circuit;
 use accqoc_grape::LatencySearch;

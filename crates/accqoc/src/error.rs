@@ -38,6 +38,14 @@ pub enum Error {
         /// Largest supported arity.
         max: usize,
     },
+    /// A program declares more qubits than the session's device has, so
+    /// the front end cannot map it.
+    ProgramTooWide {
+        /// Qubits the program declares.
+        n_qubits: usize,
+        /// Physical qubits of the device.
+        device: usize,
+    },
     /// A group over zero qubits was submitted (no control model exists
     /// for it, and no pulse could realize it).
     EmptyGroup,
@@ -104,6 +112,10 @@ impl fmt::Display for Error {
             Self::GroupTooWide { n_qubits, max } => {
                 write!(f, "group has {n_qubits} qubits but models stop at {max}")
             }
+            Self::ProgramTooWide { n_qubits, device } => write!(
+                f,
+                "program declares {n_qubits} qubits but the device has {device}"
+            ),
             Self::EmptyGroup => write!(f, "group spans zero qubits"),
             Self::InvalidTarget { n_qubits, message } => {
                 write!(f, "the {n_qubits}-qubit target {message}")
@@ -207,6 +219,13 @@ mod tests {
                     max: 2,
                 },
                 "5 qubits",
+            ),
+            (
+                Error::ProgramTooWide {
+                    n_qubits: 100,
+                    device: 3,
+                },
+                "100 qubits but the device has 3",
             ),
             (Error::EmptyGroup, "zero qubits"),
             (Error::Builder { field: "topology" }, "`topology`"),

@@ -776,11 +776,12 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Propagates group-compilation failures. On a capacity-bounded
-    /// library, returns [`Error::CapacityExceeded`] when the program has
-    /// more unique groups than the library can hold at once (the latency
-    /// stage would find its own pulses already evicted) — use
-    /// [`Session::serve_program`] for bounded libraries.
+    /// [`Error::ProgramTooWide`] when the program declares more qubits
+    /// than the device has. Propagates group-compilation failures. On a
+    /// capacity-bounded library, returns [`Error::CapacityExceeded`] when
+    /// the program has more unique groups than the library can hold at
+    /// once (the latency stage would find its own pulses already evicted)
+    /// — use [`Session::serve_program`] for bounded libraries.
     ///
     /// # Examples
     ///
@@ -804,6 +805,7 @@ impl Session {
     /// # Ok::<(), accqoc::Error>(())
     /// ```
     pub fn compile_program(&self, circuit: &Circuit) -> Result<ProgramCompilation> {
+        self.check_width(circuit)?;
         let decomposed = self.decompose(circuit);
         let mapped = self.map(&decomposed);
         let grouped = self.group(&mapped);
@@ -835,9 +837,33 @@ impl Session {
         })
     }
 
+    /// Checks that `circuit` fits the device: [`Session::front_end`]
+    /// maps each logical qubit onto a physical one, so a program may
+    /// declare at most as many qubits as the topology has.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::ProgramTooWide`] when it declares more.
+    pub fn check_width(&self, circuit: &Circuit) -> Result<()> {
+        let device = self.config.topology.n_qubits();
+        if circuit.n_qubits() > device {
+            return Err(Error::ProgramTooWide {
+                n_qubits: circuit.n_qubits(),
+                device,
+            });
+        }
+        Ok(())
+    }
+
     // -- lower-level entry points -------------------------------------------
 
     /// Front-end only: decompose, map, and group a program.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the program declares more qubits than the device has
+    /// (the mapper needs a physical qubit per logical one); run
+    /// [`Session::check_width`] first on untrusted programs.
     pub fn front_end(&self, circuit: &Circuit) -> GroupReport {
         let decomposed = self.decompose(circuit);
         let mapped = self.map(&decomposed);
@@ -942,9 +968,10 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidConfig`] when `threads` is `Some(0)`; otherwise
-    /// propagates group-compilation failures, leaving the cache
-    /// untouched.
+    /// [`Error::InvalidConfig`] when `threads` is `Some(0)`;
+    /// [`Error::ProgramTooWide`] when a program declares more qubits than
+    /// the device has; otherwise propagates group-compilation failures,
+    /// leaving the cache untouched.
     ///
     /// # Examples
     ///
@@ -974,6 +1001,9 @@ impl Session {
         programs: &[Circuit],
         options: &PrecompileOptions<'_>,
     ) -> Result<(PrecompileReport, ParallelStats)> {
+        for program in programs {
+            self.check_width(program)?;
+        }
         let (plan_width, threads) = match options.threads {
             None => (1, 1),
             Some(threads) => (DEFAULT_PLAN_PARTS, threads),
@@ -999,7 +1029,9 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Propagates group-compilation failures.
+    /// [`Error::ProgramTooWide`] when the program declares more qubits
+    /// than the device has; otherwise propagates group-compilation
+    /// failures.
     ///
     /// # Examples
     ///
@@ -1024,6 +1056,7 @@ impl Session {
     /// # Ok::<(), accqoc::Error>(())
     /// ```
     pub fn serve_program(&self, circuit: &Circuit) -> Result<ServeReport> {
+        self.check_width(circuit)?;
         self.serve_grouped(&self.front_end(circuit), &ServeOptions::default())
     }
 
@@ -1104,10 +1137,12 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// [`Error::UncoveredGroup`] when a group has no cached pulse
-    /// (compile the program first); [`Error::InvalidConfig`] when a
-    /// cached pulse does not fit its control model; [`Error::Linalg`]
-    /// when a cached pulse does not propagate (a non-finite amplitude).
+    /// [`Error::ProgramTooWide`] when the program declares more qubits
+    /// than the device has; [`Error::UncoveredGroup`] when a group has no
+    /// cached pulse (compile the program first); [`Error::InvalidConfig`]
+    /// when a cached pulse does not fit its control model;
+    /// [`Error::Linalg`] when a cached pulse does not propagate (a
+    /// non-finite amplitude).
     ///
     /// # Examples
     ///
@@ -1130,6 +1165,7 @@ impl Session {
     /// # Ok::<(), accqoc::Error>(())
     /// ```
     pub fn verify_program(&self, circuit: &Circuit) -> Result<crate::VerifyReport> {
+        self.check_width(circuit)?;
         crate::verify::verify_program(self, circuit)
     }
 

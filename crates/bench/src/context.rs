@@ -10,7 +10,7 @@ use accqoc_workloads::{full_suite, profiling_split, BenchProgram};
 pub const SPLIT_SEED: u64 = 42;
 
 /// `true` when `ACCQOC_FAST=1`: experiments shrink their sample sizes so a
-/// full figure sweep completes in a couple of minutes (useful for smoke
+/// full `paper` run completes in under a minute (useful for smoke
 /// tests; published numbers should use the default mode).
 pub fn fast_mode() -> bool {
     std::env::var("ACCQOC_FAST")
@@ -25,7 +25,7 @@ pub fn n_workers() -> usize {
         .unwrap_or(4)
 }
 
-/// Everything a figure binary needs.
+/// Everything an experiment of the `paper` binary needs.
 pub struct ExperimentContext {
     /// The Melbourne/map2b4l session of the paper's headline setup; owns
     /// the (possibly pre-compiled) pulse cache.

@@ -1,8 +1,7 @@
 //! Implementations of the paper's tables and figures.
 //!
-//! Every function returns plain row data; binaries print/CSV them. See
-//! `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for measured
-//! versus published numbers.
+//! Every function returns plain row data; the `paper` binary formats,
+//! prints and records them.
 
 use std::collections::HashMap;
 
@@ -10,7 +9,7 @@ use accqoc::{
     brute_force_qoc, collect_category, mst_compile_order, scratch_order, BruteForceConfig,
     CompileOrder, PrecompileOptions, Session, SimilarityFn, SimilarityGraph,
 };
-use accqoc_circuit::{Circuit, GateKind, UnitaryKey};
+use accqoc_circuit::{Circuit, GateKind};
 use accqoc_grape::Pulse;
 use accqoc_group::GroupingPolicy;
 use accqoc_hw::{NoiseModel, Topology};
@@ -148,28 +147,6 @@ pub fn fig7_rows(ctx: &ExperimentContext, n_programs: usize) -> Vec<(String, usi
 // ---------------------------------------------------------------------------
 // Figures 8 & 13 — iteration reduction from similarity-ordered training.
 // ---------------------------------------------------------------------------
-
-/// Compile cost (total GRAPE iterations over latency searches) of a group
-/// category under a given compile order, applying the warm threshold.
-pub fn order_cost(session: &Session, canonical: &[(Mat, usize)], order: &CompileOrder) -> usize {
-    let mut pulses: HashMap<usize, Pulse> = HashMap::new();
-    let mut total = 0usize;
-    for step in &order.steps {
-        let (target, n_qubits) = &canonical[step.vertex];
-        let warm = step
-            .parent
-            .filter(|&p| {
-                accqoc::warm_start_allowed(&canonical[p].0, target, session.config().warm_threshold)
-            })
-            .and_then(|p| pulses.get(&p));
-        let r = session
-            .compile_unitary(target, *n_qubits, warm)
-            .expect("category groups compile");
-        total += r.total_iterations;
-        pulses.insert(step.vertex, r.outcome.pulse.clone());
-    }
-    total
-}
 
 /// Fixed-latency training cost of a category under a compile order:
 /// every group is solved at its own (pre-established) slice count; warm
@@ -627,8 +604,6 @@ pub struct ThreadsRow {
     pub makespan_iterations: usize,
     /// MST edges cut by the partition plan.
     pub cut_edges: usize,
-    /// Busiest lane's busy time, seconds.
-    pub busiest_worker_s: f64,
     /// SHA-agnostic artifact fingerprint: byte length of the serialized
     /// cache (equal across rows ⇔ plan determinism held).
     pub artifact_bytes: usize,
@@ -671,11 +646,6 @@ pub fn threads_speedup_rows(
         if rows.is_empty() {
             baseline_wall = wall_s;
         }
-        let busiest_worker_s = stats
-            .worker_timings
-            .iter()
-            .map(|t| t.wall.as_secs_f64())
-            .fold(0.0, f64::max);
         rows.push(ThreadsRow {
             threads,
             wall_s,
@@ -684,7 +654,6 @@ pub fn threads_speedup_rows(
             total_iterations: stats.total_iterations,
             makespan_iterations: stats.makespan_iterations,
             cut_edges: stats.cut_edges,
-            busiest_worker_s,
             artifact_bytes: session.cache_snapshot().to_json().len(),
         });
     }
@@ -721,11 +690,6 @@ pub fn fig9_example(ctx: &ExperimentContext) -> Fig9Example {
         tree.weights.clone(),
         partition.part_of,
     )
-}
-
-/// Convenience: keys of a category (used by binaries for reporting).
-pub fn category_keys(session: &Session, programs: &[Circuit]) -> Vec<UnitaryKey> {
-    collect_category(session, programs).1
 }
 
 #[cfg(test)]

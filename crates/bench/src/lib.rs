@@ -1,10 +1,11 @@
 //! Experiment harness reproducing every table and figure of the AccQOC
 //! paper's evaluation (§VI).
 //!
-//! Each `fig*`/`table*` binary in `src/bin/` regenerates one artifact;
-//! this library holds the shared setup (compiler, suite, pulse-cache
-//! persistence) and the experiment implementations so binaries stay thin
-//! and integration tests can call the same code.
+//! The `paper` binary in `src/bin/` regenerates them all, or the ones it
+//! is named; this library holds the shared setup (session, suite, the
+//! in-process category pre-compile) and the experiment implementations,
+//! so the binary only formats and records rows and integration tests can
+//! call the same code.
 
 #![warn(missing_docs)]
 

@@ -41,8 +41,10 @@ impl Error for QasmError {}
 ///
 /// # Errors
 ///
-/// Returns [`QasmError`] on unknown gates, malformed operands, references
-/// to undeclared registers, or angle-expression syntax errors.
+/// Returns [`QasmError`] on unknown gates, malformed operands or register
+/// declarations, registers whose sizes sum past `usize::MAX`, references
+/// to undeclared registers, a gate listing one qubit twice, or
+/// angle-expression syntax errors (including nesting deeper than 64).
 ///
 /// # Examples
 ///
@@ -110,8 +112,14 @@ fn parse_statement(
     }
     if let Some(rest) = stmt.strip_prefix("qreg") {
         let (name, size) = parse_reg_decl(rest.trim()).map_err(&err)?;
-        registers.insert(name, (*total_qubits, size));
-        *total_qubits += size;
+        let offset = *total_qubits;
+        *total_qubits = offset.checked_add(size).ok_or_else(|| {
+            err(format!(
+                "register {name:?} takes the qubit count past {}",
+                usize::MAX
+            ))
+        })?;
+        registers.insert(name, (offset, size));
         return Ok(());
     }
     if stmt.starts_with("creg") || stmt.starts_with("barrier") || stmt.starts_with("measure") {
@@ -139,21 +147,29 @@ fn parse_statement(
         .collect::<Result<_, _>>()?;
 
     let gate = build_gate(&name, &params, &operands, line)?;
+    if let Some(&q) = (1..operands.len()).find_map(|i| {
+        let q = &operands[i];
+        operands[..i].contains(q).then_some(q)
+    }) {
+        return Err(err(format!("gate {name:?} lists qubit {q} more than once")));
+    }
     gates.push(gate);
     Ok(())
 }
 
+/// Splits `name[index]` at its first `[` and the first `]` after it.
+fn split_indexed(text: &str) -> Option<(&str, &str)> {
+    let (name, rest) = text.split_once('[')?;
+    let (index, _) = rest.split_once(']')?;
+    Some((name.trim(), index.trim()))
+}
+
 fn parse_reg_decl(decl: &str) -> Result<(String, usize), String> {
     // e.g. "q[14]"
-    let open = decl
-        .find('[')
-        .ok_or_else(|| format!("bad register declaration {decl:?}"))?;
-    let close = decl
-        .find(']')
-        .ok_or_else(|| format!("bad register declaration {decl:?}"))?;
-    let name = decl[..open].trim().to_string();
-    let size: usize = decl[open + 1..close]
-        .trim()
+    let (name, size) =
+        split_indexed(decl).ok_or_else(|| format!("bad register declaration {decl:?}"))?;
+    let name = name.to_string();
+    let size: usize = size
         .parse()
         .map_err(|_| format!("bad register size in {decl:?}"))?;
     if name.is_empty() {
@@ -163,13 +179,13 @@ fn parse_reg_decl(decl: &str) -> Result<(String, usize), String> {
 }
 
 fn parse_gate_head(head: &str, line: usize) -> Result<(String, Vec<f64>), QasmError> {
-    if let Some(open) = head.find('(') {
-        let close = head.rfind(')').ok_or_else(|| QasmError {
+    if let Some((name, rest)) = head.split_once('(') {
+        let (params, _) = rest.rsplit_once(')').ok_or_else(|| QasmError {
             line,
             message: format!("missing ')' in {head:?}"),
         })?;
-        let name = head[..open].trim().to_lowercase();
-        let params = head[open + 1..close]
+        let name = name.trim().to_lowercase();
+        let params = params
             .split(',')
             .map(|e| eval_expr(e.trim()).map_err(|m| QasmError { line, message: m }))
             .collect::<Result<Vec<f64>, _>>()?;
@@ -185,15 +201,9 @@ fn resolve_operand(
     line: usize,
 ) -> Result<usize, QasmError> {
     let err = |message: String| QasmError { line, message };
-    let open = op
-        .find('[')
-        .ok_or_else(|| err(format!("expected reg[idx], got {op:?}")))?;
-    let close = op
-        .find(']')
-        .ok_or_else(|| err(format!("expected reg[idx], got {op:?}")))?;
-    let name = op[..open].trim();
-    let idx: usize = op[open + 1..close]
-        .trim()
+    let (name, idx) =
+        split_indexed(op).ok_or_else(|| err(format!("expected reg[idx], got {op:?}")))?;
+    let idx: usize = idx
         .parse()
         .map_err(|_| err(format!("bad qubit index in {op:?}")))?;
     let &(offset, size) = registers
@@ -350,10 +360,15 @@ pub fn to_qasm(circuit: &Circuit) -> String {
 // Angle expression evaluation: +, -, *, /, unary -, parentheses, `pi`.
 // ---------------------------------------------------------------------------
 
+/// How deeply factors may nest (parentheses and unary signs): deeper
+/// input is an error, not a stack overflow.
+const MAX_NESTING: usize = 64;
+
 fn eval_expr(src: &str) -> Result<f64, String> {
     let mut p = ExprParser {
         chars: src.chars().collect(),
         pos: 0,
+        depth: 0,
     };
     let v = p.expr()?;
     p.skip_ws();
@@ -371,6 +386,8 @@ fn eval_expr(src: &str) -> Result<f64, String> {
 struct ExprParser {
     chars: Vec<char>,
     pos: usize,
+    /// Factors open on the recursion stack.
+    depth: usize,
 }
 
 impl ExprParser {
@@ -422,6 +439,16 @@ impl ExprParser {
     }
 
     fn factor(&mut self) -> Result<f64, String> {
+        if self.depth == MAX_NESTING {
+            return Err(format!("expression nested deeper than {MAX_NESTING}"));
+        }
+        self.depth += 1;
+        let value = self.atom();
+        self.depth -= 1;
+        value
+    }
+
+    fn atom(&mut self) -> Result<f64, String> {
         match self.peek() {
             Some('-') => {
                 self.pos += 1;
@@ -541,6 +568,26 @@ mod tests {
     }
 
     #[test]
+    fn deep_angle_nesting_is_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| {
+            format!(
+                "qreg q[1]; rz({}1{}) q[0];",
+                "(".repeat(depth),
+                ")".repeat(depth)
+            )
+        };
+        assert!(parse_qasm(&nested(MAX_NESTING - 1)).is_ok());
+        for deep in [
+            nested(MAX_NESTING),
+            nested(100_000),
+            format!("qreg q[1]; rz({}1) q[0];", "-".repeat(100_000)),
+        ] {
+            let e = parse_qasm(&deep).unwrap_err();
+            assert!(e.message.contains("nested deeper"), "{e}");
+        }
+    }
+
+    #[test]
     fn error_cases_report_lines() {
         let cases = [
             ("qreg q[1];\nbogus q[0];", "unsupported gate"),
@@ -550,6 +597,11 @@ mod tests {
             ("qreg q[1];\nrz(1+) q[0];", "unexpected token"),
             ("qreg q[1];\nrz(1e400) q[0];", "non-finite"),
             ("qreg q[1];\ncx q[0];", "expects 0 params / 2 operands"),
+            ("qreg q[2];\ncx q[1], q[1];", "lists qubit 1 more than once"),
+            ("qreg q[1];\nqreg q]x[;", "bad register declaration"),
+            ("qreg a[18446744073709551615];\nqreg b[1];", "past"),
+            ("qreg q[1];\nx q]0[;", "expected reg[idx]"),
+            ("qreg q[1];\nrz)(1( q[0];", "missing ')'"),
         ];
         for (src, needle) in cases {
             let e = parse_qasm(src).unwrap_err();

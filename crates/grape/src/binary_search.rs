@@ -210,11 +210,19 @@ pub fn find_minimal_latency(
     ws: &mut Workspace,
 ) -> Result<LatencyResult, LatencyError> {
     let _caller = SolverLane::caller();
-    search_on_lanes(model, target, seed, options, search, ws, LaneSlot::spare())
+    search_on_lanes(
+        model,
+        target,
+        seed,
+        options,
+        search,
+        ws,
+        SolverLane::spare(),
+    )
 }
 
 /// [`find_minimal_latency`] with its helper decided: two lanes given a
-/// `helper` slot, this thread alone without one.
+/// `helper` lane, this thread alone without one.
 fn search_on_lanes(
     model: &ControlModel,
     target: &Mat,
@@ -222,7 +230,7 @@ fn search_on_lanes(
     options: &GrapeOptions,
     search: &LatencySearch,
     ws: &mut Workspace,
-    helper: Option<LaneSlot>,
+    helper: Option<SolverLane>,
 ) -> Result<LatencyResult, LatencyError> {
     let search = Search::new(model, seed, options, search)?;
     run_lanes(search, ws, helper, &|n_steps, options, ws, cancel| {
@@ -245,52 +253,11 @@ type Solver<'s> =
 /// search and every helper lane.
 static RUNNING_LANES: AtomicUsize = AtomicUsize::new(0);
 
-/// One solver lane, counted in [`RUNNING_LANES`] while it lives.
-#[derive(Debug)]
-struct LaneSlot {
-    /// Whether the lane gives its core back once more lanes run than
-    /// the machine has cores: a helper's slot from [`LaneSlot::spare`].
-    yields: bool,
-}
-
-impl LaneSlot {
-    /// Counts a lane that runs whatever the count is: a search's own
-    /// thread.
-    fn take() -> Self {
-        RUNNING_LANES.fetch_add(1, Ordering::Relaxed);
-        Self { yields: false }
-    }
-
-    /// A slot for a helper lane, if fewer lanes run than the machine has
-    /// cores.
-    fn spare() -> Option<Self> {
-        let cores = cores();
-        RUNNING_LANES
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-                (n < cores).then_some(n + 1)
-            })
-            .ok()
-            .map(|_| Self { yields: true })
-    }
-
-    /// Whether this lane should leave its search: it yields, and more
-    /// lanes run than the machine has cores.
-    fn crowded(&self) -> bool {
-        self.yields && RUNNING_LANES.load(Ordering::Relaxed) > cores()
-    }
-}
-
 /// The machine's cores, as [`std::thread::available_parallelism`] reports
 /// them on first use.
 fn cores() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
-impl Drop for LaneSlot {
-    fn drop(&mut self) {
-        RUNNING_LANES.fetch_sub(1, Ordering::Relaxed);
-    }
 }
 
 thread_local! {
@@ -312,7 +279,12 @@ thread_local! {
 /// `k` callers settle on at most `max(k, cores)` solver threads.
 #[derive(Debug)]
 pub struct SolverLane {
-    slot: Option<LaneSlot>,
+    /// Whether this value holds one of [`RUNNING_LANES`], and gives it
+    /// back when dropped.
+    counted: bool,
+    /// Whether the lane gives its core back once more lanes run than the
+    /// machine has cores: a [spare](SolverLane::spare) lane.
+    yields: bool,
     /// Whether this value marked its thread as counted, and so unmarks
     /// it when dropped (on the same thread).
     marks: bool,
@@ -322,16 +294,15 @@ impl SolverLane {
     /// Counts the calling thread as a lane until the value is dropped; a
     /// no-op when the thread already holds one.
     pub fn caller() -> Self {
-        if ON_LANE.get() {
-            return Self {
-                slot: None,
-                marks: false,
-            };
+        let fresh = !ON_LANE.get();
+        if fresh {
+            ON_LANE.set(true);
+            RUNNING_LANES.fetch_add(1, Ordering::Relaxed);
         }
-        ON_LANE.set(true);
         Self {
-            slot: Some(LaneSlot::take()),
-            marks: true,
+            counted: fresh,
+            yields: false,
+            marks: fresh,
         }
     }
 
@@ -339,10 +310,29 @@ impl SolverLane {
     /// machine has cores. The thread calls [`SolverLane::enter`] before
     /// its first solve, so the searches it runs count no second lane.
     pub fn spare() -> Option<Self> {
-        LaneSlot::spare().map(|slot| Self {
-            slot: Some(slot),
+        let cores = cores();
+        RUNNING_LANES
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n < cores).then_some(n + 1)
+            })
+            .ok()
+            .map(|_| Self {
+                counted: true,
+                yields: true,
+                marks: false,
+            })
+    }
+
+    /// A lane counted whatever the count is, that never yields: a helper
+    /// a test forces on a search.
+    #[cfg(test)]
+    fn forced() -> Self {
+        RUNNING_LANES.fetch_add(1, Ordering::Relaxed);
+        Self {
+            counted: true,
+            yields: false,
             marks: false,
-        })
+        }
     }
 
     /// Marks the current thread as running on this lane. Drop the lane on
@@ -357,12 +347,15 @@ impl SolverLane {
     /// Whether a [spare](SolverLane::spare) lane should give its core
     /// back: more lanes run than the machine has cores.
     pub fn crowded(&self) -> bool {
-        self.slot.as_ref().is_some_and(LaneSlot::crowded)
+        self.yields && RUNNING_LANES.load(Ordering::Relaxed) > cores()
     }
 }
 
 impl Drop for SolverLane {
     fn drop(&mut self) {
+        if self.counted {
+            RUNNING_LANES.fetch_sub(1, Ordering::Relaxed);
+        }
         if self.marks {
             ON_LANE.set(false);
         }
@@ -378,20 +371,20 @@ thread_local! {
 }
 
 /// Runs `search` to its end: this thread on `ws`, and, given a `helper`
-/// slot, a helper thread on this thread's helper workspace.
+/// lane, a helper thread on this thread's helper workspace.
 fn run_lanes(
     search: Search<'_>,
     ws: &mut Workspace,
-    helper: Option<LaneSlot>,
+    helper: Option<SolverLane>,
     solve: &Solver<'_>,
 ) -> Result<LatencyResult, LatencyError> {
     let lanes = Lanes::new(search);
-    if let Some(slot) = helper {
+    if let Some(lane) = helper {
         let mut helper_ws = HELPER_WORKSPACE.take().unwrap_or_default();
         std::thread::scope(|scope| {
             let helper = std::thread::Builder::new()
                 .name(HELPER_NAME.into())
-                .spawn_scoped(scope, || lanes.run(1, &mut helper_ws, solve, Some(&slot)));
+                .spawn_scoped(scope, || lanes.run(1, &mut helper_ws, solve, Some(&lane)));
             lanes.run(0, ws, solve, None);
             if let Ok(helper) = helper {
                 if let Err(panic) = helper.join() {
@@ -797,10 +790,16 @@ impl<'a> Lanes<'a> {
     }
 
     /// One lane: take the next solve of the chain, run it on `ws`, file
-    /// its outcome, until the search is done. A lane with a `slot` also
-    /// leaves, between two solves, once its slot is
-    /// [crowded](LaneSlot::crowded).
-    fn run(&self, lane: usize, ws: &mut Workspace, solve: &Solver<'_>, slot: Option<&LaneSlot>) {
+    /// its outcome, until the search is done. A helper given its
+    /// `solver_lane` also leaves, between two solves, once that lane is
+    /// [crowded](SolverLane::crowded).
+    fn run(
+        &self,
+        lane: usize,
+        ws: &mut Workspace,
+        solve: &Solver<'_>,
+        solver_lane: Option<&SolverLane>,
+    ) {
         let _abort = AbortOnUnwind(self);
         let mut finished = None;
         let mut chain = self.lock();
@@ -815,7 +814,7 @@ impl<'a> Lanes<'a> {
                 self.cancel_all();
                 return;
             }
-            if slot.is_some_and(LaneSlot::crowded) {
+            if solver_lane.is_some_and(SolverLane::crowded) {
                 return;
             }
             let Some((pos, n_steps, options)) = chain.take() else {
@@ -905,7 +904,7 @@ mod tests {
         search: &LatencySearch,
         ws: &mut Workspace,
     ) -> Searched {
-        let helper = Some(LaneSlot::take());
+        let helper = Some(SolverLane::forced());
         search_on_lanes(model, target, seed, options, search, ws, helper)
     }
 
@@ -1301,7 +1300,7 @@ mod tests {
             let search = Search::new(&model, None, &options, &LatencySearch::default()).unwrap();
             let start = std::time::Instant::now();
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let helper = Some(LaneSlot::take());
+                let helper = Some(SolverLane::forced());
                 run_lanes(search, &mut Workspace::new(), helper, &|_, _, _, cancel| {
                     let on_helper = std::thread::current().name() == Some(HELPER_NAME);
                     if on_helper == helper_panics {
@@ -1387,8 +1386,8 @@ mod tests {
 
     #[test]
     fn no_helper_once_every_core_runs_a_lane() {
-        let held: Vec<LaneSlot> = (0..cores()).map(|_| LaneSlot::take()).collect();
-        assert!(LaneSlot::spare().is_none());
+        let held: Vec<SolverLane> = (0..cores()).map(|_| SolverLane::forced()).collect();
+        assert!(SolverLane::spare().is_none());
         drop(held);
     }
 
@@ -1399,8 +1398,8 @@ mod tests {
         // to the same result.
         let model = ControlModel::spin_chain(1);
         let (options, search) = (GrapeOptions::default(), LatencySearch::default());
-        let held: Vec<LaneSlot> = (0..cores()).map(|_| LaneSlot::take()).collect();
-        let mut helper = LaneSlot::take();
+        let held: Vec<SolverLane> = (0..cores()).map(|_| SolverLane::forced()).collect();
+        let mut helper = SolverLane::forced();
         helper.yields = true;
         let on_helper = Mutex::new(Vec::new());
         let state = Search::new(&model, None, &options, &search).unwrap();

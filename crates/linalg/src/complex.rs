@@ -1,7 +1,7 @@
 //! A minimal, dependency-free double-precision complex number.
 //!
-//! The workspace deliberately avoids external numerics crates (see
-//! `DESIGN.md`); quantum unitaries are small and dense, so a plain
+//! The workspace deliberately avoids external numerics crates (see the
+//! offline-build policy in `docs/ARCHITECTURE.md`); quantum unitaries are small and dense, so a plain
 //! `(re, im)` pair with inlined arithmetic is all that is needed.
 
 use std::fmt;

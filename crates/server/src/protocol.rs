@@ -77,7 +77,8 @@ pub enum ErrorCode {
     Busy,
     /// The daemon is draining for shutdown.
     ShuttingDown,
-    /// The QASM payload did not parse.
+    /// The QASM payload did not parse, or declares more qubits than the
+    /// device has.
     Qasm,
     /// Pulse compilation or verification failed in the session.
     Compile,

@@ -55,14 +55,14 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use accqoc::{PulseCache, ServeReport, Session, ShardKey, ShardRing};
-use accqoc_circuit::{parse_qasm, Circuit, UnitaryKey};
+use accqoc_circuit::UnitaryKey;
 
 use crate::client::{Client, ClientError};
 use crate::protocol::{
     Call, ErrorCode, LibraryEntryInfo, LibraryPage, Payload, PrecompileSummary, Response,
     StatsSnapshot, WireError, MAX_LIBRARY_LIMIT,
 };
-use crate::server::{CallHandler, HandlerContext};
+use crate::server::{parse_program, CallHandler, HandlerContext};
 
 /// Tunables of the router's forwarding path.
 #[derive(Debug, Clone)]
@@ -237,7 +237,7 @@ impl RouterHandler {
         return_pulses: bool,
         only_qubits: Option<&[usize]>,
     ) -> Result<Payload, WireError> {
-        let circuit = parse_circuit(qasm)?;
+        let circuit = parse_program(&self.session, qasm)?;
         let grouped = self.session.front_end(&circuit);
         let by_owner = self.widths_by_owner(&grouped, only_qubits);
         if by_owner.is_empty() {
@@ -346,7 +346,7 @@ impl RouterHandler {
     ) -> Result<Payload, WireError> {
         let mut circuits = Vec::with_capacity(programs.len());
         for qasm in programs {
-            circuits.push(parse_circuit(qasm)?);
+            circuits.push(parse_program(&self.session, qasm)?);
         }
         let mut by_owner: std::collections::BTreeMap<usize, Vec<usize>> =
             std::collections::BTreeMap::new();
@@ -374,7 +374,7 @@ impl RouterHandler {
     }
 
     fn verify(&self, qasm: &str) -> Result<Payload, WireError> {
-        let circuit = parse_circuit(qasm)?;
+        let circuit = parse_program(&self.session, qasm)?;
         let grouped = self.session.front_end(&circuit);
         // Fetch each shard's owned pulses, then verify locally against
         // the program's reference unitaries — the physics check runs in
@@ -517,10 +517,6 @@ impl CallHandler for RouterHandler {
     }
 }
 
-fn parse_circuit(qasm: &str) -> Result<Circuit, WireError> {
-    parse_qasm(qasm).map_err(|e| WireError::new(ErrorCode::Qasm, e.to_string()))
-}
-
 fn compile_failure(e: accqoc::Error) -> WireError {
     WireError::new(ErrorCode::Compile, e.to_string())
 }
@@ -560,6 +556,28 @@ mod tests {
         // shard 0, width 2 on shard 2.
         assert_eq!(r.owner_of(1), 0);
         assert_eq!(r.owner_of(2), 2);
+    }
+
+    #[test]
+    fn malformed_and_over_wide_programs_are_qasm_errors_before_any_shard() {
+        // No daemon listens on the shards' ports: each program must fail
+        // in the router's own parse, typed, before a shard is called.
+        let r = router(3);
+        for qasm in [
+            "qreg q]x[;",
+            "qreg a[18446744073709551615]; qreg b[1];",
+            "qreg q[100]; h q[99];",
+        ] {
+            let errors = [
+                r.serve(qasm, true, None).map(|_| ()),
+                r.precompile(&[qasm.to_string()], None).map(|_| ()),
+                r.verify(qasm).map(|_| ()),
+            ];
+            for error in errors {
+                let error = error.expect_err(qasm);
+                assert_eq!(error.code, ErrorCode::Qasm, "{qasm}: {}", error.message);
+            }
+        }
     }
 
     #[test]

@@ -56,13 +56,13 @@ use std::time::{Duration, Instant};
 
 use accqoc::json::hex_encode;
 use accqoc::{PulseCache, Session};
-use accqoc_circuit::parse_qasm;
+use accqoc_circuit::{parse_qasm, Circuit};
 
 use crate::http::{self, Format, HttpParse};
 use crate::inflight::InflightGroups;
 use crate::protocol::{
     Call, ErrorCode, LibraryEntryInfo, LibraryPage, Payload, PrecompileSummary, Request, Response,
-    ServerCounters, StatsSnapshot,
+    ServerCounters, StatsSnapshot, WireError,
 };
 use crate::queue::{BoundedQueue, EnqueueError};
 
@@ -925,6 +925,19 @@ fn refuse(mut stream: TcpStream, config: &ServerConfig) {
     stream.write_all(&line).ok();
 }
 
+/// Parses a request's QASM into a program that fits `session`'s device.
+/// A parse error and a program wider than the device are both the
+/// client's `qasm` error, caught before the front end (whose mapper
+/// panics on a program wider than the device).
+pub(crate) fn parse_program(session: &Session, qasm: &str) -> Result<Circuit, WireError> {
+    let qasm_error = |message: String| WireError::new(ErrorCode::Qasm, message);
+    let circuit = parse_qasm(qasm).map_err(|e| qasm_error(e.to_string()))?;
+    session
+        .check_width(&circuit)
+        .map_err(|e| qasm_error(e.to_string()))?;
+    Ok(circuit)
+}
+
 /// Executes one admitted call against the shared session.
 fn handle_call(
     id: u64,
@@ -941,9 +954,9 @@ fn handle_call(
             return_pulses,
             only_qubits,
         } => {
-            let circuit = match parse_qasm(&qasm) {
+            let circuit = match parse_program(session, &qasm) {
                 Ok(c) => c,
-                Err(e) => return Response::failure(id, ErrorCode::Qasm, e.to_string()),
+                Err(e) => return Response { id, body: Err(e) },
             };
             // Coalesce with other in-flight compiles of the same groups:
             // claim what the library still misses; waiting here means
@@ -1013,9 +1026,9 @@ fn handle_call(
         } => {
             let mut circuits = Vec::with_capacity(programs.len());
             for qasm in &programs {
-                match parse_qasm(qasm) {
+                match parse_program(session, qasm) {
                     Ok(c) => circuits.push(c),
-                    Err(e) => return Response::failure(id, ErrorCode::Qasm, e.to_string()),
+                    Err(e) => return Response { id, body: Err(e) },
                 }
             }
             // Precompile coalesces too: claim the union of the batch's
@@ -1062,9 +1075,9 @@ fn handle_call(
             }
         }
         Call::VerifyProgram { qasm } => {
-            let circuit = match parse_qasm(&qasm) {
+            let circuit = match parse_program(session, &qasm) {
                 Ok(c) => c,
-                Err(e) => return Response::failure(id, ErrorCode::Qasm, e.to_string()),
+                Err(e) => return Response { id, body: Err(e) },
             };
             match session.verify_program(&circuit) {
                 Ok(report) => Response {

@@ -1,10 +1,13 @@
 //! Never-panic properties for the daemon's decoders: arbitrary text —
 //! multi-byte characters, control bytes, JSON punctuation — and near-miss
 //! frames that embed it into otherwise valid requests must decode to
-//! `Ok` or a typed error, never a panic. Every decoder here runs on the
-//! event-loop thread, where a panic takes the whole daemon down.
+//! `Ok` or a typed error, never a panic. Every frame decoder here runs on
+//! the event-loop thread, where a panic takes the whole daemon down; the
+//! QASM parser runs on a worker, where a panic answers `internal` instead
+//! of the typed `qasm` error.
 
 use accqoc::json;
+use accqoc_circuit::parse_qasm;
 use accqoc_server::http::{self, HttpParse};
 use accqoc_server::protocol::{Request, Response};
 use accqoc_server::ErrorCode;
@@ -38,6 +41,62 @@ fn slot(max_len: usize) -> impl Strategy<Value = String> {
     })
 }
 
+/// QASM fragments the QASM generator draws from besides [`ALPHABET`]:
+/// statement keywords, gate names, register syntax, angle-expression
+/// tokens, and sizes at the edge of `usize`.
+const QASM_TOKENS: &[&str] = &[
+    "qreg ",
+    "creg ",
+    "OPENQASM 2.0",
+    "include \"qelib1.inc\"",
+    "measure ",
+    "barrier ",
+    "q",
+    "a",
+    "[",
+    "]",
+    "(",
+    ")",
+    ";",
+    ",",
+    " ",
+    "\n",
+    "//",
+    "->",
+    "0",
+    "1",
+    "2",
+    "9",
+    "18446744073709551615",
+    "h ",
+    "x ",
+    "cx ",
+    "ccx ",
+    "rz",
+    "u3",
+    "swap ",
+    "pi",
+    "-",
+    "+",
+    "*",
+    "/",
+    ".",
+    "e",
+    "1e400",
+];
+
+fn qasm_text(max_len: usize) -> impl Strategy<Value = String> {
+    let n = QASM_TOKENS.len() + ALPHABET.len();
+    collection::vec(0..n, 0..max_len).prop_map(|idx| {
+        idx.into_iter()
+            .map(|i| match QASM_TOKENS.get(i) {
+                Some(token) => (*token).to_string(),
+                None => ALPHABET[i - QASM_TOKENS.len()].to_string(),
+            })
+            .collect()
+    })
+}
+
 fn typed_request_error(line: &str) -> Result<(), String> {
     match Request::decode(line) {
         Ok(_) => Ok(()),
@@ -56,6 +115,14 @@ proptest! {
     #[test]
     fn json_parse_never_panics(s in text(64)) {
         let _ = json::parse(&s);
+    }
+
+    #[test]
+    fn parse_qasm_never_panics(s in qasm_text(48), decl in qasm_text(8)) {
+        let _ = parse_qasm(&s);
+        // The same text after a valid register, and as a declaration.
+        let _ = parse_qasm(&format!("qreg q[3]; {s}"));
+        let _ = parse_qasm(&format!("qreg {decl}; h q[0]; {s}"));
     }
 
     #[test]

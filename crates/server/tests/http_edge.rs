@@ -411,3 +411,65 @@ fn non_ascii_pulse_keys_get_400_bad_params_and_the_connection_survives() {
     shutdown_over_http(addr);
     handle.join().expect("server thread").expect("clean run");
 }
+
+#[test]
+fn malformed_registers_and_over_wide_programs_get_typed_qasm_errors_on_both_surfaces() {
+    // A register whose brackets close before they open, registers whose
+    // sizes overflow the qubit count, and a program wider than the
+    // 2-qubit device: each is the client's `qasm` error (HTTP 400) on
+    // every QASM-carrying call, never a handler panic's `internal`.
+    let (addr, handle) = boot(ServerConfig::default());
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut stream = stream;
+    for qasm in [
+        "qreg q]x[;",
+        "qreg a[18446744073709551615]; qreg b[1];",
+        "qreg q[100]; h q[99];",
+    ] {
+        let calls = [
+            (
+                "/serve",
+                "serve_program",
+                format!(r#"{{"qasm": "{qasm}"}}"#),
+            ),
+            (
+                "/verify",
+                "verify_program",
+                format!(r#"{{"qasm": "{qasm}"}}"#),
+            ),
+            (
+                "/precompile",
+                "precompile",
+                format!(r#"{{"programs": ["{qasm}"]}}"#),
+            ),
+        ];
+        for (route, method, params) in calls {
+            let request = format!(
+                "POST {route} HTTP/1.1\r\nContent-Length: {}\r\n\r\n{params}",
+                params.len()
+            );
+            stream.write_all(request.as_bytes()).expect("write");
+            let (status, _, body) = read_response(&mut reader);
+            assert_eq!(status, 400, "{route} {qasm}: {body}");
+            assert!(body.contains("\"qasm\""), "{route} {qasm}: {body}");
+
+            let mut line = TcpStream::connect(addr).expect("connect");
+            let frame = format!(r#"{{"id": 9, "method": "{method}", "params": {params}}}"#);
+            line.write_all(frame.as_bytes()).expect("write");
+            line.write_all(b"\n").expect("write newline");
+            let mut response = String::new();
+            BufReader::new(line)
+                .read_line(&mut response)
+                .expect("read response");
+            assert!(
+                response.contains("\"ok\": false"),
+                "{method} {qasm}: {response}"
+            );
+            assert!(response.contains("\"qasm\""), "{method} {qasm}: {response}");
+        }
+    }
+
+    shutdown_over_http(addr);
+    handle.join().expect("server thread").expect("clean run");
+}
