@@ -96,10 +96,7 @@ pub use session::{
     CompileReport, CoverageStats, DecomposeReport, GroupCompilation, GroupReport, GroupTarget,
     LatencyReport, LookupReport, MapReport, ProgramCompilation, Session, SessionBuilder,
 };
-pub use shard::{
-    plan_resize, rebalance, rebalance_with_vnodes, RebalanceReport, ShardKey, ShardMove, ShardRing,
-    DEFAULT_VNODES,
-};
+pub use shard::{rebalance, shard_of, RebalanceReport, ShardMove};
 pub use similarity::{uhlmann_fidelity, uhlmann_fidelity_with, SimilarityFn, SimilarityScratch};
 pub use verify::{
     caches_equivalent, CacheDivergence, EquivalenceReport, GroupVerification, VerifyReport,

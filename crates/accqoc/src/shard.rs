@@ -1,5 +1,5 @@
-//! Consistent-hash sharding of the pulse library across worker
-//! processes.
+//! Sharding of the pulse library across worker processes by group
+//! width.
 //!
 //! The paper's §V amortization argument scales horizontally by
 //! partitioning the library: N `accqoc-server` workers each own a
@@ -19,21 +19,22 @@
 //!    warm threshold, so a trace-bucket split severs warm chains and
 //!    changes the served bytes. The dimension class is the finest
 //!    statically warm-closed partition.
-//! 2. **Routing is a pure function of the key and the shard count.**
-//!    [`ShardRing`] places a fixed number of virtual nodes per shard at
-//!    positions that depend only on `(shard, vnode)` — never on the
-//!    total shard count — so resizing N→N+1 can only re-home keys onto
-//!    the *new* shard (the minimal-movement invariant holds by
-//!    construction), and every process that builds a ring with the same
-//!    shard count routes identically, across restarts and hosts.
+//! 2. **Routing is a pure function of the width and the shard count.**
+//!    Width w belongs to shard `(w − 1) mod N` ([`shard_of`]), so every
+//!    process with the same shard count routes identically, across
+//!    restarts and hosts. The keyspace is at most
+//!    [`MAX_MODEL_QUBITS`](crate::MAX_MODEL_QUBITS) integers, so the
+//!    direct map is exact rather than statistically balanced: at N ≥ 2
+//!    widths 1 and 2 — the only widths the golden and UCCSD streams
+//!    use — always land on different shards.
 //!
 //! Rebalancing ([`rebalance`]) re-homes whole dimension classes for a
-//! ring resize. It deliberately reuses the durable tier's replay path:
-//! sources are read through the same snapshot+WAL recovery as a daemon
-//! restart, destinations are written through the same atomic snapshot
-//! pair as a checkpoint, and additions land before prunes so a crash at
-//! any point leaves every entry present somewhere and a re-run
-//! converges.
+//! resize, or for stores written under another layout. It deliberately
+//! reuses the durable tier's replay path: sources are read through the
+//! same snapshot+WAL recovery as a daemon restart, destinations are
+//! written through the same atomic snapshot pair as a checkpoint, and
+//! additions land before prunes so a crash at any point leaves every
+//! entry present somewhere and a re-run converges.
 //!
 //! [`Session`]: crate::Session
 //! [`UnitaryFingerprint`]: crate::UnitaryFingerprint
@@ -47,200 +48,42 @@ use accqoc_store::{move_store_dir, shard_dir};
 
 use crate::cache::StoredEntry;
 use crate::error::{Error, Result};
-use crate::library::UnitaryFingerprint;
 use crate::persist::{self, PersistOptions};
 
-/// Virtual nodes per shard. 64 keeps ring construction and routing
-/// cheap while holding the arc-ownership imbalance (max/min share)
-/// under 1.14 for 2–8 shards with the tuned placement salt.
-pub const DEFAULT_VNODES: usize = 64;
-
-/// Placement salt for virtual-node positions, tuned offline so the
-/// 64-vnode ring's per-shard arc ownership stays within max/min ≤ 1.14
-/// for every shard count from 2 to 8 (the proptests gate ≤ 1.3, leaving
-/// headroom for finite key populations).
-const POINT_SALT: u64 = 0x8a92_2665_5a5e_b628;
-
-/// Salt separating the key-hash domain from the point-hash domain.
-const KEY_SALT: u64 = 0x517c_c1b7_2722_0a95;
-
-/// SplitMix64 finalizer: a fast, high-quality 64-bit mixing function.
-/// Purely deterministic — ring placement and routing must agree across
-/// processes, restarts, and hosts.
-fn mix64(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^= x >> 31;
-    x
-}
-
-/// The unit of shard ownership: one dimension class of the library.
+/// The shard owning groups of `n_qubits` qubits in a deployment of
+/// `shards` workers: `(n_qubits − 1) mod shards` (width 0, which no
+/// group has, maps to shard 0).
 ///
-/// Serving state is closed under width (see the module docs), so the
-/// dimension class is the finest key that keeps a sharded deployment
-/// byte-identical to a single process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ShardKey(u64);
-
-impl ShardKey {
-    /// The shard key of every group with this many qubits.
-    pub fn dimension_class(n_qubits: usize) -> Self {
-        ShardKey(n_qubits as u64)
-    }
-
-    /// The shard key a fingerprint routes by: its width class (the
-    /// warm-closed component of the fingerprint's bucket key).
-    pub fn of_fingerprint(fingerprint: &UnitaryFingerprint) -> Self {
-        Self::dimension_class(fingerprint.n_qubits())
-    }
-
-    /// The raw key value.
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-}
-
-/// A consistent-hash ring over `shards` workers with a fixed number of
-/// virtual nodes per shard.
+/// # Panics
 ///
-/// Ring positions depend only on `(shard, vnode)`, so growing the ring
-/// adds points without moving existing ones: a key's owner either stays
-/// put or becomes the new shard — never a third party.
+/// Panics when `shards` is zero (no shard can own anything).
 ///
 /// # Examples
 ///
 /// ```
-/// use accqoc::shard::{ShardKey, ShardRing};
+/// use accqoc::shard::shard_of;
 ///
-/// let ring = ShardRing::new(3);
-/// let owner = ring.route(ShardKey::dimension_class(2));
-/// assert!(owner < 3);
-/// // Deterministic: every process with the same shard count agrees.
-/// assert_eq!(owner, ShardRing::new(3).route(ShardKey::dimension_class(2)));
+/// // At two or more shards, widths 1 and 2 never share a shard.
+/// assert_eq!((shard_of(1, 2), shard_of(2, 2)), (0, 1));
+/// assert_eq!(shard_of(5, 3), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardRing {
-    shards: usize,
-    vnodes: usize,
-    /// `(position, shard)` sorted by position (then shard, which breaks
-    /// the astronomically unlikely position collision deterministically).
-    points: Vec<(u64, usize)>,
+pub fn shard_of(n_qubits: usize, shards: usize) -> usize {
+    assert!(shards > 0, "routing needs at least one shard");
+    n_qubits.saturating_sub(1) % shards
 }
 
-impl ShardRing {
-    /// A ring over `shards` workers with [`DEFAULT_VNODES`] virtual
-    /// nodes each.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shards` is zero (a ring with no owners cannot route).
-    pub fn new(shards: usize) -> Self {
-        Self::with_vnodes(shards, DEFAULT_VNODES)
-    }
-
-    /// A ring with an explicit virtual-node count (tests tune this;
-    /// deployments should use [`ShardRing::new`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shards` or `vnodes` is zero.
-    pub fn with_vnodes(shards: usize, vnodes: usize) -> Self {
-        assert!(shards > 0, "a shard ring needs at least one shard");
-        assert!(
-            vnodes > 0,
-            "a shard ring needs at least one vnode per shard"
-        );
-        let mut points = Vec::with_capacity(shards * vnodes);
-        for shard in 0..shards {
-            for vnode in 0..vnodes {
-                let position = mix64(POINT_SALT ^ ((shard as u64) << 32) ^ vnode as u64);
-                points.push((position, shard));
-            }
-        }
-        points.sort_unstable();
-        Self {
-            shards,
-            vnodes,
-            points,
-        }
-    }
-
-    /// Number of shards on the ring.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Virtual nodes per shard.
-    pub fn vnodes(&self) -> usize {
-        self.vnodes
-    }
-
-    /// The shard owning `key`: the successor virtual node of the key's
-    /// ring position, wrapping at the top.
-    pub fn route(&self, key: ShardKey) -> usize {
-        let position = mix64(KEY_SALT ^ key.0);
-        let i = self.points.partition_point(|&(p, _)| p < position);
-        let i = if i == self.points.len() { 0 } else { i };
-        self.points[i].1
-    }
-
-    /// Exact fraction of the key space each shard owns (arc lengths over
-    /// the full `u64` ring — the infinite-key-population load). The
-    /// balance proptests gate `max/min` of these shares.
-    pub fn ownership_shares(&self) -> Vec<f64> {
-        let mut share = vec![0u128; self.shards];
-        for i in 0..self.points.len() {
-            let prev = if i == 0 {
-                self.points[self.points.len() - 1].0
-            } else {
-                self.points[i - 1].0
-            };
-            let arc = self.points[i].0.wrapping_sub(prev) as u128;
-            share[self.points[i].1] += arc;
-        }
-        let total = (u64::MAX as u128) + 1;
-        share.into_iter().map(|s| s as f64 / total as f64).collect()
-    }
-}
-
-/// One re-homed dimension class in a resize plan: `entries` cached
-/// pulses of width `n_qubits` move from shard `from` to shard `to`.
+/// One re-homed dimension class of a rebalance: `entries` cached pulses
+/// of width `n_qubits` move from shard `from` to shard `to`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardMove {
     /// Width of the dimension class that moves.
     pub n_qubits: usize,
-    /// Owning shard under the old ring.
+    /// Shard whose store held the class.
     pub from: usize,
-    /// Owning shard under the new ring.
+    /// Owning shard under the new shard count.
     pub to: usize,
-    /// Number of cached entries in the class (1 per key when planning
-    /// from a key list; the store's entry count when planning from disk).
+    /// Number of cached entries in the class.
     pub entries: usize,
-}
-
-/// The deterministic migration plan for a ring resize: which dimension
-/// classes change owner, sorted by width. Classes whose owner is stable
-/// are omitted.
-pub fn plan_resize(old: &ShardRing, new: &ShardRing, classes: &[usize]) -> Vec<ShardMove> {
-    let mut counts: BTreeMap<(usize, usize, usize), usize> = BTreeMap::new();
-    for &n_qubits in classes {
-        let key = ShardKey::dimension_class(n_qubits);
-        let (from, to) = (old.route(key), new.route(key));
-        if from != to {
-            *counts.entry((n_qubits, from, to)).or_default() += 1;
-        }
-    }
-    counts
-        .into_iter()
-        .map(|((n_qubits, from, to), entries)| ShardMove {
-            n_qubits,
-            from,
-            to,
-            entries,
-        })
-        .collect()
 }
 
 /// What [`rebalance`] did: the executed plan plus which stores it
@@ -297,20 +140,26 @@ impl ShardState {
     }
 }
 
-/// Executes a ring resize `from_shards` → `to_shards` over the shard
-/// stores under `base` (laid out as `base/shard-<i>`, the
-/// [`accqoc_store::shard_dir`] convention).
+/// Re-homes the shard stores under `base` (laid out as `base/shard-<i>`,
+/// the [`accqoc_store::shard_dir`] convention) from `from_shards` stores
+/// onto `to_shards` owners.
 ///
 /// Every source store is read through the recovery replay path (snapshot
-/// plus WAL, torn tails truncated), entries are re-homed by the *new*
-/// ring's routing, and changed stores are rewritten as atomic snapshot
-/// pairs. Crash safety comes from ordering, not locks: destinations are
-/// written (entries *added*) before any source is pruned, so an
-/// interrupted run leaves every entry present in at least one store and
-/// re-running the same resize converges. Stores that neither gain nor
-/// lose entries are left byte-untouched; shards removed by a shrink are
-/// retired by moving their directory wholesale to `shard-<i>.retired`
-/// after their entries have been re-homed.
+/// plus WAL, torn tails truncated), each entry is re-homed to its
+/// [`shard_of`] owner under `to_shards`, and changed stores are
+/// rewritten as atomic snapshot pairs. Crash safety comes from ordering,
+/// not locks: destinations are written (entries *added*) before any
+/// source is pruned, so an interrupted run leaves every entry present in
+/// at least one store and re-running the same rebalance converges.
+/// Stores that neither gain nor lose entries are left byte-untouched;
+/// shards removed by a shrink are retired by moving their directory
+/// wholesale to `shard-<i>.retired` after their entries have been
+/// re-homed.
+///
+/// Ownership is derived from what each store holds, never from the
+/// layout it was written under, so `rebalance(base, n, n)` migrates
+/// stores written under any other width-to-shard layout onto the
+/// current one.
 ///
 /// The shards must be **stopped**: the durable tier is single-writer per
 /// directory.
@@ -321,30 +170,11 @@ impl ShardState {
 /// [`Error::Store`]/[`Error::Json`] when a store fails to recover or
 /// rewrite.
 pub fn rebalance(base: &Path, from_shards: usize, to_shards: usize) -> Result<RebalanceReport> {
-    rebalance_with_vnodes(base, from_shards, to_shards, DEFAULT_VNODES)
-}
-
-/// [`rebalance`] with an explicit virtual-node count, for deployments
-/// running a non-default ring (every process must agree on it).
-///
-/// # Errors
-///
-/// See [`rebalance`].
-pub fn rebalance_with_vnodes(
-    base: &Path,
-    from_shards: usize,
-    to_shards: usize,
-    vnodes: usize,
-) -> Result<RebalanceReport> {
     if from_shards == 0 || to_shards == 0 {
         return Err(Error::InvalidConfig {
             message: "rebalance needs at least one source and one destination shard".into(),
         });
     }
-    // Entries are routed by the *new* ring only: the plan is derived
-    // from what each store actually holds, so an interrupted run (or a
-    // store that never matched the old ring) still converges.
-    let new_ring = ShardRing::with_vnodes(to_shards, vnodes);
 
     // Read every source store through the recovery replay path. Opening
     // a destination-only directory (a grow) cold-starts it empty.
@@ -354,7 +184,7 @@ pub fn rebalance_with_vnodes(
         states.push(ShardState::open(&shard_dir(base, shard))?);
     }
 
-    // Route every entry by the new ring; collect the executed plan.
+    // Route every entry to its owner; collect the executed plan.
     let mut destination: Vec<Vec<usize>> = (0..total_dirs)
         .map(|shard| states[shard].entries.iter().map(|_| shard).collect())
         .collect();
@@ -364,7 +194,7 @@ pub fn rebalance_with_vnodes(
     for shard in 0..total_dirs {
         for (slot, (_, entry, _)) in states[shard].entries.iter().enumerate() {
             entries_total += 1;
-            let owner = new_ring.route(ShardKey::dimension_class(entry.n_qubits));
+            let owner = shard_of(entry.n_qubits, to_shards);
             if owner != shard {
                 destination[shard][slot] = owner;
                 entries_moved += 1;
@@ -485,89 +315,18 @@ mod tests {
     use accqoc_linalg::Mat;
 
     fn routes(shards: usize) -> Vec<usize> {
-        let ring = ShardRing::new(shards);
-        (1..=8)
-            .map(|n| ring.route(ShardKey::dimension_class(n)))
-            .collect()
+        (1..=8).map(|n| shard_of(n, shards)).collect()
     }
 
     #[test]
     fn routing_is_deterministic_and_pinned() {
-        // Pinned goldens: any change to the hash, salt, or vnode layout
-        // re-homes persisted shards and must be a deliberate migration.
+        // Pinned goldens: any change to the map re-homes persisted
+        // shards and must be a deliberate migration.
         assert_eq!(routes(1), vec![0; 8]);
-        assert_eq!(routes(2), vec![0, 0, 1, 1, 0, 1, 1, 0]);
-        assert_eq!(routes(3), vec![0, 2, 1, 2, 0, 1, 2, 0]);
-        assert_eq!(routes(4), vec![0, 2, 3, 3, 0, 1, 2, 0]);
-        // Rebuilding the ring routes identically (restart determinism).
-        assert_eq!(routes(3), routes(3));
-    }
-
-    #[test]
-    fn fingerprint_key_is_the_dimension_class() {
-        let fp = UnitaryFingerprint::of(&Mat::identity(4), 2);
-        assert_eq!(ShardKey::of_fingerprint(&fp), ShardKey::dimension_class(2));
-        assert_eq!(ShardKey::dimension_class(2).raw(), 2);
-    }
-
-    #[test]
-    fn growing_the_ring_moves_keys_only_onto_the_new_shard() {
-        for shards in 1..=7usize {
-            let old = ShardRing::new(shards);
-            let new = ShardRing::new(shards + 1);
-            for class in 0..512usize {
-                let key = ShardKey::dimension_class(class);
-                let (before, after) = (old.route(key), new.route(key));
-                assert!(
-                    before == after || after == shards,
-                    "class {class} moved {before}->{after} on {shards}->{} resize",
-                    shards + 1
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn ownership_shares_stay_balanced() {
-        for shards in 2..=8usize {
-            let shares = ShardRing::new(shards).ownership_shares();
-            let sum: f64 = shares.iter().sum();
-            assert!((sum - 1.0).abs() < 1e-12, "shares sum to 1, got {sum}");
-            let max = shares.iter().cloned().fold(0.0f64, f64::max);
-            let min = shares.iter().cloned().fold(1.0f64, f64::min);
-            assert!(
-                max / min <= 1.3,
-                "{shards} shards: max/min arc share {:.4} exceeds 1.3",
-                max / min
-            );
-        }
-    }
-
-    #[test]
-    fn plan_resize_reports_only_changed_classes_sorted() {
-        let old = ShardRing::new(2);
-        let new = ShardRing::new(3);
-        let plan = plan_resize(&old, &new, &[1, 2, 2, 3, 4]);
-        // From the pinned routes: class 2 moves 0->2, class 4 moves 1->2;
-        // classes 1 and 3 keep their owner.
-        assert_eq!(
-            plan,
-            vec![
-                ShardMove {
-                    n_qubits: 2,
-                    from: 0,
-                    to: 2,
-                    entries: 2,
-                },
-                ShardMove {
-                    n_qubits: 4,
-                    from: 1,
-                    to: 2,
-                    entries: 1,
-                },
-            ]
-        );
-        assert!(plan_resize(&old, &old, &[1, 2, 3, 4]).is_empty());
+        assert_eq!(routes(2), vec![0, 1, 0, 1, 0, 1, 0, 1]);
+        assert_eq!(routes(3), vec![0, 1, 2, 0, 1, 2, 0, 1]);
+        assert_eq!(routes(4), vec![0, 1, 2, 3, 0, 1, 2, 3]);
+        assert_eq!(shard_of(0, 3), 0, "width 0 falls on shard 0");
     }
 
     fn entry(n_qubits: usize, latency_ns: f64) -> CachedPulse {
@@ -583,16 +342,20 @@ mod tests {
         UnitaryKey::from_bytes(vec![tag; 4])
     }
 
-    /// Seeds `base/shard-<i>` stores with `widths` routed by an
-    /// N-shard ring, returning the seeded (key, entry) pairs.
-    fn seed_stores(base: &Path, shards: usize, widths: &[usize]) -> Vec<(UnitaryKey, CachedPulse)> {
-        let ring = ShardRing::new(shards);
+    /// Seeds `base/shard-<i>` stores (`shards` of them) with one entry
+    /// per width in `widths`, each on the shard `place` picks for its
+    /// width, returning the seeded (key, entry) pairs.
+    fn seed_stores(
+        base: &Path,
+        shards: usize,
+        widths: &[usize],
+        place: impl Fn(usize) -> usize,
+    ) -> Vec<(UnitaryKey, CachedPulse)> {
         let mut caches: Vec<PulseCache> = (0..shards).map(|_| PulseCache::new()).collect();
         let mut seeded = Vec::new();
         for (tag, &width) in widths.iter().enumerate() {
-            let owner = ring.route(ShardKey::dimension_class(width));
             let (k, e) = (key(tag as u8 + 1), entry(width, 10.0 + tag as f64));
-            caches[owner].insert(k.clone(), e.clone());
+            caches[place(width)].insert(k.clone(), e.clone());
             seeded.push((k, e));
         }
         for (shard, cache) in caches.iter().enumerate() {
@@ -621,6 +384,26 @@ mod tests {
         (cache, recovered.report.indexed)
     }
 
+    /// Asserts every seeded entry lives exactly on its owner among
+    /// `shards` stores, byte-equal, and that every unitary is still
+    /// indexed.
+    fn assert_on_owners(base: &Path, shards: usize, seeded: &[(UnitaryKey, CachedPulse)]) {
+        let stores: Vec<(PulseCache, usize)> =
+            (0..shards).map(|s| recovered_entries(base, s)).collect();
+        for (k, e) in seeded {
+            let owner = shard_of(e.n_qubits, shards);
+            for (shard, (cache, _)) in stores.iter().enumerate() {
+                if shard == owner {
+                    assert_eq!(cache.lookup(k), Some(e), "entry intact on its owner");
+                } else {
+                    assert!(!cache.contains(k), "entry pruned from shard {shard}");
+                }
+            }
+        }
+        let total_indexed: usize = stores.iter().map(|(_, n)| n).sum();
+        assert_eq!(total_indexed, seeded.len(), "every unitary still indexed");
+    }
+
     fn test_base(name: &str) -> PathBuf {
         let base = std::env::temp_dir().join(format!("accqoc_shard_{name}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&base);
@@ -630,36 +413,37 @@ mod tests {
     #[test]
     fn rebalance_grow_re_homes_classes_and_preserves_bytes() {
         let base = test_base("grow");
-        let seeded = seed_stores(&base, 2, &[1, 2, 2, 3, 4]);
+        // At 2 → 3 shards widths 1 and 2 stay on shards 0 and 1; width 3
+        // leaves shard 0 and width 6 leaves shard 1, both for the new
+        // shard 2.
+        let seeded = seed_stores(&base, 2, &[1, 2, 3, 3, 6], |w| shard_of(w, 2));
         let report = rebalance(&base, 2, 3).expect("rebalance");
         assert_eq!((report.from_shards, report.to_shards), (2, 3));
         assert_eq!(report.entries_total, 5);
-        // Classes 2 (two entries) and 4 move onto the new shard 2.
         assert_eq!(report.entries_moved, 3);
-        assert!(
-            report.moves.iter().all(|m| m.to == 2),
-            "grow moves land only on the new shard: {:?}",
-            report.moves
+        assert_eq!(
+            report.moves,
+            vec![
+                ShardMove {
+                    n_qubits: 3,
+                    from: 0,
+                    to: 2,
+                    entries: 2,
+                },
+                ShardMove {
+                    n_qubits: 6,
+                    from: 1,
+                    to: 2,
+                    entries: 1,
+                },
+            ]
         );
+        assert_eq!(report.shards_rewritten, vec![0, 1, 2]);
         assert!(report.shards_retired.is_empty());
 
-        // Every entry now lives exactly on its new-ring owner, byte-equal.
-        let ring = ShardRing::new(3);
-        let stores: Vec<(PulseCache, usize)> =
-            (0..3).map(|s| recovered_entries(&base, s)).collect();
-        for (k, e) in &seeded {
-            let owner = ring.route(ShardKey::dimension_class(e.n_qubits));
-            for (shard, (cache, _)) in stores.iter().enumerate() {
-                if shard == owner {
-                    assert_eq!(cache.lookup(k), Some(e), "entry intact on its owner");
-                } else {
-                    assert!(!cache.contains(k), "entry pruned from shard {shard}");
-                }
-            }
-        }
-        // Indexed unitaries traveled with their entries.
-        let total_indexed: usize = stores.iter().map(|(_, n)| n).sum();
-        assert_eq!(total_indexed, seeded.len());
+        // Every entry now lives exactly on its owner, byte-equal, with
+        // its unitary.
+        assert_on_owners(&base, 3, &seeded);
         // Re-running the same resize converges to a no-op plan.
         let again = rebalance(&base, 2, 3).expect("idempotent re-run");
         assert_eq!(again.entries_moved, 0);
@@ -669,26 +453,28 @@ mod tests {
     #[test]
     fn rebalance_leaves_stable_stores_byte_untouched() {
         let base = test_base("untouched");
-        // Widths 1, 5, 8 are owned by shard 0 under both 3- and 4-shard
-        // rings (pinned above), so nothing moves.
-        seed_stores(&base, 3, &[1, 5, 8]);
-        let before = accqoc_store::read_file(&shard_dir(&base, 0).join("snapshot.json"))
-            .expect("seeded snapshot");
+        // Widths 1, 2 and 3 are owned by shards 0, 1 and 2 under both the
+        // 3- and 4-shard maps, so nothing moves.
+        seed_stores(&base, 3, &[1, 2, 3], |w| shard_of(w, 3));
+        let snapshot = |shard: usize| {
+            accqoc_store::read_file(&shard_dir(&base, shard).join("snapshot.json"))
+                .expect("snapshot present")
+        };
+        let before: Vec<Vec<u8>> = (0..3).map(snapshot).collect();
         let report = rebalance(&base, 3, 4).expect("rebalance");
         assert_eq!(report.entries_moved, 0);
         assert!(report.moves.is_empty());
         assert_eq!(report.shards_rewritten, Vec::<usize>::new());
         assert_eq!(report.shards_untouched, vec![0, 1, 2, 3]);
-        let after = accqoc_store::read_file(&shard_dir(&base, 0).join("snapshot.json"))
-            .expect("snapshot still present");
-        assert_eq!(before, after, "stable store is byte-untouched");
+        let after: Vec<Vec<u8>> = (0..3).map(snapshot).collect();
+        assert_eq!(before, after, "stable stores are byte-untouched");
         let _ = std::fs::remove_dir_all(&base);
     }
 
     #[test]
     fn rebalance_shrink_retires_the_removed_shard_wholesale() {
         let base = test_base("shrink");
-        let seeded = seed_stores(&base, 3, &[1, 2, 3, 4]);
+        let seeded = seed_stores(&base, 3, &[1, 2, 3, 4], |w| shard_of(w, 3));
         let report = rebalance(&base, 3, 2).expect("rebalance");
         assert_eq!(report.shards_retired, vec![2]);
         assert!(!shard_dir(&base, 2).exists(), "removed shard dir is gone");
@@ -696,15 +482,43 @@ mod tests {
             PathBuf::from(format!("{}.retired", shard_dir(&base, 2).display())).exists(),
             "retired store is preserved wholesale"
         );
-        // All entries live on the surviving shards per the 2-shard ring.
-        let ring = ShardRing::new(2);
-        let stores: Vec<(PulseCache, usize)> =
-            (0..2).map(|s| recovered_entries(&base, s)).collect();
-        for (k, e) in &seeded {
-            let owner = ring.route(ShardKey::dimension_class(e.n_qubits));
-            assert_eq!(stores[owner].0.lookup(k), Some(e));
-        }
+        // All entries live on the surviving shards per the 2-shard map.
+        assert_on_owners(&base, 2, &seeded);
+        let again = rebalance(&base, 2, 2).expect("idempotent re-run");
+        assert_eq!(again.entries_moved, 0);
         let _ = std::fs::remove_dir_all(&base);
+    }
+
+    #[test]
+    fn rebalance_in_place_migrates_stores_from_another_layout() {
+        // Stores written under another width-to-shard layout: everything
+        // on shard 0, and the 3-shard layout of the consistent-hash ring
+        // this map replaced (widths 1..=8 on [0, 2, 1, 2, 0, 1, 2, 0]).
+        // `rebalance(base, 3, 3)` moves every entry to its owner.
+        let ring_layout = [0, 2, 1, 2, 0, 1, 2, 0];
+        let layouts: [(&str, &dyn Fn(usize) -> usize); 2] = [
+            ("all_on_zero", &|_| 0),
+            ("old_ring", &|w| ring_layout[w - 1]),
+        ];
+        for (name, place) in layouts {
+            let base = test_base(&format!("migrate_{name}"));
+            let seeded = seed_stores(&base, 3, &[1, 1, 2, 2, 3, 4, 5, 6], place);
+            let report = rebalance(&base, 3, 3).expect("migration");
+            let misplaced = seeded
+                .iter()
+                .filter(|(_, e)| place(e.n_qubits) != shard_of(e.n_qubits, 3))
+                .count();
+            assert!(misplaced > 0, "{name}: the layouts differ");
+            assert_eq!(report.entries_total, seeded.len(), "{name}");
+            assert_eq!(report.entries_moved, misplaced, "{name}");
+            assert!(report.shards_retired.is_empty(), "{name}");
+            assert_on_owners(&base, 3, &seeded);
+            // A second run finds every entry on its owner.
+            let again = rebalance(&base, 3, 3).expect("idempotent re-run");
+            assert_eq!(again.entries_moved, 0, "{name}");
+            assert_eq!(again.shards_untouched, vec![0, 1, 2], "{name}");
+            let _ = std::fs::remove_dir_all(&base);
+        }
     }
 
     #[test]

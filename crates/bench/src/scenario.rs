@@ -110,7 +110,7 @@ pub enum Shape {
         /// Concurrent client connections.
         clients: usize,
     },
-    /// A consistent-hash router over three `daemon` subprocesses with
+    /// A router over three `daemon` subprocesses with
     /// durable stores, one client; then the owner of width 2 is killed
     /// and restarted from its data dir, and the replay pass is served
     /// again.

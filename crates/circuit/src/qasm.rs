@@ -42,7 +42,8 @@ impl Error for QasmError {}
 /// # Errors
 ///
 /// Returns [`QasmError`] on unknown gates, malformed operands or register
-/// declarations, registers whose sizes sum past `usize::MAX`, references
+/// declarations, a register name declared twice, registers whose sizes
+/// sum past `usize::MAX`, references
 /// to undeclared registers, a gate listing one qubit twice, or
 /// angle-expression syntax errors (including nesting deeper than 64).
 ///
@@ -112,6 +113,9 @@ fn parse_statement(
     }
     if let Some(rest) = stmt.strip_prefix("qreg") {
         let (name, size) = parse_reg_decl(rest.trim()).map_err(&err)?;
+        if registers.contains_key(&name) {
+            return Err(err(format!("register {name:?} is declared twice")));
+        }
         let offset = *total_qubits;
         *total_qubits = offset.checked_add(size).ok_or_else(|| {
             err(format!(
@@ -551,6 +555,17 @@ mod tests {
         let c = parse_qasm(src).unwrap();
         assert_eq!(c.n_qubits(), 4);
         assert_eq!(c.gates()[0], Gate::Cx(1, 2));
+    }
+
+    #[test]
+    fn a_register_declared_twice_is_an_error() {
+        // A second `qreg q` must not replace the first while the qubit
+        // count still includes both: `q[0]` would silently name qubit 1.
+        let e = parse_qasm("qreg q[1];\nqreg q[2];\nh q[0];").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("\"q\" is declared twice"), "{e}");
+        let e = parse_qasm("qreg a[1]; qreg b[1]; qreg a[1];").unwrap_err();
+        assert!(e.message.contains("\"a\" is declared twice"), "{e}");
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! Front-end of a sharded deployment: given N running worker daemons
 //! (each an `accqoc-server --data-dir base/shard-I`), the router binds
 //! the same wire surfaces a single daemon speaks and forwards each
-//! request to the shards owning its groups on the consistent-hash ring.
-//! With `--rebalance` it instead resizes the shard stores offline (the
-//! workers must be stopped) and exits. Run with `--help` for the full
+//! request to the shards owning its groups (a group of width w belongs
+//! to shard `(w − 1) mod N`). With `--rebalance` it instead re-homes the
+//! shard stores offline (the workers must be stopped) and exits: onto a
+//! new shard count, or with `--from N --to N` onto the current layout. Run with `--help` for the full
 //! flag list.
 
 use std::sync::Arc;
@@ -88,7 +89,7 @@ fn route(options: RouterOptions) {
 
 fn rebalance(options: RebalanceOptions) {
     let base = std::path::Path::new(&options.data_base);
-    match accqoc::rebalance_with_vnodes(base, options.from, options.to, options.vnodes) {
+    match accqoc::rebalance(base, options.from, options.to) {
         Ok(report) => {
             println!(
                 "rebalanced {} -> {} shards under {}: {} of {} entries moved",

@@ -147,6 +147,57 @@ impl std::fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
+/// Splits an argument vector into `(flag, value)` pairs, strictly: every
+/// argument must be one of `switches` (yielded with an empty value) or a
+/// flag from `known` with a value, written inline after `=` or as the
+/// next argument, which must not itself look like a flag. Both binaries
+/// parse through here, so they reject the same mistakes the same way.
+fn strict_flags<I: IntoIterator<Item = String>>(
+    args: I,
+    known: &'static [&'static str],
+    switches: &'static [&'static str],
+) -> impl Iterator<Item = Result<(String, String), CliError>> {
+    let mut args = args.into_iter().peekable();
+    std::iter::from_fn(move || {
+        let arg = args.next()?;
+        if switches.contains(&arg.as_str()) {
+            return Some(Ok((arg, String::new())));
+        }
+        if !arg.starts_with("--") {
+            return Some(Err(CliError::UnexpectedArgument(arg)));
+        }
+        let (flag, inline) = match arg.split_once('=') {
+            Some((flag, value)) => (flag.to_string(), Some(value.to_string())),
+            None => (arg, None),
+        };
+        if !known.contains(&flag.as_str()) {
+            return Some(Err(CliError::UnknownFlag(flag)));
+        }
+        let value = match inline {
+            Some(value) => value,
+            None => match args.peek() {
+                None => return Some(Err(CliError::MissingValue(flag))),
+                Some(next) if next.starts_with("--") => {
+                    let value = next.clone();
+                    return Some(Err(CliError::FlagShapedValue { flag, value }));
+                }
+                Some(_) => args.next().expect("peeked"),
+            },
+        };
+        Some(Ok((flag, value)))
+    })
+}
+
+/// Parses `value` as the number `flag` takes.
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, CliError> {
+    value.parse().map_err(|_| CliError::BadValue {
+        flag: flag.to_string(),
+        value: value.to_string(),
+    })
+}
+
+const HELP: [&str; 2] = ["-h", "--help"];
+
 const KNOWN_FLAGS: [&str; 9] = [
     "--addr",
     "--qubits",
@@ -167,50 +218,20 @@ const KNOWN_FLAGS: [&str; 9] = [
 /// silently ignored or misassigned.
 pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Command, CliError> {
     let mut options = DaemonOptions::default();
-    let mut args = args.into_iter().peekable();
-    while let Some(arg) = args.next() {
-        if arg == "-h" || arg == "--help" {
-            return Ok(Command::Help);
-        }
-        if !arg.starts_with("--") {
-            return Err(CliError::UnexpectedArgument(arg));
-        }
-        let (flag, inline) = match arg.split_once('=') {
-            Some((flag, value)) => (flag.to_string(), Some(value.to_string())),
-            None => (arg, None),
-        };
-        if !KNOWN_FLAGS.contains(&flag.as_str()) {
-            return Err(CliError::UnknownFlag(flag));
-        }
-        let value = match inline {
-            Some(value) => value,
-            None => match args.peek() {
-                None => return Err(CliError::MissingValue(flag)),
-                Some(next) if next.starts_with("--") => {
-                    return Err(CliError::FlagShapedValue {
-                        flag,
-                        value: next.clone(),
-                    })
-                }
-                Some(_) => args.next().expect("peeked"),
-            },
-        };
-        let count = |value: &str| -> Result<usize, CliError> {
-            value.parse().map_err(|_| CliError::BadValue {
-                flag: flag.clone(),
-                value: value.to_string(),
-            })
-        };
+    for arg in strict_flags(args, &KNOWN_FLAGS, &HELP) {
+        let (flag, value) = arg?;
+        let count = || number::<usize>(&flag, &value);
         match flag.as_str() {
+            "-h" | "--help" => return Ok(Command::Help),
             "--addr" => options.addr = value,
-            "--qubits" => options.qubits = count(&value)?,
-            "--workers" => options.workers = count(&value)?,
-            "--queue" => options.queue = count(&value)?,
-            "--max-connections" => options.max_connections = count(&value)?,
-            "--max-iters" => options.max_iters = count(&value)?,
-            "--library-capacity" => options.library_capacity = Some(count(&value)?),
+            "--qubits" => options.qubits = count()?,
+            "--workers" => options.workers = count()?,
+            "--queue" => options.queue = count()?,
+            "--max-connections" => options.max_connections = count()?,
+            "--max-iters" => options.max_iters = count()?,
+            "--library-capacity" => options.library_capacity = Some(count()?),
             "--data-dir" => options.data_dir = Some(value),
-            "--snapshot-every" => options.snapshot_every = count(&value)?,
+            "--snapshot-every" => options.snapshot_every = count()?,
             _ => unreachable!("flag was checked against KNOWN_FLAGS"),
         }
     }
@@ -223,12 +244,12 @@ pub const ROUTER_USAGE: &str = "\
 accqoc router — front-end for a sharded pulse-library deployment
 
 Speaks the daemon's wire surfaces (line protocol + HTTP/1.1) unchanged
-and forwards each request to the worker daemons owning its groups on a
-consistent-hash ring keyed by group width.
+and forwards each request to the worker daemons owning its groups: a
+group of width W belongs to shard (W - 1) mod N.
 
 USAGE:
   router --shards HOST:PORT,HOST:PORT,... [FLAGS]
-  router --rebalance --data-base PATH --from N --to M [--vnodes V]
+  router --rebalance --data-base PATH --from N --to M
 
 FLAGS (`--flag VALUE` or `--flag=VALUE`):
   --shards LIST           comma-separated worker addresses; the list
@@ -246,11 +267,9 @@ FLAGS (`--flag VALUE` or `--flag=VALUE`):
                           retry waits 5x longer (default 10)
   --connect-timeout-ms MS TCP connect timeout per attempt (default 1000)
   --read-timeout-ms MS    per-response read timeout (default 120000)
-  --vnodes V              virtual nodes per shard on the ring (default
-                          64; every process in a deployment must agree)
 
 REBALANCE MODE (offline; stop the workers first):
-  --rebalance             run a ring resize instead of serving
+  --rebalance             re-home the shard stores instead of serving
   --data-base PATH        directory holding the shard-N data dirs
   --from N                shard count the stores were written under
   --to M                  shard count to rebalance onto
@@ -280,8 +299,6 @@ pub struct RouterOptions {
     pub connect_timeout_ms: u64,
     /// Per-response read timeout, milliseconds.
     pub read_timeout_ms: u64,
-    /// Virtual nodes per shard on the ring.
-    pub vnodes: usize,
 }
 
 impl Default for RouterOptions {
@@ -299,7 +316,6 @@ impl Default for RouterOptions {
             backoff_ms: router.backoff.as_millis() as u64,
             connect_timeout_ms: router.connect_timeout.as_millis() as u64,
             read_timeout_ms: router.read_timeout.as_millis() as u64,
-            vnodes: router.vnodes,
         }
     }
 }
@@ -325,7 +341,6 @@ impl RouterOptions {
             backoff: Duration::from_millis(self.backoff_ms),
             connect_timeout: Duration::from_millis(self.connect_timeout_ms),
             read_timeout: Duration::from_millis(self.read_timeout_ms),
-            vnodes: self.vnodes,
         }
     }
 }
@@ -339,8 +354,6 @@ pub struct RebalanceOptions {
     pub from: usize,
     /// Shard count to rebalance onto.
     pub to: usize,
-    /// Virtual nodes per shard on the ring.
-    pub vnodes: usize,
 }
 
 /// What the router's argument vector asked for.
@@ -354,7 +367,9 @@ pub enum RouterCommand {
     Help,
 }
 
-const ROUTER_KNOWN_FLAGS: [&str; 14] = [
+const ROUTER_SWITCHES: [&str; 3] = ["-h", "--help", "--rebalance"];
+
+const ROUTER_KNOWN_FLAGS: [&str; 13] = [
     "--shards",
     "--addr",
     "--qubits",
@@ -365,7 +380,6 @@ const ROUTER_KNOWN_FLAGS: [&str; 14] = [
     "--backoff-ms",
     "--connect-timeout-ms",
     "--read-timeout-ms",
-    "--vnodes",
     "--data-base",
     "--from",
     "--to",
@@ -388,51 +402,13 @@ pub fn parse_router_args(
     let mut data_base: Option<String> = None;
     let mut from: Option<usize> = None;
     let mut to: Option<usize> = None;
-    let mut args = args.into_iter().peekable();
-    while let Some(arg) = args.next() {
-        if arg == "-h" || arg == "--help" {
-            return Ok(RouterCommand::Help);
-        }
-        if arg == "--rebalance" {
-            rebalance = true;
-            continue;
-        }
-        if !arg.starts_with("--") {
-            return Err(CliError::UnexpectedArgument(arg));
-        }
-        let (flag, inline) = match arg.split_once('=') {
-            Some((flag, value)) => (flag.to_string(), Some(value.to_string())),
-            None => (arg, None),
-        };
-        if !ROUTER_KNOWN_FLAGS.contains(&flag.as_str()) {
-            return Err(CliError::UnknownFlag(flag));
-        }
-        let value = match inline {
-            Some(value) => value,
-            None => match args.peek() {
-                None => return Err(CliError::MissingValue(flag)),
-                Some(next) if next.starts_with("--") => {
-                    return Err(CliError::FlagShapedValue {
-                        flag,
-                        value: next.clone(),
-                    })
-                }
-                Some(_) => args.next().expect("peeked"),
-            },
-        };
-        let count = |value: &str| -> Result<usize, CliError> {
-            value.parse().map_err(|_| CliError::BadValue {
-                flag: flag.clone(),
-                value: value.to_string(),
-            })
-        };
-        let millis = |value: &str| -> Result<u64, CliError> {
-            value.parse().map_err(|_| CliError::BadValue {
-                flag: flag.clone(),
-                value: value.to_string(),
-            })
-        };
+    for arg in strict_flags(args, &ROUTER_KNOWN_FLAGS, &ROUTER_SWITCHES) {
+        let (flag, value) = arg?;
+        let count = || number::<usize>(&flag, &value);
+        let millis = || number::<u64>(&flag, &value);
         match flag.as_str() {
+            "-h" | "--help" => return Ok(RouterCommand::Help),
+            "--rebalance" => rebalance = true,
             "--shards" => {
                 options.shards = value
                     .split(',')
@@ -445,18 +421,17 @@ pub fn parse_router_args(
                 }
             }
             "--addr" => options.addr = value,
-            "--qubits" => options.qubits = count(&value)?,
-            "--workers" => options.workers = count(&value)?,
-            "--queue" => options.queue = count(&value)?,
-            "--max-connections" => options.max_connections = count(&value)?,
-            "--attempts" => options.attempts = count(&value)?.max(1),
-            "--backoff-ms" => options.backoff_ms = millis(&value)?,
-            "--connect-timeout-ms" => options.connect_timeout_ms = millis(&value)?,
-            "--read-timeout-ms" => options.read_timeout_ms = millis(&value)?,
-            "--vnodes" => options.vnodes = count(&value)?.max(1),
+            "--qubits" => options.qubits = count()?,
+            "--workers" => options.workers = count()?,
+            "--queue" => options.queue = count()?,
+            "--max-connections" => options.max_connections = count()?,
+            "--attempts" => options.attempts = count()?.max(1),
+            "--backoff-ms" => options.backoff_ms = millis()?,
+            "--connect-timeout-ms" => options.connect_timeout_ms = millis()?,
+            "--read-timeout-ms" => options.read_timeout_ms = millis()?,
             "--data-base" => data_base = Some(value),
-            "--from" => from = Some(count(&value)?),
-            "--to" => to = Some(count(&value)?),
+            "--from" => from = Some(count()?),
+            "--to" => to = Some(count()?),
             _ => unreachable!("flag was checked against ROUTER_KNOWN_FLAGS"),
         }
     }
@@ -465,7 +440,6 @@ pub fn parse_router_args(
             data_base: data_base.ok_or_else(|| CliError::MissingFlag("--data-base".into()))?,
             from: from.ok_or_else(|| CliError::MissingFlag("--from".into()))?,
             to: to.ok_or_else(|| CliError::MissingFlag("--to".into()))?,
-            vnodes: options.vnodes,
         }));
     }
     if options.shards.is_empty() {
@@ -511,7 +485,6 @@ mod tests {
             "--backoff-ms=2",
             "--connect-timeout-ms=250",
             "--read-timeout-ms=9000",
-            "--vnodes=32",
             "--workers=4",
         ])
         .expect("valid args");
@@ -527,7 +500,6 @@ mod tests {
         assert_eq!(router.attempts, 5);
         assert_eq!(router.backoff, std::time::Duration::from_millis(2));
         assert_eq!(router.read_timeout, std::time::Duration::from_millis(9000));
-        assert_eq!(router.vnodes, 32);
         assert_eq!(options.server_config().workers, 4);
     }
 
@@ -559,7 +531,6 @@ mod tests {
                 data_base: "/tmp/x".into(),
                 from: 2,
                 to: 3,
-                vnodes: accqoc::DEFAULT_VNODES,
             }))
         );
     }

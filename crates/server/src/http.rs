@@ -31,7 +31,7 @@
 use accqoc::json::{self, JsonValue};
 
 use crate::protocol::{
-    keys_from_json, Call, ErrorCode, Payload, WireError, DEFAULT_LIBRARY_LIMIT, MAX_LIBRARY_LIMIT,
+    Call, ErrorCode, Payload, WireError, DEFAULT_LIBRARY_LIMIT, MAX_LIBRARY_LIMIT,
 };
 
 /// Response body rendering negotiated from the request path suffix.
@@ -281,72 +281,30 @@ fn percent_decode(text: &str) -> String {
 /// bodies or query parameters.
 pub fn route(request: &HttpRequest) -> Result<(Call, Format), WireError> {
     let (path, format) = negotiate_format(&request.path);
-    let method = request.method.as_str();
+    let verb = request.method.as_str();
+    // Body-carrying calls decode exactly as the line protocol's params.
+    let body_call = |method: &str| {
+        require_method(verb, "POST")?;
+        Call::from_params(method, Some(&parse_body(&request.body)?))
+    };
     let call = match path {
-        "/serve" => {
-            require_method(method, "POST")?;
-            let body = parse_body(&request.body)?;
-            Call::ServeProgram {
-                qasm: required_str(&body, "qasm")?,
-                return_pulses: matches!(body.get("return_pulses"), Some(JsonValue::Bool(true))),
-                only_qubits: optional_widths(&body)?,
-            }
-        }
-        "/precompile" => {
-            require_method(method, "POST")?;
-            let body = parse_body(&request.body)?;
-            let programs = body
-                .get("programs")
-                .and_then(JsonValue::as_array)
-                .ok_or_else(|| {
-                    WireError::new(ErrorCode::BadParams, "missing array param `programs`")
-                })?;
-            Call::Precompile {
-                programs: programs
-                    .iter()
-                    .map(|p| {
-                        p.as_str().map(str::to_string).ok_or_else(|| {
-                            WireError::new(ErrorCode::BadParams, "`programs` holds a non-string")
-                        })
-                    })
-                    .collect::<Result<_, _>>()?,
-                only_qubits: optional_widths(&body)?,
-            }
-        }
-        "/pulses" => {
-            require_method(method, "POST")?;
-            let body = parse_body(&request.body)?;
-            let keys = body
-                .get("keys")
-                .and_then(JsonValue::as_array)
-                .ok_or_else(|| {
-                    WireError::new(ErrorCode::BadParams, "missing array param `keys`")
-                })?;
-            Call::Pulses {
-                keys: keys_from_json(keys, "keys")
-                    .map_err(|message| WireError::new(ErrorCode::BadParams, message))?,
-            }
-        }
-        "/verify" => {
-            require_method(method, "POST")?;
-            let body = parse_body(&request.body)?;
-            Call::VerifyProgram {
-                qasm: required_str(&body, "qasm")?,
-            }
-        }
+        "/serve" => body_call("serve_program")?,
+        "/precompile" => body_call("precompile")?,
+        "/pulses" => body_call("pulses")?,
+        "/verify" => body_call("verify_program")?,
         "/stats" => {
-            require_method(method, "GET")?;
+            require_method(verb, "GET")?;
             Call::Stats
         }
         "/library" => {
-            require_method(method, "GET")?;
+            require_method(verb, "GET")?;
             Call::Library {
                 limit: query_count(request, "limit", DEFAULT_LIBRARY_LIMIT)?.min(MAX_LIBRARY_LIMIT),
                 offset: query_count(request, "offset", 0)?,
             }
         }
         "/shutdown" => {
-            require_method(method, "POST")?;
+            require_method(verb, "POST")?;
             Call::Shutdown
         }
         other => {
@@ -381,42 +339,11 @@ fn require_method(got: &str, want: &str) -> Result<(), WireError> {
     }
 }
 
-/// The optional `only_qubits` width filter of `/serve` and
-/// `/precompile` bodies (absent means "serve everything").
-fn optional_widths(body: &JsonValue) -> Result<Option<Vec<usize>>, WireError> {
-    match body.get("only_qubits") {
-        None => Ok(None),
-        Some(value) => value
-            .as_array()
-            .ok_or_else(|| WireError::new(ErrorCode::BadParams, "`only_qubits` must be an array"))?
-            .iter()
-            .map(|w| {
-                w.as_usize().ok_or_else(|| {
-                    WireError::new(ErrorCode::BadParams, "`only_qubits` holds a non-integer")
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()
-            .map(Some),
-    }
-}
-
 fn parse_body(body: &[u8]) -> Result<JsonValue, WireError> {
     let text = std::str::from_utf8(body)
         .map_err(|_| WireError::new(ErrorCode::MalformedJson, "request body is not UTF-8"))?;
     json::parse(text)
         .map_err(|e| WireError::new(ErrorCode::MalformedJson, format!("request body: {e}")))
-}
-
-fn required_str(body: &JsonValue, name: &str) -> Result<String, WireError> {
-    body.get(name)
-        .and_then(JsonValue::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| {
-            WireError::new(
-                ErrorCode::BadParams,
-                format!("missing string param `{name}`"),
-            )
-        })
 }
 
 fn query_count(request: &HttpRequest, name: &str, default: usize) -> Result<usize, WireError> {

@@ -254,6 +254,78 @@ impl Call {
             Self::Shutdown => "shutdown",
         }
     }
+
+    /// Decodes a call whose parameters travel as one JSON object —
+    /// `serve_program`, `precompile`, `verify_program` and `pulses` —
+    /// from that object (`None` when the request carries none). Both wire
+    /// surfaces decode these calls here, the line frame's `params` and
+    /// the HTTP request body alike, so their error codes and messages
+    /// agree.
+    ///
+    /// # Errors
+    ///
+    /// [`ErrorCode::BadParams`] for a missing or mistyped parameter,
+    /// [`ErrorCode::UnknownMethod`] for any other method name.
+    pub(crate) fn from_params(method: &str, params: Option<&JsonValue>) -> Result<Self, WireError> {
+        fn bad(message: impl Into<String>) -> WireError {
+            WireError::new(ErrorCode::BadParams, message)
+        }
+        let param = |name: &str| params.and_then(|p| p.get(name));
+        let string = |name: &str| {
+            param(name)
+                .and_then(JsonValue::as_str)
+                .map(str::to_string)
+                .ok_or_else(|| bad(format!("missing string param `{name}`")))
+        };
+        let array = |name: &str| {
+            param(name)
+                .and_then(JsonValue::as_array)
+                .ok_or_else(|| bad(format!("missing array param `{name}`")))
+        };
+        let widths = || match param("only_qubits") {
+            None => Ok(None),
+            Some(value) => value
+                .as_array()
+                .ok_or_else(|| bad("`only_qubits` must be an array"))?
+                .iter()
+                .map(|w| {
+                    w.as_usize()
+                        .ok_or_else(|| bad("`only_qubits` holds a non-integer"))
+                })
+                .collect::<Result<Vec<_>, _>>()
+                .map(Some),
+        };
+        Ok(match method {
+            "serve_program" => Self::ServeProgram {
+                qasm: string("qasm")?,
+                return_pulses: matches!(param("return_pulses"), Some(JsonValue::Bool(true))),
+                only_qubits: widths()?,
+            },
+            "precompile" => Self::Precompile {
+                programs: array("programs")?
+                    .iter()
+                    .map(|p| {
+                        p.as_str()
+                            .map(str::to_string)
+                            .ok_or_else(|| bad("`programs` holds a non-string"))
+                    })
+                    .collect::<Result<_, _>>()?,
+                only_qubits: widths()?,
+            },
+            "verify_program" => Self::VerifyProgram {
+                qasm: string("qasm")?,
+            },
+            "pulses" => Self::Pulses {
+                keys: keys_from_json(array("keys")?, "keys").map_err(bad)?,
+            },
+            other => {
+                return Err(WireError::new(
+                    ErrorCode::UnknownMethod,
+                    format!("unknown method `{other}`"),
+                ))
+            }
+        })
+    }
 }
 
 /// One request frame: an `id` the response echoes, plus the call.
@@ -394,76 +466,9 @@ impl Request {
             .get("method")
             .and_then(JsonValue::as_str)
             .ok_or_else(|| fail(ErrorCode::BadParams, "missing `method`".into()))?;
-        let param_str = |name: &str| {
-            doc.get("params")
-                .and_then(|p| p.get(name))
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| {
-                    fail(
-                        ErrorCode::BadParams,
-                        format!("missing string param `{name}`"),
-                    )
-                })
-        };
-        let param_widths = || match doc.get("params").and_then(|p| p.get("only_qubits")) {
-            None => Ok(None),
-            Some(value) => value
-                .as_array()
-                .ok_or_else(|| {
-                    fail(
-                        ErrorCode::BadParams,
-                        "`only_qubits` must be an array".into(),
-                    )
-                })?
-                .iter()
-                .map(|w| {
-                    w.as_usize().ok_or_else(|| {
-                        fail(
-                            ErrorCode::BadParams,
-                            "`only_qubits` holds a non-integer".into(),
-                        )
-                    })
-                })
-                .collect::<Result<Vec<_>, _>>()
-                .map(Some),
-        };
         let call = match method {
-            "serve_program" => Call::ServeProgram {
-                qasm: param_str("qasm")?,
-                return_pulses: matches!(
-                    doc.get("params").and_then(|p| p.get("return_pulses")),
-                    Some(JsonValue::Bool(true))
-                ),
-                only_qubits: param_widths()?,
-            },
-            "precompile" => {
-                let programs = doc
-                    .get("params")
-                    .and_then(|p| p.get("programs"))
-                    .and_then(JsonValue::as_array)
-                    .ok_or_else(|| {
-                        fail(
-                            ErrorCode::BadParams,
-                            "missing array param `programs`".into(),
-                        )
-                    })?;
-                Call::Precompile {
-                    programs: programs
-                        .iter()
-                        .map(|p| {
-                            p.as_str().map(str::to_string).ok_or_else(|| {
-                                fail(ErrorCode::BadParams, "`programs` holds a non-string".into())
-                            })
-                        })
-                        .collect::<Result<_, _>>()?,
-                    only_qubits: param_widths()?,
-                }
-            }
-            "verify_program" => Call::VerifyProgram {
-                qasm: param_str("qasm")?,
-            },
             "stats" => Call::Stats,
+            "shutdown" => Call::Shutdown,
             "library" => {
                 let param_count = |name: &str, default: usize| match doc
                     .get("params")
@@ -482,26 +487,8 @@ impl Request {
                     offset: param_count("offset", 0)?,
                 }
             }
-            "pulses" => {
-                let keys = doc
-                    .get("params")
-                    .and_then(|p| p.get("keys"))
-                    .and_then(JsonValue::as_array)
-                    .ok_or_else(|| {
-                        fail(ErrorCode::BadParams, "missing array param `keys`".into())
-                    })?;
-                Call::Pulses {
-                    keys: keys_from_json(keys, "keys")
-                        .map_err(|message| fail(ErrorCode::BadParams, message))?,
-                }
-            }
-            "shutdown" => Call::Shutdown,
-            other => {
-                return Err(fail(
-                    ErrorCode::UnknownMethod,
-                    format!("unknown method `{other}`"),
-                ))
-            }
+            _ => Call::from_params(method, doc.get("params"))
+                .map_err(|error| DecodeError { id, error })?,
         };
         Ok(Self { id, call })
     }

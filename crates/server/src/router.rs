@@ -1,5 +1,5 @@
 //! The shard router: a front-end [`CallHandler`] that partitions the
-//! pulse library across N worker daemons by a consistent-hash ring.
+//! pulse library across N worker daemons by group width.
 //!
 //! A sharded deployment is N `accqoc-server` worker processes — each an
 //! ordinary event-loop daemon owning its own durable store
@@ -11,13 +11,13 @@
 //!
 //! # Routing is by dimension class
 //!
-//! The ring ([`accqoc::ShardRing`]) keys on
-//! [`ShardKey::dimension_class`] — a group's qubit width — not on the
-//! group's unitary. This is what makes sharding *byte-transparent*:
+//! A group of width w belongs to shard `(w − 1) mod N`
+//! ([`accqoc::shard_of`]): the key is the group's qubit width, not its
+//! unitary. This is what makes sharding *byte-transparent*:
 //! warm-start retrieval never crosses widths
 //! ([`accqoc::UnitaryFingerprint`] distance is infinite across widths),
 //! so the width-w slice of the library evolves identically whether it
-//! lives in one process or on shard `ring.route(w)`. Routing finer than
+//! lives in one process or on shard `shard_of(w, N)`. Routing finer than
 //! the width class (e.g. by fingerprint bucket) would sever warm-start
 //! chains and change the served pulses; routing by width cannot.
 //!
@@ -54,7 +54,7 @@
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use accqoc::{PulseCache, ServeReport, Session, ShardKey, ShardRing};
+use accqoc::{PulseCache, ServeReport, Session};
 use accqoc_circuit::UnitaryKey;
 
 use crate::client::{Client, ClientError};
@@ -79,8 +79,6 @@ pub struct RouterConfig {
     /// Read timeout per response. Must comfortably exceed the longest
     /// GRAPE compile a serve can trigger.
     pub read_timeout: Duration,
-    /// Virtual nodes per shard on the hash ring.
-    pub vnodes: usize,
 }
 
 impl Default for RouterConfig {
@@ -90,7 +88,6 @@ impl Default for RouterConfig {
             backoff: Duration::from_millis(10),
             connect_timeout: Duration::from_secs(1),
             read_timeout: Duration::from_secs(120),
-            vnodes: accqoc::DEFAULT_VNODES,
         }
     }
 }
@@ -104,27 +101,30 @@ struct Shard {
     client: Mutex<Option<Client>>,
 }
 
-/// The router's [`CallHandler`]: owns the ring, the shard connections,
+/// The router's [`CallHandler`]: owns the shard connections,
 /// and a local front-end [`Session`] (which never compiles — it groups
 /// programs, folds latencies, and verifies fetched pulses).
 pub struct RouterHandler {
     session: Arc<Session>,
-    ring: ShardRing,
     shards: Vec<Shard>,
     config: RouterConfig,
 }
 
 impl RouterHandler {
-    /// Builds a router over worker daemons at `shard_addrs`. The ring
-    /// size is the address count; the order of addresses IS the shard
+    /// Builds a router over worker daemons at `shard_addrs`. The shard
+    /// count is the address count; the order of addresses IS the shard
     /// numbering and must match the workers' `--data-dir` layout
     /// (`shard-0`, `shard-1`, …) for rebalancing to line up.
     ///
     /// `session` must be configured identically to the workers'
     /// sessions (same topology/grouping), or the router's front end
     /// would disagree with the shards' about group keys.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `shard_addrs` is empty (no shard could own a width).
     pub fn new(session: Arc<Session>, shard_addrs: Vec<String>, config: RouterConfig) -> Self {
-        let ring = ShardRing::with_vnodes(shard_addrs.len(), config.vnodes);
+        assert!(!shard_addrs.is_empty(), "a router needs at least one shard");
         let shards = shard_addrs
             .into_iter()
             .map(|addr| Shard {
@@ -134,20 +134,14 @@ impl RouterHandler {
             .collect();
         Self {
             session,
-            ring,
             shards,
             config,
         }
     }
 
-    /// The ring, as built from the address list.
-    pub fn ring(&self) -> &ShardRing {
-        &self.ring
-    }
-
     /// The shard that owns groups of `n_qubits` qubits.
     pub fn owner_of(&self, n_qubits: usize) -> usize {
-        self.ring.route(ShardKey::dimension_class(n_qubits))
+        accqoc::shard_of(n_qubits, self.shards.len())
     }
 
     /// Runs one client operation against a shard, reconnecting and
@@ -543,19 +537,13 @@ mod tests {
     }
 
     #[test]
-    fn ownership_follows_the_ring() {
-        let r = router(3);
-        for w in 1..=8 {
-            assert_eq!(
-                r.owner_of(w),
-                r.ring().route(ShardKey::dimension_class(w)),
-                "width {w}"
-            );
+    fn ownership_is_the_width_map() {
+        for shards in 1..=4 {
+            let r = router(shards);
+            for w in 1..=8 {
+                assert_eq!(r.owner_of(w), (w - 1) % shards, "width {w}");
+            }
         }
-        // The pinned 3-shard layout the chaos tests rely on: width 1 on
-        // shard 0, width 2 on shard 2.
-        assert_eq!(r.owner_of(1), 0);
-        assert_eq!(r.owner_of(2), 2);
     }
 
     #[test]
@@ -567,6 +555,7 @@ mod tests {
             "qreg q]x[;",
             "qreg a[18446744073709551615]; qreg b[1];",
             "qreg q[100]; h q[99];",
+            "qreg q[1]; qreg q[1]; h q[0];",
         ] {
             let errors = [
                 r.serve(qasm, true, None).map(|_| ()),
@@ -592,7 +581,6 @@ mod tests {
             backoff: Duration::from_millis(1),
             connect_timeout: Duration::from_millis(200),
             read_timeout: Duration::from_millis(100),
-            ..RouterConfig::default()
         };
         let handler = RouterHandler::new(front_session(2), vec![addr], config);
         let started = std::time::Instant::now();

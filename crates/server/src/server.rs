@@ -56,7 +56,7 @@ use std::time::{Duration, Instant};
 
 use accqoc::json::hex_encode;
 use accqoc::{PulseCache, Session};
-use accqoc_circuit::{parse_qasm, Circuit};
+use accqoc_circuit::{parse_qasm, Circuit, UnitaryKey};
 
 use crate::http::{self, Format, HttpParse};
 use crate::inflight::InflightGroups;
@@ -938,6 +938,28 @@ pub(crate) fn parse_program(session: &Session, qasm: &str) -> Result<Circuit, Wi
     Ok(circuit)
 }
 
+/// The library's pulses for `keys`, plus the keys it does not hold,
+/// sorted and deduplicated (a capacity-bounded library may have evicted
+/// them).
+fn cached_pulses(
+    session: &Session,
+    keys: impl IntoIterator<Item = UnitaryKey>,
+) -> (PulseCache, Vec<UnitaryKey>) {
+    let mut pulses = PulseCache::new();
+    let mut missing = Vec::new();
+    for key in keys {
+        match session.cached(&key) {
+            Some(entry) => {
+                pulses.insert(key, entry);
+            }
+            None => missing.push(key),
+        }
+    }
+    missing.sort();
+    missing.dedup();
+    (pulses, missing)
+}
+
 /// Executes one admitted call against the shared session.
 fn handle_call(
     id: u64,
@@ -995,18 +1017,8 @@ fn handle_call(
             // short cache would let the client mistake "evicted" for
             // "never existed".
             let (pulses, missing) = if return_pulses {
-                let mut cache = PulseCache::new();
-                let mut missing = Vec::new();
-                for group in &report.groups {
-                    match session.cached(&group.key) {
-                        Some(entry) => {
-                            cache.insert(group.key.clone(), entry);
-                        }
-                        None => missing.push(group.key.clone()),
-                    }
-                }
-                missing.sort();
-                missing.dedup();
+                let (cache, missing) =
+                    cached_pulses(session, report.groups.iter().map(|g| g.key.clone()));
                 (Some(cache), missing)
             } else {
                 (None, Vec::new())
@@ -1097,18 +1109,7 @@ fn handle_call(
             })),
         },
         Call::Pulses { keys } => {
-            let mut pulses = PulseCache::new();
-            let mut missing = Vec::new();
-            for key in keys {
-                match session.cached(&key) {
-                    Some(entry) => {
-                        pulses.insert(key, entry);
-                    }
-                    None => missing.push(key),
-                }
-            }
-            missing.sort();
-            missing.dedup();
+            let (pulses, missing) = cached_pulses(session, keys);
             Response {
                 id,
                 body: Ok(Payload::Pulses { pulses, missing }),

@@ -415,9 +415,11 @@ fn non_ascii_pulse_keys_get_400_bad_params_and_the_connection_survives() {
 #[test]
 fn malformed_registers_and_over_wide_programs_get_typed_qasm_errors_on_both_surfaces() {
     // A register whose brackets close before they open, registers whose
-    // sizes overflow the qubit count, and a program wider than the
-    // 2-qubit device: each is the client's `qasm` error (HTTP 400) on
-    // every QASM-carrying call, never a handler panic's `internal`.
+    // sizes overflow the qubit count, a program wider than the 2-qubit
+    // device, and a register name declared twice (which would otherwise
+    // fit the device with `q[0]` naming qubit 1): each is the client's
+    // `qasm` error (HTTP 400) on every QASM-carrying call, never a
+    // handler panic's `internal`.
     let (addr, handle) = boot(ServerConfig::default());
     let stream = TcpStream::connect(addr).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
@@ -426,6 +428,7 @@ fn malformed_registers_and_over_wide_programs_get_typed_qasm_errors_on_both_surf
         "qreg q]x[;",
         "qreg a[18446744073709551615]; qreg b[1];",
         "qreg q[100]; h q[99];",
+        "qreg q[1]; qreg q[1]; h q[0];",
     ] {
         let calls = [
             (

@@ -117,9 +117,9 @@ fn killed_shard_yields_typed_error_and_resumes_byte_identically() {
         "the chaos position must be an all-hits repeat in the baseline"
     );
 
-    // Three workers (shard 1 owns no width at 3 shards — it idles, as
-    // the pinned ring layout says), each a subprocess with its own
-    // durable store under base/shard-<i>.
+    // Three workers (the stream's widths 1 and 2 occupy two of them; the
+    // third idles), each a subprocess with its own durable store under
+    // base/shard-<i>.
     let mut workers: Vec<Worker> = (0..3)
         .map(|i| spawn_worker("127.0.0.1:0", &base.join(format!("shard-{i}"))))
         .collect();
@@ -132,16 +132,15 @@ fn killed_shard_yields_typed_error_and_resumes_byte_identically() {
         backoff: Duration::from_millis(5),
         connect_timeout: Duration::from_millis(500),
         read_timeout: Duration::from_secs(60),
-        ..RouterConfig::default()
     };
     let handler = Arc::new(RouterHandler::new(
         Arc::new(tiny_session()),
         shard_addrs.clone(),
         config,
     ));
-    // Width 2 routes to shard 2 at 3 shards: that is the kill target —
-    // it owns every entangling group of the stream.
-    assert_eq!(handler.owner_of(2), 2);
+    // The owner of width 2 is the kill target — it owns every
+    // entangling group of the stream.
+    let victim = handler.owner_of(2);
     let router = Server::bind_with_handler(handler, "127.0.0.1:0", ServerConfig::default())
         .expect("bind router");
     let router_addr = router.local_addr();
@@ -157,10 +156,10 @@ fn killed_shard_yields_typed_error_and_resumes_byte_identically() {
     }
 
     // Chaos: kill the width-2 owner mid-stream.
-    workers[2].child.kill().expect("kill shard 2");
-    workers[2].child.wait().expect("reap shard 2");
+    workers[victim].child.kill().expect("kill shard");
+    workers[victim].child.wait().expect("reap shard");
 
-    // The next request needs shard 2: the router must answer with the
+    // The next request needs the victim: the router must answer with the
     // typed error, bounded by its retry budget — never a hang.
     let started = std::time::Instant::now();
     let err = client
@@ -182,7 +181,7 @@ fn killed_shard_yields_typed_error_and_resumes_byte_identically() {
 
     // Restart the worker from its data dir on the same address; the WAL
     // replay restores its library slice.
-    workers[2] = spawn_worker(&shard_addrs[2], &base.join("shard-2"));
+    workers[victim] = spawn_worker(&shard_addrs[victim], &base.join(format!("shard-{victim}")));
 
     // The failed request now succeeds, byte-identical to the baseline's
     // uninterrupted report at this position: the recovered entries serve
@@ -194,7 +193,7 @@ fn killed_shard_yields_typed_error_and_resumes_byte_identically() {
 
     // Straight to the restarted shard: its recovered prefix re-served as
     // hits — zero scratch (and zero warm) recompiles of persisted groups.
-    let mut direct = Client::connect(&*workers[2].addr).expect("connect restarted shard");
+    let mut direct = Client::connect(&*workers[victim].addr).expect("connect restarted shard");
     let stats = direct.stats().expect("shard stats");
     assert!(
         stats.library.hits > 0,

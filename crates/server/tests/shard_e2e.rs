@@ -1,7 +1,7 @@
 //! End-to-end transparency of the sharded tier: a golden + UCCSD stream
-//! through a 3-shard deployment (three worker daemons + the router, all
-//! over loopback) produces byte-identical serve reports and pulses, and
-//! identical library counters summed across shards, versus the
+//! through a 2- and a 3-shard deployment (worker daemons + the router,
+//! all over loopback) produces byte-identical serve reports and pulses,
+//! and identical library counters summed across shards, versus the
 //! in-process `Session::serve_program` path on one session.
 
 use std::sync::Arc;
@@ -50,8 +50,10 @@ fn programs() -> Vec<Circuit> {
     programs
 }
 
-#[test]
-fn three_shard_deployment_is_byte_transparent() {
+/// Serves the stream through an `n_shards` deployment, asserts every
+/// answer and aggregate is byte-identical to one in-process session, and
+/// returns each shard's library.
+fn serve_through_shards(n_shards: usize) -> Vec<accqoc::PulseCache> {
     let programs = programs();
     let stream = arrival_stream(programs.len(), 10, 7);
 
@@ -62,9 +64,9 @@ fn three_shard_deployment_is_byte_transparent() {
         base_reports.push(baseline.serve_program(&programs[i]).expect("serves"));
     }
 
-    // The deployment: three worker daemons, each with its own (equally
-    // configured) session, and the router in front.
-    let workers: Vec<Arc<Session>> = (0..3).map(|_| Arc::new(tiny_session())).collect();
+    // The deployment: `n_shards` worker daemons, each with its own
+    // (equally configured) session, and the router in front.
+    let workers: Vec<Arc<Session>> = (0..n_shards).map(|_| Arc::new(tiny_session())).collect();
     let mut shard_addrs = Vec::new();
     let mut worker_handles = Vec::new();
     for session in &workers {
@@ -130,20 +132,20 @@ fn three_shard_deployment_is_byte_transparent() {
     assert_eq!(merged_keys, expected_keys, "merged page order diverged");
 
     // The union of the shard libraries is byte-identical to the
-    // baseline library.
+    // baseline library. No shard holds a group another shard also holds
+    // (the partition is a partition), and every entry sits on the owner
+    // of its width.
+    let libraries: Vec<accqoc::PulseCache> = workers.iter().map(|s| s.cache_snapshot()).collect();
     let mut union = accqoc::PulseCache::new();
-    for session in &workers {
-        union.merge(session.cache_snapshot());
+    for (shard, library) in libraries.iter().enumerate() {
+        for (_, entry) in library.iter() {
+            assert_eq!(accqoc::shard_of(entry.n_qubits, n_shards), shard);
+        }
+        union.merge(library.clone());
     }
     assert_eq!(union.to_json(), baseline.cache_snapshot().to_json());
-
-    // No shard holds a group another shard also holds (the partition is
-    // a partition), and at 3 shards the pinned layout applies: width 1
-    // on shard 0, width 2 on shard 2, shard 1 idle.
-    let lens: Vec<usize> = workers.iter().map(|s| s.cache_len()).collect();
-    assert_eq!(lens.iter().sum::<usize>(), baseline.cache_len());
-    assert_eq!(lens[1], 0, "no width routes to shard 1 at 3 shards");
-    assert!(lens[0] > 0 && lens[2] > 0, "both active shards compiled");
+    let total: usize = libraries.iter().map(accqoc::PulseCache::len).sum();
+    assert_eq!(total, baseline.cache_len());
 
     // One shutdown through the router drains the whole deployment.
     client.shutdown().expect("shutdown");
@@ -154,4 +156,32 @@ fn three_shard_deployment_is_byte_transparent() {
     for handle in worker_handles {
         handle.join().expect("worker thread").expect("worker ran");
     }
+    libraries
+}
+
+/// Widths of the entries in one shard's library.
+fn widths(library: &accqoc::PulseCache) -> Vec<usize> {
+    let mut widths: Vec<usize> = library.iter().map(|(_, e)| e.n_qubits).collect();
+    widths.sort_unstable();
+    widths.dedup();
+    widths
+}
+
+#[test]
+fn two_shard_deployment_puts_each_served_width_on_its_own_shard() {
+    // The stream's widths 1 and 2 land on different shards: both hold
+    // entries, and their union is the in-process library (asserted in
+    // `serve_through_shards`).
+    let libraries = serve_through_shards(2);
+    assert_eq!(widths(&libraries[0]), vec![1]);
+    assert_eq!(widths(&libraries[1]), vec![2]);
+}
+
+#[test]
+fn three_shard_deployment_is_byte_transparent() {
+    // Width 1 on shard 0, width 2 on shard 1, shard 2 idle.
+    let libraries = serve_through_shards(3);
+    assert_eq!(widths(&libraries[0]), vec![1]);
+    assert_eq!(widths(&libraries[1]), vec![2]);
+    assert!(libraries[2].is_empty(), "no width routes to shard 2");
 }

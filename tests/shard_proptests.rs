@@ -1,126 +1,45 @@
-//! Property tests of the consistent-hash shard ring: routing
-//! determinism, the balance bound the router's placement relies on, and
-//! the minimal-movement invariant rebalancing is priced against
-//! (seed-pinnable via `ACCQOC_PROPTEST_SEED`; a failure prints the seed
-//! in effect — see the `proptest` compat crate).
+//! Property tests of the width-to-shard map: routing determinism and
+//! the exact balance the router's placement relies on (seed-pinnable via
+//! `ACCQOC_PROPTEST_SEED`; a failure prints the seed in effect — see the
+//! `proptest` compat crate).
 
-use accqoc_repro::accqoc::{plan_resize, ShardKey, ShardRing, DEFAULT_VNODES};
+use accqoc_repro::accqoc::shard_of;
 use proptest::prelude::*;
 
 proptest! {
-    /// Routing is a pure function of (key, shard count, vnode count):
-    /// two independently constructed rings — as in two processes, or
-    /// one process across a restart — agree on every key. The durable
-    /// tier depends on this: a worker restarted from its data dir must
-    /// own exactly the widths it owned before.
+    /// Routing is a pure function of (width, shard count): every process
+    /// — or one process across a restart — routes a width to the same
+    /// shard, always in range, and the map repeats with period N, so any
+    /// N consecutive widths land on N distinct shards. The durable tier
+    /// depends on this: a worker restarted from its data dir must own
+    /// exactly the widths it owned before.
     #[test]
     fn routing_is_deterministic_across_ring_rebuilds(
         shards in 1usize..9,
-        vnodes in 1usize..129,
-        keys in proptest::collection::vec(0u64..1_000_000, 1..64),
+        widths in proptest::collection::vec(1usize..1_000_000, 1..64),
     ) {
-        let a = ShardRing::with_vnodes(shards, vnodes);
-        let b = ShardRing::with_vnodes(shards, vnodes);
-        for &raw in &keys {
-            let key = ShardKey::dimension_class(raw as usize);
-            prop_assert_eq!(a.route(key), b.route(key));
-            prop_assert!(a.route(key) < shards);
+        for &w in &widths {
+            let owner = shard_of(w, shards);
+            prop_assert!(owner < shards);
+            prop_assert_eq!(owner, shard_of(w + shards, shards));
         }
-    }
-
-    /// The balance bound: at the default vnode count, no shard's arc
-    /// share exceeds 1.3x the smallest shard's. (The point salt was
-    /// chosen for this — the worst max/min ratio across 2..=8 shards is
-    /// 1.1341, leaving headroom under the gated 1.3.)
-    #[test]
-    fn arc_shares_stay_within_the_balance_bound(shards in 2usize..9) {
-        let ring = ShardRing::with_vnodes(shards, DEFAULT_VNODES);
-        let shares = ring.ownership_shares();
-        prop_assert_eq!(shares.len(), shards);
-        let sum: f64 = shares.iter().sum();
-        prop_assert!((sum - 1.0).abs() < 1e-9, "shares must sum to 1, got {}", sum);
-        let max = shares.iter().cloned().fold(f64::MIN, f64::max);
-        let min = shares.iter().cloned().fold(f64::MAX, f64::min);
-        prop_assert!(min > 0.0, "a shard owns no arc at {} shards", shards);
-        prop_assert!(
-            max / min <= 1.3,
-            "balance bound violated at {} shards: max/min = {:.4}",
-            shards,
-            max / min
-        );
-    }
-
-    /// Minimal movement: growing the ring N -> N+1 relocates only keys
-    /// that land on the NEW shard; every key that moves at all moves to
-    /// shard N. (Vnode positions depend only on (shard, vnode), so
-    /// adding a shard adds points without disturbing existing ones.)
-    #[test]
-    fn growth_moves_keys_only_onto_the_new_shard(
-        shards in 1usize..8,
-        keys in proptest::collection::vec(0u64..1_000_000, 1..128),
-    ) {
-        let old = ShardRing::new(shards);
-        let new = ShardRing::new(shards + 1);
-        for &raw in &keys {
-            let key = ShardKey::dimension_class(raw as usize);
-            let (before, after) = (old.route(key), new.route(key));
-            if before != after {
-                prop_assert!(
-                    after == shards,
-                    "key {} moved {} -> {}, not onto the new shard",
-                    raw,
-                    before,
-                    after
-                );
-            }
-        }
-    }
-
-    /// `plan_resize` is exactly the set of moved keys: one move entry
-    /// per (width, from, to) triple with the instance count, nothing for
-    /// keys that stay put — and under a grow, every destination is the
-    /// new shard (the executable form of minimal movement).
-    #[test]
-    fn plan_resize_matches_per_key_routing(
-        shards in 1usize..8,
-        classes in proptest::collection::vec(1usize..9, 1..64),
-    ) {
-        let old = ShardRing::new(shards);
-        let new = ShardRing::new(shards + 1);
-        let plan = plan_resize(&old, &new, &classes);
-        let mut planned = 0;
-        for m in &plan {
-            let key = ShardKey::dimension_class(m.n_qubits);
-            prop_assert_eq!(old.route(key), m.from);
-            prop_assert_eq!(new.route(key), m.to);
-            prop_assert!(m.to == shards, "grow must move onto the new shard only");
-            planned += m.entries;
-        }
-        let moved = classes
-            .iter()
-            .filter(|&&w| {
-                let key = ShardKey::dimension_class(w);
-                old.route(key) != new.route(key)
-            })
-            .count();
-        prop_assert_eq!(planned, moved);
+        let mut owners: Vec<usize> = (1..=shards).map(|w| shard_of(w, shards)).collect();
+        owners.sort_unstable();
+        prop_assert_eq!(owners, (0..shards).collect::<Vec<_>>());
     }
 }
 
 /// The routes the deployment docs, the chaos test, and the bench check
 /// pin: dimension classes 1..=8 at the shard counts the walkthroughs
-/// use. A change here is a ring-format break — existing shard stores
-/// would no longer match their owners.
+/// use. A change here is a layout break — existing shard stores would
+/// no longer match their owners until `router --rebalance` re-homes
+/// them.
 #[test]
 fn pinned_golden_routes() {
-    let route_all = |shards: usize| -> Vec<usize> {
-        let ring = ShardRing::new(shards);
-        (1..=8)
-            .map(|w| ring.route(ShardKey::dimension_class(w)))
-            .collect()
-    };
+    let route_all =
+        |shards: usize| -> Vec<usize> { (1..=8).map(|w| shard_of(w, shards)).collect() };
     assert_eq!(route_all(1), vec![0; 8]);
-    assert_eq!(route_all(2), vec![0, 0, 1, 1, 0, 1, 1, 0]);
-    assert_eq!(route_all(3), vec![0, 2, 1, 2, 0, 1, 2, 0]);
-    assert_eq!(route_all(4), vec![0, 2, 3, 3, 0, 1, 2, 0]);
+    assert_eq!(route_all(2), vec![0, 1, 0, 1, 0, 1, 0, 1]);
+    assert_eq!(route_all(3), vec![0, 1, 2, 0, 1, 2, 0, 1]);
+    assert_eq!(route_all(4), vec![0, 1, 2, 3, 0, 1, 2, 3]);
 }
