@@ -11,12 +11,13 @@
 //!   Figure 15 prints the cap beside its results.
 
 use accqoc_circuit::Circuit;
-use accqoc_grape::LatencySearch;
+use accqoc_grape::{LatencyResult, LatencySearch, Workspace};
 use accqoc_group::{GroupingPolicy, SwapMode};
 use accqoc_hw::Topology;
 
 use crate::compile::AccQocConfig;
 use crate::error::Result;
+use crate::exec::{self, Done, Width};
 use crate::model::ModelSet;
 use crate::session::Session;
 
@@ -57,8 +58,9 @@ pub struct BruteForceResult {
 /// Runs the brute-force QOC baseline on a logical circuit.
 ///
 /// The circuit is mapped with the same crosstalk-aware mapper, then
-/// divided with a wide grouping policy and compiled group-by-group from
-/// scratch (no cache, no MST).
+/// divided with a wide grouping policy, and every unique group is
+/// compiled from scratch (no cache, no MST). The groups are independent,
+/// so they compile side by side on this thread plus every spare core.
 ///
 /// # Errors
 ///
@@ -86,13 +88,17 @@ pub fn brute_force_qoc(
         .build()?;
 
     let report = session.front_end(circuit);
-    let mut latencies_unique = Vec::with_capacity(report.targets.len());
+    let targets = &report.targets;
+    let run = |i: usize, _: &Done<'_, LatencyResult>, ws: &mut Workspace| {
+        session.compile_anchored(&targets[i].unitary, targets[i].n_qubits, None, 0.0, ws)
+    };
+    let mut latencies_unique = Vec::with_capacity(targets.len());
     let mut total_iterations = 0usize;
-    for target in &report.targets {
-        let result = session.compile_unitary(&target.unitary, target.n_qubits, None)?;
-        total_iterations += result.total_iterations;
-        latencies_unique.push(result.latency_ns);
-    }
+    let independent = vec![None; targets.len()];
+    exec::execute(&independent, Width::Spare(usize::MAX), &run, &mut |_, r| {
+        total_iterations += r.total_iterations;
+        latencies_unique.push(r.latency_ns);
+    })?;
     let latencies: Vec<f64> = report
         .assignment
         .iter()

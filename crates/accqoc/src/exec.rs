@@ -2,23 +2,26 @@
 //! thread plus one scoped thread per spare core, and commits their
 //! results on the calling thread in plan order.
 //!
-//! A plan is a list of steps, each waiting on at most one earlier step
-//! (the step whose pulse seeds it, or the step before it in a chain).
-//! Every path that compiles more than one group runs on it: the serving
-//! path's warm-start plan, the batch engine's MST parts and the
-//! gate-duration calibration.
+//! A plan is a list of steps, each waiting on at most one earlier step:
+//! the step whose pulse seeds it. Every path that compiles more than one
+//! group runs on it: the serving path's warm-start plan, the batch
+//! engine's MST plan (and so [`Session::compile`](crate::Session::compile)
+//! and [`Session::precompile`](crate::Session::precompile)), the
+//! brute-force baseline and the gate-duration calibration. It is the
+//! only place the crate starts a thread to compile on.
 //!
 //! # Lanes
 //!
 //! The caller is lane 0 and runs steps itself. Whenever more steps are
 //! ready than lanes are free to take them, the executor starts another
 //! scoped thread on a [`SolverLane::spare`] lane, so its threads count in
-//! the same process-wide solver-lane count as the latency search's
-//! helper: each thread is counted once, and solver threads never exceed
-//! `max(callers, cores)`. With every core busy it starts no thread and
-//! the caller runs every step. Among ready steps the earliest plan step
-//! goes first. A thread other than the caller that finds nothing ready,
-//! or finds more lanes running than cores, exits and frees its lane.
+//! the process-wide solver-lane count with every thread that runs a
+//! latency search: each thread is counted once, and solver threads never
+//! exceed `max(callers, cores)`. With every core busy it starts no thread
+//! and the caller runs every step. Among ready steps the earliest plan
+//! step goes first. A thread other than the caller that finds nothing
+//! ready, or finds more lanes running than cores, exits and frees its
+//! lane.
 //!
 //! # Commits and failures
 //!

@@ -19,16 +19,19 @@
 //!   compile sequence (global MST order restricted to the part, cut
 //!   parents degraded to scratch). The plan depends only on the inputs
 //!   and the plan width — never on thread count or timing.
-//! - The *execution* runs the parts on the [compile executor](crate::exec),
+//! - The *execution* runs the plan on the [compile executor](crate::exec),
 //!   at most `threads` lanes: the calling thread plus one scoped thread
 //!   per spare core. The parts are queued longest-processing-time-first,
-//!   each a chain of steps in its local MST order, so a part's steps run
-//!   one after another while other parts run beside it. Each lane owns
-//!   a pooled GRAPE workspace, and the entries are committed on the
+//!   each in its local MST order, and each step waits only on the step
+//!   whose pulse seeds it, so independent branches of the tree compile
+//!   side by side, within a part as across parts. Each lane owns a
+//!   pooled GRAPE workspace, and the entries are committed on the
 //!   caller, so lanes share no pulse store at all.
 //!
-//! Plan width 1 cuts no MST edge, so it walks the exact sequential
-//! warm-start chain; that is how [`Session::compile`] and a sequential
+//! A step's pulse depends only on its target and its seed, never on the
+//! lane or the order that ran it. Plan width 1 cuts no MST edge, so it
+//! gives the pulses of the exact sequential warm-start chain on any
+//! number of lanes; that is how [`Session::compile`] and a sequential
 //! [`Session::precompile`] run. A threaded [`Session::precompile`] runs
 //! the fixed default plan, so compiling with 1 thread and with 16 threads
 //! produces **byte-identical pulse-cache artifacts**; only the wall clock
@@ -202,18 +205,18 @@ pub(crate) fn compile_batch(
 
     // The executor's plan: the parts longest-processing-time-first (by
     // estimated part weight, deterministic index tie-break) so the
-    // heaviest part starts first and the lanes drain evenly, each part a
-    // chain of steps in its local MST order.
+    // heaviest part starts first and the lanes drain evenly, each part in
+    // its local MST order, each step waiting on its warm parent's step.
     let loads = partition.loads(&tree);
     let mut queue: Vec<usize> = (0..plans.len()).collect();
     queue.sort_by(|&a, &b| loads[b].total_cmp(&loads[a]).then(a.cmp(&b)));
-    // Per step: its part, its vertex, and its warm parent's step.
-    let mut steps: Vec<(usize, usize, Option<usize>)> = Vec::with_capacity(n);
+    // Per step: its part and its vertex; and the step it waits on.
+    let mut steps: Vec<(usize, usize)> = Vec::with_capacity(n);
     let mut after: Vec<Option<usize>> = Vec::with_capacity(n);
     let mut step_of: HashMap<usize, usize> = HashMap::with_capacity(n);
     for &part in &queue {
-        for (k, &(vertex, parent)) in plans[part].iter().enumerate() {
-            let parent = parent
+        for &(vertex, parent) in &plans[part] {
+            let seed = parent
                 .filter(|&p| {
                     warm_start_allowed(
                         &targets[p].unitary,
@@ -222,16 +225,15 @@ pub(crate) fn compile_batch(
                     )
                 })
                 .map(|p| step_of[&p]);
-            after.push((k > 0).then(|| steps.len() - 1));
+            after.push(seed);
             step_of.insert(vertex, steps.len());
-            steps.push((part, vertex, parent));
+            steps.push((part, vertex));
         }
     }
 
     let run = |i: usize, done: &Done<'_, LatencyResult>, ws: &mut Workspace| {
-        let (_, vertex, parent) = steps[i];
-        let target = &targets[vertex];
-        let warm = parent.map(|p| &done.get(p).outcome.pulse);
+        let target = &targets[steps[i].1];
+        let warm = after[i].map(|p| &done.get(p).outcome.pulse);
         session.compile_anchored(&target.unitary, target.n_qubits, warm, 0.0, ws)
     };
     let mut compiled: Vec<Option<CachedPulse>> = vec![None; n];
@@ -251,7 +253,7 @@ pub(crate) fn compile_batch(
 
     let iterations = |i: usize| compiled[steps[i].1].as_ref().map_or(0, |e| e.iterations);
     let mut iterations_per_part = vec![0usize; plans.len()];
-    for (i, &(part, _, _)) in steps.iter().enumerate() {
+    for (i, &(part, _)) in steps.iter().enumerate() {
         iterations_per_part[part] += iterations(i);
     }
     let n_lanes = ran.iter().map(|r| r.lane + 1).max().unwrap_or(0);

@@ -44,11 +44,12 @@ pub struct PrecompileOptions<'a> {
     /// Only the unique groups of these widths (`None` = every group):
     /// what one shard of a width-partitioned deployment owns.
     pub only_qubits: Option<&'a [usize]>,
-    /// `None` runs the sequential MST chain (one plan part, one thread);
-    /// `Some(n)` runs the fixed [`DEFAULT_PLAN_PARTS`] partition plan on
-    /// at most `n` lanes: this thread plus one thread per spare core. So
-    /// `n` is a cap, not a thread count: every `n` at or above the
-    /// number of idle cores runs on the same lanes.
+    /// `None` runs one plan part, giving the pulses of the sequential MST
+    /// chain, on this thread plus every spare core. `Some(n)` runs the
+    /// fixed [`DEFAULT_PLAN_PARTS`] partition plan on at most `n` lanes:
+    /// this thread plus one thread per spare core. So `n` is a cap, not a
+    /// thread count: every `n` at or above the number of idle cores runs
+    /// on the same lanes, and `Some(1)` compiles on this thread alone.
     ///
     /// [`DEFAULT_PLAN_PARTS`]: crate::DEFAULT_PLAN_PARTS
     pub threads: Option<usize>,

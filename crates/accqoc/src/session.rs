@@ -706,9 +706,11 @@ impl Session {
     }
 
     /// Stage 5: compiles the uncovered groups in similarity-MST order
-    /// with warm starts (§V-C) on the batch engine (one plan part, one
-    /// thread), then adds every pulse to the session cache in compile
-    /// order.
+    /// with warm starts (§V-C) on the batch engine, then adds every pulse
+    /// to the session cache in compile order. The plan is one part, so
+    /// every group is seeded by its exact MST parent; groups whose
+    /// parents are compiled run side by side on this thread plus every
+    /// spare core, and the pulses are those of the sequential chain.
     ///
     /// # Errors
     ///
@@ -718,7 +720,7 @@ impl Session {
     /// untouched: no group of the batch is inserted, including the ones
     /// compiled before the failing one.
     pub fn compile(&self, lookup: &LookupReport) -> Result<CompileReport> {
-        let batch = compile_batch(self, &lookup.uncovered, 1, 1)?;
+        let batch = compile_batch(self, &lookup.uncovered, 1, usize::MAX)?;
         let mut compiled = Vec::with_capacity(batch.entries.len());
         for (i, entry) in batch.entries {
             let target = &lookup.uncovered[i];
@@ -950,8 +952,8 @@ impl Session {
     ///
     /// [`PrecompileOptions::threads`] picks the engine shape:
     ///
-    /// - `None` runs one plan part on one thread: the exact sequential
-    ///   MST warm-start chain.
+    /// - `None` runs one plan part, on this thread plus every spare core:
+    ///   the pulses of the exact sequential MST warm-start chain.
     /// - `Some(n)` compiles on at most `n` lanes (this thread plus one
     ///   thread per spare core) over a balanced MST partition (§V-D) of
     ///   fixed width [`DEFAULT_PLAN_PARTS`], each lane with its own GRAPE
@@ -1005,7 +1007,7 @@ impl Session {
             self.check_width(program)?;
         }
         let (plan_width, threads) = match options.threads {
-            None => (1, 1),
+            None => (1, usize::MAX),
             Some(threads) => (DEFAULT_PLAN_PARTS, threads),
         };
         precompile::precompile(self, programs, options.only_qubits, plan_width, threads)

@@ -1,6 +1,6 @@
 //! With every core's solver lane held, serving a program of independent
-//! misses starts no thread: the compile executor and the latency search
-//! both find no spare core, so the calling thread compiles every group.
+//! misses starts no thread: the compile executor finds no spare core,
+//! so the calling thread compiles every group.
 //!
 //! This lives in its own test binary, with one test, because it counts
 //! the threads of the whole process (from `/proc/self/task`): no sibling

@@ -25,9 +25,9 @@
 //! A search section runs fixed latency searches ([`SEARCHES`]: X and
 //! CNOT from scratch, then seeded with the scratch pulse resampled to a
 //! feasible or an infeasible guess) and records their probe lists and
-//! total iterations, which must equal the values pinned from the
-//! one-solve-at-a-time search: the two-lane search is bit-identical to
-//! it by construction, and this is where that is checked end to end.
+//! total iterations, which must equal their pinned values: a change to
+//! the search's control flow or to the solver moves them, and this is
+//! where that is checked end to end.
 //!
 //! Modes:
 //!

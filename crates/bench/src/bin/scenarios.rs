@@ -8,7 +8,8 @@
 //! cargo run --release -p accqoc-bench --bin scenarios
 //! ```
 //!
-//! Writes `results/scenarios.csv` and `BENCH_persist.json`.
+//! Writes `results/scenarios.csv`, `BENCH_persist.json` (recovery
+//! counts) and `results/persist_timings.json` (recovery timings).
 
 fn main() {
     let failures = accqoc_bench::scenario::run();

@@ -10,44 +10,23 @@
 //! We search over the slice count `N`: first grow an upper bound until a
 //! feasible pulse is found, then bisect down to the smallest feasible `N`.
 //!
-//! # Two lanes
-//!
 //! The search is a small state machine, [`Search`]: `next()` names the
 //! next GRAPE solve (slice count, warm or cold init, iteration budget)
-//! and `record()` takes its outcome. Most solves fail, and a failed
-//! solve changes nothing a later solve reads: the warm-start pulse moves
-//! only when a solve converges. So the solve the search runs after a
-//! failure is known before the failure is, and [`find_minimal_latency`]
-//! runs the search on up to two lanes, the calling thread and one helper
-//! thread inside a [`std::thread::scope`]. Each lane takes the next solve
-//! of the chain "every solve so far fails", and outcomes are committed
-//! strictly in chain order. When a committed solve converges, every
-//! solve after it is cancelled and its outcome dropped unread. A
-//! committed solve therefore ran on exactly the inputs a one-at-a-time
-//! search would have given it, and the result is bit-identical to that
-//! search's, whichever lane ran which solve.
-//!
-//! The helper only runs on a core no other solver lane holds: the
-//! process counts its running lanes ([`SolverLane`]: the thread of every
-//! running search, every helper, and every thread a caller runs
-//! compiles on, each thread once). A search spawns its helper only while
-//! that count is below [`std::thread::available_parallelism`], and a
-//! helper leaves its search, between two solves, once the count is above
-//! it. The caller then runs the same lane driver alone, so several
-//! threads searching at once do not add helpers on top of a full
-//! machine.
+//! and `record()` takes its outcome. [`find_minimal_latency`] runs it one
+//! solve at a time on the caller's [`Workspace`]. A caller that compiles
+//! several groups uses more cores by running independent searches side
+//! by side, each on a thread counted as one [`SolverLane`].
 
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use accqoc_hw::ControlModel;
 use accqoc_linalg::Mat;
 
-use crate::grape::{solve_cancellable, GrapeOptions, GrapeOutcome, GrapeProblem, InitStrategy};
+use crate::grape::{solve_with, GrapeOptions, GrapeOutcome, GrapeProblem, InitStrategy};
 use crate::optimizer::StopCriteria;
 use crate::pulse::Pulse;
 use crate::workspace::Workspace;
@@ -145,33 +124,14 @@ pub struct LatencyResult {
 ///
 /// # Threads
 ///
-/// The search runs on up to two lanes: this thread, solving on the
-/// caller's [`Workspace`], and one helper thread spawned for the duration
-/// of the call. While one lane runs a solve, the other runs the solve
-/// that comes next if that one fails; a failed solve changes nothing a
-/// later solve reads, so that solve is known in advance. Outcomes are
-/// committed in search order, and the solves after a converged one are
-/// cancelled and never read. The result does not depend on which lane
-/// ran which solve: it is bit for bit the result of running the solves
-/// one at a time.
-///
-/// The helper is spawned only while fewer solver lanes run in the process
-/// than [`std::thread::available_parallelism`] reports (every running
-/// search counts its own thread, unless the thread already holds a
-/// [`SolverLane`], and its helper), and it leaves the search
-/// after its current solve once more lanes run than that. So `k` threads
-/// searching at once settle on at most `max(k, cores)` solver threads,
-/// and a search that finds every core busy, or cannot spawn its helper,
-/// runs every solve on this thread. The helper solves on a workspace this
-/// thread keeps between searches, so repeated searches on one thread
-/// re-grow neither lane's buffers; the helper thread itself is spawned
-/// anew for each search.
+/// Every solve runs on this thread and on `ws`, one at a time. The
+/// thread is counted as a [`SolverLane`] for the duration of the call
+/// (unless it already holds one), so the compile threads a caller starts
+/// on spare cores leave this search its core.
 ///
 /// # Panics
 ///
-/// Panics if the target dimension disagrees with the model. A panic on
-/// either lane stops the other at its next optimizer iteration and is
-/// re-raised on this thread.
+/// Panics if the target dimension disagrees with the model.
 ///
 /// # Errors
 ///
@@ -210,47 +170,21 @@ pub fn find_minimal_latency(
     ws: &mut Workspace,
 ) -> Result<LatencyResult, LatencyError> {
     let _caller = SolverLane::caller();
-    search_on_lanes(
-        model,
-        target,
-        seed,
-        options,
-        search,
-        ws,
-        SolverLane::spare(),
-    )
-}
-
-/// [`find_minimal_latency`] with its helper decided: two lanes given a
-/// `helper` lane, this thread alone without one.
-fn search_on_lanes(
-    model: &ControlModel,
-    target: &Mat,
-    seed: Option<&Pulse>,
-    options: &GrapeOptions,
-    search: &LatencySearch,
-    ws: &mut Workspace,
-    helper: Option<SolverLane>,
-) -> Result<LatencyResult, LatencyError> {
-    let search = Search::new(model, seed, options, search)?;
-    run_lanes(search, ws, helper, &|n_steps, options, ws, cancel| {
+    let mut state = Search::new(model, seed, options, search)?;
+    while let Some((n_steps, options)) = state.next() {
         let problem = GrapeProblem {
             model,
             target,
             n_steps,
             options,
         };
-        solve_cancellable(&problem, ws, Some(cancel))
-    })
+        state.record(solve_with(&problem, ws));
+    }
+    state.finish()
 }
 
-/// One solve of the search: slice count, options, the lane's workspace,
-/// and the lane's cancellation flag.
-type Solver<'s> =
-    dyn Fn(usize, GrapeOptions, &mut Workspace, &AtomicBool) -> GrapeOutcome + Sync + 's;
-
 /// Solver lanes running in this process: the thread of every running
-/// search and every helper lane.
+/// search and every thread started on a spare lane, each counted once.
 static RUNNING_LANES: AtomicUsize = AtomicUsize::new(0);
 
 /// The machine's cores, as [`std::thread::available_parallelism`] reports
@@ -266,17 +200,16 @@ thread_local! {
     static ON_LANE: Cell<bool> = const { Cell::new(false) };
 }
 
-/// A solver lane held in the process-wide count that decides whether a
-/// latency search gets a helper lane: how a caller that runs compiles on
-/// several threads of its own shares the machine's cores with the
-/// searches it runs.
+/// A solver lane held in the process-wide count of threads that run
+/// GRAPE solves: how a caller that compiles on threads of its own shares
+/// the machine's cores with every other thread that compiles.
 ///
 /// Every thread that runs solves is counted once: a search counts its own
-/// thread (unless the thread already holds a lane) and its helper, and a
-/// thread that runs many searches can hold one lane across all of them.
-/// A thread is started on a [`SolverLane::spare`] lane only while fewer
-/// lanes run than [`std::thread::available_parallelism`] reports, so
-/// `k` callers settle on at most `max(k, cores)` solver threads.
+/// thread (unless the thread already holds a lane), and a thread that
+/// runs many searches can hold one lane across all of them. A thread is
+/// started on a [`SolverLane::spare`] lane only while fewer lanes run
+/// than [`std::thread::available_parallelism`] reports, so `k` callers
+/// settle on at most `max(k, cores)` solver threads.
 #[derive(Debug)]
 pub struct SolverLane {
     /// Whether this value holds one of [`RUNNING_LANES`], and gives it
@@ -323,18 +256,6 @@ impl SolverLane {
             })
     }
 
-    /// A lane counted whatever the count is, that never yields: a helper
-    /// a test forces on a search.
-    #[cfg(test)]
-    fn forced() -> Self {
-        RUNNING_LANES.fetch_add(1, Ordering::Relaxed);
-        Self {
-            counted: true,
-            yields: false,
-            marks: false,
-        }
-    }
-
     /// Marks the current thread as running on this lane. Drop the lane on
     /// the thread that entered it.
     pub fn enter(&mut self) {
@@ -362,50 +283,6 @@ impl Drop for SolverLane {
     }
 }
 
-thread_local! {
-    /// The workspace this thread's searches lend their helper lane. It
-    /// stays with the calling thread between searches, so a thread that
-    /// runs many searches grows the helper's buffers once, as it grows
-    /// its own.
-    static HELPER_WORKSPACE: Cell<Option<Workspace>> = const { Cell::new(None) };
-}
-
-/// Runs `search` to its end: this thread on `ws`, and, given a `helper`
-/// lane, a helper thread on this thread's helper workspace.
-fn run_lanes(
-    search: Search<'_>,
-    ws: &mut Workspace,
-    helper: Option<SolverLane>,
-    solve: &Solver<'_>,
-) -> Result<LatencyResult, LatencyError> {
-    let lanes = Lanes::new(search);
-    if let Some(lane) = helper {
-        let mut helper_ws = HELPER_WORKSPACE.take().unwrap_or_default();
-        std::thread::scope(|scope| {
-            let helper = std::thread::Builder::new()
-                .name(HELPER_NAME.into())
-                .spawn_scoped(scope, || lanes.run(1, &mut helper_ws, solve, Some(&lane)));
-            lanes.run(0, ws, solve, None);
-            if let Ok(helper) = helper {
-                if let Err(panic) = helper.join() {
-                    std::panic::resume_unwind(panic);
-                }
-            }
-        });
-        HELPER_WORKSPACE.set(Some(helper_ws));
-    } else {
-        lanes.run(0, ws, solve, None);
-    }
-    // Either lane may have allocated the result. Copy it on this thread,
-    // so the pulse a caller keeps (the library keeps every one) does not
-    // pin memory the helper thread's allocator could otherwise return.
-    let result = lanes.finish()?;
-    Ok(result.clone())
-}
-
-/// Name of the helper lane's thread.
-const HELPER_NAME: &str = "latency-search";
-
 /// The probe of the search that the pending solve belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Site {
@@ -431,9 +308,9 @@ enum Site {
 }
 
 /// The latency search as an explicit state: [`Search::next`] names the
-/// next solve, [`Search::record`] takes its outcome, and the two-lane
-/// driver of [`find_minimal_latency`] runs what `next` names.
-#[derive(Debug, Clone)]
+/// next solve, [`Search::record`] takes its outcome, and
+/// [`find_minimal_latency`] runs what `next` names.
+#[derive(Debug)]
 struct Search<'a> {
     stop: &'a StopCriteria,
     /// The caller's warm start: the seed, or an [`InitStrategy::Warm`]
@@ -569,27 +446,18 @@ impl<'a> Search<'a> {
         if out.converged {
             self.probes.push((self.n, true));
             self.converged(out);
-        } else {
-            if !self.warm {
-                self.probes.push((self.n, false));
-                self.best_infidelity = match self.site {
-                    Site::Zero => out.infidelity,
-                    _ => self.best_infidelity.min(out.infidelity),
-                };
-            }
-            self.fail();
+            return;
         }
-    }
-
-    /// Moves past a failed solve. It reads nothing of the outcome, which
-    /// is what makes speculation exact: the lanes call it to learn the
-    /// solve that follows an assumed failure.
-    fn fail(&mut self) {
         if self.warm {
             // The cold solve at the same slice count decides the probe.
             self.warm = false;
             return;
         }
+        self.probes.push((self.n, false));
+        self.best_infidelity = match self.site {
+            Site::Zero => out.infidelity,
+            _ => self.best_infidelity.min(out.infidelity),
+        };
         let n = self.n;
         match self.site {
             Site::Zero => match self.guess {
@@ -691,222 +559,12 @@ impl<'a> Search<'a> {
     }
 }
 
-/// What the two lanes share, under the [`Lanes`] lock.
-struct Chain<'a> {
-    /// The search with every outcome up to `head` recorded in order.
-    committed: Search<'a>,
-    /// `committed` moved past an assumed failure of every solve handed
-    /// out: its `next()` is the next solve to hand out.
-    frontier: Search<'a>,
-    /// Chain position of the first solve not committed yet. Running
-    /// solves at lower positions were cancelled.
-    head: usize,
-    /// Outcomes of the solves at positions `head..`, in order; `None`
-    /// while one still runs.
-    ready: VecDeque<Option<GrapeOutcome>>,
-    /// Set when a lane unwinds, so the other one stops instead of
-    /// waiting for it.
-    aborted: bool,
-}
-
-impl Chain<'_> {
-    /// Hands out the next solve of the failure chain: its position, slice
-    /// count and options. `None` when the chain ends before the search
-    /// does (a lane then waits for a commit).
-    fn take(&mut self) -> Option<(usize, usize, GrapeOptions)> {
-        let (n_steps, options) = self.frontier.next()?;
-        self.frontier.fail();
-        self.ready.push_back(None);
-        Some((self.head + self.ready.len() - 1, n_steps, options))
-    }
-
-    /// Files the outcome of the solve at `pos` and commits every outcome
-    /// now in order. Returns whether a commit converged: every solve
-    /// after it assumed it fails, so those are cancelled and dropped.
-    fn deposit(&mut self, pos: usize, out: GrapeOutcome) -> bool {
-        let Some(slot) = pos
-            .checked_sub(self.head)
-            .and_then(|i| self.ready.get_mut(i))
-        else {
-            return false; // cancelled: dropped unread
-        };
-        *slot = Some(out);
-        let mut converged = false;
-        while let Some(out) = self.ready.front_mut().and_then(Option::take) {
-            self.ready.pop_front();
-            self.head += 1;
-            if out.converged {
-                self.head += self.ready.len();
-                self.ready.clear();
-                converged = true;
-            }
-            self.committed.record(out);
-        }
-        if converged {
-            self.frontier = self.committed.clone();
-        }
-        converged
-    }
-}
-
-/// The two-lane driver: the shared chain, a wake-up for an idle lane,
-/// and each lane's cancellation flag.
-struct Lanes<'a> {
-    chain: Mutex<Chain<'a>>,
-    wake: Condvar,
-    cancel: [AtomicBool; 2],
-}
-
-impl<'a> Lanes<'a> {
-    fn new(search: Search<'a>) -> Self {
-        Self {
-            chain: Mutex::new(Chain {
-                frontier: search.clone(),
-                committed: search,
-                head: 0,
-                ready: VecDeque::new(),
-                aborted: false,
-            }),
-            wake: Condvar::new(),
-            cancel: [AtomicBool::new(false), AtomicBool::new(false)],
-        }
-    }
-
-    /// The chain, also after a lane panicked while holding it: the panic
-    /// is re-raised on the caller, and until then the other lane reads
-    /// only `aborted` before it leaves.
-    fn lock(&self) -> MutexGuard<'_, Chain<'a>> {
-        self.chain.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Stops every lane's running solve at its next iteration and wakes
-    /// an idle lane. The flags publish no data (which outcomes count is
-    /// decided under the lock), so they are `Relaxed`.
-    fn cancel_all(&self) {
-        for flag in &self.cancel {
-            flag.store(true, Ordering::Relaxed);
-        }
-        self.wake.notify_all();
-    }
-
-    /// One lane: take the next solve of the chain, run it on `ws`, file
-    /// its outcome, until the search is done. A helper given its
-    /// `solver_lane` also leaves, between two solves, once that lane is
-    /// [crowded](SolverLane::crowded).
-    fn run(
-        &self,
-        lane: usize,
-        ws: &mut Workspace,
-        solve: &Solver<'_>,
-        solver_lane: Option<&SolverLane>,
-    ) {
-        let _abort = AbortOnUnwind(self);
-        let mut finished = None;
-        let mut chain = self.lock();
-        loop {
-            if let Some((pos, out)) = finished.take() {
-                if chain.deposit(pos, out) {
-                    self.cancel[1 - lane].store(true, Ordering::Relaxed);
-                }
-                self.wake.notify_all();
-            }
-            if chain.aborted || chain.committed.done() {
-                self.cancel_all();
-                return;
-            }
-            if solver_lane.is_some_and(SolverLane::crowded) {
-                return;
-            }
-            let Some((pos, n_steps, options)) = chain.take() else {
-                chain = self
-                    .wake
-                    .wait(chain)
-                    .unwrap_or_else(PoisonError::into_inner);
-                continue;
-            };
-            self.cancel[lane].store(false, Ordering::Relaxed);
-            drop(chain);
-            finished = Some((pos, solve(n_steps, options, ws, &self.cancel[lane])));
-            chain = self.lock();
-        }
-    }
-
-    fn finish(self) -> Result<LatencyResult, LatencyError> {
-        let chain = self
-            .chain
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
-        chain.committed.finish()
-    }
-}
-
-/// Marks the chain aborted when a lane unwinds, so the other lane stops
-/// instead of waiting forever for an outcome that will not come.
-struct AbortOnUnwind<'l, 'a>(&'l Lanes<'a>);
-
-impl Drop for AbortOnUnwind<'_, '_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.lock().aborted = true;
-            self.0.cancel_all();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grape::solve_with;
     use accqoc_circuit::{circuit_unitary, Circuit, Gate};
-    use accqoc_linalg::random_unitary;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     type Searched = Result<LatencyResult, LatencyError>;
-
-    /// The sequential driver over the same search state: one solve at a
-    /// time on one workspace, in chain order. The two-lane driver must
-    /// match it bit for bit. Also returns the iterations of every solve
-    /// it ran.
-    fn reference(
-        model: &ControlModel,
-        target: &Mat,
-        seed: Option<&Pulse>,
-        options: &GrapeOptions,
-        search: &LatencySearch,
-    ) -> (Searched, Vec<usize>) {
-        let mut state = match Search::new(model, seed, options, search) {
-            Ok(state) => state,
-            Err(e) => return (Err(e), Vec::new()),
-        };
-        let mut ws = Workspace::new();
-        let mut solves = Vec::new();
-        while let Some((n_steps, options)) = state.next() {
-            let problem = GrapeProblem {
-                model,
-                target,
-                n_steps,
-                options,
-            };
-            let out = solve_with(&problem, &mut ws);
-            solves.push(out.iterations);
-            state.record(out);
-        }
-        (state.finish(), solves)
-    }
-
-    /// The search on two lanes, whatever else runs in the process.
-    fn on_two_lanes(
-        model: &ControlModel,
-        target: &Mat,
-        seed: Option<&Pulse>,
-        options: &GrapeOptions,
-        search: &LatencySearch,
-        ws: &mut Workspace,
-    ) -> Searched {
-        let helper = Some(SolverLane::forced());
-        search_on_lanes(model, target, seed, options, search, ws, helper)
-    }
 
     /// A scratch search with a throwaway workspace.
     fn scratch(model: &ControlModel, target: &Mat, search: &LatencySearch) -> Searched {
@@ -977,107 +635,6 @@ mod tests {
         );
     }
 
-    /// Runs one search on two lanes and on the reference driver, asserts
-    /// them identical, and that the iterations add up to the solves the
-    /// reference ran. Returns the two-lane result.
-    fn check(
-        model: &ControlModel,
-        target: &Mat,
-        seed: Option<&Pulse>,
-        options: &GrapeOptions,
-        search: &LatencySearch,
-        what: &str,
-    ) -> Searched {
-        let got = on_two_lanes(model, target, seed, options, search, &mut Workspace::new());
-        let (want, solves) = reference(model, target, seed, options, search);
-        assert_identical(&got, &want, what);
-        if let Ok(r) = &got {
-            assert_eq!(r.total_iterations, solves.iter().sum::<usize>(), "{what}");
-        }
-        got
-    }
-
-    /// The serving path's search window for a target on `model`: the
-    /// floor `compile_anchored` derives from the model, raised to
-    /// `anchor × seed slices` for a seeded search.
-    fn window(model: &ControlModel, seed: Option<&Pulse>, anchor: f64) -> LatencySearch {
-        let mut search = LatencySearch {
-            min_steps: ((model.min_time_estimate_ns() / model.dt_ns()) as usize / 2).max(1),
-            ..LatencySearch::default()
-        };
-        if let Some(p) = seed.filter(|p| anchor > 0.0 && p.n_steps() > 0) {
-            let floor = ((p.n_steps() as f64) * anchor).floor() as usize;
-            search.min_steps = search.min_steps.max(floor.min(p.n_steps()));
-        }
-        search
-    }
-
-    /// Checks a scratch search of every target, then a search of each
-    /// seeded with the previous target's pulse at anchors 0 and 1.
-    fn check_targets(model: &ControlModel, targets: &[Mat], options: &GrapeOptions, what: &str) {
-        let mut seed: Option<Pulse> = None;
-        for (i, target) in targets.iter().enumerate() {
-            let scratch = check(
-                model,
-                target,
-                None,
-                options,
-                &window(model, None, 0.0),
-                &format!("{what} {i} scratch"),
-            );
-            for anchor in [0.0, 1.0] {
-                let search = window(model, seed.as_ref(), anchor);
-                let what = format!("{what} {i} anchor {anchor}");
-                check(model, target, seed.as_ref(), options, &search, &what).ok();
-            }
-            seed = scratch.ok().map(|r| r.outcome.pulse);
-        }
-    }
-
-    #[test]
-    fn two_lanes_match_the_sequential_search_on_random_unitaries() {
-        for (qubits, count) in [(1, 4), (2, 3)] {
-            let model = ControlModel::spin_chain(qubits);
-            let mut rng = StdRng::seed_from_u64(20 + qubits as u64);
-            let targets: Vec<Mat> = (0..count)
-                .map(|_| random_unitary(model.dim(), &mut rng))
-                .collect();
-            check_targets(
-                &model,
-                &targets,
-                &GrapeOptions::default(),
-                &format!("dim {}", model.dim()),
-            );
-        }
-    }
-
-    #[test]
-    fn two_lanes_match_the_sequential_search_on_golden_groups() {
-        let session = accqoc::Session::builder()
-            .topology(accqoc_hw::Topology::linear(5))
-            .build()
-            .expect("golden session config is valid");
-        let mut groups: Vec<accqoc::GroupTarget> = Vec::new();
-        for program in accqoc_workloads::golden_suite() {
-            for target in session.front_end(&program.circuit).targets {
-                if !groups.iter().any(|g| g.key == target.key) {
-                    groups.push(target);
-                }
-            }
-        }
-        // The golden corpus's GRAPE budget.
-        let options = GrapeOptions::default().with_max_iters(200);
-        for qubits in [1, 2] {
-            let model = session.models().for_qubits(qubits).expect("golden widths");
-            let targets: Vec<Mat> = groups
-                .iter()
-                .filter(|g| g.n_qubits == qubits)
-                .map(|g| g.unitary.clone())
-                .collect();
-            check_targets(model, &targets, &options, &format!("golden {qubits}q"));
-        }
-    }
-
     fn x_gate() -> Mat {
         Mat::from_reals(&[0.0, 1.0, 1.0, 0.0])
     }
@@ -1092,8 +649,7 @@ mod tests {
     }
 
     /// A scratch search of `target`, then one seeded with its pulse
-    /// resampled to `guess` slices, both checked against the reference on
-    /// two lanes and on the caller alone; returns their `(probes,
+    /// resampled to `guess` slices; returns their `(probes,
     /// total_iterations)`.
     fn scratch_then_seeded(
         qubits: usize,
@@ -1101,18 +657,20 @@ mod tests {
         guess: usize,
     ) -> [(Vec<(usize, bool)>, usize); 2] {
         let model = ControlModel::spin_chain(qubits);
-        let (options, search) = (GrapeOptions::default(), LatencySearch::default());
-        let alone = |seed: Option<&Pulse>| {
-            let mut ws = Workspace::new();
-            search_on_lanes(&model, target, seed, &options, &search, &mut ws, None)
+        let search = |seed: Option<&Pulse>| {
+            find_minimal_latency(
+                &model,
+                target,
+                seed,
+                &GrapeOptions::default(),
+                &LatencySearch::default(),
+                &mut Workspace::new(),
+            )
+            .unwrap()
         };
-        let scratch = check(&model, target, None, &options, &search, "scratch");
-        assert_identical(&alone(None), &scratch, "scratch, caller alone");
-        let scratch = scratch.unwrap();
-        let seed = scratch.outcome.pulse.resampled(guess);
-        let seeded = check(&model, target, Some(&seed), &options, &search, "seeded");
-        assert_identical(&alone(Some(&seed)), &seeded, "seeded, caller alone");
-        [scratch, seeded.unwrap()].map(|r| (r.probes, r.total_iterations))
+        let scratch = search(None);
+        let seeded = search(Some(&scratch.outcome.pulse.resampled(guess)));
+        [scratch, seeded].map(|r| (r.probes, r.total_iterations))
     }
 
     #[test]
@@ -1193,15 +751,7 @@ mod tests {
             max_steps: 6,
             ..LatencySearch::default()
         };
-        let e = check(
-            &model,
-            &x_gate(),
-            None,
-            &GrapeOptions::default(),
-            &search,
-            "capped",
-        )
-        .unwrap_err();
+        let e = scratch(&model, &x_gate(), &search).unwrap_err();
         let LatencyError::Infeasible {
             max_steps,
             best_infidelity,
@@ -1275,82 +825,26 @@ mod tests {
         assert_eq!(seeded.map(|r| r.n_steps), Ok(10));
     }
 
-    /// A solve that runs until its lane is cancelled (10 s at most) and
-    /// then reports a failure.
-    fn until_cancelled(cancel: &AtomicBool) -> GrapeOutcome {
-        let start = std::time::Instant::now();
-        while !cancel.load(Ordering::Relaxed) && start.elapsed().as_secs() < 10 {
-            std::thread::yield_now();
-        }
-        GrapeOutcome {
-            pulse: Pulse::zeros(1, 0, 1.0),
-            infidelity: 1.0,
-            iterations: 0,
-            fn_evals: 0,
-            converged: false,
-            history: Vec::new(),
-        }
-    }
-
     #[test]
-    fn a_panic_on_either_lane_reaches_the_caller_and_stops_the_other() {
-        let model = ControlModel::spin_chain(1);
-        let options = GrapeOptions::default();
-        for helper_panics in [true, false] {
-            let search = Search::new(&model, None, &options, &LatencySearch::default()).unwrap();
-            let start = std::time::Instant::now();
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let helper = Some(SolverLane::forced());
-                run_lanes(search, &mut Workspace::new(), helper, &|_, _, _, cancel| {
-                    let on_helper = std::thread::current().name() == Some(HELPER_NAME);
-                    if on_helper == helper_panics {
-                        panic!("solve failed, helper lane: {on_helper}");
-                    }
-                    until_cancelled(cancel)
-                })
-            }));
-            let payload = caught.expect_err("the lane's panic must reach the caller");
-            let message = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_default();
-            assert_eq!(
-                message,
-                format!("solve failed, helper lane: {helper_panics}")
-            );
-            // The other lane was cancelled, not left to its 10 s budget.
-            assert!(start.elapsed().as_secs() < 5, "{:?}", start.elapsed());
-        }
-    }
-
-    #[test]
-    fn lane_workspaces_reach_capacity_fixed_point_across_searches() {
+    fn callers_workspace_reaches_capacity_fixed_point_across_searches() {
         // The serve path runs thousands of latency searches against one
-        // leased workspace, and each search lends its helper the
-        // workspace this thread keeps for it. Which lane runs which solve
-        // depends on timing, and a speculative solve may run any slice
-        // count up to the cap, so warm both workspaces at the cap first.
-        // A repeat search must then grow neither (the workspace-capacity
-        // invariant behind the allocation-free steady state), must lend
-        // its helper the kept workspace rather than a fresh one, and must
-        // reproduce the result bit for bit.
+        // leased workspace. The first search grows it to its longest
+        // probe; a repeat search must then grow nothing (the
+        // workspace-capacity invariant behind the allocation-free steady
+        // state) and reproduce the result bit for bit.
         let model = ControlModel::spin_chain(1);
-        let x = x_gate();
-        let opts = GrapeOptions::default();
-        let search = LatencySearch::default();
-        let r1 = on_two_lanes(&model, &x, None, &opts, &search, &mut Workspace::new());
-        let problem = GrapeProblem {
-            model: &model,
-            target: &x,
-            n_steps: search.max_steps,
-            options: opts.clone(),
+        let mut ws = Workspace::new();
+        let search = |ws: &mut Workspace| {
+            find_minimal_latency(
+                &model,
+                &x_gate(),
+                None,
+                &GrapeOptions::default(),
+                &LatencySearch::default(),
+                ws,
+            )
         };
-        let warmed = || {
-            let mut ws = Workspace::new();
-            solve_with(&problem, &mut ws);
-            ws
-        };
-        let (mut ws, helper_ws) = (warmed(), warmed());
+        let r1 = search(&mut ws);
         // Lengths and the buffers' addresses: a grown or replaced
         // workspace changes one of them.
         let sizes = |ws: &Workspace| {
@@ -1365,64 +859,10 @@ mod tests {
                 [ws.step_us.as_ptr(), ws.fwd.as_ptr(), ws.bwd.as_ptr()],
             )
         };
-        let (caller, helper) = (sizes(&ws), sizes(&helper_ws));
-        HELPER_WORKSPACE.set(Some(helper_ws));
-        let r2 = on_two_lanes(&model, &x, None, &opts, &search, &mut ws);
-        assert_eq!(
-            caller,
-            sizes(&ws),
-            "repeat search grew the caller's buffers"
-        );
-        let helper_ws = HELPER_WORKSPACE
-            .take()
-            .expect("the helper's workspace is kept");
-        assert_eq!(
-            helper,
-            sizes(&helper_ws),
-            "helper lane's workspace not kept"
-        );
+        let grown = sizes(&ws);
+        let r2 = search(&mut ws);
+        assert_eq!(grown, sizes(&ws), "repeat search grew the workspace");
         assert_identical(&r2, &r1, "ws reuse moved bits");
-    }
-
-    #[test]
-    fn no_helper_once_every_core_runs_a_lane() {
-        let held: Vec<SolverLane> = (0..cores()).map(|_| SolverLane::forced()).collect();
-        assert!(SolverLane::spare().is_none());
-        drop(held);
-    }
-
-    #[test]
-    fn a_helper_on_a_crowded_machine_leaves_the_search_to_the_caller() {
-        // Every core already runs a lane, so a yielding helper gives its
-        // core back before it takes a solve; the caller runs them all,
-        // to the same result.
-        let model = ControlModel::spin_chain(1);
-        let (options, search) = (GrapeOptions::default(), LatencySearch::default());
-        let held: Vec<SolverLane> = (0..cores()).map(|_| SolverLane::forced()).collect();
-        let mut helper = SolverLane::forced();
-        helper.yields = true;
-        let on_helper = Mutex::new(Vec::new());
-        let state = Search::new(&model, None, &options, &search).unwrap();
-        let got = run_lanes(
-            state,
-            &mut Workspace::new(),
-            Some(helper),
-            &|n_steps, options, ws, cancel| {
-                let lane = std::thread::current().name() == Some(HELPER_NAME);
-                on_helper.lock().unwrap().push(lane);
-                let problem = GrapeProblem {
-                    model: &model,
-                    target: &x_gate(),
-                    n_steps,
-                    options,
-                };
-                solve_cancellable(&problem, ws, Some(cancel))
-            },
-        );
-        drop(held);
-        let (want, solves) = reference(&model, &x_gate(), None, &options, &search);
-        assert_identical(&got, &want, "crowded");
-        assert_eq!(*on_helper.lock().unwrap(), vec![false; solves.len()]);
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //! matrix `G` per slice so that every control channel's derivative is a
 //! single trace `Tr(H_j·G)/d` — see [`cost_and_gradient_into`].
 
-use std::sync::atomic::AtomicBool;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -147,17 +145,6 @@ pub fn solve(problem: &GrapeProblem<'_>) -> GrapeOutcome {
 ///
 /// Panics if the target dimension disagrees with the model.
 pub fn solve_with(problem: &GrapeProblem<'_>, ws: &mut Workspace) -> GrapeOutcome {
-    solve_cancellable(problem, ws, None)
-}
-
-/// [`solve_with`] that stops at the next optimizer iteration once
-/// `cancel` is set. The latency search cancels its speculative solves
-/// this way and never reads what a cancelled solve returns.
-pub(crate) fn solve_cancellable(
-    problem: &GrapeProblem<'_>,
-    ws: &mut Workspace,
-    cancel: Option<&AtomicBool>,
-) -> GrapeOutcome {
     let model = problem.model;
     let dim = model.dim();
     assert_eq!(problem.target.rows(), dim, "target dimension vs model");
@@ -209,7 +196,7 @@ pub(crate) fn solve_cancellable(
         .flat_map(|c| std::iter::repeat_n(c.max_amp, n_steps))
         .collect();
 
-    let result = minimize(&mut objective, &bounds, x0, &problem.options.stop, cancel);
+    let result = minimize(&mut objective, &bounds, x0, &problem.options.stop);
 
     GrapeOutcome {
         pulse: Pulse::from_params(&result.x, n_ctrl, n_steps, dt),

@@ -23,8 +23,6 @@
 //!    3.6) whose zoom phase places each trial step by safeguarded cubic
 //!    interpolation of the bracket ends (eq. 3.59).
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 /// Curvature pairs `(s, y)` the L-BFGS history retains.
 const MEMORY: usize = 10;
 
@@ -143,17 +141,11 @@ fn project(x: &mut [f64], bounds: &[f64]) {
 /// ends when the cost reaches `target_cost`, the projected gradient
 /// reaches `grad_tol`, neither direction finds a step, the stagnation
 /// rule fires, or `max_iters` steps have been accepted.
-///
-/// `cancel`, when given, is read once per iteration: once it is set the
-/// run ends there, returning what it has (the latency search's
-/// speculative solves are cancelled this way, and their result is never
-/// read).
 pub(crate) fn minimize(
     f: &mut Objective<'_>,
     bounds: &[f64],
     mut x: Vec<f64>,
     stop: &StopCriteria,
-    cancel: Option<&AtomicBool>,
 ) -> OptimResult {
     debug_assert_eq!(bounds.len(), x.len(), "one bound per coordinate");
     let mut s_hist: Vec<Vec<f64>> = Vec::new();
@@ -182,9 +174,6 @@ pub(crate) fn minimize(
     };
 
     for _ in 0..stop.max_iters {
-        if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
-            return finish(best_x, best_cost, history);
-        }
         free.clear();
         free.extend(
             x.iter()
@@ -536,7 +525,7 @@ mod tests {
             min_rel_improvement: 0.0,
         };
         let mut f = quadratic(vec![1.0, 4.0, 0.5], vec![1.0, -2.0, 3.0]);
-        let r = minimize(&mut f, &unbounded(3), vec![0.0; 3], &stop, None);
+        let r = minimize(&mut f, &unbounded(3), vec![0.0; 3], &stop);
         assert!(r.converged, "cost {}", r.cost);
         assert!((r.x[0] - 1.0).abs() < 1e-3);
         assert!((r.x[1] + 2.0).abs() < 1e-3);
@@ -552,7 +541,7 @@ mod tests {
             patience: 0,
             min_rel_improvement: 0.0,
         };
-        let r = minimize(&mut rosenbrock, &unbounded(2), vec![-1.2, 1.0], &stop, None);
+        let r = minimize(&mut rosenbrock, &unbounded(2), vec![-1.2, 1.0], &stop);
         assert!(r.converged, "cost {}", r.cost);
         assert!(r.iterations < stop.max_iters);
     }
@@ -567,7 +556,7 @@ mod tests {
         };
         // Unconstrained minimum at 5, box at [−1, 1] → solution clamps to 1.
         let mut f = quadratic(vec![1.0], vec![5.0]);
-        let r = minimize(&mut f, &[1.0], vec![0.0], &stop, None);
+        let r = minimize(&mut f, &[1.0], vec![0.0], &stop);
         assert!((r.x[0] - 1.0).abs() < 1e-6, "got {}", r.x[0]);
     }
 
@@ -600,7 +589,6 @@ mod tests {
             &[1.0; 64],
             vec![0.0; n],
             &stop,
-            None,
         );
         for (i, (&got, &w)) in r.x.iter().zip(&want).enumerate() {
             assert!((got - w).abs() < 1e-6, "x[{i}] = {got}, want {w}");
@@ -622,13 +610,7 @@ mod tests {
         let stop = StopCriteria::default();
         let mut evals = 0;
         let mut f = quadratic(vec![1.0], vec![5.0]);
-        let r = minimize(
-            &mut counted(&mut f, &mut evals),
-            &[1.0],
-            vec![1.0],
-            &stop,
-            None,
-        );
+        let r = minimize(&mut counted(&mut f, &mut evals), &[1.0], vec![1.0], &stop);
         assert_eq!(r.x, vec![1.0]);
         assert_eq!(r.iterations, 0);
         assert!(r.history.is_empty());
@@ -686,7 +668,7 @@ mod tests {
         ];
         let mut iterations = Vec::new();
         for (name, f, bound, x0, criteria) in cases {
-            let r = minimize(f, &vec![bound; x0.len()], x0, &criteria, None);
+            let r = minimize(f, &vec![bound; x0.len()], x0, &criteria);
             assert_eq!(r.iterations, r.history.len(), "{name}");
             iterations.push(r.iterations);
         }
@@ -740,37 +722,9 @@ mod tests {
             ..StopCriteria::default()
         };
         let mut f = quadratic(vec![1.0], vec![0.0]);
-        let r = minimize(&mut f, &unbounded(1), vec![0.1], &stop, None);
+        let r = minimize(&mut f, &unbounded(1), vec![0.1], &stop);
         assert_eq!(r.iterations, 0);
         assert!(r.converged);
-    }
-
-    #[test]
-    fn a_set_cancel_flag_stops_the_run_at_the_next_iteration() {
-        let stop = StopCriteria {
-            patience: 0,
-            ..StopCriteria::default()
-        };
-        let cancel = AtomicBool::new(true);
-        let r = minimize(
-            &mut rosenbrock,
-            &unbounded(2),
-            vec![-1.2, 1.0],
-            &stop,
-            Some(&cancel),
-        );
-        assert_eq!(r.iterations, 0);
-        assert!(!r.converged);
-        // Unset, the same run takes steps.
-        cancel.store(false, Ordering::Relaxed);
-        let r = minimize(
-            &mut rosenbrock,
-            &unbounded(2),
-            vec![-1.2, 1.0],
-            &stop,
-            Some(&cancel),
-        );
-        assert!(r.iterations > 0);
     }
 
     #[test]
@@ -781,7 +735,7 @@ mod tests {
             grad_tol: 1e-14,
             ..StopCriteria::default()
         };
-        let r = minimize(&mut rosenbrock, &unbounded(2), vec![-1.2, 1.0], &stop, None);
+        let r = minimize(&mut rosenbrock, &unbounded(2), vec![-1.2, 1.0], &stop);
         // Line search guarantees non-increasing cost.
         for w in r.history.windows(2) {
             assert!(w[1] <= w[0] + 1e-9);

@@ -189,6 +189,53 @@ mod tests {
     }
 
     #[test]
+    fn a_claim_dropped_by_a_panicking_owner_wakes_the_waiter() {
+        // The owner claims keys 1 and 2, publishes 1 and panics before
+        // compiling 2. Unwinding drops its claim, which must wake the
+        // waiter; the waiter then claims only what is still missing: 2,
+        // and 3, which the owner never held.
+        let table = Arc::new(InflightGroups::new());
+        let published = Arc::new(AtomicUsize::new(0));
+        let (claimed_tx, claimed_rx) = std::sync::mpsc::channel();
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let owner = {
+            let (table, published) = (Arc::clone(&table), Arc::clone(&published));
+            std::thread::spawn(move || {
+                let _claim = table.claim(&[key(1), key(2)], |_| true);
+                claimed_tx.send(()).unwrap();
+                go_rx.recv().unwrap();
+                published.store(1, Ordering::SeqCst);
+                panic!("compile failed while holding a claim");
+            })
+        };
+        claimed_rx.recv().unwrap();
+        let probes = Arc::new(AtomicUsize::new(0));
+        let waiter = {
+            let (table, published) = (Arc::clone(&table), Arc::clone(&published));
+            let probes = Arc::clone(&probes);
+            std::thread::spawn(move || {
+                let missing = |k: &UnitaryKey| {
+                    probes.fetch_add(1, Ordering::SeqCst);
+                    !(*k == key(1) && published.load(Ordering::SeqCst) == 1)
+                };
+                let claim = table.claim(&[key(1), key(2), key(3)], missing);
+                (claim.waited(), claim.keys().to_vec())
+            })
+        };
+        // The waiter probes its three keys under the table lock and then
+        // waits on it, so the owner's release cannot come before the wait.
+        while probes.load(Ordering::SeqCst) < 3 {
+            std::thread::yield_now();
+        }
+        go_tx.send(()).unwrap();
+        assert!(owner.join().is_err(), "the owner panicked");
+        let (waited, keys) = waiter.join().unwrap();
+        assert!(waited, "the waiter was woken by the unwinding release");
+        assert_eq!(keys, [key(2), key(3)], "only still-missing keys");
+        assert!(table.is_empty());
+    }
+
+    #[test]
     fn disjoint_claims_do_not_interact() {
         let table = InflightGroups::new();
         let a = table.claim(&[key(1)], |_| true);

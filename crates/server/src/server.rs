@@ -16,9 +16,8 @@
 //!
 //! One event-loop thread owns the listener and every socket
 //! (`set_nonblocking` + a tick-polled registry — this workspace builds
-//! offline and `std` exposes no `epoll`, so readiness is polled at
-//! [`ServerConfig::poll_interval`] and worker completions double as
-//! wake-ups). Each connection is a read/write state machine: partial
+//! offline and `std` exposes no `epoll`, so readiness is polled every
+//! millisecond and worker completions double as wake-ups). Each connection is a read/write state machine: partial
 //! frames buffer until complete, responses buffer until the socket
 //! accepts them, and per-connection sequence numbers keep pipelined
 //! responses in request order even when workers finish out of order.
@@ -26,10 +25,10 @@
 //! the thread budget is `1 + workers` regardless of connection count,
 //! plus the spare solver lanes of compiles: a worker serving a program's
 //! misses compiles independent groups side by side on extra threads,
-//! and a latency search may run on a second thread, but each only while
-//! fewer solver threads run in the process than it has cores
-//! ([`accqoc_grape::SolverLane`]), so `w` workers compiling at once
-//! settle on at most `max(w, cores)` solver threads. A serve plans its
+//! but only while fewer solver threads run in the process than it has
+//! cores ([`accqoc_grape::SolverLane`]), so `w` workers compiling at once
+//! settle on at most `max(w, cores)` solver threads. A single compile
+//! runs on its worker's thread alone. A serve plans its
 //! misses against the library as it stands when the plan is made.
 //!
 //! The first bytes of a connection select its protocol: `{` (or any
@@ -72,10 +71,10 @@ use crate::queue::{BoundedQueue, EnqueueError};
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Worker threads compiling/serving admitted requests (≥ 1). A
-    /// worker serving misses borrows each spare core it finds for an
-    /// independent compile or a latency search's helper lane, so
-    /// `workers` below the core count still keeps every core busy on
-    /// misses; more workers than cores only add lanes that share them.
+    /// worker serving several misses borrows each spare core it finds for
+    /// an independent compile, so `workers` below the core count still
+    /// keeps every core busy on a program with independent misses; more
+    /// workers than cores only add lanes that share them.
     pub workers: usize,
     /// Admission-queue capacity: requests pending beyond the workers'
     /// in-flight set. A full queue rejects with a typed `busy` error —
@@ -89,11 +88,6 @@ pub struct ServerConfig {
     /// error and the connection is closed (framing cannot be trusted
     /// past an unbounded frame).
     pub max_line_bytes: usize,
-    /// The event loop's idle tick: how long it sleeps when no socket has
-    /// data and no worker has completed. Worker completions wake the
-    /// loop immediately regardless, so this bounds only the latency of
-    /// *new* bytes being noticed.
-    pub poll_interval: Duration,
     /// Write-progress timeout per connection. A client that stops
     /// reading (TCP backpressure on a large pulse payload) gets its
     /// connection dropped after this long without accepting a byte,
@@ -109,11 +103,15 @@ impl Default for ServerConfig {
             queue_capacity: 64,
             max_connections: 1024,
             max_line_bytes: 4 << 20,
-            poll_interval: Duration::from_millis(1),
             write_timeout: Duration::from_secs(30),
         }
     }
 }
+
+/// The event loop's idle tick: how long it sleeps when no socket has data
+/// and no worker has completed. Worker completions wake the loop at once,
+/// so this bounds only the latency of *new* bytes being noticed.
+const POLL_INTERVAL: Duration = Duration::from_millis(1);
 
 #[derive(Debug, Default)]
 struct CounterCells {
@@ -602,7 +600,7 @@ impl EventLoop<'_> {
             }
             // Sleep until the next worker completion or the idle tick,
             // whichever comes first — completions are the common wake.
-            match self.done_rx.recv_timeout(self.config.poll_interval) {
+            match self.done_rx.recv_timeout(POLL_INTERVAL) {
                 Ok(done) => self.complete(done),
                 Err(mpsc::RecvTimeoutError::Timeout) => {}
                 Err(mpsc::RecvTimeoutError::Disconnected) => {

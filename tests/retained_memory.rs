@@ -8,9 +8,10 @@
 //! once its compiles are done. The pass is run once before measuring, so
 //! the solver scratch every thread keeps between compiles is already
 //! grown and is not counted, and both passes run with every core's solver
-//! lane held, so all compiles run on this thread: a helper lane grows its
-//! scratch to whatever speculative solve it happens to run, while the
-//! compiled pulses are the same on any number of lanes.
+//! lane held, so all compiles run on this thread: with executor lanes
+//! beside it, which compiles this thread takes (and so how far the
+//! scratch it keeps grows) depends on timing, while the compiled pulses
+//! are the same on any number of lanes.
 //!
 //! This lives in its own test binary because it installs a process-wide
 //! `#[global_allocator]`, and it holds exactly one test so no sibling
