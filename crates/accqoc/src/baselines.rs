@@ -11,13 +11,13 @@
 //!   Figure 15 prints the cap beside its results.
 
 use accqoc_circuit::Circuit;
-use accqoc_grape::{LatencyResult, LatencySearch, Workspace};
+use accqoc_grape::LatencySearch;
 use accqoc_group::{GroupingPolicy, SwapMode};
 use accqoc_hw::Topology;
 
 use crate::compile::AccQocConfig;
 use crate::error::Result;
-use crate::exec::{self, Done, Width};
+use crate::exec::compile_each;
 use crate::model::ModelSet;
 use crate::session::Session;
 
@@ -89,26 +89,14 @@ pub fn brute_force_qoc(
 
     let report = session.front_end(circuit);
     let targets = &report.targets;
-    let run = |i: usize, _: &Done<'_, LatencyResult>, ws: &mut Workspace| {
+    let compiled = compile_each(targets.len(), |i, ws| {
         session.compile_anchored(&targets[i].unitary, targets[i].n_qubits, None, 0.0, ws)
-    };
-    let mut latencies_unique = Vec::with_capacity(targets.len());
-    let mut total_iterations = 0usize;
-    let independent = vec![None; targets.len()];
-    exec::execute(&independent, Width::Spare(usize::MAX), &run, &mut |_, r| {
-        total_iterations += r.total_iterations;
-        latencies_unique.push(r.latency_ns);
     })?;
-    let latencies: Vec<f64> = report
-        .assignment
-        .iter()
-        .map(|&u| latencies_unique[u])
-        .collect();
-    let overall_latency_ns = report.grouped.overall_latency(|i| latencies[i]);
+    let latencies: Vec<f64> = compiled.iter().map(|r| r.latency_ns).collect();
 
     Ok(BruteForceResult {
-        overall_latency_ns,
-        total_iterations,
+        overall_latency_ns: report.overall_latency(&latencies),
+        total_iterations: compiled.iter().map(|r| r.total_iterations).sum(),
         n_groups: report.assignment.len(),
         n_unique: report.targets.len(),
     })

@@ -6,8 +6,8 @@
 //! the step whose pulse seeds it. Every path that compiles more than one
 //! group runs on it: the serving path's warm-start plan, the batch
 //! engine's MST plan (and so [`Session::compile`](crate::Session::compile)
-//! and [`Session::precompile`](crate::Session::precompile)), the
-//! brute-force baseline and the gate-duration calibration. It is the
+//! and [`Session::precompile`](crate::Session::precompile)), and
+//! [`compile_each`], the public entry for independent steps. It is the
 //! only place the crate starts a thread to compile on.
 //!
 //! # Lanes
@@ -103,9 +103,45 @@ impl<R> Done<'_, R> {
 /// workspace.
 pub(crate) type Run<'a, R> = dyn Fn(usize, &Done<'_, R>, &mut Workspace) -> Result<R> + Sync + 'a;
 
+/// Runs `n` independent steps, `step(i, ws)` on the workspace of the
+/// lane that runs step `i`, on this thread plus every spare core, and
+/// returns their results in index order.
+///
+/// # Errors
+///
+/// The first failure in index order; no later step starts after it.
+///
+/// # Panics
+///
+/// Re-raises a panic of `step` once every lane has stopped.
+///
+/// ```
+/// assert_eq!(accqoc::compile_each(3, |i, _| Ok(i * i))?, [0, 1, 4]);
+/// # Ok::<(), accqoc::Error>(())
+/// ```
+pub fn compile_each<R, F>(n: usize, step: F) -> Result<Vec<R>>
+where
+    R: Send + Sync,
+    F: Fn(usize, &mut Workspace) -> Result<R> + Sync,
+{
+    each_on(n, Width::Spare(usize::MAX), step)
+}
+
+/// [`compile_each`] on at most `width` lanes.
+fn each_on<R, F>(n: usize, width: Width, step: F) -> Result<Vec<R>>
+where
+    R: Send + Sync,
+    F: Fn(usize, &mut Workspace) -> Result<R> + Sync,
+{
+    let run = |i: usize, _: &Done<'_, R>, ws: &mut Workspace| step(i, ws);
+    let (results, _) = execute(&vec![None; n], width, &run, &mut |_, _| {})?;
+    Ok(results)
+}
+
 /// Runs every step of a plan whose step `i` waits on step `after[i]`
 /// (always an earlier step) and passes each result to `commit` on this
-/// thread, in plan order. Returns where each step ran.
+/// thread, in plan order. Returns every step's result and where it ran,
+/// in plan order.
 ///
 /// # Errors
 ///
@@ -121,7 +157,7 @@ pub(crate) fn execute<R: Send + Sync>(
     width: Width,
     run: &Run<'_, R>,
     commit: &mut dyn FnMut(usize, &R),
-) -> Result<Vec<Ran>> {
+) -> Result<(Vec<R>, Vec<Ran>)> {
     assert!(
         after
             .iter()
@@ -149,7 +185,7 @@ pub(crate) fn execute<R: Send + Sync>(
         wake: Condvar::new(),
     };
     let _caller = SolverLane::caller();
-    let committed = std::thread::scope(|scope| executor.caller(scope, commit));
+    std::thread::scope(|scope| executor.caller(scope, commit));
     let state = executor
         .state
         .into_inner()
@@ -157,18 +193,19 @@ pub(crate) fn execute<R: Send + Sync>(
     if let Some(panic) = state.panic {
         panic::resume_unwind(panic);
     }
-    if committed < n {
-        let failed = executor.results.into_iter().nth(committed);
-        if let Some(Some(Err(e))) = failed.map(OnceLock::into_inner) {
-            return Err(e);
-        }
-        unreachable!("the caller stops before step {committed} only when it failed");
-    }
-    Ok(state
+    // The caller stops early only at a failed step, and every step
+    // before it succeeded; `collect` stops at the first failure.
+    let results = executor
+        .results
+        .into_iter()
+        .map(|result| result.into_inner().expect("every step up to a failure ran"))
+        .collect::<Result<_>>()?;
+    let ran = state
         .ran
         .into_iter()
         .map(|ran| ran.expect("every step ran"))
-        .collect())
+        .collect();
+    Ok((results, ran))
 }
 
 struct Executor<'a, 'r, R> {
@@ -279,8 +316,8 @@ impl<'a, 'r, R: Send + Sync> Executor<'a, 'r, R> {
 
     /// Lane 0: runs steps and commits finished ones in plan order until
     /// every step is committed, the first failure is reached, or a lane
-    /// panicked. Returns the number of steps committed.
-    fn caller<'s>(&'s self, scope: &'s Scope<'s, '_>, commit: &mut dyn FnMut(usize, &R)) -> usize {
+    /// panicked.
+    fn caller<'s>(&'s self, scope: &'s Scope<'s, '_>, commit: &mut dyn FnMut(usize, &R)) {
         let _abort = AbortOnUnwind(self);
         let mut ws = lease_workspace();
         let mut committed = 0;
@@ -288,7 +325,7 @@ impl<'a, 'r, R: Send + Sync> Executor<'a, 'r, R> {
         loop {
             while committed < self.after.len() && state.done[committed] {
                 let Some(Ok(result)) = self.results[committed].get() else {
-                    return committed;
+                    return;
                 };
                 drop(state);
                 commit(committed, result);
@@ -296,7 +333,7 @@ impl<'a, 'r, R: Send + Sync> Executor<'a, 'r, R> {
                 state = self.lock();
             }
             if committed == self.after.len() || state.aborted() {
-                return committed;
+                return;
             }
             if let Some(step) = self.claim(scope, &mut state) {
                 drop(state);
@@ -401,6 +438,16 @@ mod tests {
                 .expect("test lock");
             assert!(*started, "no second lane started a step");
         }
+
+        /// On the caller, waits for a second lane; on any other lane,
+        /// announces that it started a step.
+        fn meet(&self) {
+            if on_caller() {
+                self.await_lane();
+            } else {
+                self.lane_started();
+            }
+        }
     }
 
     /// A run whose result is the step's index, on which the caller's
@@ -409,11 +456,7 @@ mod tests {
         meet: &Rendezvous,
     ) -> impl Fn(usize, &Done<'_, usize>, &mut Workspace) -> Result<usize> + Sync + '_ {
         move |i, _, _| {
-            if on_caller() {
-                meet.await_lane();
-            } else {
-                meet.lane_started();
-            }
+            meet.meet();
             Ok(i)
         }
     }
@@ -423,7 +466,7 @@ mod tests {
         let after = [None, None, Some(0), Some(2), None, Some(1)];
         let meet = Rendezvous::default();
         let mut committed = Vec::new();
-        let ran = execute(&after, Width::Forced(2), &indices(&meet), &mut |i, r| {
+        let (_, ran) = execute(&after, Width::Forced(2), &indices(&meet), &mut |i, r| {
             assert_eq!(i, *r);
             committed.push(i);
         })
@@ -522,12 +565,39 @@ mod tests {
     #[test]
     fn one_step_and_width_one_start_no_thread() {
         let run = |i: usize, _: &Done<'_, usize>, _: &mut Workspace| Ok(i);
-        let ran = execute(&[None], Width::Forced(2), &run, &mut |_, _| {}).unwrap();
+        let (_, ran) = execute(&[None], Width::Forced(2), &run, &mut |_, _| {}).unwrap();
         assert_eq!(ran[0].lane, 0);
-        let ran = execute(&[None; 3], Width::Spare(1), &run, &mut |_, _| {}).unwrap();
+        let (_, ran) = execute(&[None; 3], Width::Spare(1), &run, &mut |_, _| {}).unwrap();
         assert!(ran.iter().all(|r| r.lane == 0));
         assert!(execute(&[], Width::Forced(2), &run, &mut |_, _| {})
             .unwrap()
+            .1
             .is_empty());
+    }
+
+    #[test]
+    fn each_on_two_lanes_returns_the_sequential_map_in_index_order() {
+        let meet = Rendezvous::default();
+        let run = |i: usize, _: &mut Workspace| {
+            meet.meet();
+            Ok(i * i + 1)
+        };
+        let got = each_on(9, Width::Forced(2), run).unwrap();
+        assert_eq!(got, (0..9).map(|i| i * i + 1).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn each_returns_the_earliest_failure_in_index_order() {
+        let run = |i: usize, _: &mut Workspace| {
+            if i == 3 || i == 5 {
+                Err(Error::InvalidConfig {
+                    message: format!("step {i}"),
+                })
+            } else {
+                Ok(i)
+            }
+        };
+        let e = each_on(8, Width::Forced(2), run).unwrap_err();
+        assert!(e.to_string().contains("step 3"), "{e}");
     }
 }

@@ -14,14 +14,14 @@
 //!    seeding each GRAPE run with its MST parent's pulse.
 //! 3. **Balanced parallel compilation** ([`partition_tree`],
 //!    [`PrecompileOptions::threads`]) — split the MST into balanced
-//!    connected parts and compile them on a real [`std::thread::scope`]
-//!    worker pool, each worker with its own reusable GRAPE workspace and
+//!    connected parts and compile them on this thread plus one thread
+//!    per spare core, each with its own reusable GRAPE workspace and
 //!    returning its pulses to the caller, which inserts them into the one
-//!    [`PulseLibrary`]. This is the same engine, at plan width 1 on one
-//!    thread, that runs [`Session::compile`] and a sequential
-//!    [`Session::precompile`].
-//!    The partition plan is thread-count-invariant, so the persisted
-//!    cache artifact is byte-identical however many threads run it.
+//!    [`PulseLibrary`]. The same engine, on one plan part, runs
+//!    [`Session::compile`]; [`compile_each`] runs independent compiles
+//!    on it. The partition plan is thread-count-invariant, so the
+//!    persisted cache artifact is byte-identical however many threads
+//!    run it.
 //! 4. **Online serving** ([`PulseLibrary`],
 //!    [`Session::serve_program`]) — programs arriving *after* batch
 //!    precompile resolve each group against the live, fingerprint-indexed
@@ -82,6 +82,7 @@ pub use baselines::{brute_force_qoc, BruteForceConfig, BruteForceResult};
 pub use cache::{CachedPulse, PulseCache};
 pub use compile::{warm_start_allowed, AccQocConfig};
 pub use error::{Error, Result};
+pub use exec::compile_each;
 pub use library::{
     LibraryStats, NearestPulse, PulseLibrary, ServeOptions, ServeReport, ServedGroup,
     UnitaryFingerprint,

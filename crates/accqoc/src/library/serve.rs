@@ -619,13 +619,8 @@ impl Served {
         // the router folds the overall number from the merged per-group
         // results.
         let (overall_latency_ns, gate_based_latency_ns) = if options.only_qubits.is_none() {
-            let per_instance: Vec<f64> = grouped
-                .assignment
-                .iter()
-                .map(|&u| self.per_unique[u])
-                .collect();
             (
-                grouped.grouped.overall_latency(|i| per_instance[i]),
+                grouped.overall_latency(&self.per_unique),
                 session.gate_based_latency(&grouped.processed),
             )
         } else {

@@ -248,7 +248,7 @@ pub(crate) fn compile_batch(
         });
     };
     let t0 = Instant::now();
-    let ran = exec::execute(&after, Width::Spare(threads), &run, &mut commit)?;
+    let (_, ran) = exec::execute(&after, Width::Spare(threads), &run, &mut commit)?;
     let wall = t0.elapsed();
 
     let iterations = |i: usize| compiled[steps[i].1].as_ref().map_or(0, |e| e.iterations);

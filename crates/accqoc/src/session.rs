@@ -27,7 +27,7 @@ use accqoc_map::{crosstalk_metric, map_circuit, MappingOptions};
 use crate::cache::{CachedPulse, PulseCache};
 use crate::compile::AccQocConfig;
 use crate::error::{Error, Result};
-use crate::exec::{self, Done, Width};
+use crate::exec::compile_each;
 use crate::library::serve::serve_grouped;
 use crate::library::{PulseLibrary, ServeOptions, ServeReport};
 use crate::model::ModelSet;
@@ -108,6 +108,30 @@ impl GroupReport {
     /// Number of unique groups.
     pub fn n_unique(&self) -> usize {
         self.targets.len()
+    }
+
+    /// The program's overall latency (the Algorithm 3 dynamic program
+    /// over the group DAG) from each unique group's latency, in target
+    /// order.
+    pub(crate) fn overall_latency(&self, per_unique: &[f64]) -> f64 {
+        self.grouped
+            .overall_latency(|i| per_unique[self.assignment[i]])
+    }
+
+    /// Each unique group's latency, in target order, or
+    /// [`Error::UncoveredGroup`] for the first one `latency_of` lacks.
+    fn latencies(
+        &self,
+        mut latency_of: impl FnMut(&UnitaryKey) -> Option<f64>,
+    ) -> Result<Vec<f64>> {
+        self.targets
+            .iter()
+            .map(|t| {
+                latency_of(&t.key).ok_or(Error::UncoveredGroup {
+                    n_qubits: t.n_qubits,
+                })
+            })
+            .collect()
     }
 }
 
@@ -749,20 +773,9 @@ impl Session {
     /// [`Error::UncoveredGroup`] when a group has no cached pulse (run
     /// [`Session::compile`] first).
     pub fn latency(&self, grouped: &GroupReport) -> Result<LatencyReport> {
-        let per_unique: Vec<f64> = grouped
-            .targets
-            .iter()
-            .map(|t| {
-                self.library
-                    .get(&t.key)
-                    .map(|e| e.latency_ns)
-                    .ok_or(Error::UncoveredGroup {
-                        n_qubits: t.n_qubits,
-                    })
-            })
-            .collect::<Result<_>>()?;
-        let per_instance_ns: Vec<f64> = grouped.assignment.iter().map(|&u| per_unique[u]).collect();
-        let overall_latency_ns = grouped.grouped.overall_latency(|i| per_instance_ns[i]);
+        let per_unique = grouped.latencies(|key| self.library.get(key).map(|e| e.latency_ns))?;
+        let per_instance_ns = grouped.assignment.iter().map(|&u| per_unique[u]).collect();
+        let overall_latency_ns = grouped.overall_latency(&per_unique);
         let gate_based_latency_ns = self.gate_based_latency(&grouped.processed);
         Ok(LatencyReport {
             overall_latency_ns,
@@ -1104,23 +1117,11 @@ impl Session {
     ///
     /// [`Error::UncoveredGroup`] when `latency_of` has no latency for
     /// one of the program's unique groups.
-    pub fn overall_latency_from<F>(&self, grouped: &GroupReport, mut latency_of: F) -> Result<f64>
+    pub fn overall_latency_from<F>(&self, grouped: &GroupReport, latency_of: F) -> Result<f64>
     where
         F: FnMut(&UnitaryKey) -> Option<f64>,
     {
-        let mut per_unique = Vec::with_capacity(grouped.targets.len());
-        for target in &grouped.targets {
-            match latency_of(&target.key) {
-                Some(latency) => per_unique.push(latency),
-                None => {
-                    return Err(Error::UncoveredGroup {
-                        n_qubits: target.n_qubits,
-                    })
-                }
-            }
-        }
-        let per_instance: Vec<f64> = grouped.assignment.iter().map(|&u| per_unique[u]).collect();
-        Ok(grouped.grouped.overall_latency(|i| per_instance[i]))
+        Ok(grouped.overall_latency(&grouped.latencies(latency_of)?))
     }
 
     // -- verification -------------------------------------------------------
@@ -1213,28 +1214,20 @@ impl Session {
     }
 
     /// Calibrates the table: one independent compile per basis gate, run
-    /// on the compile executor (side by side on spare cores).
+    /// side by side on spare cores by [`compile_each`].
     fn build_gate_durations(&self) -> GateDurations {
         let gates = CALIBRATION_GATES;
         // A gate this device cannot compile gets an infinite duration.
-        let run = |i: usize, _: &Done<'_, f64>, ws: &mut GrapeWorkspace| {
+        let latencies = compile_each(gates.len(), |i, ws| {
             let gate = &gates[i].1;
             let width = gate.qubits().len();
             Ok(self
                 .compile_anchored(&gate.matrix(), width, None, 0.0, ws)
                 .map_or(f64::INFINITY, |r| r.latency_ns))
-        };
-        let mut map: std::collections::BTreeMap<GateKind, f64> = std::collections::BTreeMap::new();
-        let mut commit = |i: usize, latency: &f64| {
-            map.insert(gates[i].0, *latency);
-        };
-        exec::execute(
-            &vec![None; gates.len()],
-            Width::Spare(usize::MAX),
-            &run,
-            &mut commit,
-        )
+        })
         .expect("a calibration step never fails");
+        let map: std::collections::BTreeMap<GateKind, f64> =
+            gates.iter().map(|(kind, _)| *kind).zip(latencies).collect();
         let default = map.values().copied().fold(0.0, f64::max);
         GateDurations::from_single_gate_pulses(map, default)
     }

@@ -1,6 +1,7 @@
 //! With every core's solver lane held, serving a program of independent
-//! misses starts no thread: the compile executor finds no spare core,
-//! so the calling thread compiles every group.
+//! misses, or compiling a batch through [`accqoc::compile_each`], starts
+//! no thread: the compile executor finds no spare core, so the calling
+//! thread compiles every group.
 //!
 //! This lives in its own test binary, with one test, because it counts
 //! the threads of the whole process (from `/proc/self/task`): no sibling
@@ -11,7 +12,7 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Duration;
 
-use accqoc::Session;
+use accqoc::{compile_each, Session};
 use accqoc_circuit::{Circuit, Gate};
 use accqoc_grape::SolverLane;
 use accqoc_hw::Topology;
@@ -23,7 +24,7 @@ fn threads() -> usize {
 }
 
 #[test]
-fn serving_on_a_busy_machine_starts_no_thread() {
+fn serving_and_compile_each_on_a_busy_machine_start_no_thread() {
     let mut grape = accqoc_grape::GrapeOptions::default();
     grape.stop.max_iters = 200;
     let session = Session::builder()
@@ -33,6 +34,7 @@ fn serving_on_a_busy_machine_starts_no_thread() {
         .expect("valid session");
     // Three single-qubit groups no warm start links: three independent
     // scratch compiles.
+    let gates = [Gate::H(0), Gate::Rx(0, 0.9), Gate::Ry(0, 2.3)];
     let program = Circuit::from_gates(
         3,
         [Gate::H(0), Gate::Rx(1, 0.9), Gate::T(1), Gate::Ry(2, 2.3)],
@@ -47,17 +49,23 @@ fn serving_on_a_busy_machine_starts_no_thread() {
                 std::thread::sleep(Duration::from_micros(200));
             }
         });
-        // The sampler is running: this is the count the serve may not
-        // raise.
+        // The sampler is running: this is the count neither the serve
+        // nor the batch may raise.
         std::thread::sleep(Duration::from_millis(20));
         let before = threads();
         let report = session.serve_program(&program).expect("serves");
+        let batch = compile_each(gates.len(), |i, _| {
+            session.compile_unitary(&gates[i].matrix(), 1, None)
+        })
+        .expect("compiles");
         stop.store(true, Ordering::Relaxed);
-        (report, before)
+        (report, batch, before)
     });
     drop(held);
-    let (report, before) = report;
+    let (report, batch, before) = report;
     assert!(report.n_compiled >= 3, "{report:?}");
+    assert_eq!(batch.len(), 3);
+    assert!(batch.iter().all(|r| r.latency_ns > 0.0));
     assert_eq!(report.n_warm_started, 0, "the misses are independent");
     assert_eq!(most.into_inner(), before, "a thread was started");
 }

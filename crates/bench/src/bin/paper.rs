@@ -21,11 +21,10 @@ use accqoc::{
     collect_category, mst_compile_order, partition_tree, scratch_order, BruteForceConfig,
     SimilarityFn, SimilarityGraph, WeightedTree,
 };
-use accqoc_bench::context::n_workers;
 use accqoc_bench::experiments::{
     category_steps, fig11_rows, fig12_cells, fig13_rows, fig14_rows, fig15_rows, fig5_rows,
     fig7_rows, fig8_rows, fig9_example, table1_rows, table2_rows, threads_speedup_rows,
-    training_cost, truncate_category,
+    training_costs, truncate_category,
 };
 use accqoc_bench::{fast_mode, print_table, write_csv, ExperimentContext};
 use accqoc_map::{crosstalk_metric, map_circuit, MappingOptions};
@@ -487,7 +486,7 @@ fn fig15(contexts: &Contexts) -> Result<(), String> {
 fn threads(contexts: &Contexts) -> Result<(), String> {
     println!("Parallel pre-compilation — wall-clock speedup vs worker threads\n");
     let n_programs = if fast_mode() { 3 } else { 7 };
-    let cores = n_workers();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut counts = vec![1usize, 2, 4];
     if cores >= 8 {
         counts.push(8);
@@ -556,11 +555,13 @@ fn ablations(contexts: &Contexts) -> Result<(), String> {
     let graph = SimilarityGraph::build(unitaries, SimilarityFn::TraceOverlap);
     let order = mst_compile_order(&graph);
     let scratch_walk = scratch_order(category.len(), &graph);
-    let scratch = training_cost(&ctx.session, &category, &steps, &scratch_walk, -1.0);
-    let rows = [0.0, 0.02, 0.05, 0.15, 0.5, f64::INFINITY]
-        .into_iter()
-        .map(|gate| {
-            let cost = training_cost(&ctx.session, &category, &steps, &order, gate);
+    let gates = [0.0, 0.02, 0.05, 0.15, 0.5, f64::INFINITY];
+    let runs: Vec<_> = gates.iter().map(|&gate| (&order, gate)).collect();
+    let (scratch, costs) = training_costs(&ctx.session, &category, &steps, &scratch_walk, &runs);
+    let rows = gates
+        .iter()
+        .zip(costs)
+        .map(|(gate, cost)| {
             vec![
                 format!("{gate}"),
                 cost.to_string(),

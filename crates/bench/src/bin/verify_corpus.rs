@@ -15,11 +15,9 @@
 //! least 0.999 for every workload. This is the slow, exhaustive oracle —
 //! run it deliberately, not in the default CI path.
 
-use std::io::Write;
-
 use accqoc::Session;
 use accqoc_bench::golden::{compute_corpus, diff_corpus, golden_dir, GoldenCorpus, GOLDEN_FILE};
-use accqoc_bench::print_table;
+use accqoc_bench::{print_table, write_csv_in};
 use accqoc_hw::Topology;
 use accqoc_workloads::full_suite;
 
@@ -96,13 +94,13 @@ fn main() {
     // Anchor the CSV next to the corpus (workspace results/), not the
     // CWD-relative results/ that `write_csv` uses — both artifacts must
     // land in the same place however the binary is invoked.
-    let csv_path = golden_dir().join("../verify_fidelity.csv");
-    let mut csv = std::fs::File::create(&csv_path).expect("fidelity csv writable");
-    writeln!(csv, "{}", header.join(",")).unwrap();
-    for row in &rows {
-        writeln!(csv, "{}", row.join(",")).unwrap();
-    }
-    println!("wrote {}", csv_path.display());
+    write_csv_in(
+        &golden_dir().join(".."),
+        "verify_fidelity.csv",
+        &header,
+        &rows,
+    )
+    .expect("fidelity csv writable");
     if check_only && !drift.is_empty() {
         eprintln!("--check failed: golden corpus drifted");
         std::process::exit(1);

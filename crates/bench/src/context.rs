@@ -18,13 +18,6 @@ pub fn fast_mode() -> bool {
         .unwrap_or(false)
 }
 
-/// Number of compile workers.
-pub fn n_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-}
-
 /// Everything an experiment of the `paper` binary needs.
 pub struct ExperimentContext {
     /// The Melbourne/map2b4l session of the paper's headline setup; owns
@@ -66,9 +59,9 @@ impl ExperimentContext {
     }
 
     /// Builds the context and pre-compiles the profiling programs'
-    /// group category in this process (in parallel). Nothing is read
-    /// from disk, so every figure reports pulses of the solver it was
-    /// built with.
+    /// group category in this process, on this thread plus every spare
+    /// core. Nothing is read from disk, so every figure reports pulses
+    /// of the solver it was built with.
     ///
     /// # Panics
     ///
@@ -78,13 +71,13 @@ impl ExperimentContext {
         let ctx = Self::bare();
         let programs = ctx.profile_programs();
         eprintln!(
-            "[context] pre-compiling category from {} profiling programs on {} workers…",
-            programs.len(),
-            n_workers()
+            "[context] pre-compiling category from {} profiling programs…",
+            programs.len()
         );
         let t0 = std::time::Instant::now();
+        // Uncapped: the engine takes every spare core.
         let options = PrecompileOptions {
-            threads: Some(n_workers()),
+            threads: Some(usize::MAX),
             ..PrecompileOptions::default()
         };
         let (report, stats) = ctx

@@ -6,11 +6,12 @@
 use std::collections::HashMap;
 
 use accqoc::{
-    brute_force_qoc, collect_category, mst_compile_order, scratch_order, BruteForceConfig,
-    CompileOrder, PrecompileOptions, Session, SimilarityFn, SimilarityGraph,
+    brute_force_qoc, collect_category, compile_each, mst_compile_order, scratch_order,
+    warm_start_allowed, BruteForceConfig, CompileOrder, PrecompileOptions, Session, SimilarityFn,
+    SimilarityGraph,
 };
 use accqoc_circuit::{Circuit, GateKind};
-use accqoc_grape::Pulse;
+use accqoc_grape::{solve_with, GrapeProblem, InitStrategy, Pulse, Workspace};
 use accqoc_group::GroupingPolicy;
 use accqoc_hw::{NoiseModel, Topology};
 use accqoc_linalg::Mat;
@@ -19,7 +20,7 @@ use accqoc_map::{
 };
 use accqoc_workloads::{nct_circuit, paper_specs, qft, BenchProgram};
 
-use crate::context::{fast_mode, n_workers, ExperimentContext};
+use crate::context::{fast_mode, ExperimentContext};
 
 // ---------------------------------------------------------------------------
 // Table I — grouping policies.
@@ -148,27 +149,46 @@ pub fn fig7_rows(ctx: &ExperimentContext, n_programs: usize) -> Vec<(String, usi
 // Figures 8 & 13 — iteration reduction from similarity-ordered training.
 // ---------------------------------------------------------------------------
 
-/// Fixed-latency training cost of a category under a compile order:
-/// every group is solved at its own (pre-established) slice count; warm
-/// seeds come from MST parents that pass the trace-overlap gate. This is
-/// the quantity paper §VI-G varies — "the training iterations of groups
-/// with and without accelerated training" — with latencies already fixed
-/// by pre-compilation.
-pub fn training_cost(
+/// Fixed-latency training cost of a category under `scratch` with no
+/// warm start, and under each of `runs`, a compile order and its
+/// warm-start gate: every group is solved at its own (pre-established)
+/// slice count; warm seeds come from MST parents that pass the gate.
+/// This is the quantity paper §VI-G varies — "the training iterations of
+/// groups with and without accelerated training" — with latencies
+/// already fixed by pre-compilation. The runs are independent and run
+/// side by side on spare cores.
+pub fn training_costs(
+    session: &Session,
+    canonical: &[(Mat, usize)],
+    steps: &[usize],
+    scratch: &CompileOrder,
+    runs: &[(&CompileOrder, f64)],
+) -> (usize, Vec<usize>) {
+    let mut costs = compile_each(runs.len() + 1, |i, ws| {
+        let (order, gate) = if i == 0 { (scratch, -1.0) } else { runs[i - 1] };
+        Ok(training_cost(session, canonical, steps, order, gate, ws))
+    })
+    .expect("a training run never fails");
+    let scratch_cost = costs.remove(0);
+    (scratch_cost, costs)
+}
+
+/// One run of [`training_costs`], on the lane's workspace.
+fn training_cost(
     session: &Session,
     canonical: &[(Mat, usize)],
     steps: &[usize],
     order: &CompileOrder,
     gate: f64,
+    ws: &mut Workspace,
 ) -> usize {
-    use accqoc_grape::{solve, GrapeProblem, InitStrategy};
     let mut pulses: HashMap<usize, Pulse> = HashMap::new();
     let mut total = 0usize;
     for step in &order.steps {
         let (target, n_qubits) = &canonical[step.vertex];
         let mut opts = session.config().grape.clone();
         if let Some(p) = step.parent {
-            if SimilarityFn::TraceOverlap.distance(&canonical[p].0, target) <= gate {
+            if warm_start_allowed(&canonical[p].0, target, gate) {
                 if let Some(pp) = pulses.get(&p) {
                     opts.init = InitStrategy::Warm(pp.clone());
                 }
@@ -178,12 +198,13 @@ pub fn training_cost(
             .models()
             .for_qubits(*n_qubits)
             .expect("category arity in range");
-        let out = solve(&GrapeProblem {
+        let problem = GrapeProblem {
             model,
             target,
             n_steps: steps[step.vertex],
             options: opts,
-        });
+        };
+        let out = solve_with(&problem, ws);
         total += out.iterations;
         if out.converged {
             pulses.insert(step.vertex, out.pulse);
@@ -193,35 +214,13 @@ pub fn training_cost(
 }
 
 /// Establishes each group's minimal slice count with one cold binary
-/// search per group (parallelized across groups).
+/// search per group, the groups side by side on spare cores.
 pub fn category_steps(session: &Session, canonical: &[(Mat, usize)]) -> Vec<usize> {
-    let mut steps = vec![0usize; canonical.len()];
-    let chunk = (canonical.len() / n_workers().max(1)).max(1);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = canonical
-            .chunks(chunk)
-            .map(|chunk_items| {
-                scope.spawn(move || {
-                    chunk_items
-                        .iter()
-                        .map(|(u, n)| {
-                            session
-                                .compile_unitary(u, *n, None)
-                                .expect("compiles")
-                                .n_steps
-                        })
-                        .collect::<Vec<usize>>()
-                })
-            })
-            .collect();
-        let mut offset = 0usize;
-        for h in handles {
-            let part = h.join().expect("worker");
-            steps[offset..offset + part.len()].copy_from_slice(&part);
-            offset += part.len();
-        }
-    });
-    steps
+    compile_each(canonical.len(), |i, _| {
+        let (u, n) = &canonical[i];
+        Ok(session.compile_unitary(u, *n, None)?.n_steps)
+    })
+    .expect("compiles")
 }
 
 /// Iteration reduction (fraction) of MST-ordered training vs from-scratch
@@ -251,33 +250,12 @@ pub fn similarity_reductions(
         })
         .collect();
 
-    let mut scratch_cost = 0usize;
-    let mut costs: Vec<(&'static str, usize)> = Vec::new();
-    std::thread::scope(|scope| {
-        let steps_ref = &steps;
-        let scratch_handle =
-            scope.spawn(move || training_cost(session, canonical, steps_ref, &scratch_ord, -1.0));
-        let handles: Vec<_> = orders
-            .iter()
-            .map(|(label, order, g)| {
-                let (label, g) = (*label, *g);
-                scope.spawn(move || {
-                    (
-                        label,
-                        training_cost(session, canonical, steps_ref, order, g),
-                    )
-                })
-            })
-            .collect();
-        scratch_cost = scratch_handle.join().expect("scratch worker");
-        for h in handles {
-            costs.push(h.join().expect("order worker"));
-        }
-    });
-
-    costs
-        .into_iter()
-        .map(|(label, cost)| (label, 1.0 - cost as f64 / scratch_cost.max(1) as f64))
+    let runs: Vec<_> = orders.iter().map(|(_, order, g)| (order, *g)).collect();
+    let (scratch_cost, costs) = training_costs(session, canonical, &steps, &scratch_ord, &runs);
+    orders
+        .iter()
+        .zip(costs)
+        .map(|((label, _, _), cost)| (*label, 1.0 - cost as f64 / scratch_cost.max(1) as f64))
         .collect()
 }
 
@@ -464,7 +442,7 @@ pub fn fig12_cells(ctx: &ExperimentContext, n_programs: usize) -> Vec<Fig12Cell>
         let circuits: Vec<Circuit> = programs.iter().map(|p| p.circuit.clone()).collect();
 
         let options = PrecompileOptions {
-            threads: Some(n_workers()),
+            threads: Some(usize::MAX),
             ..PrecompileOptions::default()
         };
         let (report, _) = session

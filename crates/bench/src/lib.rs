@@ -17,4 +17,4 @@ pub mod table;
 
 pub use context::{fast_mode, ExperimentContext};
 pub use golden::{compute_corpus, diff_corpus, GoldenCorpus, GoldenRow};
-pub use table::{print_table, write_csv};
+pub use table::{print_table, write_csv, write_csv_in};

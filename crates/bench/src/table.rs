@@ -44,7 +44,20 @@ pub fn print_table(header: &[&str], rows: &[Vec<String>]) {
 ///
 /// Returns I/O errors from file creation or writing.
 pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) -> std::io::Result<()> {
-    let dir = Path::new("results");
+    write_csv_in(Path::new("results"), name, header, rows)
+}
+
+/// [`write_csv`] under `dir`.
+///
+/// # Errors
+///
+/// Returns I/O errors from file creation or writing.
+pub fn write_csv_in(
+    dir: &Path,
+    name: &str,
+    header: &[&str],
+    rows: &[Vec<String>],
+) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
     let path = dir.join(name);
     let mut f = std::fs::File::create(&path)?;
@@ -73,11 +86,11 @@ mod tests {
 
     #[test]
     fn csv_roundtrip() {
+        let dir = std::env::temp_dir().join(format!("accqoc_csv_{}", std::process::id()));
         let rows = vec![vec!["p1".to_string(), "1.5".to_string()]];
-        write_csv("test_tmp.csv", &["name", "v"], &rows).unwrap();
-        let content = std::fs::read_to_string("results/test_tmp.csv").unwrap();
-        assert!(content.contains("name,v"));
-        assert!(content.contains("p1,1.5"));
-        std::fs::remove_file("results/test_tmp.csv").ok();
+        write_csv_in(&dir, "roundtrip.csv", &["name", "v"], &rows).unwrap();
+        let content = std::fs::read_to_string(dir.join("roundtrip.csv")).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(content, "name,v\np1,1.5\n");
     }
 }
