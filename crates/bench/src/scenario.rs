@@ -9,9 +9,11 @@
 //! session, a [`Stream`] must get back the pulse bytes and latencies
 //! [`Session::serve_program`] returns on one session ([`compare`]), and
 //! clear its warm-start gates. Writes `results/scenarios.csv` (one row
-//! per scenario, phase, client and arrival), `BENCH_persist.json` (the
-//! restart scenario's deterministic recovery counts) and
-//! `results/persist_timings.json` (that run's recovery timings).
+//! per scenario, phase, client and arrival, with each arrival's
+//! wall-clock serve time and its scenario's p50 and p99),
+//! `BENCH_persist.json` (the restart scenario's deterministic recovery
+//! counts) and `results/persist_timings.json` (that run's recovery
+//! timings). Wall-clock columns are not gated.
 
 use std::io::{BufRead, BufReader, Read};
 use std::ops::Range;
@@ -86,6 +88,11 @@ pub const HEADER: [&str; 11] = [
     "latency_reduction",
     "identical",
 ];
+
+/// Wall-clock columns [`run`] appends to each [`HEADER`] row of
+/// `results/scenarios.csv`: the arrival's serve time, and the p50 and p99
+/// of its scenario's serve times.
+const LATENCY_HEADER: [&str; 3] = ["wall_ms", "p50_ms", "p99_ms"];
 
 /// The session every serving scenario runs on: 5-qubit linear device,
 /// 300-iteration GRAPE cap, stock similarity and warm-start config. The
@@ -217,6 +224,9 @@ pub struct Served {
     /// The served groups' pulses, serialized deterministically: the
     /// byte-identity unit of comparison.
     pub artifact: String,
+    /// Wall-clock time to serve the arrival and hold its report and
+    /// artifact, in milliseconds.
+    pub wall_ms: f64,
 }
 
 /// Serves the `arrivals` of `programs` in order through `serve`, which
@@ -229,6 +239,7 @@ fn replay(
     mut serve: impl FnMut(&Circuit) -> (ServeReport, String),
 ) -> Vec<Served> {
     let served = arrivals.map(|arrival| {
+        let started = Instant::now();
         let (report, artifact) = serve(&programs[arrival].1);
         Served {
             phase,
@@ -236,6 +247,7 @@ fn replay(
             arrival,
             report,
             artifact,
+            wall_ms: started.elapsed().as_secs_f64() * 1e3,
         }
     });
     served.collect()
@@ -359,6 +371,10 @@ pub fn run() -> Vec<String> {
                 Shape::Router => scenario.router(),
                 Shape::Restart => scenario.restart(),
             };
+            let mut walls: Vec<f64> = served.iter().map(|s| s.wall_ms).collect();
+            walls.sort_by(f64::total_cmp);
+            let (p50, p99) = (percentile(&walls, 0.50), percentile(&walls, 0.99));
+            println!("  wall-clock per served program: p50 {p50:.2} ms, p99 {p99:.2} ms");
             let mut mismatched = 0;
             for s in &served {
                 let verdict = compare(
@@ -378,7 +394,9 @@ pub fn run() -> Vec<String> {
                     ));
                 }
                 let program = &stream.programs[s.arrival].0;
-                rows.push(cells(&scenario.name, program, s, Some(verdict.is_ok())));
+                let mut row = cells(&scenario.name, program, s, Some(verdict.is_ok()));
+                row.extend([s.wall_ms, p50, p99].map(|ms| format!("{ms:.3}")));
+                rows.push(row);
             }
             println!(
                 "  {} responses, {mismatched} differ from in-process serving",
@@ -387,8 +405,15 @@ pub fn run() -> Vec<String> {
             failures.append(&mut scenario.failures);
         }
     }
-    write_csv("scenarios.csv", &HEADER, &rows).ok();
+    let header: Vec<&str> = HEADER.iter().chain(&LATENCY_HEADER).copied().collect();
+    write_csv("scenarios.csv", &header, &rows).ok();
     failures
+}
+
+/// The nearest-rank `q` quantile of ascending `sorted` (0 when empty).
+fn percentile(sorted: &[f64], q: f64) -> f64 {
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted.get(rank.max(1) - 1).copied().unwrap_or(0.0)
 }
 
 /// A stream's in-process serving: the reference every shape meets.
@@ -794,6 +819,15 @@ mod tests {
             "1"
         };
         served.artifact.replace_range(at..=at, flipped);
+    }
+
+    #[test]
+    fn percentiles_are_nearest_rank() {
+        let sorted: Vec<f64> = (1..=100).map(f64::from).collect();
+        assert_eq!(percentile(&sorted, 0.50), 50.0);
+        assert_eq!(percentile(&sorted, 0.99), 99.0);
+        assert_eq!(percentile(&sorted[..1], 0.99), 1.0);
+        assert_eq!(percentile(&[], 0.50), 0.0);
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //!
 //! Everything is `std`-only (this workspace builds offline): the
 //! transport is a non-blocking event loop over [`std::net::TcpListener`]
-//! (one thread multiplexes every connection, so idle clients cost a
-//! registry entry instead of an OS thread), the worker pool is the same
+//! (one thread multiplexes every connection and sleeps in `poll(2)` until
+//! one is ready, so idle clients cost a registry entry instead of an OS
+//! thread or CPU time; Unix only), the worker pool is the same
 //! [`std::thread::scope`] pattern as the batch engine behind a threaded
 //! `accqoc::Session::precompile`, and the wire format reuses
 //! `accqoc::json`.
@@ -68,6 +69,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod cli;
 pub mod client;
@@ -77,6 +79,8 @@ pub mod protocol;
 pub mod queue;
 pub mod router;
 pub mod server;
+#[allow(unsafe_code)]
+mod sys;
 
 pub use client::{Client, ClientError};
 pub use protocol::{

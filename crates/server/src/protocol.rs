@@ -492,6 +492,23 @@ impl Request {
         };
         Ok(Self { id, call })
     }
+
+    /// Decodes one frame as read off the socket: the raw bytes before its
+    /// `\n`, with an optional trailing `\r`. Bytes that are not UTF-8
+    /// become U+FFFD, so they fail as JSON like any other bad text.
+    /// `None` means a blank line, which the protocol skips.
+    ///
+    /// # Errors
+    ///
+    /// As [`Request::decode`].
+    pub fn decode_frame(frame: &[u8]) -> Option<Result<Self, DecodeError>> {
+        let frame = frame.strip_suffix(b"\r").unwrap_or(frame);
+        let line = String::from_utf8_lossy(frame);
+        if line.trim().is_empty() {
+            return None;
+        }
+        Some(Self::decode(&line))
+    }
 }
 
 /// Counters the daemon keeps about itself (the library's own

@@ -11,13 +11,18 @@
 //!              │                                             in-flight groups)
 //!              ▼                                                   │
 //!         write buffers  ◄──── completion mpsc ◄───── library resolve
-//!         (ordered per connection)              (hit / warm / scratch)
+//!         (ordered per connection)   + wake byte    (hit / warm / scratch)
 //! ```
 //!
-//! One event-loop thread owns the listener and every socket
-//! (`set_nonblocking` + a tick-polled registry — this workspace builds
-//! offline and `std` exposes no `epoll`, so readiness is polled every
-//! millisecond and worker completions double as wake-ups). Each connection is a read/write state machine: partial
+//! One event-loop thread owns the listener and every socket, all
+//! non-blocking, and sleeps in `poll(2)` on the listener, a wake socket
+//! and every connection (this workspace builds offline and `std` exposes
+//! no `epoll`; the one `unsafe` call lives in `sys`). A worker sends its
+//! completion down an mpsc channel and then writes one byte to the wake
+//! socket, so a finished request and newly arrived bytes both wake the
+//! loop at once, and an idle daemon sleeps without a timeout. Each wake
+//! services only the connections that are ready or that a completion
+//! touched. Each connection is a read/write state machine: partial
 //! frames buffer until complete, responses buffer until the socket
 //! accepts them, and per-connection sequence numbers keep pipelined
 //! responses in request order even when workers finish out of order.
@@ -48,6 +53,8 @@
 use std::collections::{BTreeMap, HashMap};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -64,6 +71,7 @@ use crate::protocol::{
     ServerCounters, StatsSnapshot, WireError,
 };
 use crate::queue::{BoundedQueue, EnqueueError};
+use crate::sys::{self, PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 
 /// Tunables of a [`Server`]. The defaults suit tests and small
 /// deployments; production deployments mostly raise `workers` and
@@ -107,11 +115,6 @@ impl Default for ServerConfig {
         }
     }
 }
-
-/// The event loop's idle tick: how long it sleeps when no socket has data
-/// and no worker has completed. Worker completions wake the loop at once,
-/// so this bounds only the latency of *new* bytes being noticed.
-const POLL_INTERVAL: Duration = Duration::from_millis(1);
 
 #[derive(Debug, Default)]
 struct CounterCells {
@@ -308,7 +311,7 @@ impl Conn {
                 }
                 Err(e) => match e.kind() {
                     std::io::ErrorKind::WouldBlock => {
-                        // Backpressure: give up the tick, but not forever.
+                        // Backpressure: wait for `POLLOUT`, but not forever.
                         return self.last_progress.elapsed() <= write_timeout;
                     }
                     std::io::ErrorKind::Interrupted => continue,
@@ -325,9 +328,14 @@ impl Conn {
         true
     }
 
+    /// `true` while response bytes wait for the socket to accept them.
+    fn unflushed(&self) -> bool {
+        self.written < self.write_buf.len()
+    }
+
     /// `true` when nothing is owed to this connection.
     fn is_drained(&self) -> bool {
-        self.pending == 0 && self.ready.is_empty() && self.written >= self.write_buf.len()
+        self.pending == 0 && self.ready.is_empty() && !self.unflushed()
     }
 }
 
@@ -487,12 +495,19 @@ impl<H: CallHandler> Server<H> {
         let counters = CounterCells::default();
         let handler: &H = &self.handler;
         let (done_tx, done_rx) = mpsc::channel::<Completion>();
+        // Each worker writes one byte here after each completion; the
+        // event loop polls the other end. Both ends are non-blocking: a
+        // full socket already holds a pending wake.
+        let (wake_rx, wake_tx) = UnixStream::pair()?;
+        wake_rx.set_nonblocking(true)?;
+        wake_tx.set_nonblocking(true)?;
 
         std::thread::scope(|scope| -> std::io::Result<()> {
             let queue = &queue;
             let counters = &counters;
             for _ in 0..workers {
                 let done = done_tx.clone();
+                let mut wake = wake_tx.try_clone()?;
                 scope.spawn(move || {
                     while let Some(job) = queue.pop() {
                         // Counted at pickup so a request's own `stats`
@@ -526,13 +541,15 @@ impl<H: CallHandler> Server<H> {
                             bytes,
                         })
                         .ok();
+                        wake.write_all(&[1]).ok();
                     }
                 });
             }
 
-            // Workers hold the only senders now: the receiver reports
-            // Disconnected exactly when the whole pool has exited.
+            // Workers hold the only wake writers now: the event loop
+            // reads end-of-file exactly when the whole pool has exited.
             drop(done_tx);
+            drop(wake_tx);
             let on_shutdown = || handler.on_shutdown();
             let mut event_loop = EventLoop {
                 listener: &self.listener,
@@ -540,7 +557,10 @@ impl<H: CallHandler> Server<H> {
                 queue,
                 counters,
                 done_rx,
+                wake: &wake_rx,
+                workers_done: false,
                 conns: HashMap::new(),
+                dirty: Vec::new(),
                 next_token: 0,
                 draining: false,
                 on_shutdown: &on_shutdown,
@@ -571,7 +591,14 @@ struct EventLoop<'a> {
     queue: &'a BoundedQueue<Job>,
     counters: &'a CounterCells,
     done_rx: mpsc::Receiver<Completion>,
+    /// Read end of the wake socket the workers write to.
+    wake: &'a UnixStream,
+    /// The wake socket read end-of-file during a drain: every worker has
+    /// exited, so it is no longer polled.
+    workers_done: bool,
     conns: HashMap<u64, Conn>,
+    /// Connections a completion touched since their last service.
+    dirty: Vec<u64>,
     next_token: u64,
     draining: bool,
     /// The handler's shutdown hook, fired once when draining starts.
@@ -580,47 +607,110 @@ struct EventLoop<'a> {
 
 impl EventLoop<'_> {
     fn run(&mut self) -> std::io::Result<()> {
+        let mut fds = Vec::new();
+        let mut tokens = Vec::new();
         loop {
             while let Ok(done) = self.done_rx.try_recv() {
                 self.complete(done);
             }
-            if !self.draining {
-                self.accept_ready()?;
-            }
-            let tokens: Vec<u64> = self.conns.keys().copied().collect();
-            for token in tokens {
-                if let Some(mut conn) = self.conns.remove(&token) {
-                    if self.service(token, &mut conn) {
-                        self.conns.insert(token, conn);
-                    }
-                }
+            self.dirty.sort_unstable();
+            self.dirty.dedup();
+            for token in std::mem::take(&mut self.dirty) {
+                self.service(token, 0);
             }
             if self.draining && self.conns.values().all(Conn::is_drained) {
                 return Ok(());
             }
-            // Sleep until the next worker completion or the idle tick,
-            // whichever comes first — completions are the common wake.
-            match self.done_rx.recv_timeout(POLL_INTERVAL) {
-                Ok(done) => self.complete(done),
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    // Workers only exit once the queue closes; if they
-                    // are gone outside a drain, the pool died under us.
-                    if self.draining {
-                        return Ok(());
-                    }
+
+            let watch_wake = !self.workers_done;
+            let watch_listener = !self.draining;
+            fds.clear();
+            if watch_wake {
+                fds.push(PollFd::new(self.wake.as_raw_fd(), POLLIN));
+            }
+            if watch_listener {
+                fds.push(PollFd::new(self.listener.as_raw_fd(), POLLIN));
+            }
+            let head = fds.len();
+            let timeout = self.watch_conns(&mut fds, &mut tokens);
+            sys::wait(&mut fds, timeout)?;
+
+            let mut head_fds = fds[..head].iter();
+            let wake_ready = watch_wake && head_fds.next().is_some_and(|fd| fd.revents() != 0);
+            let accept_ready =
+                watch_listener && head_fds.next().is_some_and(|fd| fd.revents() != 0);
+            if wake_ready && !self.take_wakes()? {
+                // Workers only exit once the queue closes; if they are
+                // gone outside a drain, the pool died under us.
+                if !self.draining {
                     return Err(std::io::Error::other("worker pool exited unexpectedly"));
+                }
+                self.workers_done = true;
+            }
+            if accept_ready {
+                self.accept_ready()?;
+            }
+            for (fd, &token) in fds[head..].iter().zip(&tokens) {
+                if fd.revents() != 0 {
+                    self.service(token, fd.revents());
                 }
             }
         }
     }
 
+    /// Appends every connection to the poll set (its token to `tokens`,
+    /// in the same order): `POLLIN` until its reads close, `POLLOUT`
+    /// while it holds unflushed output. Returns the poll timeout: the
+    /// nearest write-stall deadline, or none. A connection already past
+    /// its deadline goes on the dirty list with a zero timeout, so the
+    /// next pass drops it.
+    fn watch_conns(&mut self, fds: &mut Vec<PollFd>, tokens: &mut Vec<u64>) -> Option<Duration> {
+        tokens.clear();
+        let now = Instant::now();
+        let mut timeout: Option<Duration> = None;
+        for (&token, conn) in &self.conns {
+            let mut events = 0;
+            if !conn.reads_closed {
+                events |= POLLIN;
+            }
+            if conn.unflushed() {
+                events |= POLLOUT;
+                let deadline = conn.last_progress + self.config.write_timeout;
+                let left = deadline.saturating_duration_since(now);
+                if left.is_zero() {
+                    self.dirty.push(token);
+                }
+                timeout = Some(timeout.map_or(left, |t| t.min(left)));
+            }
+            fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
+            tokens.push(token);
+        }
+        timeout
+    }
+
+    /// Empties the wake socket. Returns `false` at end-of-file: every
+    /// worker has exited.
+    fn take_wakes(&self) -> std::io::Result<bool> {
+        let (mut wake, mut buf) = (self.wake, [0u8; 64]);
+        loop {
+            match wake.read(&mut buf) {
+                Ok(0) => return Ok(false),
+                Ok(_) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(true),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
     /// Slots a finished job's bytes into its connection's order (the
-    /// connection may have dropped meanwhile — then the work is moot).
+    /// connection may have dropped meanwhile — then the work is moot)
+    /// and marks the connection for service.
     fn complete(&mut self, done: Completion) {
         if let Some(conn) = self.conns.get_mut(&done.token) {
             conn.pending -= 1;
             conn.ready.insert(done.seq, done.bytes);
+            self.dirty.push(done.token);
         }
     }
 
@@ -664,15 +754,25 @@ impl EventLoop<'_> {
         }
     }
 
-    /// One full service pass over a connection: read, frame, dispatch,
-    /// and flush. Returns `false` when the connection is done.
-    fn service(&mut self, token: u64, conn: &mut Conn) -> bool {
-        if !conn.reads_closed {
+    /// One service pass over a connection with the events `poll`
+    /// reported for it (0 when only a completion or a write deadline
+    /// touched it): read when readable, frame, dispatch, and flush. Drops
+    /// the connection when it is done, or when `revents` carries a
+    /// hang-up or an error: the socket can deliver nothing more, and kept
+    /// in the poll set it would wake every `poll` at once.
+    fn service(&mut self, token: u64, revents: i16) {
+        let Some(mut conn) = self.conns.remove(&token) else {
+            return;
+        };
+        if revents & (POLLIN | POLLHUP | POLLERR) != 0 && !conn.reads_closed {
             conn.fill_read_buf();
-            self.process_input(token, conn);
+            self.process_input(token, &mut conn);
         }
         conn.promote_ready();
-        conn.flush(self.config.write_timeout)
+        let dead = revents & (POLLHUP | POLLERR | POLLNVAL) != 0;
+        if conn.flush(self.config.write_timeout) && !dead {
+            self.conns.insert(token, conn);
+        }
     }
 
     /// Consumes as many complete frames as `read_buf` holds.
@@ -771,16 +871,12 @@ impl EventLoop<'_> {
             );
             return false;
         }
-        let mut line: Vec<u8> = conn.read_buf.drain(..=pos).collect();
-        line.pop();
-        if line.last() == Some(&b'\r') {
-            line.pop();
-        }
-        let line = String::from_utf8_lossy(&line).into_owned();
-        if line.trim().is_empty() {
+        let decoded = Request::decode_frame(&conn.read_buf[..pos]);
+        conn.read_buf.drain(..=pos);
+        let Some(decoded) = decoded else {
             return true;
-        }
-        match Request::decode(&line) {
+        };
+        match decoded {
             Ok(request) => self.dispatch(token, conn, request.id, request.call, RenderMode::Legacy),
             Err(decode) => {
                 // Malformed frame: typed error, connection stays usable.

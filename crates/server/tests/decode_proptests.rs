@@ -4,12 +4,13 @@
 //! `Ok` or a typed error, never a panic. Every frame decoder here runs on
 //! the event-loop thread, where a panic takes the whole daemon down; the
 //! QASM parser runs on a worker, where a panic answers `internal` instead
-//! of the typed `qasm` error.
+//! of the typed `qasm` error. The raw-byte properties feed both wire
+//! surfaces what a socket can deliver, invalid UTF-8 included.
 
 use accqoc::json;
 use accqoc_circuit::parse_qasm;
 use accqoc_server::http::{self, HttpParse};
-use accqoc_server::protocol::{Request, Response};
+use accqoc_server::protocol::{DecodeError, Request, Response};
 use accqoc_server::ErrorCode;
 use proptest::prelude::*;
 
@@ -97,16 +98,28 @@ fn qasm_text(max_len: usize) -> impl Strategy<Value = String> {
     })
 }
 
-fn typed_request_error(line: &str) -> Result<(), String> {
-    match Request::decode(line) {
+/// Arbitrary bytes, `0x80`–`0xFF` included, so most draws are not UTF-8.
+fn bytes(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
+    collection::vec((0u16..256).prop_map(|b| b as u8), 0..max_len)
+}
+
+fn typed_decode_error(
+    decoded: Result<Request, DecodeError>,
+    input: &dyn std::fmt::Debug,
+) -> Result<(), String> {
+    match decoded {
         Ok(_) => Ok(()),
         Err(e) => match e.error.code {
             ErrorCode::MalformedJson | ErrorCode::BadParams | ErrorCode::UnknownMethod => Ok(()),
             other => Err(format!(
-                "unexpected decode error class {other:?} for {line:?}"
+                "unexpected decode error class {other:?} for {input:?}"
             )),
         },
     }
+}
+
+fn typed_request_error(line: &str) -> Result<(), String> {
+    typed_decode_error(Request::decode(line), &line)
 }
 
 proptest! {
@@ -181,6 +194,41 @@ proptest! {
             if let HttpParse::Request(parsed, consumed) =
                 http::parse_request(request.as_bytes(), 8 << 10, 64 << 10)
             {
+                prop_assert!(consumed <= request.len());
+                let _ = http::route(&parsed);
+            }
+        }
+    }
+
+    #[test]
+    fn raw_line_frames_decode_or_fail_typed(raw in bytes(96)) {
+        // Bare, behind a frame opener, and inside a request's string slot.
+        let frames = [
+            raw.clone(),
+            [b"{".as_slice(), &raw].concat(),
+            [br#"{"id":1,"method":"serve_program","params":{"qasm":""#.as_slice(), &raw, br#""}}"#].concat(),
+        ];
+        for frame in &frames {
+            if let Some(decoded) = Request::decode_frame(frame) {
+                typed_decode_error(decoded, frame)?;
+            }
+        }
+    }
+
+    #[test]
+    fn raw_http_bytes_parse_and_route_never_panic(raw in bytes(96), cut in 0usize..96) {
+        let head = |line: &str| [line.as_bytes(), &raw, b"\r\n\r\n"].concat();
+        let mut requests = vec![
+            raw.clone(),
+            head("GET /"),
+            head("POST /pulses HTTP/1.1\r\n"),
+            [format!("POST /serve HTTP/1.1\r\nContent-Length: {}\r\n\r\n", raw.len()).as_bytes(), &raw].concat(),
+        ];
+        // A request cut short anywhere must parse as incomplete, not panic.
+        let whole = requests[3].clone();
+        requests.push(whole[..cut.min(whole.len())].to_vec());
+        for request in &requests {
+            if let HttpParse::Request(parsed, consumed) = http::parse_request(request, 8 << 10, 64 << 10) {
                 prop_assert!(consumed <= request.len());
                 let _ = http::route(&parsed);
             }
